@@ -19,8 +19,10 @@ and the new box mass equals the old mass minus w by construction.
 
 Scalar one-splat-at-a-time operations (init_window, to_splat_frame,
 integrated_weight, compute_moments, update_window, scalar_alpha_*) are the
-readable reference; blend_points_* are the vectorized equivalents the
-rasterizer runs. blend_pixel wraps them for a single pixel.
+readable reference. blend_grid is the vectorized path every caller runs: one
+front-to-back walk over the splats that updates, per splat, only the grid
+points inside its support box. The rasterizer calls it on bands of pixel
+rows, blend_pixel on a single pixel.
 """
 
 from __future__ import annotations
@@ -239,7 +241,7 @@ def update_window(win: TransmittanceWindow, splat: ProjectedSplat, eig: Eigen2):
 
 
 # ---------------------------------------------------------------------------
-# Vectorized kernels (shared by blend_pixel and the tile rasterizer)
+# Vectorized path (shared by blend_pixel and the rasterizer)
 
 
 @dataclass
@@ -247,8 +249,10 @@ class PreparedSplats:
     """Depth-sorted splats with precomputed eigen frames and support boxes.
 
     a1/a2 are the paired axes from paired_axes (a1 within 45 degrees of screen
-    x), s1/s2 their sigmas. aabb rows are (x1, y1, x2, y2) at 3 sigma. inv_*
-    entries are the inverse-covariance coefficients for center-alpha evaluation.
+    x), s1/s2 their sigmas. aabb rows are the closed support boxes (x1, y1, x2,
+    y2) at prepare_splats' support_sigma, infinite when untruncated; a splat
+    changes no point outside its box. inv_* entries are the inverse-covariance
+    coefficients for center-alpha evaluation.
     """
 
     mu: np.ndarray  # (m, 2)
@@ -268,25 +272,15 @@ class PreparedSplats:
     def __len__(self) -> int:
         return self.mu.shape[0]
 
-    def in_support(self, points: np.ndarray, j: int) -> np.ndarray:
-        x1, y1, x2, y2 = self.aabb[j]
+    def support_rects(self, xs: np.ndarray, ys: np.ndarray):
+        """Per splat, the index ranges [x0, x1) of xs and [y0, y1) of ys (both
+        ascending) whose coordinates lie in its closed aabb; returns x0, x1, y0, y1."""
+        bx1, by1, bx2, by2 = self.aabb.T
         return (
-            (points[:, 0] >= x1)
-            & (points[:, 0] <= x2)
-            & (points[:, 1] >= y1)
-            & (points[:, 1] <= y2)
-        )
-
-    def take(self, idx) -> "PreparedSplats":
-        """Subset by index, keeping order (callers pass sorted indices)."""
-        idx = np.asarray(idx, dtype=np.intp)
-        return PreparedSplats(
-            mu=self.mu[idx], color=self.color[idx], opacity=self.opacity[idx],
-            depth=self.depth[idx], a1=self.a1[idx], a2=self.a2[idx],
-            s1=self.s1[idx], s2=self.s2[idx], aabb=self.aabb[idx],
-            inv_xx=self.inv_xx[idx], inv_xy=self.inv_xy[idx],
-            inv_yy=self.inv_yy[idx],
-            n_culled_degenerate=self.n_culled_degenerate,
+            xs.searchsorted(bx1, side="left"),
+            xs.searchsorted(bx2, side="right"),
+            ys.searchsorted(by1, side="left"),
+            ys.searchsorted(by2, side="right"),
         )
 
 
@@ -370,127 +364,70 @@ def prepare_splats(projected, support_sigma: float | None = None) -> PreparedSpl
     )
 
 
-def _batch_miss(prep: PreparedSplats, points: np.ndarray) -> np.ndarray:
-    """Per-splat flag: support box misses every point in the batch.
-
-    Skipping such splats is an exact no-op for all kernels, so the output is
-    unchanged for any batch split.
-    """
-    if points.shape[0] == 0 or len(prep) == 0:
-        return np.ones(len(prep), dtype=bool)
-    lo = points.min(axis=0)
-    hi = points.max(axis=0)
-    ab = prep.aabb
-    return (ab[:, 0] > hi[0]) | (ab[:, 1] > hi[1]) | (ab[:, 2] < lo[0]) | (ab[:, 3] < lo[1])
+def _alpha_center(prep: PreparedSplats, j: int, d: np.ndarray) -> np.ndarray:
+    """Unclamped alpha of splat j sampled at offsets d = point - mu, (p, 2)."""
+    q = (
+        prep.inv_xx[j] * d[:, 0] * d[:, 0]
+        - 2.0 * prep.inv_xy[j] * d[:, 0] * d[:, 1]
+        + prep.inv_yy[j] * d[:, 1] * d[:, 1]
+    )
+    return prep.opacity[j] * np.exp(-0.5 * q)
 
 
-def blend_points_center(prep: PreparedSplats, points, background, epsilon):
-    """Scalar-center blending at each point. Returns (rgb (p,3), residual (p,))."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    p = points.shape[0]
-    bg = np.asarray(background, dtype=float).reshape(3)
-    rgb = np.zeros((p, 3))
-    t = np.ones(p)
-    done = np.zeros(p, dtype=bool)
-    skip = _batch_miss(prep, points)
+def _alpha_integrated(prep: PreparedSplats, j: int, d: np.ndarray) -> np.ndarray:
+    """Unclamped alpha of splat j integrated over the unit square around each point."""
+    # elementwise (not @) so results do not depend on the batch size
+    u = d[:, 0] * prep.a1[j, 0] + d[:, 1] * prep.a1[j, 1]
+    v = d[:, 0] * prep.a2[j, 0] + d[:, 1] * prep.a2[j, 1]
+    i0u, _, _ = gaussian_moments_012(prep.s1[j], u - 0.5, u + 0.5)
+    i0v, _, _ = gaussian_moments_012(prep.s2[j], v - 0.5, v + 0.5)
+    return prep.opacity[j] * i0u * i0v
 
-    for j in range(len(prep)):
-        if done.all():
-            break
-        if skip[j]:
-            continue
-        act = np.flatnonzero(prep.in_support(points, j) & ~done)
-        if act.size == 0:
-            continue
-        d = points[act] - prep.mu[j]
-        q = (
-            prep.inv_xx[j] * d[:, 0] * d[:, 0]
-            - 2.0 * prep.inv_xy[j] * d[:, 0] * d[:, 1]
-            + prep.inv_yy[j] * d[:, 1] * d[:, 1]
-        )
-        alpha = np.minimum(prep.opacity[j] * np.exp(-0.5 * q), ALPHA_MAX)
+
+class _ScalarBlend:
+    """Classic compositing: one transmittance scalar per point, alpha clamped
+    at ALPHA_MAX and skipped below ALPHA_SKIP."""
+
+    def __init__(self, points: np.ndarray, alpha_of):
+        self.points = points
+        self.alpha_of = alpha_of
+        self.rgb = np.zeros((points.shape[0], 3))
+        self.t = np.ones(points.shape[0])
+
+    def step(self, prep: PreparedSplats, j: int, act: np.ndarray, epsilon: float) -> np.ndarray:
+        """Composite splat j at the live points act; returns the points it terminates."""
+        alpha = np.minimum(self.alpha_of(prep, j, self.points[act] - prep.mu[j]), ALPHA_MAX)
         use = alpha >= ALPHA_SKIP
         if not use.any():
-            continue
+            return act[:0]
+        t = self.t
         tn = t[act] * (1.0 - alpha)
         # Classic convention: a splat that would push T below epsilon is not
         # composited; the point terminates at its previous T.
         kill = use & (tn < epsilon)
         comp = use & ~kill
         ci = act[comp]
-        rgb[ci] += (alpha[comp] * t[ci])[:, None] * prep.color[j]
+        self.rgb[ci] += (alpha[comp] * t[ci])[:, None] * prep.color[j]
         t[ci] = tn[comp]
-        done[act[kill]] = True
+        return act[kill]
 
-    rgb += t[:, None] * bg
-    return rgb, t
-
-
-def blend_points_integrated(prep: PreparedSplats, points, background, epsilon):
-    """Scalar blending with pixel-integrated alpha (same clamps as center mode)."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    p = points.shape[0]
-    bg = np.asarray(background, dtype=float).reshape(3)
-    rgb = np.zeros((p, 3))
-    t = np.ones(p)
-    done = np.zeros(p, dtype=bool)
-    skip = _batch_miss(prep, points)
-
-    for j in range(len(prep)):
-        if done.all():
-            break
-        if skip[j]:
-            continue
-        act = np.flatnonzero(prep.in_support(points, j) & ~done)
-        if act.size == 0:
-            continue
-        d = points[act] - prep.mu[j]
-        # elementwise (not @) so results do not depend on the batch size
-        u = d[:, 0] * prep.a1[j, 0] + d[:, 1] * prep.a1[j, 1]
-        v = d[:, 0] * prep.a2[j, 0] + d[:, 1] * prep.a2[j, 1]
-        i0u, _, _ = gaussian_moments_012(prep.s1[j], u - 0.5, u + 0.5)
-        i0v, _, _ = gaussian_moments_012(prep.s2[j], v - 0.5, v + 0.5)
-        alpha = np.minimum(prep.opacity[j] * i0u * i0v, ALPHA_MAX)
-        use = alpha >= ALPHA_SKIP
-        if not use.any():
-            continue
-        tn = t[act] * (1.0 - alpha)
-        kill = use & (tn < epsilon)
-        comp = use & ~kill
-        ci = act[comp]
-        rgb[ci] += (alpha[comp] * t[ci])[:, None] * prep.color[j]
-        t[ci] = tn[comp]
-        done[act[kill]] = True
-
-    rgb += t[:, None] * bg
-    return rgb, t
+    def residual(self) -> np.ndarray:
+        return self.t
 
 
-def blend_points_gb(prep: PreparedSplats, points, background, epsilon):
-    """Gaussian blending: per-point transmittance windows, moment-matched updates.
+class _WindowBlend:
+    """Gaussian blending: per-point transmittance windows, moment-matched updates."""
 
-    Returns (rgb (p,3), residual mass (p,)).
-    """
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
-    p = points.shape[0]
-    bg = np.asarray(background, dtype=float).reshape(3)
-    rgb = np.zeros((p, 3))
-    wc = points.copy()  # window centers
-    ws = np.ones((p, 2))  # window sides
-    wv = np.ones(p)  # window values
-    done = np.zeros(p, dtype=bool)
-    skip = _batch_miss(prep, points)
+    def __init__(self, points: np.ndarray):
+        self.rgb = np.zeros((points.shape[0], 3))
+        self.wc = points.copy()  # window centers
+        self.ws = np.ones((points.shape[0], 2))  # window sides
+        self.wv = np.ones(points.shape[0])  # window values
 
-    for j in range(len(prep)):
-        if done.all():
-            break
-        if skip[j]:
-            continue
-        # Support is tested at the fixed pixel grid point, not the drifting
-        # window center, so results are independent of tiling.
-        act = np.flatnonzero(prep.in_support(points, j) & ~done)
-        if act.size == 0:
-            continue
+    def step(self, prep: PreparedSplats, j: int, act: np.ndarray, epsilon: float) -> np.ndarray:
+        """Blend splat j into the windows of the live points act; returns the
+        points whose remaining mass drops below epsilon."""
+        wc, ws, wv = self.wc, self.ws, self.wv
         o = prep.opacity[j]
         s1, s2 = prep.s1[j], prep.s2[j]
         a1, a2 = prep.a1[j], prep.a2[j]
@@ -559,35 +496,88 @@ def blend_points_gb(prep: PreparedSplats, points, background, epsilon):
             ws[ui, 1] = np.where(oku, l2n, ws[ui, 1])
             wv[ui] = np.where(oku, vn, (t * (1.0 - alpha_fb))[upd])
 
-            rgb[ui] += weight[upd][:, None] * prep.color[j]
-            done[ui[mass_next[upd] < epsilon]] = True
+            self.rgb[ui] += weight[upd][:, None] * prep.color[j]
+        return ui[mass_next[upd] < epsilon]
 
-    residual = wv * ws[:, 0] * ws[:, 1]
-    rgb += residual[:, None] * bg
-    return rgb, residual
+    def residual(self) -> np.ndarray:
+        """Remaining transmittance mass of each window."""
+        return self.wv * self.ws[:, 0] * self.ws[:, 1]
 
 
-def subsample_grid(points, k: int) -> np.ndarray:
-    """K x K half-texel-offset sub-points per pixel; (p, k, k, 2), y-outer."""
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+def subsample_axis(coords, k: int) -> np.ndarray:
+    """k half-texel-offset sub-coordinates per pixel coordinate, pixel-major."""
     off = (np.arange(k) + 0.5) / k - 0.5
-    sub = np.empty((points.shape[0], k, k, 2))
-    sub[..., 0] = points[:, None, None, 0] + off[None, None, :]
-    sub[..., 1] = points[:, None, None, 1] + off[None, :, None]
-    return sub
+    return (np.asarray(coords, dtype=float).reshape(-1, 1) + off).ravel()
 
 
-def blend_points_ss(prep: PreparedSplats, points, background, epsilon, k: int):
-    """Supersampled oracle: average of k x k scalar-center sub-blends per pixel."""
-    if k < 1:
-        raise ValueError("supersample factor must be >= 1")
-    points = np.asarray(points, dtype=float).reshape(-1, 2)
+def pixel_blocks(sub: np.ndarray, k: int) -> np.ndarray:
+    """Regroup a (ny*k, nx*k, ...) sub-point grid into (ny*nx, k, k, ...)
+    per-pixel blocks: pixels row-major, then sub-rows (y) outer, sub-columns
+    (x) inner."""
+    ny, nx = sub.shape[0] // k, sub.shape[1] // k
+    blocks = sub.reshape(ny, k, nx, k, *sub.shape[2:]).swapaxes(1, 2)
+    return np.ascontiguousarray(blocks).reshape(ny * nx, k, k, *sub.shape[2:])
+
+
+def blend_grid(
+    prep: PreparedSplats,
+    xs,
+    ys,
+    mode: str,
+    background=(0.0, 0.0, 0.0),
+    epsilon: float = EPSILON_DEFAULT,
+    ss_k: int = 16,
+):
+    """Blend at every point of the separable grid ys x xs, both ascending.
+
+    Returns rgb (ny, nx, 3) and residual (ny, nx), row-major in y. Splats are
+    walked once, front to back; each updates only the live points inside its
+    closed support box, an index rectangle found by binary search on each
+    axis. Every point's result depends on its own coordinates alone, so any
+    split of a frame into grids gives the same pixels. ss blends the k x k
+    sub-points of every pixel in center mode and averages each pixel's block.
+    """
+    mode = canonical_mode(mode)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    ys = np.asarray(ys, dtype=float).reshape(-1)
+    if mode == "ss":
+        if ss_k < 1:
+            raise ValueError("supersample factor must be >= 1")
+        rgb, t = blend_grid(prep, subsample_axis(xs, ss_k), subsample_axis(ys, ss_k),
+                            "center", background, epsilon)
+        return (pixel_blocks(rgb, ss_k).mean(axis=(1, 2)).reshape(ys.size, xs.size, 3),
+                pixel_blocks(t, ss_k).mean(axis=(1, 2)).reshape(ys.size, xs.size))
+
+    points = np.empty((ys.size, xs.size, 2))
+    points[..., 0] = xs
+    points[..., 1] = ys[:, None]
+    points = points.reshape(-1, 2)
     p = points.shape[0]
-    sub = subsample_grid(points, k).reshape(-1, 2)
-    rgb_s, t_s = blend_points_center(prep, sub, background, epsilon)
-    rgb = rgb_s.reshape(p, k, k, 3).mean(axis=(1, 2))
-    t = t_s.reshape(p, k, k).mean(axis=(1, 2))
-    return rgb, t
+    if mode == "gb":
+        blend = _WindowBlend(points)
+    else:
+        blend = _ScalarBlend(points, _alpha_center if mode == "center" else _alpha_integrated)
+
+    x0, x1, y0, y1 = prep.support_rects(xs, ys)
+    index = np.arange(p).reshape(ys.size, xs.size)
+    done = np.zeros(p, dtype=bool)
+    live = p
+    for j in np.flatnonzero((x0 < x1) & (y0 < y1)):
+        act = index[y0[j] : y1[j], x0[j] : x1[j]].ravel()
+        if live < p:
+            act = act[~done[act]]
+        if act.size == 0:
+            continue
+        ended = blend.step(prep, j, act, epsilon)
+        if ended.size:
+            done[ended] = True
+            live -= ended.size
+            if live == 0:
+                break
+
+    residual = blend.residual()
+    rgb = blend.rgb + residual[:, None] * np.asarray(background, dtype=float).reshape(3)
+    return rgb.reshape(ys.size, xs.size, 3), residual.reshape(ys.size, xs.size)
 
 
 def blend_pixel(
@@ -605,14 +595,6 @@ def blend_pixel(
     of ProjectedSplat or a PreparedSplats.
     """
     prep = splats if isinstance(splats, PreparedSplats) else prepare_splats(splats)
-    center = np.asarray(pixel, dtype=float).reshape(1, 2)
-    m = canonical_mode(mode)
-    if m == "center":
-        rgb, res = blend_points_center(prep, center, background, epsilon)
-    elif m == "integrated":
-        rgb, res = blend_points_integrated(prep, center, background, epsilon)
-    elif m == "gb":
-        rgb, res = blend_points_gb(prep, center, background, epsilon)
-    else:
-        rgb, res = blend_points_ss(prep, center, background, epsilon, ss_k)
-    return rgb[0], float(res[0])
+    xy = np.asarray(pixel, dtype=float).reshape(2)
+    rgb, res = blend_grid(prep, xy[:1], xy[1:], mode, background, epsilon, ss_k)
+    return rgb[0, 0], float(res[0, 0])

@@ -1,45 +1,28 @@
-"""Tile-binned, front-to-back, parallel full-frame rendering.
+"""Front-to-back full-frame rendering.
 
-Binning is an index optimization only: every blend kernel re-tests each
-evaluation point against the splat's 3 sigma support box, so the rendered
-image is identical to a brute-force pass over all splats for any tile size.
-Tiles own disjoint framebuffer regions, which makes the output byte-identical
-for any worker count.
+The frame is blended in bands of whole pixel rows by blending.blend_grid,
+which walks the depth-sorted splats once per band and lets each splat update
+only the pixel centers inside its support box. A pixel's result depends on
+its own center alone, so the band size bounds memory (ss expands every pixel
+into ss_k**2 sub-points) without changing any pixel.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blending import (
-    SUPPORT_SIGMA,
-    PreparedSplats,
-    blend_points_center,
-    blend_points_gb,
-    blend_points_integrated,
-    blend_points_ss,
-    canonical_mode,
-    prepare_splats,
-)
+from .blending import SUPPORT_SIGMA, PreparedSplats, blend_grid, canonical_mode, prepare_splats
 from .scene import SplatCloud, project_cloud
 
 # diagonal covariance floor (px^2) for scalar-center; the window modes and the
 # supersample reference run unfiltered
 LOWPASS_CENTER = 0.3
 
-_KERNELS = {
-    "center": blend_points_center,
-    "integrated": blend_points_integrated,
-    "gb": blend_points_gb,
-}
-
-# cap on subsample points per kernel call (memory bound for large ss_k)
-_SS_CHUNK_POINTS = 1 << 20
+# blend points per band (pixels times ss_k**2 in ss mode); bounds band memory
+_BAND_POINTS = 1 << 14
 
 
 @dataclass
@@ -48,7 +31,7 @@ class RenderStats:
     n_culled_near: int = 0
     n_culled_nonfinite: int = 0
     n_culled_degenerate: int = 0
-    n_drawn: int = 0
+    n_drawn: int = 0  # splats whose support box holds at least one pixel center
     wall_time: float = 0.0
 
 
@@ -81,43 +64,6 @@ class Framebuffer:
         return self.rgb.shape[1]
 
 
-def bin_splats(splats, tile_size: int, width: int, height: int):
-    """Map (tile_y, tile_x) -> splat indices whose 3 sigma box meets the tile.
-
-    Accepts a PreparedSplats or anything prepare_splats takes. Indices refer
-    to the depth-sorted prepared order, so every per-tile list is already
-    front-to-back; splats whose box misses the image entirely appear in no
-    tile. Tiles with no splats are absent from the dict.
-    """
-    if tile_size <= 0:
-        raise ValueError("tile_size must be positive")
-    if width <= 0 or height <= 0:
-        raise ValueError("image dimensions must be positive")
-    prep = splats if isinstance(splats, PreparedSplats) else prepare_splats(splats, SUPPORT_SIGMA)
-    ny = -(-height // tile_size)
-    nx = -(-width // tile_size)
-    x1, y1, x2, y2 = prep.aabb.T if len(prep) else (np.empty(0),) * 4
-    keep = (x2 >= 0) & (x1 <= width) & (y2 >= 0) & (y1 <= height)
-    tx0 = np.clip(np.floor(x1 / tile_size), 0, nx - 1).astype(np.intp)
-    tx1 = np.clip(np.floor(x2 / tile_size), 0, nx - 1).astype(np.intp)
-    ty0 = np.clip(np.floor(y1 / tile_size), 0, ny - 1).astype(np.intp)
-    ty1 = np.clip(np.floor(y2 / tile_size), 0, ny - 1).astype(np.intp)
-    tiles: dict[tuple[int, int], list[int]] = {}
-    for j in np.flatnonzero(keep):
-        for ty in range(ty0[j], ty1[j] + 1):
-            for tx in range(tx0[j], tx1[j] + 1):
-                tiles.setdefault((ty, tx), []).append(int(j))
-    return {k: np.asarray(v, dtype=np.intp) for k, v in tiles.items()}
-
-
-def _pixel_centers(x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
-    """Row-major (n, 2) pixel centers for the rect [x0,x1) x [y0,y1)."""
-    xs = np.arange(x0, x1) + 0.5
-    ys = np.arange(y0, y1) + 0.5
-    gx, gy = np.meshgrid(xs, ys)
-    return np.stack([gx.ravel(), gy.ravel()], axis=1)
-
-
 def render_projected(
     projected,
     width: int,
@@ -125,56 +71,27 @@ def render_projected(
     mode: str = "gb",
     *,
     epsilon: float = 1e-4,
-    tile_size: int = 16,
     ss_k: int = 16,
     background=(0.0, 0.0, 0.0),
-    threads: int | None = None,
 ) -> Framebuffer:
     """Render already-projected splats (PreparedSplats, ProjectedCloud, or list)."""
+    if width <= 0 or height <= 0:
+        raise ValueError("image dimensions must be positive")
     mode = canonical_mode(mode)
-    bg = np.asarray(background, dtype=float).reshape(3)
     prep = projected if isinstance(projected, PreparedSplats) else prepare_splats(projected, SUPPORT_SIGMA)
-    tiles = bin_splats(prep, tile_size, width, height)
-    rgb = np.empty((height, width, 3), dtype=float)
-    res = np.empty((height, width), dtype=float)
-
-    def run_tile(key):
-        ty, tx = key
-        x0, x1 = tx * tile_size, min((tx + 1) * tile_size, width)
-        y0, y1 = ty * tile_size, min((ty + 1) * tile_size, height)
-        idx = tiles.get(key)
-        if idx is None:
-            rgb[y0:y1, x0:x1] = bg
-            res[y0:y1, x0:x1] = 1.0
-            return
-        sub = prep.take(idx)
-        pts = _pixel_centers(x0, x1, y0, y1)
-        if mode == "ss":
-            chunk = max(_SS_CHUNK_POINTS // (ss_k * ss_k), 1)
-            parts = [
-                blend_points_ss(sub, pts[i : i + chunk], bg, epsilon, ss_k)
-                for i in range(0, len(pts), chunk)
-            ]
-            trgb = np.concatenate([p[0] for p in parts])
-            tres = np.concatenate([p[1] for p in parts])
-        else:
-            trgb, tres = _KERNELS[mode](sub, pts, bg, epsilon)
-        rgb[y0:y1, x0:x1] = trgb.reshape(y1 - y0, x1 - x0, 3)
-        res[y0:y1, x0:x1] = tres.reshape(y1 - y0, x1 - x0)
-
-    ny = -(-height // tile_size)
-    nx = -(-width // tile_size)
-    keys = [(ty, tx) for ty in range(ny) for tx in range(nx)]
-    n_workers = threads if threads is not None else (os.cpu_count() or 1)
-    if n_workers <= 1:
-        for key in keys:
-            run_tile(key)
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            list(pool.map(run_tile, keys))
+    xs = np.arange(width) + 0.5
+    ys = np.arange(height) + 0.5
+    k = max(ss_k, 1) if mode == "ss" else 1
+    rows = max(_BAND_POINTS // (width * k * k), 1)
+    rgb = np.empty((height, width, 3))
+    res = np.empty((height, width))
+    for top in range(0, height, rows):
+        band = slice(top, top + rows)
+        rgb[band], res[band] = blend_grid(prep, xs, ys[band], mode, background, epsilon, ss_k)
 
     fb = Framebuffer(rgb=rgb, residual=res)
-    fb.stats.n_drawn = len(prep)
+    x0, x1, y0, y1 = prep.support_rects(xs, ys)
+    fb.stats.n_drawn = int(np.count_nonzero((x0 < x1) & (y0 < y1)))
     fb.stats.n_culled_degenerate = prep.n_culled_degenerate
     return fb
 
@@ -185,11 +102,9 @@ def render(
     mode: str = "gb",
     *,
     epsilon: float = 1e-4,
-    tile_size: int = 16,
     ss_k: int = 16,
     background=(0.0, 0.0, 0.0),
     lowpass: float | None = None,
-    threads: int | None = None,
 ) -> Framebuffer:
     """Project a 3D scene and render it in the given blend mode.
 
@@ -205,8 +120,7 @@ def render(
     prep = prepare_splats(proj, SUPPORT_SIGMA)
     fb = render_projected(
         prep, camera.width, camera.height, mode,
-        epsilon=epsilon, tile_size=tile_size, ss_k=ss_k,
-        background=background, threads=threads,
+        epsilon=epsilon, ss_k=ss_k, background=background,
     )
     fb.stats.n_input = len(cloud)
     fb.stats.n_culled_near = proj.n_culled_near

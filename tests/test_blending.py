@@ -17,18 +17,18 @@ from splatlab.blending import (
     PreparedSplats,
     SplatFrame,
     TransmittanceWindow,
+    blend_grid,
     blend_pixel,
-    blend_points_center,
-    blend_points_gb,
     canonical_mode,
     compute_moments,
     init_window,
     integrated_weight,
     paired_axes,
+    pixel_blocks,
     prepare_splats,
     scalar_alpha_center,
     scalar_alpha_integrated,
-    subsample_grid,
+    subsample_axis,
     to_splat_frame,
     update_window,
 )
@@ -585,7 +585,10 @@ def test_supersample_convergence():
 
 
 def test_subsample_grid_layout():
-    g = subsample_grid(np.array([[0.5, 0.5]]), 2)
+    sub = subsample_axis([0.5], 2)
+    assert np.allclose(sub, [0.25, 0.75])
+    grid = np.stack(np.meshgrid(sub, sub), axis=-1)  # (y, x, 2) sub-point coordinates
+    g = pixel_blocks(grid, 2)
     assert g.shape == (1, 2, 2, 2)
     # y-outer, x-inner, half-texel offsets at +-0.25 around the center
     assert np.allclose(g[0, 0, 0], [0.25, 0.25])
@@ -639,13 +642,11 @@ def test_vectorized_matches_scalar_ops_gb():
         prep = prepare_splats(splats)
         px = np.array(PX)
         bg = np.array([0.2, 0.3, 0.4])
-        rgb_vec, res_vec = blend_points_gb(prep, px.reshape(1, 2), bg, 1e-4)
+        rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "gb", bg, 1e-4)
 
         win = init_window(px)
         rgb = np.zeros(3)
         for j in range(len(prep)):
-            if not prep.in_support(px.reshape(1, 2), j)[0]:
-                continue
             sp = ProjectedSplat(
                 mu2d=prep.mu[j],
                 cov2d=(prep.s1[j] ** 2) * np.outer(prep.a1[j], prep.a1[j])
@@ -660,8 +661,8 @@ def test_vectorized_matches_scalar_ops_gb():
             if win.mass < 1e-4:
                 break
         rgb += win.mass * bg
-        assert np.allclose(rgb, rgb_vec[0], rtol=1e-10, atol=1e-12)
-        assert res_vec[0] == pytest.approx(win.mass, rel=1e-10, abs=1e-12)
+        assert np.allclose(rgb, rgb_vec[0, 0], rtol=1e-10, atol=1e-12)
+        assert res_vec[0, 0] == pytest.approx(win.mass, rel=1e-10, abs=1e-12)
 
 
 def test_vectorized_center_matches_scalar_alpha_chain():
@@ -672,13 +673,11 @@ def test_vectorized_center_matches_scalar_alpha_chain():
         prep = prepare_splats(splats)
         px = np.array(PX)
         bg = np.array([0.5, 0.5, 0.5])
-        rgb_vec, res_vec = blend_points_center(prep, px.reshape(1, 2), bg, 1e-4)
+        rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "center", bg, 1e-4)
 
         t = 1.0
         rgb = np.zeros(3)
         for j in range(len(prep)):
-            if not prep.in_support(px.reshape(1, 2), j)[0]:
-                continue
             sp = prep_to_splat(prep, j)
             alpha = scalar_alpha_center(px, sp)
             if alpha < 1.0 / 255.0:
@@ -689,8 +688,8 @@ def test_vectorized_center_matches_scalar_alpha_chain():
             rgb += prep.color[j] * alpha * t
             t = tn
         rgb += t * bg
-        assert np.allclose(rgb, rgb_vec[0], rtol=1e-10, atol=1e-14)
-        assert res_vec[0] == pytest.approx(t, rel=1e-12)
+        assert np.allclose(rgb, rgb_vec[0, 0], rtol=1e-10, atol=1e-14)
+        assert res_vec[0, 0] == pytest.approx(t, rel=1e-12)
 
 
 def prep_to_splat(prep: PreparedSplats, j: int) -> ProjectedSplat:

@@ -1,12 +1,13 @@
-"""Tile binning and full-frame rendering tests."""
+"""Full-frame rendering tests."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from splatlab import raster
 from splatlab.blending import blend_pixel, prepare_splats
 from splatlab.raster import (
     Framebuffer,
-    bin_splats,
     render,
     render_projected,
 )
@@ -64,44 +65,6 @@ def random_cloud(rng, n=40):
     return SplatCloud.from_splats(splats)
 
 
-# --- binning ----------------------------------------------------------------
-
-
-def test_bin_single_tile():
-    sp = iso_splat((8.0, 8.0), 1.0, 0.5)  # 3 sigma box [5,11]^2 inside tile 0
-    tiles = bin_splats([sp], 16, 64, 64)
-    assert set(tiles) == {(0, 0)}
-    assert list(tiles[(0, 0)]) == [0]
-
-
-def test_bin_four_tile_corner():
-    sp = iso_splat((16.0, 16.0), 1.0, 0.5)  # box [13,19]^2 straddles the corner
-    tiles = bin_splats([sp], 16, 64, 64)
-    assert set(tiles) == {(0, 0), (0, 1), (1, 0), (1, 1)}
-
-
-def test_bin_offscreen_dropped():
-    sp = iso_splat((-50.0, 8.0), 1.0, 0.5)
-    assert bin_splats([sp], 16, 64, 64) == {}
-
-
-def test_bin_indices_depth_sorted():
-    rng = np.random.default_rng(8)
-    scene = random_scene(rng, 60, 64, 48)
-    prep = prepare_splats(scene)
-    tiles = bin_splats(prep, 16, 64, 48)
-    assert tiles, "expected occupied tiles"
-    for idx in tiles.values():
-        assert np.all(np.diff(prep.depth[idx]) >= 0)
-
-
-def test_bin_rejects_bad_args():
-    with pytest.raises(ValueError, match="tile_size"):
-        bin_splats([], 0, 64, 64)
-    with pytest.raises(ValueError, match="dimensions"):
-        bin_splats([], 16, 0, 64)
-
-
 # --- rendering: structural properties ----------------------------------------
 
 
@@ -122,25 +85,11 @@ def test_flat_opaque_splat_fills_frame():
     assert np.allclose(fbc.rgb, 0.99 * np.array([0.2, 0.9, 0.4]), atol=1e-5)
 
 
-@pytest.mark.parametrize("mode", ["center", "integrated", "gb"])
-def test_tiling_transparency(mode):
-    rng = np.random.default_rng(5)
-    scene = random_scene(rng, 80, 48, 40)
-    ref = render_projected(scene, 48, 40, mode, tile_size=16, threads=1)
-    for ts in (8, 32, 37):
-        got = render_projected(scene, 48, 40, mode, tile_size=ts, threads=1)
-        assert np.array_equal(got.rgb, ref.rgb)
-        assert np.array_equal(got.residual, ref.residual)
-
-
-def test_thread_determinism():
-    rng = np.random.default_rng(6)
-    scene = random_scene(rng, 100, 64, 48)
-    ref = render_projected(scene, 64, 48, "gb", threads=1)
-    for n in (2, 4, None):
-        got = render_projected(scene, 64, 48, "gb", threads=n)
-        assert got.rgb.tobytes() == ref.rgb.tobytes()
-        assert got.residual.tobytes() == ref.residual.tobytes()
+def test_render_rejects_bad_dimensions():
+    with pytest.raises(ValueError, match="dimensions"):
+        render_projected([], 0, 64)
+    with pytest.raises(ValueError, match="dimensions"):
+        render_projected([], 64, -1)
 
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
@@ -160,14 +109,19 @@ def test_pixel_equals_blend_pixel(mode):
 
 
 def test_matches_brute_force_no_binning():
-    # Binning must be purely an index optimization: compare against a direct
-    # per-pixel blend over the full splat list with a giant tile.
+    # The frame walk must equal a direct per-pixel blend over the full splat
+    # list, at every pixel and in every mode.
     rng = np.random.default_rng(9)
     scene = random_scene(rng, 40, 19, 13)
-    fb = render_projected(scene, 19, 13, "gb", tile_size=16)
-    brute = render_projected(scene, 19, 13, "gb", tile_size=1024)
-    assert np.array_equal(fb.rgb, brute.rgb)
-    assert np.array_equal(fb.residual, brute.residual)
+    prep = prepare_splats(scene, 3.0)
+    bg = (0.1, 0.2, 0.3)
+    for mode in ("center", "integrated", "gb", "ss"):
+        fb = render_projected(prep, 19, 13, mode, background=bg, ss_k=3)
+        for y in range(13):
+            for x in range(19):
+                rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, bg, ss_k=3)
+                assert fb.rgb[y, x].tobytes() == rgb.tobytes(), (mode, x, y)
+                assert fb.residual[y, x] == res, (mode, x, y)
 
 
 def test_truncation_bound_3_to_5_sigma():
@@ -183,14 +137,71 @@ def test_truncation_bound_3_to_5_sigma():
     assert max(diffs) < 1e-2
 
 
-def test_supersample_chunking_consistent():
-    # ss_k large enough to force multiple chunks inside one tile must agree
-    # with the one-chunk result.
+def test_supersample_chunking_consistent(monkeypatch):
+    # A band budget small enough to split the frame into many row bands must
+    # agree with the one-band result.
     rng = np.random.default_rng(11)
     scene = random_scene(rng, 20, 16, 16)
-    a = render_projected(scene, 16, 16, "ss", ss_k=64, tile_size=16)
-    b = render_projected(scene, 16, 16, "ss", ss_k=64, tile_size=4)
-    assert np.array_equal(a.rgb, b.rgb)
+    monkeypatch.setattr(raster, "_BAND_POINTS", 1 << 30)
+    a = render_projected(scene, 16, 16, "ss", ss_k=8)
+    monkeypatch.setattr(raster, "_BAND_POINTS", 3 * 16 * 8 * 8)  # three rows per band
+    b = render_projected(scene, 16, 16, "ss", ss_k=8)
+    assert a.rgb.tobytes() == b.rgb.tobytes()
+    assert a.residual.tobytes() == b.residual.tobytes()
+
+
+def test_offscreen_splat_not_drawn():
+    # n_drawn counts splats whose support box holds a pixel center.
+    on = iso_splat((8.0, 8.0), 1.0, 0.5)
+    off = iso_splat((-50.0, 8.0), 1.0, 0.5)
+    edge = iso_splat((-2.5, 8.0), 1.0, 0.5)  # box [-5.5, 0.5] reaches pixel center 0.5
+    assert render_projected([on, off], 16, 16, "gb").stats.n_drawn == 1
+    assert render_projected([off], 16, 16, "center").stats.n_drawn == 0
+    assert render_projected([on, off, edge], 16, 16, "ss", ss_k=2).stats.n_drawn == 2
+
+
+@pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
+def test_support_box_edges_on_pixel_centers(mode):
+    # Support boxes are closed: a box edge exactly on a pixel center includes
+    # that pixel, and the next pixel out is untouched.
+    sp = iso_splat((8.5, 5.5), 1.0, 0.9)  # 3 sigma box [5.5, 11.5] x [2.5, 8.5]
+    prep = prepare_splats([sp], 3.0)
+    assert prep.aabb.tolist() == [[5.5, 2.5, 11.5, 8.5]]
+    fb = render_projected(prep, 16, 12, mode, ss_k=2)
+    for y in range(12):
+        for x in range(16):
+            rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, ss_k=2)
+            assert fb.rgb[y, x].tobytes() == rgb.tobytes()
+            assert fb.residual[y, x] == res
+    if mode != "ss":
+        touched = fb.residual < 1.0
+        assert touched[5, 5:12].all() and touched[2:9, 8].all()  # the box's middle row and column
+        assert not touched[:, :5].any() and not touched[:, 12:].any()
+        assert not touched[:2].any() and not touched[9:].any()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    width=st.integers(1, 9),
+    height=st.integers(1, 9),
+    mode=st.sampled_from(["center", "integrated", "gb", "ss"]),
+)
+def test_render_equals_blend_pixel_property(seed, n, width, height, mode):
+    rng = np.random.default_rng(seed)
+    prep = prepare_splats(random_scene(rng, n, width, height, sig_lo=-0.7), 3.0)
+    bg = tuple(rng.uniform(0, 1, 3))
+    fb = render_projected(prep, width, height, mode, background=bg, ss_k=3)
+    for y in range(height):
+        for x in range(width):
+            rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, bg, ss_k=3)
+            assert fb.rgb[y, x].tobytes() == rgb.tobytes()
+            assert fb.residual[y, x] == res
+    centers = np.stack(np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5), -1)
+    centers = centers.reshape(-1, 2)
+    drawn = [((centers >= box[:2]) & (centers <= box[2:])).all(1).any() for box in prep.aabb]
+    assert fb.stats.n_drawn == sum(drawn)
 
 
 # --- rendering: full 3D pipeline ---------------------------------------------
