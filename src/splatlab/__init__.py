@@ -1,12 +1,13 @@
-"""splatlab: CPU reference renderer for Gaussian splats with window-tracked transmittance."""
+"""splatlab: CPU reference renderer for Gaussian splats with window-tracked transmittance.
 
-from splatlab.splatmath import Eigen2, DegenerateSplatError, eigen2x2, erf, gaussian_moment_k
+Each operation has one implementation in the package, the vectorized one the
+renderer runs. The scalar one-splat-at-a-time versions that the tests compare
+it against live in tests/_reference.py.
+"""
+
+from splatlab.splatmath import gaussian_moment_k
 
 __all__ = [
-    "Eigen2",
-    "DegenerateSplatError",
-    "eigen2x2",
-    "erf",
     "gaussian_moment_k",
 ]
 

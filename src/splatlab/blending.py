@@ -17,12 +17,11 @@ moment-matches a new box. The integrated weight of the splat is
 
 and the new box mass equals the old mass minus w by construction.
 
-Scalar one-splat-at-a-time operations (init_window, to_splat_frame,
-integrated_weight, compute_moments, update_window, scalar_alpha_*) are the
-readable reference. blend_grid is the vectorized path every caller runs: one
-front-to-back walk over the splats that updates, per splat, only the grid
-points inside its support box. The rasterizer calls it on bands of pixel
-rows, blend_pixel on a single pixel.
+blend_grid is the one implementation of every mode: one front-to-back walk
+over the splats that updates, per splat, only the grid points inside its
+support box. The rasterizer calls it on bands of pixel rows, blend_pixel on a
+single pixel. tests/_reference.py replays the same arithmetic one splat and
+one window at a time (update_window, scalar_alpha_*) as the tests' oracle.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from splatlab.scene import ProjectedCloud, ProjectedSplat
-from splatlab.splatmath import Eigen2, eigen2x2, eigen2x2_batch, gaussian_moments_012
+from splatlab.scene import ProjectedCloud
+from splatlab.splatmath import eigen2x2_batch, gaussian_moments_012
 
 EPSILON_DEFAULT = 1e-4  # classic termination threshold on remaining transmittance
 ALPHA_MAX = 0.99  # scalar-mode clamp
@@ -62,194 +61,12 @@ def canonical_mode(mode: str) -> str:
 
 
 @dataclass
-class TransmittanceWindow:
-    """Uniform-box model of a pixel's remaining transmittance."""
-
-    center: np.ndarray  # (2,) pixels
-    sides: np.ndarray  # (2,) positive, pixels
-    value: float  # [0, 1]
-
-    def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float).reshape(2)
-        self.sides = np.asarray(self.sides, dtype=float).reshape(2)
-        if np.any(self.sides <= 0.0):
-            raise ValueError("window sides must be > 0")
-        if not (0.0 <= self.value <= 1.0):
-            raise ValueError("window value must be in [0, 1]")
-
-    @property
-    def mass(self) -> float:
-        """Integrated transmittance over the plane."""
-        return self.value * (self.sides[0] * self.sides[1])
-
-
-def init_window(pixel_center) -> TransmittanceWindow:
-    """Fresh full-transmittance window over one pixel's unit square."""
-    return TransmittanceWindow(
-        center=np.asarray(pixel_center, dtype=float),
-        sides=np.array([1.0, 1.0]),
-        value=1.0,
-    )
-
-
-@dataclass(frozen=True)
-class SplatFrame:
-    """Window geometry re-expressed in a splat's principal-axis coordinates."""
-
-    u: float
-    v: float
-    u1: float
-    u2: float
-    v1: float
-    v2: float
-    sigma1: float
-    sigma2: float
-
-
-def paired_axes(eig: Eigen2):
-    """Axis pairing that keeps the implied window rotation within 45 degrees.
-
-    Returns (a1, s1, a2, s2) where a1 is the eigenvector closest to the screen
-    x axis (paired with the window's first side) and s1 its sigma. Ties keep
-    the major axis on a1.
-    """
-    if abs(eig.e1[0]) >= abs(eig.e1[1]):
-        return eig.e1, eig.sigma1, eig.e2, eig.sigma2
-    return eig.e2, eig.sigma2, eig.e1, eig.sigma1
-
-
-def to_splat_frame(win: TransmittanceWindow, splat: ProjectedSplat, eig: Eigen2) -> SplatFrame:
-    a1, s1, a2, s2 = paired_axes(eig)
-    d = win.center - splat.mu2d
-    # elementwise (not @) to match the vectorized kernels bit for bit
-    u = float(d[0] * a1[0] + d[1] * a1[1])
-    v = float(d[0] * a2[0] + d[1] * a2[1])
-    hu = 0.5 * win.sides[0]
-    hv = 0.5 * win.sides[1]
-    return SplatFrame(
-        u=u, v=v, u1=u - hu, u2=u + hu, v1=v - hv, v2=v + hv, sigma1=s1, sigma2=s2
-    )
-
-
-def integrated_weight(frame: SplatFrame, t: float, o: float) -> float:
-    """Integral of t * alpha over the window box (separable erf closed form)."""
-    i0u, _, _ = gaussian_moments_012(frame.sigma1, frame.u1, frame.u2)
-    i0v, _, _ = gaussian_moments_012(frame.sigma2, frame.v1, frame.v2)
-    return t * o * float(i0u) * float(i0v)
-
-
-@dataclass(frozen=True)
-class GaussianMoments:
-    """Moments of t * (1 - alpha) over the window, in the splat frame."""
-
-    m0: float  # remaining mass
-    m1: np.ndarray  # (2,) first moment per axis
-    m2: np.ndarray  # (2,) second moment per axis
-
-
-def compute_moments(frame: SplatFrame, t: float, o: float) -> GaussianMoments:
-    i0u, i1u, i2u = gaussian_moments_012(frame.sigma1, frame.u1, frame.u2)
-    i0v, i1v, i2v = gaussian_moments_012(frame.sigma2, frame.v1, frame.v2)
-    lu = frame.u2 - frame.u1
-    lv = frame.v2 - frame.v1
-    area = lu * lv
-    to = t * o
-    w = to * i0u * i0v
-    m0 = max(t * area - w, 0.0)
-    m1 = np.array([t * area * frame.u - to * i1u * i0v, t * area * frame.v - to * i0u * i1v])
-    m2 = np.array(
-        [
-            t * area * (frame.u * frame.u + lu * lu / 12.0) - to * i2u * i0v,
-            t * area * (frame.v * frame.v + lv * lv / 12.0) - to * i0u * i2v,
-        ]
-    )
-    return GaussianMoments(m0=float(m0), m1=m1, m2=m2)
-
-
-def scalar_alpha_center(pixel_center, splat: ProjectedSplat) -> float:
-    """Alpha sampled at a point: o * exp(-d^2/2), Mahalanobis d, clamped at 0.99."""
-    cov = splat.cov2d
-    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[0, 1]
-    if det <= 0.0:
-        raise ValueError("cov2d must be positive definite")
-    d = np.asarray(pixel_center, dtype=float) - splat.mu2d
-    q = (cov[1, 1] * d[0] * d[0] - 2.0 * cov[0, 1] * d[0] * d[1] + cov[0, 0] * d[1] * d[1]) / det
-    return min(splat.opacity * float(np.exp(-0.5 * q)), ALPHA_MAX)
-
-
-def scalar_alpha_integrated(pixel_center, splat: ProjectedSplat, eig: Eigen2) -> float:
-    """Alpha integrated over the unit pixel square centered at pixel_center.
-
-    Evaluated in the splat frame with the same box reinterpretation the window
-    model uses; equals the Gaussian-blending weight on a fresh window.
-    """
-    frame = to_splat_frame(init_window(pixel_center), splat, eig)
-    return integrated_weight(frame, 1.0, splat.opacity)
-
-
-def _fallback_blend(win: TransmittanceWindow, frame: SplatFrame, o: float):
-    # Stability guard tripped: freeze geometry, scalar-blend at the window
-    # center with the raw (unclamped) alpha.
-    alpha = o * float(
-        np.exp(-0.5 * ((frame.u / frame.sigma1) ** 2 + (frame.v / frame.sigma2) ** 2))
-    )
-    area = win.sides[0] * win.sides[1]
-    weight = (win.value * alpha) * area
-    nxt = TransmittanceWindow(
-        center=win.center.copy(), sides=win.sides.copy(), value=win.value * (1.0 - alpha)
-    )
-    return weight, nxt
-
-
-def update_window(win: TransmittanceWindow, splat: ProjectedSplat, eig: Eigen2):
-    """Blend one splat into the window; returns (weight, next window).
-
-    Mass is conserved: next.mass == win.mass - weight up to roundoff. When a
-    window side falls outside [0.1, 1e6] times the paired sigma, geometry is
-    frozen and a scalar blend at the window center is applied instead.
-    """
-    frame = to_splat_frame(win, splat, eig)
-    r1 = win.sides[0] / frame.sigma1
-    r2 = win.sides[1] / frame.sigma2
-    if not (GUARD_LO <= r1 <= GUARD_HI and GUARD_LO <= r2 <= GUARD_HI):
-        return _fallback_blend(win, frame, splat.opacity)
-
-    mom = compute_moments(frame, win.value, splat.opacity)
-    weight = integrated_weight(frame, win.value, splat.opacity)
-    if weight == 0.0:
-        # No measurable overlap; moment-matching would only round-trip the box.
-        return 0.0, win
-
-    if mom.m0 <= 0.0:
-        # Splat consumed the entire window mass.
-        nxt = TransmittanceWindow(center=win.center.copy(), sides=win.sides.copy(), value=0.0)
-        return win.mass, nxt
-
-    mean = mom.m1 / mom.m0
-    var = np.maximum(mom.m2 / mom.m0 - mean * mean, 0.0)
-    sides = np.maximum(np.sqrt(12.0 * var), MIN_SIDE)
-    value = mom.m0 / (sides[0] * sides[1])
-    if value > 1.0:
-        # Box taller than full transmittance cannot be represented; flatten to
-        # value 1 and widen mass-neutrally.
-        sides = sides * np.sqrt(value)
-        value = 1.0
-
-    a1, _, a2, _ = paired_axes(eig)
-    center = splat.mu2d + a1 * mean[0] + a2 * mean[1]
-    return weight, TransmittanceWindow(center=center, sides=sides, value=float(value))
-
-
-# ---------------------------------------------------------------------------
-# Vectorized path (shared by blend_pixel and the rasterizer)
-
-
-@dataclass
 class PreparedSplats:
     """Depth-sorted splats with precomputed eigen frames and support boxes.
 
-    a1/a2 are the paired axes from paired_axes (a1 within 45 degrees of screen
-    x), s1/s2 their sigmas. aabb rows are the closed support boxes (x1, y1, x2,
+    a1/a2 are the eigenvectors paired with the window's x and y sides (a1 is
+    the one within 45 degrees of screen x, the major axis on ties), s1/s2
+    their sigmas. aabb rows are the closed support boxes (x1, y1, x2,
     y2) at prepare_splats' support_sigma, infinite when untruncated; a splat
     changes no point outside its box. inv_* entries are the inverse-covariance
     coefficients for center-alpha evaluation.
@@ -327,7 +144,7 @@ def prepare_splats(projected, support_sigma: float | None = None) -> PreparedSpl
     sig1, sig2 = np.sqrt(lam1), np.sqrt(lam2)
     e1 = np.stack([e1x, e1y], axis=1)
     e2 = np.stack([-e1y, e1x], axis=1)
-    # Canonical perpendicular sign, matching eigen2x2.
+    # Canonical perpendicular sign: largest-magnitude component positive.
     lead = np.where(np.abs(e2[:, 0]) >= np.abs(e2[:, 1]), e2[:, 0], e2[:, 1])
     e2 = np.where((lead < 0.0)[:, None], -e2, e2)
 

@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.special
 
-from splatlab.splatmath import eigen2x2
-
 VALID_SH_BANDS = (1, 4, 9, 16)
 
 # Real spherical harmonic constants, degree 0..3, in the ordering trained
@@ -51,18 +49,6 @@ def normalize_quat(q):
     if np.any(n == 0.0):
         raise ValueError("zero quaternion")
     return q / n
-
-
-def quat_to_rotmat(q) -> np.ndarray:
-    """Rotation matrix from a unit quaternion (w, x, y, z)."""
-    w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
 
 
 @dataclass(frozen=True)
@@ -221,105 +207,6 @@ class ProjectedSplat:
         object.__setattr__(self, "cov2d", cov)
         object.__setattr__(self, "color", np.asarray(self.color, dtype=float).reshape(3))
 
-    def eigen(self):
-        return eigen2x2(self.cov2d)
-
-
-def build_covariance(scale, rot) -> np.ndarray:
-    """World-space covariance of a splat: R diag(s^2) R^T."""
-    scale = np.asarray(scale, dtype=float)
-    if np.any(scale <= 0.0):
-        raise ValueError("scale components must be > 0")
-    r = quat_to_rotmat(normalize_quat(rot))
-    m = r * scale[None, :]  # R @ diag(s)
-    return m @ m.T
-
-
-def eval_sh(sh, direction) -> np.ndarray:
-    """Evaluate real SH color (degree <= 3) toward a unit direction.
-
-    Returns linear rgb with the trained-file DC convention (+0.5) applied,
-    clamped at 0.
-    """
-    sh = np.asarray(sh, dtype=float)
-    if sh.ndim == 1:
-        sh = sh.reshape(1, 3)
-    bands = sh.shape[0]
-    if bands not in VALID_SH_BANDS:
-        raise ValueError(f"unsupported SH band count {bands}")
-    d = np.asarray(direction, dtype=float)
-    if abs(np.linalg.norm(d) - 1.0) > 1e-6:
-        raise ValueError("direction must be a unit vector")
-    x, y, z = d
-
-    rgb = SH_C0 * sh[0]
-    if bands > 1:
-        rgb = rgb - SH_C1 * y * sh[1] + SH_C1 * z * sh[2] - SH_C1 * x * sh[3]
-    if bands > 4:
-        xx, yy, zz = x * x, y * y, z * z
-        xy, yz, xz = x * y, y * z, x * z
-        rgb = (
-            rgb
-            + SH_C2[0] * xy * sh[4]
-            + SH_C2[1] * yz * sh[5]
-            + SH_C2[2] * (2.0 * zz - xx - yy) * sh[6]
-            + SH_C2[3] * xz * sh[7]
-            + SH_C2[4] * (xx - yy) * sh[8]
-        )
-    if bands > 9:
-        xx, yy, zz = x * x, y * y, z * z
-        rgb = (
-            rgb
-            + SH_C3[0] * y * (3.0 * xx - yy) * sh[9]
-            + SH_C3[1] * x * y * z * sh[10]
-            + SH_C3[2] * y * (4.0 * zz - xx - yy) * sh[11]
-            + SH_C3[3] * z * (2.0 * zz - 3.0 * xx - 3.0 * yy) * sh[12]
-            + SH_C3[4] * x * (4.0 * zz - xx - yy) * sh[13]
-            + SH_C3[5] * z * (xx - yy) * sh[14]
-            + SH_C3[6] * x * (xx - yy) * sh[15]
-        )
-    return np.maximum(rgb + 0.5, 0.0)
-
-
-def project_splat(splat: Splat3D, cam: Camera, lowpass: float = 0.0):
-    """Project one splat to screen space; returns None when culled.
-
-    lowpass is added to the diagonal of cov2d after projection (0.3 px^2 is
-    the legacy center-mode floor; area-integrating modes pass 0).
-    """
-    r, t = cam.rotation, cam.translation
-    p = r @ splat.mu + t
-    z = p[2]
-    if z <= cam.near:
-        return None
-    x, y = p[0], p[1]
-    mu2d = np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
-
-    jac = np.array(
-        [
-            [cam.fx / z, 0.0, -cam.fx * x / (z * z)],
-            [0.0, cam.fy / z, -cam.fy * y / (z * z)],
-        ]
-    )
-    cov3d = build_covariance(splat.scale, splat.rot)
-    jw = jac @ r
-    cov2d = jw @ cov3d @ jw.T
-    cov2d = 0.5 * (cov2d + cov2d.T)
-    cov2d[0, 0] += lowpass
-    cov2d[1, 1] += lowpass
-
-    if not (np.all(np.isfinite(mu2d)) and np.all(np.isfinite(cov2d))):
-        return None
-
-    view_dir = splat.mu - cam.center
-    n = np.linalg.norm(view_dir)
-    view_dir = view_dir / n if n > 0 else np.array([0.0, 0.0, 1.0])
-    color = eval_sh(splat.sh, view_dir)
-
-    return ProjectedSplat(
-        mu2d=mu2d, cov2d=cov2d, depth=float(z), opacity=float(splat.opacity), color=color
-    )
-
 
 # ---------------------------------------------------------------------------
 # Structure-of-arrays scene container
@@ -342,9 +229,16 @@ class SplatCloud:
     def __post_init__(self):
         self.mu = np.ascontiguousarray(self.mu, dtype=float)
         self.scale = np.ascontiguousarray(self.scale, dtype=float)
-        self.rot = normalize_quat(np.ascontiguousarray(self.rot, dtype=float))
+        self.rot = np.ascontiguousarray(self.rot, dtype=float)
         self.opacity = np.ascontiguousarray(self.opacity, dtype=float)
         self.sh = np.ascontiguousarray(self.sh, dtype=float)
+        # NaN passes every comparison below, so reject non-finite values first.
+        for name in ("mu", "scale", "rot", "opacity", "sh"):
+            arr = getattr(self, name)
+            if not np.isfinite(arr).all():
+                i = np.argwhere(~np.isfinite(arr))[0][0]
+                raise ValueError(f"{name}[{i}] is not finite (nan or inf)")
+        self.rot = normalize_quat(self.rot)
         n = self.mu.shape[0]
         if self.sh.ndim != 3 or self.sh.shape[0] != n or self.sh.shape[2] != 3:
             raise ValueError("sh must be (n, bands, 3)")
@@ -402,7 +296,11 @@ class SplatCloud:
 
 
 def eval_sh_batch(sh, dirs) -> np.ndarray:
-    """Vectorized eval_sh: sh (n, bands, 3), dirs (n, 3) unit -> rgb (n, 3)."""
+    """Real SH color (degree <= 3) per splat toward a unit direction.
+
+    sh (n, bands, 3), dirs (n, 3) unit -> linear rgb (n, 3), with the
+    trained-file DC convention (+0.5) applied and clamped at 0.
+    """
     sh = np.asarray(sh, dtype=float)
     dirs = np.asarray(dirs, dtype=float)
     bands = sh.shape[1]
@@ -459,17 +357,6 @@ class ProjectedCloud:
 
     def __len__(self) -> int:
         return self.mu2d.shape[0]
-
-    def splat(self, i: int) -> ProjectedSplat:
-        return ProjectedSplat(
-            mu2d=self.mu2d[i],
-            cov2d=np.array(
-                [[self.cxx[i], self.cxy[i]], [self.cxy[i], self.cyy[i]]]
-            ),
-            depth=float(self.depth[i]),
-            opacity=float(self.opacity[i]),
-            color=self.color[i],
-        )
 
 
 def rotmats_from_quats(q) -> np.ndarray:
@@ -597,7 +484,11 @@ def load_ply(path) -> SplatCloud:
         elif tok[0] == "element":
             if tok[1] == "vertex":
                 n_vertex = int(tok[2])
-            elif n_vertex is not None:
+            elif n_vertex is None:
+                # Its payload would sit before the vertex data, which is read from body_at.
+                raise PlyParseError(f"{path}: element {tok[1]!r} precedes vertex; "
+                                    "vertex must be the first element")
+            else:
                 break  # only leading vertex element is read
         elif tok[0] == "property" and n_vertex is not None:
             if tok[1] not in ("float", "float32"):
@@ -646,7 +537,10 @@ def load_ply(path) -> SplatCloud:
         # File layout is channel-major; memory layout is band-major.
         sh[:, 1:, :] = rest.reshape(n_vertex, 3, per_channel).transpose(0, 2, 1)
 
-    return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh)
+    try:
+        return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh)
+    except ValueError as e:
+        raise PlyParseError(f"{path}: {e}") from e
 
 
 def save_ply(path, cloud) -> None:

@@ -1,4 +1,4 @@
-"""Closed-form special functions and 2x2 linear algebra used by every blending kernel.
+"""Closed-form Gaussian moments and the batched 2x2 eigen-solve used by every blending kernel.
 
 The three 1D Gaussian moments
 
@@ -15,30 +15,18 @@ have the closed forms
 All three are evaluated in a cancellation-aware way so that relative accuracy
 holds far into the tails (bounds many sigma from the origin), which the
 moment-conservation tests exercise at 1e-9.
+
+tests/_reference.py keeps a one-matrix-at-a-time eigen-solve (eigen2x2) as the
+tests' oracle for eigen2x2_batch.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
 
 SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
 SQRT2 = np.sqrt(2.0)
-
-
-class DegenerateSplatError(ValueError):
-    """2x2 covariance is not positive definite; the caller should cull the splat."""
-
-
-def erf(x):
-    """Error function, elementwise on arrays, exact odd symmetry.
-
-    Accurate to machine precision (well under the 1e-12 the moment
-    identities need), delegating to scipy's libm-quality implementation.
-    """
-    return scipy.special.erf(x)
 
 
 def _i0(sigma, a, b):
@@ -60,7 +48,9 @@ def _i0(sigma, a, b):
 def gaussian_moment_k(k, sigma, a, b):
     """k-th moment (k in {0, 1, 2}) of the unnormalized 1D Gaussian over [a, b].
 
-    Broadcasts over array inputs; sigma must be positive and a <= b.
+    Validating front of gaussian_moments_012: broadcasts over array inputs,
+    raises ValueError unless sigma is finite and > 0, the bounds are finite
+    and a <= b.
     """
     if k not in (0, 1, 2):
         raise ValueError(f"moment order must be 0, 1 or 2, got {k!r}")
@@ -74,15 +64,8 @@ def gaussian_moment_k(k, sigma, a, b):
     if np.any(a > b):
         raise ValueError("lower bound exceeds upper bound")
 
-    if k == 0:
-        res = _i0(sigma, a, b)
-    else:
-        ea = np.exp(-(a * a) / (2.0 * sigma * sigma))
-        eb = np.exp(-(b * b) / (2.0 * sigma * sigma))
-        if k == 1:
-            res = sigma * sigma * (ea - eb)
-        else:
-            res = sigma * sigma * (_i0(sigma, a, b) + a * ea - b * eb)
+    # I0 alone needs no exp; I1 and I2 come from the shared evaluation.
+    res = _i0(sigma, a, b) if k == 0 else gaussian_moments_012(sigma, a, b)[k]
     if res.ndim == 0:
         return float(res)
     return res
@@ -91,7 +74,7 @@ def gaussian_moment_k(k, sigma, a, b):
 def gaussian_moments_012(sigma, a, b):
     """All three moments over [a, b] at once, sharing the exp evaluations.
 
-    Hot-path variant of gaussian_moment_k: no validation, array in / array out.
+    The hot path every kernel calls: no validation, array in / array out.
     """
     sigma = np.asarray(sigma, dtype=float)
     a = np.asarray(a, dtype=float)
@@ -103,83 +86,6 @@ def gaussian_moments_012(sigma, a, b):
     i1 = s2 * (ea - eb)
     i2 = s2 * (i0 + a * ea - b * eb)
     return i0, i1, i2
-
-
-@dataclass(frozen=True)
-class Eigen2:
-    """Eigen-decomposition of a symmetric positive definite 2x2 matrix.
-
-    lambda1 >= lambda2 > 0; e1, e2 are unit eigenvectors with deterministic
-    signs (largest-magnitude component positive) so renders reproduce exactly.
-    """
-
-    lambda1: float
-    lambda2: float
-    e1: np.ndarray
-    e2: np.ndarray
-
-    @property
-    def sigma1(self) -> float:
-        return float(np.sqrt(self.lambda1))
-
-    @property
-    def sigma2(self) -> float:
-        return float(np.sqrt(self.lambda2))
-
-    def reconstruct(self) -> np.ndarray:
-        return self.lambda1 * np.outer(self.e1, self.e1) + self.lambda2 * np.outer(
-            self.e2, self.e2
-        )
-
-
-def _canonical_sign(v):
-    # Flip so the largest-magnitude component is positive; ties defer to the
-    # first component.  Keeps eigenvector choice deterministic across runs.
-    if abs(v[0]) >= abs(v[1]):
-        return v if v[0] >= 0.0 else -v
-    return v if v[1] >= 0.0 else -v
-
-
-def eigen2x2(cov) -> Eigen2:
-    """Analytic eigen-decomposition of a symmetric 2x2 covariance.
-
-    Closed-form trace/determinant solve, no iteration.  Raises
-    DegenerateSplatError when the matrix is not positive definite so the
-    caller can cull instead of rendering garbage.
-    """
-    cov = np.asarray(cov, dtype=float)
-    a, b, c = cov[0, 0], 0.5 * (cov[0, 1] + cov[1, 0]), cov[1, 1]
-    if abs(cov[0, 1] - cov[1, 0]) > 1e-9 * max(1.0, abs(b)):
-        raise ValueError("covariance must be symmetric")
-
-    half_tr = 0.5 * (a + c)
-    # Guarded discriminant: hypot-style form avoids cancellation when the
-    # matrix is nearly isotropic (a ~ c, b ~ 0).
-    disc = np.hypot(0.5 * (a - c), b)
-    lam1 = half_tr + disc
-    det = a * c - b * b
-    if lam1 <= 0.0 or det <= 0.0 or not np.isfinite(lam1):
-        raise DegenerateSplatError(
-            f"covariance not positive definite (trace/2={half_tr:g}, det={det:g})"
-        )
-    # det/lam1 is far more accurate than half_tr - disc when the spectrum is
-    # spread: it never subtracts nearly-equal quantities.
-    lam2 = det / lam1
-
-    if b == 0.0:
-        if a >= c:
-            e1 = np.array([1.0, 0.0])
-        else:
-            e1 = np.array([0.0, 1.0])
-    else:
-        # (A - lam1 I) e1 = 0 has two row solutions; pick the better conditioned.
-        cand1 = np.array([b, lam1 - a])
-        cand2 = np.array([lam1 - c, b])
-        e1 = cand1 if cand1 @ cand1 >= cand2 @ cand2 else cand2
-        e1 = e1 / np.linalg.norm(e1)
-    e1 = _canonical_sign(e1)
-    e2 = _canonical_sign(np.array([-e1[1], e1[0]]))
-    return Eigen2(lambda1=float(lam1), lambda2=float(lam2), e1=e1, e2=e2)
 
 
 def eigen2x2_batch(cxx, cxy, cyy):

@@ -1,0 +1,366 @@
+"""Scalar, one-splat-at-a-time reference implementations.
+
+splatlab ships one implementation per operation, the vectorized path the
+renderer runs. The functions here compute the same quantities one splat and
+one window at a time, written for reading rather than speed, and serve the
+tests as a step-by-step oracle for that path:
+
+  update_window, scalar_alpha_*   blending.blend_grid / _WindowBlend.step
+  eigen2x2                        splatmath.eigen2x2_batch
+  eval_sh                         scene.eval_sh_batch
+  project_splat                   scene.project_cloud
+
+They share only the 1D closed-form moments (splatmath.gaussian_moments_012)
+and the module constants with the package; those are checked against
+quadrature in _oracles.py.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from splatlab.blending import ALPHA_MAX, GUARD_HI, GUARD_LO, MIN_SIDE
+from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedSplat, normalize_quat
+from splatlab.splatmath import gaussian_moments_012
+
+# --- 2x2 eigen-solve ----------------------------------------------------------
+
+
+class DegenerateSplatError(ValueError):
+    """2x2 covariance is not positive definite."""
+
+
+@dataclass(frozen=True)
+class Eigen2:
+    """Eigen-decomposition of a symmetric positive definite 2x2 matrix.
+
+    lambda1 >= lambda2 > 0; e1, e2 are unit eigenvectors with deterministic
+    signs (largest-magnitude component positive).
+    """
+
+    lambda1: float
+    lambda2: float
+    e1: np.ndarray
+    e2: np.ndarray
+
+    @property
+    def sigma1(self) -> float:
+        return float(np.sqrt(self.lambda1))
+
+    @property
+    def sigma2(self) -> float:
+        return float(np.sqrt(self.lambda2))
+
+
+def _canonical_sign(v):
+    # Flip so the largest-magnitude component is positive; ties defer to the
+    # first component.
+    if abs(v[0]) >= abs(v[1]):
+        return v if v[0] >= 0.0 else -v
+    return v if v[1] >= 0.0 else -v
+
+
+def eigen2x2(cov) -> Eigen2:
+    """Analytic eigen-decomposition of a symmetric 2x2 covariance.
+
+    Raises DegenerateSplatError when the matrix is not positive definite.
+    """
+    cov = np.asarray(cov, dtype=float)
+    a, b, c = cov[0, 0], 0.5 * (cov[0, 1] + cov[1, 0]), cov[1, 1]
+    half_tr = 0.5 * (a + c)
+    # hypot-style discriminant: no cancellation when a ~ c and b ~ 0
+    disc = np.hypot(0.5 * (a - c), b)
+    lam1 = half_tr + disc
+    det = a * c - b * b
+    if lam1 <= 0.0 or det <= 0.0 or not np.isfinite(lam1):
+        raise DegenerateSplatError(
+            f"covariance not positive definite (trace/2={half_tr:g}, det={det:g})"
+        )
+    # det/lam1 never subtracts nearly-equal quantities, unlike half_tr - disc
+    lam2 = det / lam1
+
+    if b == 0.0:
+        e1 = np.array([1.0, 0.0]) if a >= c else np.array([0.0, 1.0])
+    else:
+        # (A - lam1 I) e1 = 0 has two row solutions; pick the better conditioned.
+        cand1 = np.array([b, lam1 - a])
+        cand2 = np.array([lam1 - c, b])
+        e1 = cand1 if cand1 @ cand1 >= cand2 @ cand2 else cand2
+        e1 = e1 / np.linalg.norm(e1)
+    e1 = _canonical_sign(e1)
+    e2 = _canonical_sign(np.array([-e1[1], e1[0]]))
+    return Eigen2(lambda1=float(lam1), lambda2=float(lam2), e1=e1, e2=e2)
+
+
+# --- transmittance window -----------------------------------------------------
+
+
+@dataclass
+class TransmittanceWindow:
+    """Uniform-box model of a pixel's remaining transmittance."""
+
+    center: np.ndarray  # (2,) pixels
+    sides: np.ndarray  # (2,) positive, pixels
+    value: float  # [0, 1]
+
+    def __post_init__(self):
+        self.center = np.asarray(self.center, dtype=float).reshape(2)
+        self.sides = np.asarray(self.sides, dtype=float).reshape(2)
+
+    @property
+    def mass(self) -> float:
+        """Integrated transmittance over the plane."""
+        return self.value * (self.sides[0] * self.sides[1])
+
+
+def init_window(pixel_center) -> TransmittanceWindow:
+    """Fresh full-transmittance window over one pixel's unit square."""
+    return TransmittanceWindow(
+        center=np.asarray(pixel_center, dtype=float), sides=np.array([1.0, 1.0]), value=1.0
+    )
+
+
+@dataclass(frozen=True)
+class SplatFrame:
+    """Window geometry re-expressed in a splat's principal-axis coordinates."""
+
+    u: float
+    v: float
+    u1: float
+    u2: float
+    v1: float
+    v2: float
+    sigma1: float
+    sigma2: float
+
+
+def paired_axes(eig: Eigen2):
+    """Axis pairing that keeps the implied window rotation within 45 degrees.
+
+    Returns (a1, s1, a2, s2) where a1 is the eigenvector closest to the screen
+    x axis (paired with the window's first side) and s1 its sigma. Ties keep
+    the major axis on a1.
+    """
+    if abs(eig.e1[0]) >= abs(eig.e1[1]):
+        return eig.e1, eig.sigma1, eig.e2, eig.sigma2
+    return eig.e2, eig.sigma2, eig.e1, eig.sigma1
+
+
+def to_splat_frame(win: TransmittanceWindow, splat: ProjectedSplat, eig: Eigen2) -> SplatFrame:
+    a1, s1, a2, s2 = paired_axes(eig)
+    d = win.center - splat.mu2d
+    # elementwise (not @) to match the vectorized kernels bit for bit
+    u = float(d[0] * a1[0] + d[1] * a1[1])
+    v = float(d[0] * a2[0] + d[1] * a2[1])
+    hu = 0.5 * win.sides[0]
+    hv = 0.5 * win.sides[1]
+    return SplatFrame(
+        u=u, v=v, u1=u - hu, u2=u + hu, v1=v - hv, v2=v + hv, sigma1=s1, sigma2=s2
+    )
+
+
+def integrated_weight(frame: SplatFrame, t: float, o: float) -> float:
+    """Integral of t * alpha over the window box (separable erf closed form)."""
+    i0u, _, _ = gaussian_moments_012(frame.sigma1, frame.u1, frame.u2)
+    i0v, _, _ = gaussian_moments_012(frame.sigma2, frame.v1, frame.v2)
+    return t * o * float(i0u) * float(i0v)
+
+
+@dataclass(frozen=True)
+class GaussianMoments:
+    """Moments of t * (1 - alpha) over the window, in the splat frame."""
+
+    m0: float  # remaining mass
+    m1: np.ndarray  # (2,) first moment per axis
+    m2: np.ndarray  # (2,) second moment per axis
+
+
+def compute_moments(frame: SplatFrame, t: float, o: float) -> GaussianMoments:
+    i0u, i1u, i2u = gaussian_moments_012(frame.sigma1, frame.u1, frame.u2)
+    i0v, i1v, i2v = gaussian_moments_012(frame.sigma2, frame.v1, frame.v2)
+    lu = frame.u2 - frame.u1
+    lv = frame.v2 - frame.v1
+    area = lu * lv
+    to = t * o
+    w = to * i0u * i0v
+    m0 = max(t * area - w, 0.0)
+    m1 = np.array([t * area * frame.u - to * i1u * i0v, t * area * frame.v - to * i0u * i1v])
+    m2 = np.array(
+        [
+            t * area * (frame.u * frame.u + lu * lu / 12.0) - to * i2u * i0v,
+            t * area * (frame.v * frame.v + lv * lv / 12.0) - to * i0u * i2v,
+        ]
+    )
+    return GaussianMoments(m0=float(m0), m1=m1, m2=m2)
+
+
+def scalar_alpha_center(pixel_center, splat: ProjectedSplat) -> float:
+    """Alpha sampled at a point: o * exp(-d^2/2), Mahalanobis d, clamped at ALPHA_MAX."""
+    cov = splat.cov2d
+    det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[0, 1]
+    d = np.asarray(pixel_center, dtype=float) - splat.mu2d
+    q = (cov[1, 1] * d[0] * d[0] - 2.0 * cov[0, 1] * d[0] * d[1] + cov[0, 0] * d[1] * d[1]) / det
+    return min(splat.opacity * float(np.exp(-0.5 * q)), ALPHA_MAX)
+
+
+def scalar_alpha_integrated(pixel_center, splat: ProjectedSplat, eig: Eigen2) -> float:
+    """Alpha integrated over the unit pixel square centered at pixel_center.
+
+    Evaluated in the splat frame with the same box reinterpretation the window
+    model uses; equals the Gaussian-blending weight on a fresh window.
+    """
+    frame = to_splat_frame(init_window(pixel_center), splat, eig)
+    return integrated_weight(frame, 1.0, splat.opacity)
+
+
+def _fallback_blend(win: TransmittanceWindow, frame: SplatFrame, o: float):
+    # Stability guard tripped: freeze geometry, scalar-blend at the window
+    # center with the raw (unclamped) alpha.
+    alpha = o * float(
+        np.exp(-0.5 * ((frame.u / frame.sigma1) ** 2 + (frame.v / frame.sigma2) ** 2))
+    )
+    area = win.sides[0] * win.sides[1]
+    weight = (win.value * alpha) * area
+    nxt = TransmittanceWindow(
+        center=win.center.copy(), sides=win.sides.copy(), value=win.value * (1.0 - alpha)
+    )
+    return weight, nxt
+
+
+def update_window(win: TransmittanceWindow, splat: ProjectedSplat, eig: Eigen2):
+    """Blend one splat into the window; returns (weight, next window).
+
+    Mass is conserved: next.mass == win.mass - weight up to roundoff. When a
+    window side falls outside [GUARD_LO, GUARD_HI] times the paired sigma,
+    geometry is frozen and a scalar blend at the window center is applied
+    instead.
+    """
+    frame = to_splat_frame(win, splat, eig)
+    r1 = win.sides[0] / frame.sigma1
+    r2 = win.sides[1] / frame.sigma2
+    if not (GUARD_LO <= r1 <= GUARD_HI and GUARD_LO <= r2 <= GUARD_HI):
+        return _fallback_blend(win, frame, splat.opacity)
+
+    mom = compute_moments(frame, win.value, splat.opacity)
+    weight = integrated_weight(frame, win.value, splat.opacity)
+    if weight == 0.0:
+        # No measurable overlap; moment-matching would only round-trip the box.
+        return 0.0, win
+
+    if mom.m0 <= 0.0:
+        # Splat consumed the entire window mass.
+        nxt = TransmittanceWindow(center=win.center.copy(), sides=win.sides.copy(), value=0.0)
+        return win.mass, nxt
+
+    mean = mom.m1 / mom.m0
+    var = np.maximum(mom.m2 / mom.m0 - mean * mean, 0.0)
+    sides = np.maximum(np.sqrt(12.0 * var), MIN_SIDE)
+    value = mom.m0 / (sides[0] * sides[1])
+    if value > 1.0:
+        # Box taller than full transmittance cannot be represented; flatten to
+        # value 1 and widen mass-neutrally.
+        sides = sides * np.sqrt(value)
+        value = 1.0
+
+    a1, _, a2, _ = paired_axes(eig)
+    center = splat.mu2d + a1 * mean[0] + a2 * mean[1]
+    return weight, TransmittanceWindow(center=center, sides=sides, value=float(value))
+
+
+# --- projection and SH color --------------------------------------------------
+
+
+def quat_to_rotmat(q) -> np.ndarray:
+    """Rotation matrix from a unit quaternion (w, x, y, z)."""
+    w, x, y, z = q
+    return np.array(
+        [
+            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+        ]
+    )
+
+
+def build_covariance(scale, rot) -> np.ndarray:
+    """World-space covariance of a splat: R diag(s^2) R^T."""
+    r = quat_to_rotmat(normalize_quat(rot))
+    m = r * np.asarray(scale, dtype=float)[None, :]  # R @ diag(s)
+    return m @ m.T
+
+
+def eval_sh(sh, direction) -> np.ndarray:
+    """Real SH color (degree <= 3) toward a unit direction, DC offset +0.5,
+    clamped at 0."""
+    sh = np.asarray(sh, dtype=float).reshape(-1, 3)
+    bands = sh.shape[0]
+    x, y, z = np.asarray(direction, dtype=float)
+
+    rgb = SH_C0 * sh[0]
+    if bands > 1:
+        rgb = rgb - SH_C1 * y * sh[1] + SH_C1 * z * sh[2] - SH_C1 * x * sh[3]
+    if bands > 4:
+        xx, yy, zz = x * x, y * y, z * z
+        xy, yz, xz = x * y, y * z, x * z
+        rgb = (
+            rgb
+            + SH_C2[0] * xy * sh[4]
+            + SH_C2[1] * yz * sh[5]
+            + SH_C2[2] * (2.0 * zz - xx - yy) * sh[6]
+            + SH_C2[3] * xz * sh[7]
+            + SH_C2[4] * (xx - yy) * sh[8]
+        )
+    if bands > 9:
+        xx, yy, zz = x * x, y * y, z * z
+        rgb = (
+            rgb
+            + SH_C3[0] * y * (3.0 * xx - yy) * sh[9]
+            + SH_C3[1] * x * y * z * sh[10]
+            + SH_C3[2] * y * (4.0 * zz - xx - yy) * sh[11]
+            + SH_C3[3] * z * (2.0 * zz - 3.0 * xx - 3.0 * yy) * sh[12]
+            + SH_C3[4] * x * (4.0 * zz - xx - yy) * sh[13]
+            + SH_C3[5] * z * (xx - yy) * sh[14]
+            + SH_C3[6] * x * (xx - yy) * sh[15]
+        )
+    return np.maximum(rgb + 0.5, 0.0)
+
+
+def project_splat(splat, cam, lowpass: float = 0.0):
+    """Project one Splat3D to screen space; returns None when culled.
+
+    lowpass is added to the diagonal of cov2d after projection.
+    """
+    r, t = cam.rotation, cam.translation
+    p = r @ splat.mu + t
+    z = p[2]
+    if z <= cam.near:
+        return None
+    x, y = p[0], p[1]
+    mu2d = np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
+
+    jac = np.array(
+        [
+            [cam.fx / z, 0.0, -cam.fx * x / (z * z)],
+            [0.0, cam.fy / z, -cam.fy * y / (z * z)],
+        ]
+    )
+    cov3d = build_covariance(splat.scale, splat.rot)
+    jw = jac @ r
+    cov2d = jw @ cov3d @ jw.T
+    cov2d = 0.5 * (cov2d + cov2d.T)
+    cov2d[0, 0] += lowpass
+    cov2d[1, 1] += lowpass
+
+    if not (np.all(np.isfinite(mu2d)) and np.all(np.isfinite(cov2d))):
+        return None
+
+    view_dir = splat.mu - cam.center
+    n = np.linalg.norm(view_dir)
+    view_dir = view_dir / n if n > 0 else np.array([0.0, 0.0, 1.0])
+    color = eval_sh(splat.sh, view_dir)
+
+    return ProjectedSplat(
+        mu2d=mu2d, cov2d=cov2d, depth=float(z), opacity=float(splat.opacity), color=color
+    )

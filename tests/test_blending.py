@@ -1,39 +1,47 @@
 """Window state machine and blending kernel tests.
 
 The quadrature oracles in _oracles.py integrate Gaussians numerically and are
-independent of the package's erf closed forms.
+independent of the package's erf closed forms. The scalar window operations in
+_reference.py are checked against them here and then serve as the
+step-by-step oracle for the vectorized kernels; the window-update behaviours
+run on the shipped kernel, blending._WindowBlend.step.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import (
     alpha_integral_dblquad,
     window_moments_dblquad,
     window_moments_numeric,
 )
-from splatlab.blending import (
+from _reference import (
     GaussianMoments,
-    PreparedSplats,
     SplatFrame,
     TransmittanceWindow,
-    blend_grid,
-    blend_pixel,
-    canonical_mode,
     compute_moments,
+    eigen2x2,
     init_window,
     integrated_weight,
     paired_axes,
-    pixel_blocks,
-    prepare_splats,
     scalar_alpha_center,
     scalar_alpha_integrated,
-    subsample_axis,
     to_splat_frame,
     update_window,
 )
+from splatlab.blending import (
+    MIN_SIDE,
+    PreparedSplats,
+    _WindowBlend,
+    blend_grid,
+    blend_pixel,
+    canonical_mode,
+    pixel_blocks,
+    prepare_splats,
+    subsample_axis,
+)
 from splatlab.scene import ProjectedSplat
-from splatlab.splatmath import eigen2x2
 
 PX = (0.5, 0.5)
 
@@ -84,13 +92,6 @@ def test_init_window():
     assert w.mass == 1.0
     w2 = init_window((7.5, 3.5))
     assert np.array_equal(w2.sides, w.sides) and w2.value == w.value
-
-
-def test_window_validation():
-    with pytest.raises(ValueError):
-        TransmittanceWindow(center=[0, 0], sides=[0.0, 1.0], value=0.5)
-    with pytest.raises(ValueError):
-        TransmittanceWindow(center=[0, 0], sides=[1.0, 1.0], value=1.5)
 
 
 # --- splat frame ------------------------------------------------------------
@@ -269,72 +270,79 @@ def test_moments_m0_clamped():
     assert got.m0 >= 0.0
 
 
-# --- update_window ----------------------------------------------------------
+# --- window update: the shipped kernel, _WindowBlend.step --------------------
+
+
+def window_step(splat, center=PX, sides=(1.0, 1.0), value=1.0):
+    """One _WindowBlend.step of splat on a single window whose center, sides
+    and value are set directly; returns (weight, center, sides, value) after."""
+    prep = prepare_splats([splat])
+    prep.color = np.array([[1.0, 0.0, 0.0]])  # the red channel accumulates the weight
+    blend = _WindowBlend(np.zeros((1, 2)))
+    blend.wc[0] = center
+    blend.ws[0] = sides
+    blend.wv[0] = value
+    blend.step(prep, 0, np.array([0]), 0.0)
+    return blend.rgb[0, 0], blend.wc[0], blend.ws[0], blend.wv[0]
 
 
 def test_update_noop_splat():
-    win = init_window(PX)
-    sp = iso_splat(PX, 1.0, 0.0)
-    w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
+    w, c, s, v = window_step(iso_splat(PX, 1.0, 0.0))
     assert w == 0.0
-    assert np.array_equal(nxt.center, win.center) and np.array_equal(nxt.sides, win.sides)
-    assert nxt.value == win.value
+    assert np.array_equal(c, PX) and np.array_equal(s, [1.0, 1.0])
+    assert v == 1.0
 
 
 def test_update_flat_splat_scales_value_only():
     # sigma = 1e5 with a unit window trips the guard (ratio 1e-5 < 0.1); the
     # fallback must keep geometry and halve the value for o = 0.5.
-    win = init_window(PX)
-    sp = iso_splat(PX, 1e5, 0.5)
-    w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
-    assert np.allclose(nxt.center, win.center, atol=1e-6)
-    assert np.allclose(nxt.sides, win.sides, atol=1e-6)
-    assert nxt.value == pytest.approx(0.5, abs=1e-6)
+    w, c, s, v = window_step(iso_splat(PX, 1e5, 0.5))
+    assert np.allclose(c, PX, atol=1e-6)
+    assert np.allclose(s, [1.0, 1.0], atol=1e-6)
+    assert v == pytest.approx(0.5, abs=1e-6)
     assert w == pytest.approx(0.5, abs=1e-6)
 
 
 def test_update_flat_splat_in_guard():
     # Same behavior without the guard: sigma = 8 keeps ratio 0.125 in range
     # and the splat is still nearly constant over the window.
-    win = init_window(PX)
-    sp = iso_splat(PX, 8.0, 0.5)
-    w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
-    assert np.allclose(nxt.center, win.center, atol=1e-3)
-    assert np.allclose(nxt.sides, win.sides, atol=2e-3)
-    assert nxt.value == pytest.approx(0.5, abs=2e-3)
+    w, c, s, v = window_step(iso_splat(PX, 8.0, 0.5))
+    assert np.allclose(c, PX, atol=1e-3)
+    assert np.allclose(s, [1.0, 1.0], atol=2e-3)
+    assert v == pytest.approx(0.5, abs=2e-3)
 
 
 def test_update_left_overlap_narrows_toward_right():
     # Splat over the window's left half: the surviving transmittance sits on
     # the right, so the new center moves right and the x side narrows.
-    win = init_window(PX)
     sp = iso_splat((0.0, 0.5), 0.5, 0.9)
-    w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
-    assert nxt.center[0] > win.center[0]
-    assert nxt.sides[0] < win.sides[0]
+    w, c, s, v = window_step(sp)
+    assert c[0] > PX[0]
+    assert s[0] < 1.0
     assert w > 0.0
-    # Exact values against the quadrature oracle.
-    fr = to_splat_frame(win, sp, eigen2x2(sp.cov2d))
+    # Exact values against the quadrature oracle, in the prepared splat frame.
+    prep = prepare_splats([sp])
+    d = np.array(PX) - prep.mu[0]
+    u = np.array([d @ prep.a1[0]])
+    vv = np.array([d @ prep.a2[0]])
     m0o, m1uo, m1vo, m2uo, m2vo = window_moments_numeric(
-        np.array([1.0]), np.array([0.9]), np.array([fr.sigma1]), np.array([fr.sigma2]),
-        np.array([fr.u]), np.array([fr.v]), np.array([1.0]), np.array([1.0]))
+        np.array([1.0]), np.array([0.9]), prep.s1, prep.s2, u, vv,
+        np.array([1.0]), np.array([1.0]))
     mean = np.array([m1uo[0], m1vo[0]]) / m0o[0]
     var = np.array([m2uo[0], m2vo[0]]) / m0o[0] - mean**2
-    a1, _, a2, _ = paired_axes(eigen2x2(sp.cov2d))
-    want_center = sp.mu2d + a1 * mean[0] + a2 * mean[1]
-    assert np.allclose(nxt.center, want_center, atol=1e-8)
-    assert np.allclose(nxt.sides, np.sqrt(12 * var), rtol=1e-8)
-    assert nxt.value == pytest.approx(m0o[0] / (nxt.sides[0] * nxt.sides[1]), rel=1e-8)
+    want_center = prep.mu[0] + prep.a1[0] * mean[0] + prep.a2[0] * mean[1]
+    assert np.allclose(c, want_center, atol=1e-8)
+    assert np.allclose(s, np.sqrt(12 * var), rtol=1e-8)
+    assert v == pytest.approx(m0o[0] / (s[0] * s[1]), rel=1e-8)
 
 
 def test_update_hole_enlarges_window():
-    win = init_window(PX)
-    sp = iso_splat(PX, 0.15, 1.0)
-    _, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
-    assert nxt.sides[0] > win.sides[0] and nxt.sides[1] > win.sides[1]
+    _, _, s, _ = window_step(iso_splat(PX, 0.15, 1.0))
+    assert s[0] > 1.0 and s[1] > 1.0
 
 
 def test_update_mass_conservation_randomized():
+    # The reference update_window must conserve mass like the kernel it checks.
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(5000):
@@ -355,41 +363,61 @@ def test_update_mass_conservation_randomized():
     assert worst <= 1e-9
 
 
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    log_sides=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+    value=st.floats(0.01, 1.0),
+    offset=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    log_sigmas=st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)),
+    theta=st.floats(0.0, 2.0 * np.pi),
+    opacity=st.floats(0.0, 1.0),
+)
+def test_window_step_conserves_mass_property(log_sides, value, offset, log_sigmas, theta,
+                                             opacity):
+    # One step of the shipped kernel on windows of sides 1e-2..1e2 and splats
+    # of sigma 1e-3..1e3, the window center offset from the splat mean by up
+    # to 3 of the larger of window side and splat sigma, per axis.
+    sides = 10.0 ** np.array(log_sides)
+    sig1, sig2 = 10.0 ** np.array(log_sigmas)
+    sp = rot_splat((0.0, 0.0), sig1, sig2, theta, opacity)
+    center = np.array(offset) * np.maximum(sides, max(sig1, sig2))
+    mass_before = value * sides[0] * sides[1]
+    w, _, s, v = window_step(sp, center, sides, value)
+    assert w >= 0.0
+    assert abs((mass_before - w) - v * s[0] * s[1]) <= 1e-9
+    assert 0.0 <= v <= 1.0
+    assert np.all(s >= MIN_SIDE)
+
+
 def test_update_guard_fallback_freezes_geometry():
-    win = TransmittanceWindow(center=[0.0, 0.0], sides=[1.0, 1.0], value=0.8)
     sp = iso_splat((0.3, -0.2), 50.0, 0.6)  # ratio 0.02 -> fallback
-    w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
-    assert np.array_equal(nxt.center, win.center)
-    assert np.array_equal(nxt.sides, win.sides)
+    w, c, s, v = window_step(sp, center=(0.0, 0.0), value=0.8)
+    assert np.array_equal(c, [0.0, 0.0])
+    assert np.array_equal(s, [1.0, 1.0])
     d2 = (0.3**2 + 0.2**2) / 50.0**2
     alpha = 0.6 * np.exp(-0.5 * d2)
-    assert nxt.value == pytest.approx(0.8 * (1 - alpha), rel=1e-12)
+    assert v == pytest.approx(0.8 * (1 - alpha), rel=1e-12)
     assert w == pytest.approx(0.8 * alpha, rel=1e-12)
-    assert nxt.mass == pytest.approx(win.mass - w, abs=1e-12)
+    assert v * s[0] * s[1] == pytest.approx(0.8 - w, abs=1e-12)
 
 
 def test_update_guard_uses_paired_sigma_per_axis():
-    # sides (1, 1); sigmas (1, 1e-3): the second axis ratio is 1000 (in range)
+    # sides (1, 1); sigmas (1, 2e-4): the second axis ratio is 5000 (in range)
     # but only if pairing is per axis; a tiny sigma paired wrong would trip.
-    win = init_window(PX)
-    sp = rot_splat(PX, 1.0, 2e-4, 0.0, 0.9)  # ratio axis2 = 1/2e-4 = 5000 in range
-    w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
+    _, _, s, _ = window_step(rot_splat(PX, 1.0, 2e-4, 0.0, 0.9))
     # In-guard moment path ran: geometry must have changed.
-    assert not np.array_equal(nxt.sides, win.sides)
-    sp2 = rot_splat(PX, 1.0, 2e-7, 0.0, 0.9)  # ratio axis2 = 5e6 > 1e6 -> fallback
-    w2, nxt2 = update_window(win, sp2, eigen2x2(sp2.cov2d))
-    assert np.array_equal(nxt2.sides, win.sides)
+    assert not np.array_equal(s, [1.0, 1.0])
+    _, _, s2, _ = window_step(rot_splat(PX, 1.0, 2e-7, 0.0, 0.9))  # ratio 5e6 > 1e6 -> fallback
+    assert np.array_equal(s2, [1.0, 1.0])
 
 
 def test_update_min_side_clamp():
     # An opaque splat eating nearly all the box forces tiny variances; sides
-    # must stay >= 1e-6 and value within [0, 1].
-    win = init_window(PX)
-    sp = iso_splat(PX, 3.0, 1.0)
-    w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
-    assert np.all(nxt.sides >= 1e-6)
-    assert 0.0 <= nxt.value <= 1.0
-    assert nxt.mass == pytest.approx(win.mass - w, abs=1e-9)
+    # must stay >= MIN_SIDE and value within [0, 1].
+    w, _, s, v = window_step(iso_splat(PX, 3.0, 1.0))
+    assert np.all(s >= MIN_SIDE)
+    assert 0.0 <= v <= 1.0
+    assert v * s[0] * s[1] == pytest.approx(1.0 - w, abs=1e-9)
 
 
 # --- scalar alphas ----------------------------------------------------------

@@ -1,22 +1,24 @@
-"""Scene model tests: covariance build, projection, SH color, PLY and camera I/O."""
+"""Scene model tests: covariance build, projection, SH color, PLY and camera I/O.
+
+Projection and SH behaviours run on project_cloud and eval_sh_batch, the code
+the renderer runs; the one-splat versions in _reference.py are their oracle.
+"""
 
 import json
 
 import numpy as np
 import pytest
 
+from _reference import build_covariance, eval_sh, project_splat
 from splatlab.scene import (
     Camera,
     PlyParseError,
     Splat3D,
     SplatCloud,
-    build_covariance,
-    eval_sh,
     eval_sh_batch,
     load_camera,
     load_ply,
     project_cloud,
-    project_splat,
     save_camera,
     save_ply,
 )
@@ -82,33 +84,43 @@ def test_build_covariance_eigenvalues_randomized():
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * want.max())
 
 
+def project_one(splat, cam, lowpass=0.0):
+    """project_cloud on a one-splat cloud: (mu2d, cov2d, depth), or None if culled."""
+    pc = project_cloud(SplatCloud.from_splats([splat]), cam, lowpass=lowpass)
+    if len(pc) == 0:
+        return None
+    cov = np.array([[pc.cxx[0], pc.cxy[0]], [pc.cxy[0], pc.cyy[0]]])
+    return pc.mu2d[0], cov, pc.depth[0]
+
+
 def test_on_axis_projection():
     cam = make_camera()
     s = Splat3D(
         mu=[0.0, 0.0, 2.0], scale=[0.1, 0.1, 0.1], rot=IDENTITY_Q, opacity=0.8,
         sh=np.zeros((1, 3)),
     )
-    p = project_splat(s, cam)
-    assert p is not None
-    assert np.allclose(p.mu2d, [cam.cx, cam.cy], atol=1e-12)
+    mu2d, cov2d, depth = project_one(s, cam)
+    assert np.allclose(mu2d, [cam.cx, cam.cy], atol=1e-12)
     want = (cam.fx / 2.0) ** 2 * 0.1**2
-    assert np.allclose(p.cov2d, want * np.eye(2), rtol=1e-12)
-    assert p.depth == pytest.approx(2.0)
+    assert np.allclose(cov2d, want * np.eye(2), rtol=1e-12)
+    assert depth == pytest.approx(2.0)
     # Doubling depth quarters the screen covariance for on-axis isotropic splats.
     s4 = Splat3D(mu=[0.0, 0.0, 4.0], scale=[0.1, 0.1, 0.1], rot=IDENTITY_Q,
                  opacity=0.8, sh=np.zeros((1, 3)))
-    p4 = project_splat(s4, cam)
-    assert np.allclose(p4.cov2d * 4.0, p.cov2d, rtol=1e-12)
+    _, cov4, _ = project_one(s4, cam)
+    assert np.allclose(cov4 * 4.0, cov2d, rtol=1e-12)
 
 
 def test_behind_camera_culled():
     cam = make_camera()
-    s = Splat3D(mu=[0.0, 0.0, -1.0], scale=[0.1] * 3, rot=IDENTITY_Q, opacity=1.0,
-                sh=np.zeros((1, 3)))
-    assert project_splat(s, cam) is None
-    s2 = Splat3D(mu=[0.0, 0.0, 0.005], scale=[0.1] * 3, rot=IDENTITY_Q, opacity=1.0,
-                 sh=np.zeros((1, 3)))
-    assert project_splat(s2, cam) is None  # in front but inside near plane
+    behind = Splat3D(mu=[0.0, 0.0, -1.0], scale=[0.1] * 3, rot=IDENTITY_Q, opacity=1.0,
+                     sh=np.zeros((1, 3)))
+    inside_near = Splat3D(mu=[0.0, 0.0, 0.005], scale=[0.1] * 3, rot=IDENTITY_Q,
+                          opacity=1.0, sh=np.zeros((1, 3)))  # in front but inside near plane
+    for s in (behind, inside_near):
+        pc = project_cloud(SplatCloud.from_splats([s]), cam)
+        assert len(pc) == 0
+        assert pc.n_culled_near == 1 and pc.n_culled_nonfinite == 0
 
 
 def _project_point(mu, cam):
@@ -129,8 +141,9 @@ def test_projection_matches_finite_difference_jacobian():
             continue
         s = Splat3D(mu=mu, scale=np.exp(rng.uniform(-3.0, -1.0, 3)),
                     rot=rng.normal(size=4), opacity=1.0, sh=np.zeros((1, 3)))
-        p = project_splat(s, cam)
+        p = project_one(s, cam)
         assert p is not None
+        mu2d, cov2d, _ = p
 
         eps = 1e-5
         jfd = np.zeros((2, 3))
@@ -139,8 +152,8 @@ def test_projection_matches_finite_difference_jacobian():
             d[k] = eps
             jfd[:, k] = (_project_point(mu + d, cam) - _project_point(mu - d, cam)) / (2 * eps)
         ref = jfd @ build_covariance(s.scale, s.rot) @ jfd.T
-        assert np.allclose(p.cov2d, ref, rtol=1e-5, atol=1e-8)
-        assert np.allclose(p.mu2d, _project_point(mu, cam), atol=1e-12)
+        assert np.allclose(cov2d, ref, rtol=1e-5, atol=1e-8)
+        assert np.allclose(mu2d, _project_point(mu, cam), atol=1e-12)
 
 
 def test_projection_scale_consistency():
@@ -151,21 +164,21 @@ def test_projection_scale_consistency():
         cam_k = cam.scaled(k)
         for _ in range(20):
             s = random_splat(rng)
-            a, b = project_splat(s, cam), project_splat(s, cam_k)
+            a, b = project_one(s, cam), project_one(s, cam_k)
             if a is None:
                 assert b is None
                 continue
-            assert np.allclose(b.mu2d, a.mu2d * k, rtol=1e-12, atol=1e-9)
-            assert np.allclose(b.cov2d, a.cov2d * k * k, rtol=1e-12, atol=1e-12)
+            assert np.allclose(b[0], a[0] * k, rtol=1e-12, atol=1e-9)
+            assert np.allclose(b[1], a[1] * k * k, rtol=1e-12, atol=1e-12)
 
 
 def test_lowpass_floor_added_to_diagonal():
     cam = make_camera()
     s = Splat3D(mu=[0.1, -0.2, 3.0], scale=[0.05] * 3, rot=IDENTITY_Q, opacity=1.0,
                 sh=np.zeros((1, 3)))
-    bare = project_splat(s, cam, lowpass=0.0)
-    floored = project_splat(s, cam, lowpass=0.3)
-    assert np.allclose(floored.cov2d - bare.cov2d, 0.3 * np.eye(2), atol=1e-12)
+    _, bare, _ = project_one(s, cam, lowpass=0.0)
+    _, floored, _ = project_one(s, cam, lowpass=0.3)
+    assert np.allclose(floored - bare, 0.3 * np.eye(2), atol=1e-12)
 
 
 def test_project_cloud_matches_scalar_path():
@@ -197,16 +210,21 @@ def test_project_cloud_matches_scalar_path():
     assert np.all(np.diff(pc.source_index) > 0)
 
 
+def sh_one(sh, direction):
+    """eval_sh_batch on one splat."""
+    return eval_sh_batch(np.asarray(sh, float)[None], np.asarray(direction, float)[None])[0]
+
+
 def test_eval_sh_dc_only():
-    rgb = eval_sh(np.zeros((1, 3)), [0.0, 0.0, 1.0])
+    rgb = sh_one(np.zeros((1, 3)), [0.0, 0.0, 1.0])
     assert np.allclose(rgb, 0.5)
     # Degree-0 color ignores direction.
     sh = np.array([[0.3, -0.1, 0.9]])
-    a = eval_sh(sh, [0.0, 0.0, 1.0])
-    b = eval_sh(sh, [1.0, 0.0, 0.0])
+    a = sh_one(sh, [0.0, 0.0, 1.0])
+    b = sh_one(sh, [1.0, 0.0, 0.0])
     assert np.allclose(a, b)
     # Clamp keeps rgb non-negative.
-    dark = eval_sh(np.array([[-10.0, -10.0, -10.0]]), [0.0, 0.0, 1.0])
+    dark = sh_one(np.array([[-10.0, -10.0, -10.0]]), [0.0, 0.0, 1.0])
     assert np.all(dark == 0.0)
 
 
@@ -219,7 +237,7 @@ def test_eval_sh_degree1_polynomial_oracle():
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
         want = 0.5 + c0 * sh[0] + c1 * (-d[1] * sh[1] + d[2] * sh[2] - d[0] * sh[3])
-        got = eval_sh(sh, d)
+        got = sh_one(sh, d)
         assert np.allclose(got, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
 
 
@@ -235,10 +253,8 @@ def test_eval_sh_batch_matches_scalar():
 
 
 def test_eval_sh_rejects_bad_input():
-    with pytest.raises(ValueError):
-        eval_sh(np.zeros((5, 3)), [0.0, 0.0, 1.0])
-    with pytest.raises(ValueError):
-        eval_sh(np.zeros((1, 3)), [0.0, 0.0, 2.0])
+    with pytest.raises(ValueError, match="band count"):
+        eval_sh_batch(np.zeros((1, 5, 3)), np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_camera_validation():
@@ -394,3 +410,49 @@ def test_splat_validation():
     s = Splat3D(mu=[0, 0, 0], scale=[1, 1, 1], rot=[2.0, 0, 0, 0], opacity=0.5,
                 sh=np.zeros((1, 3)))
     assert np.linalg.norm(s.rot) == pytest.approx(1.0)
+
+
+def test_ply_rejects_element_before_vertex(tmp_path):
+    # A two-entry "camera" element with one float ahead of the vertex element:
+    # its 8 payload bytes come first, so reading vertices at the start of the
+    # body would load mu[0] = (0, 0, -2.74) instead of the saved position.
+    one = SplatCloud(mu=[[-2.74, 0.45, 4.73]], scale=[[0.1, 0.2, 0.3]], rot=[IDENTITY_Q],
+                     opacity=[0.5], sh=np.zeros((1, 1, 3)))
+    path = tmp_path / "cam_first.ply"
+    save_ply(path, one)
+    raw = path.read_bytes()
+    body_at = raw.index(b"end_header\n") + len(b"end_header\n")
+    header = raw[:body_at].replace(
+        b"element vertex", b"element camera 2\nproperty float f\nelement vertex")
+    path.write_bytes(header + np.zeros(2, dtype="<f4").tobytes() + raw[body_at:])
+    with pytest.raises(PlyParseError, match="'camera' precedes vertex"):
+        load_ply(path)
+
+
+CLOUD_FIELDS = ("mu", "scale", "rot", "opacity", "sh")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("field", CLOUD_FIELDS)
+def test_splat_cloud_rejects_nonfinite(field, bad):
+    rng = np.random.default_rng(6)
+    cloud = make_cloud(rng, n=6, bands=4)
+    arrays = {name: getattr(cloud, name).copy() for name in CLOUD_FIELDS}
+    rows = arrays[field].reshape(6, -1)  # a view: one row per splat
+    rows[3, -1] = bad
+    rows[5, 0] = bad
+    with pytest.raises(ValueError, match=rf"^{field}\[3\] is not finite"):
+        SplatCloud(**arrays)
+
+
+def test_load_ply_rejects_nonfinite(tmp_path):
+    rng = np.random.default_rng(9)
+    path = tmp_path / "cloud.ply"
+    save_ply(path, make_cloud(rng, n=4, bands=1))
+    raw = bytearray(path.read_bytes())
+    body_at = raw.index(b"end_header\n") + len(b"end_header\n")
+    data = np.frombuffer(raw, dtype="<f4", offset=body_at).reshape(4, -1).copy()
+    data[2, 0] = np.nan  # x of the third vertex
+    path.write_bytes(bytes(raw[:body_at]) + data.tobytes())
+    with pytest.raises(PlyParseError, match=r"cloud\.ply: mu\[2\] is not finite"):
+        load_ply(path)

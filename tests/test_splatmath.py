@@ -1,19 +1,18 @@
 """Closed-form moment and eigen-solver tests.
 
 Expected moment values were frozen from an independent arbitrary-precision
-quadrature (mpmath, 40 digits) of x^k exp(-x^2 / 2 sigma^2) over [a, b].
+quadrature (mpmath, 40 digits) of x^k exp(-x^2 / 2 sigma^2) over [a, b]. The
+eigen tests run on eigen2x2_batch, the solver prepare_splats uses; the
+one-matrix eigen2x2 in _reference.py is its step-by-step oracle.
 """
 
 import numpy as np
 import pytest
 
-from splatlab.splatmath import (
-    DegenerateSplatError,
-    eigen2x2,
-    eigen2x2_batch,
-    erf,
-    gaussian_moment_k,
-)
+from _reference import DegenerateSplatError, eigen2x2
+from splatlab.blending import prepare_splats
+from splatlab.scene import ProjectedSplat
+from splatlab.splatmath import eigen2x2_batch, gaussian_moment_k
 
 # (k, sigma, a, b, expected) from the quadrature oracle.
 MOMENT_CASES = [
@@ -42,15 +41,6 @@ def test_moment_matches_quadrature(k, sigma, a, b, expected):
         assert abs(got) < 1e-15
     else:
         assert got == pytest.approx(expected, rel=1e-12)
-
-
-def test_erf_reference_values():
-    assert erf(0.0) == 0.0
-    assert erf(0.5) == pytest.approx(0.52049987781304654, rel=1e-14)
-    assert erf(1.0) == pytest.approx(0.84270079294971487, rel=1e-14)
-    assert erf(-2.0) == pytest.approx(-0.99532226501895273, rel=1e-14)
-    x = np.array([-1.0, 0.25, 3.0])
-    assert np.allclose(erf(x) + erf(-x), 0.0, atol=0.0)
 
 
 def test_moment_far_tail_relative_accuracy():
@@ -111,63 +101,72 @@ def test_moment_rejects_bad_input():
 
 
 def test_eigen_known_matrices():
-    e = eigen2x2(np.array([[4.0, 0.0], [0.0, 1.0]]))
-    assert e.lambda1 == 4.0 and e.lambda2 == 1.0
-    assert np.allclose(e.e1, [1.0, 0.0]) and np.allclose(e.e2, [0.0, 1.0])
+    l1, l2, ex, ey = eigen2x2_batch(4.0, 0.0, 1.0)
+    assert l1 == 4.0 and l2 == 1.0
+    assert np.allclose([ex, ey], [1.0, 0.0])
 
-    e = eigen2x2(np.array([[1.0, 0.0], [0.0, 9.0]]))
-    assert e.lambda1 == 9.0
-    assert np.allclose(e.e1, [0.0, 1.0])
+    l1, l2, ex, ey = eigen2x2_batch(1.0, 0.0, 9.0)
+    assert l1 == 9.0
+    assert np.allclose([ex, ey], [0.0, 1.0])
 
     # Rotated anisotropic: eigenvalues 5 and 1 at 45 degrees.
-    e = eigen2x2(np.array([[3.0, 2.0], [2.0, 3.0]]))
-    assert e.lambda1 == pytest.approx(5.0, rel=1e-14)
-    assert e.lambda2 == pytest.approx(1.0, rel=1e-14)
-    assert np.allclose(np.abs(e.e1), [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-14)
+    l1, l2, ex, ey = eigen2x2_batch(3.0, 2.0, 3.0)
+    assert l1 == pytest.approx(5.0, rel=1e-14)
+    assert l2 == pytest.approx(1.0, rel=1e-14)
+    assert np.allclose(np.abs([ex, ey]), [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-14)
 
 
 def test_eigen_matches_numpy_randomized():
     # Random SPD matrices across 8 decades of conditioning, checked against
     # numpy.linalg.eigh and against exact reconstruction.
     rng = np.random.default_rng(7)
-    for _ in range(10_000):
-        theta = rng.uniform(0.0, 2.0 * np.pi)
-        c, s = np.cos(theta), np.sin(theta)
-        rot = np.array([[c, -s], [s, c]])
-        lam_big = 10.0 ** rng.uniform(-4.0, 4.0)
-        lam_small = lam_big / 10.0 ** rng.uniform(0.0, 8.0)
-        cov = rot @ np.diag([lam_big, lam_small]) @ rot.T
-        cov = 0.5 * (cov + cov.T)
+    n = 10_000
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    c, s = np.cos(theta), np.sin(theta)
+    lam_big = 10.0 ** rng.uniform(-4.0, 4.0, n)
+    lam_small = lam_big / 10.0 ** rng.uniform(0.0, 8.0, n)
+    rot = np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+    cov = rot @ (np.stack([lam_big, lam_small], -1)[:, :, None] * rot.swapaxes(1, 2))
+    cov = 0.5 * (cov + cov.swapaxes(1, 2))
 
-        got = eigen2x2(cov)
-        ref = np.linalg.eigvalsh(cov)
-        assert got.lambda1 == pytest.approx(ref[1], rel=1e-9, abs=1e-300)
-        assert got.lambda2 == pytest.approx(max(ref[0], 0.0), rel=1e-6, abs=1e-12 * lam_big)
-        assert got.lambda1 >= got.lambda2 > 0.0
-        assert np.dot(got.e1, got.e2) == pytest.approx(0.0, abs=1e-12)
-        assert np.linalg.norm(got.e1) == pytest.approx(1.0, rel=1e-12)
-        recon = got.reconstruct()
-        assert np.allclose(recon, cov, rtol=0.0, atol=1e-9 * lam_big)
+    l1, l2, ex, ey = eigen2x2_batch(cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
+    ref = np.linalg.eigvalsh(cov)
+    assert np.all(np.abs(l1 - ref[:, 1]) <= 1e-9 * np.abs(ref[:, 1]))
+    want2 = np.maximum(ref[:, 0], 0.0)
+    assert np.all(np.abs(l2 - want2) <= np.maximum(1e-6 * want2, 1e-12 * lam_big))
+    assert np.all(l1 >= l2) and np.all(l2 > 0.0)
+    assert np.allclose(np.hypot(ex, ey), 1.0, rtol=1e-12, atol=0.0)
+    e1 = np.stack([ex, ey], -1)
+    e2 = np.stack([-ey, ex], -1)
+    recon = (l1[:, None, None] * e1[:, :, None] * e1[:, None, :]
+             + l2[:, None, None] * e2[:, :, None] * e2[:, None, :])
+    assert np.all(np.abs(recon - cov) <= 1e-9 * lam_big[:, None, None])
 
 
 def test_eigen_sign_determinism():
-    cov = np.array([[3.0, 2.0], [2.0, 3.0]])
-    e1_runs = [eigen2x2(cov).e1 for _ in range(3)]
-    for v in e1_runs[1:]:
-        assert np.array_equal(v, e1_runs[0])
-    # Largest-magnitude component of each eigenvector is positive.
-    e = eigen2x2(np.array([[2.0, -0.9], [-0.9, 1.0]]))
-    for v in (e.e1, e.e2):
-        assert v[np.argmax(np.abs(v))] > 0.0
+    runs = [eigen2x2_batch(3.0, 2.0, 3.0) for _ in range(3)]
+    for r in runs[1:]:
+        assert np.array_equal(r, runs[0])
+    # Largest-magnitude component of each eigenvector is positive, for the
+    # solver's e1 and for both axes prepare_splats pairs with the window.
+    # The second matrix's major axis lies nearer y, so its raw perpendicular
+    # (-e1y, e1x) has a negative leading component and must be flipped.
+    for cxx, cxy, cyy in ((2.0, -0.9, 1.0), (1.0, -0.9, 2.0)):
+        _, _, ex, ey = eigen2x2_batch(cxx, cxy, cyy)
+        assert max((ex, ey), key=abs) > 0.0
+        sp = ProjectedSplat(mu2d=np.zeros(2), cov2d=np.array([[cxx, cxy], [cxy, cyy]]),
+                            depth=1.0, opacity=0.5, color=np.zeros(3))
+        prep = prepare_splats([sp])
+        for v in (prep.a1[0], prep.a2[0]):
+            assert v[np.argmax(np.abs(v))] > 0.0
 
 
 def test_eigen_rejects_degenerate():
+    # The reference solver refuses what eigen2x2_batch flags (see below).
     with pytest.raises(DegenerateSplatError):
         eigen2x2(np.array([[1.0, 2.0], [2.0, 1.0]]))  # det < 0
     with pytest.raises(DegenerateSplatError):
         eigen2x2(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        eigen2x2(np.array([[1.0, 0.5], [0.2, 1.0]]))  # asymmetric
 
 
 def test_eigen_batch_matches_scalar():
