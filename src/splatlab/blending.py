@@ -2,10 +2,11 @@
 
 Four modes share this module:
 
-  scalar-center      alpha sampled at the pixel center (the classic scheme)
-  scalar-integrated  alpha integrated over the unit pixel (erf closed form)
-  gaussian-blending  transmittance tracked as a moment-matched uniform window
-  supersample(K)     K x K scalar-center sub-blends averaged; the oracle
+  center      scalar alpha sampled at the pixel center (the classic scheme)
+  integrated  scalar alpha integrated over the unit pixel (erf closed form)
+  gb          Gaussian blending: transmittance tracked as a moment-matched
+              uniform window
+  ss          K x K center-mode sub-blends averaged; the oracle
 
 The window model: each pixel carries a transmittance distribution approximated
 by an axis-aligned uniform box (center x, sides l, value t). Blending a splat
@@ -41,23 +42,14 @@ GUARD_LO = 0.1  # window side / sigma below this -> scalar fallback
 GUARD_HI = 1e6  # window side / sigma above this -> scalar fallback
 SUPPORT_SIGMA = 3.0  # rasterizer truncation: points beyond this many sigmas ignore the splat
 
-MODE_ALIASES = {
-    "center": "center",
-    "scalar-center": "center",
-    "integrated": "integrated",
-    "scalar-integrated": "integrated",
-    "gb": "gb",
-    "gaussian-blending": "gb",
-    "ss": "ss",
-    "supersample": "ss",
-}
+MODES = ("center", "integrated", "gb", "ss")
 
 
 def canonical_mode(mode: str) -> str:
-    try:
-        return MODE_ALIASES[mode]
-    except KeyError:
-        raise ValueError(f"unknown blend mode {mode!r}; use one of {sorted(set(MODE_ALIASES))}")
+    """mode itself when it names one of MODES; ValueError otherwise."""
+    if mode not in MODES:
+        raise ValueError(f"unknown blend mode {mode!r}; use one of {list(MODES)}")
+    return mode
 
 
 @dataclass
@@ -101,30 +93,15 @@ class PreparedSplats:
         )
 
 
-def prepare_splats(projected, support_sigma: float | None = None) -> PreparedSplats:
+def prepare_splats(projected: ProjectedCloud, support_sigma: float | None = None) -> PreparedSplats:
     """Eigen-decompose, cull degenerates, and depth-sort (stable) for blending.
 
-    Accepts a ProjectedCloud or a sequence of ProjectedSplat. support_sigma
-    sets the per-splat support boxes the kernels test evaluation points
-    against; None (the default for direct pixel blending) leaves the Gaussians
-    untruncated, while the rasterizer prepares at SUPPORT_SIGMA.
+    support_sigma sets the per-splat support boxes the kernels test evaluation
+    points against; None (the default for direct pixel blending) leaves the
+    Gaussians untruncated, while the rasterizer prepares at SUPPORT_SIGMA.
     """
-    if isinstance(projected, ProjectedCloud):
-        mu2d, cxx, cxy, cyy = projected.mu2d, projected.cxx, projected.cxy, projected.cyy
-        depth, opacity, color = projected.depth, projected.opacity, projected.color
-    else:
-        splats = list(projected)
-        if splats:
-            mu2d = np.stack([s.mu2d for s in splats])
-            cov = np.stack([s.cov2d for s in splats])
-            cxx, cxy, cyy = cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
-            depth = np.array([s.depth for s in splats])
-            opacity = np.array([s.opacity for s in splats])
-            color = np.stack([s.color for s in splats])
-        else:
-            mu2d = np.zeros((0, 2))
-            cxx = cxy = cyy = depth = opacity = np.zeros(0)
-            color = np.zeros((0, 3))
+    mu2d, cxx, cxy, cyy = projected.mu2d, projected.cxx, projected.cxy, projected.cyy
+    depth, opacity, color = projected.depth, projected.opacity, projected.color
 
     lam1, lam2, e1x, e1y = eigen2x2_batch(cxx, cxy, cyy)
     ok = lam2 > 0.0
@@ -405,11 +382,11 @@ def blend_pixel(
     epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
 ):
-    """Blend a depth-sorted splat list at one pixel; returns (rgb, residual).
+    """Blend splats at one pixel, front to back; returns (rgb, residual).
 
-    pixel gives the pixel's center coordinates; integrated and GB modes treat
-    the unit square around it as the pixel footprint. splats may be a sequence
-    of ProjectedSplat or a PreparedSplats.
+    splats is a ProjectedCloud, prepared here untruncated, or a PreparedSplats.
+    pixel gives the pixel's center coordinates; integrated and gb modes treat
+    the unit square around it as the pixel footprint.
     """
     prep = splats if isinstance(splats, PreparedSplats) else prepare_splats(splats)
     xy = np.asarray(pixel, dtype=float).reshape(2)

@@ -3,7 +3,8 @@
 The two-splat sweep places isotropic splats at (mu_x, -offset_y) and
 (mu_x, +offset_y) over the unit pixel centered at the origin and compares each
 blend mode's residual transmittance against the exact integral of the product
-transmittance over the pixel.
+transmittance over the pixel. Splats are ProjectedCloud rows, front to back
+by depth.
 """
 
 from __future__ import annotations
@@ -16,39 +17,37 @@ import numpy as np
 from scipy import integrate
 
 from .blending import blend_pixel, canonical_mode
-from .scene import ProjectedSplat
+from .scene import ProjectedCloud
 from .splatmath import gaussian_moment_k
 
 PSNR_CAP = 99.0
 _ISO_TOL = 1e-12
 
 
-def iso_splat2d(mu, sigma: float, opacity: float, color=(1.0, 0.0, 0.0),
-                depth: float = 1.0) -> ProjectedSplat:
-    """Isotropic 2D splat helper (covariance sigma^2 I)."""
-    return ProjectedSplat(
-        mu2d=np.asarray(mu, dtype=float),
-        cov2d=float(sigma) ** 2 * np.eye(2),
-        depth=depth,
-        opacity=float(opacity),
-        color=np.asarray(color, dtype=float),
-    )
+def iso_cloud(mu, sigma, opacity, color, depth) -> ProjectedCloud:
+    """Isotropic screen-space splats, covariance sigma^2 I: mu (m, 2), color
+    (m, 3), sigma, opacity and depth (m,)."""
+    var = np.square(np.asarray(sigma, dtype=float))
+    return ProjectedCloud(mu2d=mu, cxx=var, cxy=np.zeros_like(var), cyy=var.copy(),
+                          depth=depth, opacity=opacity, color=color)
 
 
 def two_splat_config(mu_x: float, sigma: float, opacity: float = 1.0,
-                     offset_y: float = 0.1) -> list:
-    """The paper sweep's symmetric pair, front-to-back in list order."""
-    return [
-        iso_splat2d([mu_x, -offset_y], sigma, opacity, (1.0, 0.0, 0.0), depth=1.0),
-        iso_splat2d([mu_x, offset_y], sigma, opacity, (0.0, 1.0, 0.0), depth=2.0),
-    ]
+                     offset_y: float = 0.1) -> ProjectedCloud:
+    """The paper sweep's symmetric pair: red at -offset_y in front of green."""
+    return iso_cloud([[mu_x, -offset_y], [mu_x, offset_y]], [sigma, sigma], [opacity, opacity],
+                     [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0])
 
 
-def _iso_params(splat: ProjectedSplat):
-    c = splat.cov2d
-    if abs(c[0, 1]) > _ISO_TOL * c[0, 0] or abs(c[0, 0] - c[1, 1]) > _ISO_TOL * c[0, 0]:
-        raise ValueError("closed form requires isotropic splats")
-    return splat.mu2d, math.sqrt(c[0, 0]), splat.opacity
+def _iso_params(splats: ProjectedCloud) -> list:
+    """(mu row, sigma, opacity) per splat; sigma and opacity as Python floats."""
+    out = []
+    for mu, xx, xy, yy, o in zip(splats.mu2d, splats.cxx.tolist(), splats.cxy.tolist(),
+                                 splats.cyy.tolist(), splats.opacity.tolist()):
+        if abs(xy) > _ISO_TOL * xx or abs(xx - yy) > _ISO_TOL * xx:
+            raise ValueError("closed form requires isotropic splats")
+        out.append((mu, math.sqrt(xx), o))
+    return out
 
 
 def _alpha_integral_iso(mu, sigma, o) -> float:
@@ -72,24 +71,24 @@ def _pair_integral_iso(mu1, s1, o1, mu2, s2, o2) -> float:
     return total
 
 
-def true_residual_transmittance(splats, method: str = "auto") -> float:
+def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") -> float:
     """Exact integral of the product transmittance over the unit pixel at 0.
 
     Closed form for up to two isotropic splats (expansion of (1-a1)(1-a2) with
     the product-of-Gaussians identity); adaptive 2D quadrature to 1e-10
     otherwise. method forces "closed" or "quad".
     """
-    splats = list(splats)
     if method not in ("auto", "closed", "quad"):
         raise ValueError(f"unknown method {method!r}")
     use_closed = method == "closed"
     if method == "auto":
         try:
-            use_closed = len(splats) <= 2 and all(_iso_params(s) is not None for s in splats)
+            _iso_params(splats)
+            use_closed = len(splats) <= 2
         except ValueError:
             use_closed = False
     if use_closed:
-        params = [_iso_params(s) for s in splats]
+        params = _iso_params(splats)
         if len(params) > 2:
             raise ValueError("closed form covers at most two splats")
         total = 1.0
@@ -100,14 +99,12 @@ def true_residual_transmittance(splats, method: str = "auto") -> float:
             total += _pair_integral_iso(mu1, s1, o1, mu2, s2, o2)
         return total
 
-    mus = np.array([s.mu2d for s in splats]).reshape(-1, 2)
-    covs = [s.cov2d for s in splats]
-    invs = [np.linalg.inv(c) for c in covs]
-    ops = [s.opacity for s in splats]
+    invs = [np.linalg.inv([[xx, xy], [xy, yy]])
+            for xx, xy, yy in zip(splats.cxx, splats.cxy, splats.cyy)]
 
     def product_t(y, x):
         t = 1.0
-        for mu, inv, o in zip(mus, invs, ops):
+        for mu, inv, o in zip(splats.mu2d, invs, splats.opacity):
             dx, dy = x - mu[0], y - mu[1]
             q = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy + inv[1, 1] * dy * dy
             t *= 1.0 - o * math.exp(-0.5 * q)
@@ -118,7 +115,7 @@ def true_residual_transmittance(splats, method: str = "auto") -> float:
     return val
 
 
-def transmittance_error(mode: str, splats, *, epsilon: float = 1e-4,
+def transmittance_error(mode: str, splats: ProjectedCloud, *, epsilon: float = 1e-4,
                         ss_k: int = 256, true_value: float | None = None) -> float:
     """Delta T = residual transmittance of the mode minus the exact value."""
     mode = canonical_mode(mode)
@@ -202,12 +199,9 @@ def run_sweep(config: SweepConfig, csv_path=None):
         for mode in config.modes:
             dt = transmittance_error(mode, splats, epsilon=config.epsilon,
                                      ss_k=config.ss_k, true_value=t_true)
-            rows.append(SweepRow(config.sweep_var, float(val), canonical_mode(mode), dt))
-    summary = {
-        canonical_mode(m): float(np.mean([abs(r.delta_t) for r in rows
-                                          if r.mode == canonical_mode(m)]))
-        for m in config.modes
-    }
+            rows.append(SweepRow(config.sweep_var, float(val), mode, dt))
+    summary = {m: float(np.mean([abs(r.delta_t) for r in rows if r.mode == m]))
+               for m in config.modes}
     if csv_path is not None:
         with open(csv_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blending import SUPPORT_SIGMA, PreparedSplats, blend_grid, canonical_mode, prepare_splats
-from .scene import SplatCloud, project_cloud
+from .scene import Camera, SplatCloud, project_cloud
 
-# diagonal covariance floor (px^2) for scalar-center; the window modes and the
+# diagonal covariance floor (px^2) for center mode; the window modes and the
 # supersample reference run unfiltered
 LOWPASS_CENTER = 0.3
 
@@ -74,7 +74,8 @@ def render_projected(
     ss_k: int = 16,
     background=(0.0, 0.0, 0.0),
 ) -> Framebuffer:
-    """Render already-projected splats (PreparedSplats, ProjectedCloud, or list)."""
+    """Render already-projected splats: a ProjectedCloud, prepared here at
+    SUPPORT_SIGMA, or a PreparedSplats."""
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
     mode = canonical_mode(mode)
@@ -97,8 +98,8 @@ def render_projected(
 
 
 def render(
-    scene,
-    camera,
+    scene: SplatCloud,
+    camera: Camera,
     mode: str = "gb",
     *,
     epsilon: float = 1e-4,
@@ -109,20 +110,19 @@ def render(
     """Project a 3D scene and render it in the given blend mode.
 
     lowpass=None picks the per-mode default: the 0.3 px^2 screen-space floor
-    for scalar-center, none for the window modes and supersampling.
+    for center, none for the window modes and supersampling.
     """
     mode = canonical_mode(mode)
     if lowpass is None:
         lowpass = LOWPASS_CENTER if mode == "center" else 0.0
     t0 = time.perf_counter()
-    cloud = scene if isinstance(scene, SplatCloud) else SplatCloud.from_splats(list(scene))
-    proj = project_cloud(cloud, camera, lowpass=lowpass)
+    proj = project_cloud(scene, camera, lowpass=lowpass)
     prep = prepare_splats(proj, SUPPORT_SIGMA)
     fb = render_projected(
         prep, camera.width, camera.height, mode,
         epsilon=epsilon, ss_k=ss_k, background=background,
     )
-    fb.stats.n_input = len(cloud)
+    fb.stats.n_input = len(scene)
     fb.stats.n_culled_near = proj.n_culled_near
     fb.stats.n_culled_nonfinite = proj.n_culled_nonfinite
     fb.stats.wall_time = time.perf_counter() - t0

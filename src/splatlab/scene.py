@@ -10,7 +10,7 @@ Conventions used throughout:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.special
@@ -49,37 +49,6 @@ def normalize_quat(q):
     if np.any(n == 0.0):
         raise ValueError("zero quaternion")
     return q / n
-
-
-@dataclass(frozen=True)
-class Splat3D:
-    """One anisotropic Gaussian primitive, post-activation."""
-
-    mu: np.ndarray  # (3,) world position
-    scale: np.ndarray  # (3,) positive, world units
-    rot: np.ndarray  # (4,) unit quaternion (w, x, y, z)
-    opacity: float  # [0, 1]
-    sh: np.ndarray  # (bands, 3), bands in {1, 4, 9, 16}
-
-    def __post_init__(self):
-        mu = np.asarray(self.mu, dtype=float).reshape(3)
-        scale = np.asarray(self.scale, dtype=float).reshape(3)
-        rot = np.asarray(self.rot, dtype=float).reshape(4)
-        sh = np.asarray(self.sh, dtype=float)
-        if sh.ndim == 1:
-            sh = sh.reshape(1, 3)
-        if sh.shape[0] not in VALID_SH_BANDS or sh.shape[1] != 3:
-            raise ValueError(f"sh must be (bands, 3) with bands in {VALID_SH_BANDS}, got {sh.shape}")
-        if np.any(scale <= 0.0):
-            raise ValueError("scale components must be > 0")
-        if not (0.0 <= self.opacity <= 1.0):
-            raise ValueError("opacity must be in [0, 1]")
-        if abs(np.linalg.norm(rot) - 1.0) > 1e-6:
-            rot = normalize_quat(rot)
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "scale", scale)
-        object.__setattr__(self, "rot", rot)
-        object.__setattr__(self, "sh", sh)
 
 
 @dataclass(frozen=True)
@@ -187,37 +156,16 @@ def load_camera(path) -> Camera:
     return cam
 
 
-@dataclass(frozen=True)
-class ProjectedSplat:
-    """Screen-space splat: 2D Gaussian plus depth, opacity, and per-view color."""
-
-    mu2d: np.ndarray  # (2,) pixels
-    cov2d: np.ndarray  # (2, 2) symmetric, pixels^2
-    depth: float  # camera-space z
-    opacity: float
-    color: np.ndarray  # (3,) linear rgb
-
-    def __post_init__(self):
-        mu2d = np.asarray(self.mu2d, dtype=float).reshape(2)
-        cov = np.asarray(self.cov2d, dtype=float).reshape(2, 2)
-        # Keep exact symmetry: a single shared off-diagonal value.
-        cxy = 0.5 * (cov[0, 1] + cov[1, 0])
-        cov = np.array([[cov[0, 0], cxy], [cxy, cov[1, 1]]])
-        object.__setattr__(self, "mu2d", mu2d)
-        object.__setattr__(self, "cov2d", cov)
-        object.__setattr__(self, "color", np.asarray(self.color, dtype=float).reshape(3))
-
-
 # ---------------------------------------------------------------------------
 # Structure-of-arrays scene container
 
 
 @dataclass
 class SplatCloud:
-    """A scene's splats in structure-of-arrays form.
+    """A scene's splats, one contiguous array per attribute, row i for splat i.
 
-    Behaves as a sequence of Splat3D (len / indexing / iteration) while keeping
-    contiguous arrays for the vectorized projection path.
+    Ingest validates every row: values finite, scale > 0, opacity in [0, 1],
+    SH bands in VALID_SH_BANDS; quaternions are normalized.
     """
 
     mu: np.ndarray  # (n, 3)
@@ -251,38 +199,6 @@ class SplatCloud:
 
     def __len__(self) -> int:
         return self.mu.shape[0]
-
-    def __getitem__(self, i: int) -> Splat3D:
-        return Splat3D(
-            mu=self.mu[i],
-            scale=self.scale[i],
-            rot=self.rot[i],
-            opacity=float(self.opacity[i]),
-            sh=self.sh[i],
-        )
-
-    def __iter__(self):
-        for i in range(len(self)):
-            yield self[i]
-
-    @classmethod
-    def from_splats(cls, splats) -> "SplatCloud":
-        splats = list(splats)
-        if not splats:
-            return cls.empty()
-        bands = max(s.sh.shape[0] for s in splats)
-        if bands not in VALID_SH_BANDS:
-            raise ValueError(f"unsupported SH band count {bands}")
-        sh = np.zeros((len(splats), bands, 3))
-        for i, s in enumerate(splats):
-            sh[i, : s.sh.shape[0]] = s.sh
-        return cls(
-            mu=np.stack([s.mu for s in splats]),
-            scale=np.stack([s.scale for s in splats]),
-            rot=np.stack([s.rot for s in splats]),
-            opacity=np.array([s.opacity for s in splats]),
-            sh=sh,
-        )
 
     @classmethod
     def empty(cls) -> "SplatCloud":
@@ -338,10 +254,11 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
 
 @dataclass
 class ProjectedCloud:
-    """Vectorized projection output, original splat order preserved.
+    """Screen-space splats, one array per attribute, row i for splat i.
 
-    Only splats that survive near-plane and finiteness culls appear; counters
-    record what was dropped.
+    project_cloud keeps the input order of the splats that survive its
+    near-plane and finiteness culls and counts what it dropped; source_index
+    maps each row back to its input splat (row i itself when omitted).
     """
 
     mu2d: np.ndarray  # (m, 2)
@@ -353,7 +270,19 @@ class ProjectedCloud:
     color: np.ndarray  # (m, 3)
     n_culled_near: int = 0
     n_culled_nonfinite: int = 0
-    source_index: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    source_index: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.mu2d = np.asarray(self.mu2d, dtype=float)
+        m = self.mu2d.shape[0] if self.mu2d.ndim else 0
+        for name, shape in (("mu2d", (m, 2)), ("cxx", (m,)), ("cxy", (m,)), ("cyy", (m,)),
+                            ("depth", (m,)), ("opacity", (m,)), ("color", (m, 3))):
+            arr = np.asarray(getattr(self, name), dtype=float)
+            if arr.shape != shape:
+                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            setattr(self, name, arr)
+        if self.source_index is None:
+            self.source_index = np.arange(m)
 
     def __len__(self) -> int:
         return self.mu2d.shape[0]
@@ -378,16 +307,6 @@ def rotmats_from_quats(q) -> np.ndarray:
 def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> ProjectedCloud:
     """Project every splat in one vectorized pass; order of survivors is stable."""
     n = len(cloud)
-    if n == 0:
-        return ProjectedCloud(
-            mu2d=np.zeros((0, 2)),
-            cxx=np.zeros(0),
-            cxy=np.zeros(0),
-            cyy=np.zeros(0),
-            depth=np.zeros(0),
-            opacity=np.zeros(0),
-            color=np.zeros((0, 3)),
-        )
     r, t = cam.rotation, cam.translation
     p = cloud.mu @ r.T + t  # (n, 3) camera space
     z = p[:, 2]
@@ -473,16 +392,20 @@ def load_ply(path) -> SplatCloud:
     n_vertex = None
     props = []
     fmt_seen = False
-    for line in header.splitlines():
+    for line in header.splitlines()[1:]:
         tok = line.split()
-        if not tok:
+        if not tok or tok[0] in ("comment", "obj_info"):
             continue
+        if tok[0] not in ("format", "element", "property") or len(tok) < 3:
+            raise PlyParseError(f"{path}: malformed header line {line!r}")
         if tok[0] == "format":
             fmt_seen = True
             if tok[1] != "binary_little_endian":
                 raise PlyParseError(f"{path}: encoding {tok[1]!r} unsupported, need binary_little_endian")
         elif tok[0] == "element":
             if tok[1] == "vertex":
+                if not tok[2].isdecimal():
+                    raise PlyParseError(f"{path}: vertex count {tok[2]!r} is not a whole number")
                 n_vertex = int(tok[2])
             elif n_vertex is None:
                 # Its payload would sit before the vertex data, which is read from body_at.
@@ -490,7 +413,7 @@ def load_ply(path) -> SplatCloud:
                                     "vertex must be the first element")
             else:
                 break  # only leading vertex element is read
-        elif tok[0] == "property" and n_vertex is not None:
+        elif n_vertex is not None:
             if tok[1] not in ("float", "float32"):
                 raise PlyParseError(f"{path}: property {tok[2]!r} has type {tok[1]!r}, need float")
             props.append(tok[2])
@@ -499,19 +422,19 @@ def load_ply(path) -> SplatCloud:
     if n_vertex is None:
         raise PlyParseError(f"{path}: missing vertex element")
 
-    required = (
-        ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2", "opacity"]
-        + [f"scale_{i}" for i in range(3)]
-        + [f"rot_{i}" for i in range(4)]
-    )
-    missing = [p for p in required if p not in props]
-    if missing:
-        raise PlyParseError(f"{path}: missing vertex properties {missing}")
-
     n_rest = sum(1 for p in props if p.startswith("f_rest_"))
     if n_rest not in _REST_TO_BANDS:
         raise PlyParseError(f"{path}: f_rest count {n_rest} not in {sorted(_REST_TO_BANDS)}")
     bands = _REST_TO_BANDS[n_rest]
+    required = (
+        ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2", "opacity"]
+        + [f"scale_{i}" for i in range(3)]
+        + [f"rot_{i}" for i in range(4)]
+        + [f"f_rest_{j}" for j in range(n_rest)]
+    )
+    missing = [p for p in required if p not in props]
+    if missing:
+        raise PlyParseError(f"{path}: missing vertex properties {missing}")
 
     stride = 4 * len(props)
     need = n_vertex * stride
@@ -543,10 +466,8 @@ def load_ply(path) -> SplatCloud:
         raise PlyParseError(f"{path}: {e}") from e
 
 
-def save_ply(path, cloud) -> None:
+def save_ply(path, cloud: SplatCloud) -> None:
     """Write splats in the same trained-splat layout load_ply reads."""
-    if not isinstance(cloud, SplatCloud):
-        cloud = SplatCloud.from_splats(cloud)
     n = len(cloud)
     bands = cloud.sh.shape[1]
     n_rest = {1: 0, 4: 9, 9: 24, 16: 45}[bands]

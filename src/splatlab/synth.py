@@ -2,15 +2,15 @@
 
 import numpy as np
 
-from .scene import SH_C0, Camera, Splat3D, SplatCloud
+from .scene import SH_C0, Camera, SplatCloud
 
 # Layer layout for the two-plane scene, in base-camera pixel units.
 FRONT_EDGE_PX = 27.0  # screen x where the front plane starts
 
 
 def sh_dc(rgb) -> np.ndarray:
-    """DC-only SH row producing the given linear color."""
-    return ((np.asarray(rgb, dtype=float) - 0.5) / SH_C0).reshape(1, 3)
+    """DC-only SH rows (n, 1, 3) producing the given linear colors (n, 3)."""
+    return ((np.asarray(rgb, dtype=float) - 0.5) / SH_C0)[:, None, :]
 
 
 def default_camera(width: int = 64, height: int = 48, fx: float = 48.0) -> Camera:
@@ -19,33 +19,45 @@ def default_camera(width: int = 64, height: int = 48, fx: float = 48.0) -> Camer
                   width=width, height=height)
 
 
-def _plane(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color_fn,
-           jitter=0.2):
+def _grid(x_range, y_range, spacing):
+    """Cell centers of a screen-space grid, rows (y) outer and columns (x) inner."""
+    ys = np.arange(y_range[0] + spacing / 2.0, y_range[1], spacing)
+    xs = np.arange(x_range[0] + spacing / 2.0, x_range[1], spacing)
+    py, px = np.meshgrid(ys, xs, indexing="ij")
+    return px.ravel(), py.ravel()
+
+
+def _stripes(coord, period, a, b) -> np.ndarray:
+    """Color a where floor(coord / period) is even, b where odd; (n, 3)."""
+    even = np.floor(coord / period) % 2 == 0
+    return np.where(even[:, None], a, b)
+
+
+def _plane(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color, jitter=0.2):
     """Grid of thin splats on the plane at depth z, laid out in screen pixels.
 
-    x_range/y_range/spacing/sigma are base-camera pixel units; color_fn maps
-    (px, py, rng) to a linear rgb triple.
+    x_range/y_range/spacing/sigma are base-camera pixel units. color is one
+    linear rgb triple for every splat, or a function of the jittered screen
+    positions (px, py) giving base colors that each get a uniform tint of
+    +-0.03. Each splat draws its x and y jitter, then its tint. Returns the
+    rows (mu, scale, opacity, rgb).
     """
     upx = z / cam.fx  # world units per pixel at this depth
-    xs = np.arange(x_range[0] + spacing / 2.0, x_range[1], spacing)
-    ys = np.arange(y_range[0] + spacing / 2.0, y_range[1], spacing)
+    px, py = _grid(x_range, y_range, spacing)
     sw = sigma * upx
-    splats = []
-    for py in ys:
-        for px in xs:
-            jx, jy = rng.uniform(-jitter, jitter, 2) * spacing
-            splats.append(Splat3D(
-                mu=[(px + jx - cam.cx) * upx, (py + jy - cam.cy) * upx, z],
-                scale=[sw, sw, max(sw * 0.05, 1e-5)],
-                rot=[1.0, 0.0, 0.0, 0.0],
-                opacity=opacity,
-                sh=sh_dc(color_fn(px + jx, py + jy, rng)),
-            ))
-    return splats
-
-
-def _tint(rng, base, amount=0.03):
-    return np.clip(np.asarray(base) + rng.uniform(-amount, amount, 3), 0.0, 1.0)
+    # One row of draws per splat, bounds per column; row-major order keeps
+    # the stream a splat-by-splat loop of rng.uniform calls would draw.
+    lo = np.array([-jitter] * 2 + [-0.03] * (3 if callable(color) else 0))
+    u = rng.uniform(lo, -lo, (px.size, lo.size))
+    px = px + u[:, 0] * spacing
+    py = py + u[:, 1] * spacing
+    if callable(color):
+        rgb = np.clip(color(px, py) + u[:, 2:], 0.0, 1.0)
+    else:
+        rgb = np.tile(color, (px.size, 1))
+    n = px.size
+    mu = np.stack([(px - cam.cx) * upx, (py - cam.cy) * upx, np.full(n, z)], axis=1)
+    return mu, np.tile([sw, sw, max(sw * 0.05, 1e-5)], (n, 1)), np.full(n, opacity), rgb
 
 
 def _clusters(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color,
@@ -54,29 +66,34 @@ def _clusters(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color,
 
     Each group sits well inside one pixel at coarse scales and becomes a few
     overlapping near-pixel splats when zoomed in, which is where scalar
-    compositing misses the intra-pixel covariance.
+    compositing misses the intra-pixel covariance. Each group draws its center
+    jitter, its tint of color, then each member's offset. Returns the rows
+    (mu, scale, opacity, rgb), group-major.
     """
     upx = z / cam.fx
     sw = sigma * upx
-    xs = np.arange(x_range[0] + spacing / 2.0, x_range[1], spacing)
-    ys = np.arange(y_range[0] + spacing / 2.0, y_range[1], spacing)
-    splats = []
-    for py in ys:
-        for px in xs:
-            cx = px + rng.uniform(-0.3, 0.3) * spacing
-            cy = py + rng.uniform(-0.3, 0.3) * spacing
-            tint = _tint(rng, color, 0.05)
-            for i in range(per_cluster):
-                ox, oy = rng.uniform(-offset, offset, 2)
-                splats.append(Splat3D(
-                    mu=[(cx + ox - cam.cx) * upx, (cy + oy - cam.cy) * upx,
-                        z + i * 1e-3],
-                    scale=[sw, sw, max(sw * 0.05, 1e-6)],
-                    rot=[1.0, 0.0, 0.0, 0.0],
-                    opacity=opacity,
-                    sh=sh_dc(tint),
-                ))
-    return splats
+    px, py = _grid(x_range, y_range, spacing)
+    lo = np.array([-0.3, -0.3] + [-0.05] * 3 + [-offset] * (2 * per_cluster))
+    u = rng.uniform(lo, -lo, (px.size, lo.size))
+    cx = px + u[:, 0] * spacing
+    cy = py + u[:, 1] * spacing
+    tint = np.clip(np.asarray(color) + u[:, 2:5], 0.0, 1.0)
+    off = u[:, 5:].reshape(px.size, per_cluster, 2)
+    mu = np.stack([
+        (cx[:, None] + off[..., 0] - cam.cx) * upx,
+        (cy[:, None] + off[..., 1] - cam.cy) * upx,
+        np.broadcast_to(z + np.arange(per_cluster) * 1e-3, off.shape[:2]),
+    ], axis=2).reshape(-1, 3)
+    n = mu.shape[0]
+    return (mu, np.tile([sw, sw, max(sw * 0.05, 1e-6)], (n, 1)), np.full(n, opacity),
+            np.repeat(tint, per_cluster, axis=0))
+
+
+def _cloud(*parts) -> SplatCloud:
+    """One SplatCloud from (mu, scale, opacity, rgb) row blocks, in order."""
+    mu, scale, opacity, rgb = (np.concatenate(cols) for cols in zip(*parts))
+    rot = np.tile([1.0, 0.0, 0.0, 0.0], (mu.shape[0], 1))
+    return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh_dc(rgb))
 
 
 def two_plane_scene(seed: int = 0):
@@ -91,32 +108,29 @@ def two_plane_scene(seed: int = 0):
     rng = np.random.default_rng(seed)
     w, h = cam.width, cam.height
 
-    def back_color(px, py, rng):
-        base = (0.10, 0.52, 0.48) if int(np.floor(py / 8.0)) % 2 == 0 else (0.22, 0.76, 0.26)
-        return _tint(rng, base)
+    def back_color(px, py):
+        return _stripes(py, 8.0, (0.10, 0.52, 0.48), (0.22, 0.76, 0.26))
 
-    def front_color(px, py, rng):
-        base = (0.82, 0.16, 0.12) if int(np.floor(px / 6.0)) % 2 == 0 else (0.96, 0.66, 0.14)
-        return _tint(rng, base)
+    def front_color(px, py):
+        return _stripes(px, 6.0, (0.82, 0.16, 0.12), (0.96, 0.66, 0.14))
 
     # Each plane is a solid one-color backdrop plus a texture layer. The
     # texture splats carry the color detail and alias when zoomed out; the
     # backdrops saturate opacity so far splat tails never carry visible mass.
-    splats = _plane(cam, rng, z=4.0, x_range=(-8, w + 8), y_range=(-8, h + 8),
-                    spacing=12.0, sigma=12.0, opacity=1.0,
-                    color_fn=lambda px, py, rng: (0.14, 0.58, 0.40), jitter=0.0)
-    splats += _plane(cam, rng, z=3.95, x_range=(-8, w + 8), y_range=(-8, h + 8),
-                     spacing=5.6, sigma=4.0, opacity=0.95, color_fn=back_color)
-    splats += _plane(cam, rng, z=2.05, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
-                     spacing=12.0, sigma=12.0, opacity=1.0,
-                     color_fn=lambda px, py, rng: (0.85, 0.38, 0.12), jitter=0.0)
-    splats += _plane(cam, rng, z=2.0, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
-                     spacing=4.9, sigma=3.5, opacity=0.95, color_fn=front_color)
-    splats += _clusters(cam, rng, z=1.9, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
-                        spacing=7.0, sigma=0.07, opacity=0.92, color=(0.95, 0.90, 0.75))
-    splats += _clusters(cam, rng, z=3.9, x_range=(-8, FRONT_EDGE_PX), y_range=(-8, h + 8),
-                        spacing=8.0, sigma=0.07, opacity=0.92, color=(0.90, 0.86, 0.70))
-    return SplatCloud.from_splats(splats), cam
+    return _cloud(
+        _plane(cam, rng, z=4.0, x_range=(-8, w + 8), y_range=(-8, h + 8),
+               spacing=12.0, sigma=12.0, opacity=1.0, color=(0.14, 0.58, 0.40), jitter=0.0),
+        _plane(cam, rng, z=3.95, x_range=(-8, w + 8), y_range=(-8, h + 8),
+               spacing=5.6, sigma=4.0, opacity=0.95, color=back_color),
+        _plane(cam, rng, z=2.05, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
+               spacing=12.0, sigma=12.0, opacity=1.0, color=(0.85, 0.38, 0.12), jitter=0.0),
+        _plane(cam, rng, z=2.0, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
+               spacing=4.9, sigma=3.5, opacity=0.95, color=front_color),
+        _clusters(cam, rng, z=1.9, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
+                  spacing=7.0, sigma=0.07, opacity=0.92, color=(0.95, 0.90, 0.75)),
+        _clusters(cam, rng, z=3.9, x_range=(-8, FRONT_EDGE_PX), y_range=(-8, h + 8),
+                  spacing=8.0, sigma=0.07, opacity=0.92, color=(0.90, 0.86, 0.70)),
+    ), cam
 
 
 def two_plane_zoom_scene(seed: int = 0):
@@ -130,44 +144,26 @@ def two_plane_zoom_scene(seed: int = 0):
     rng = np.random.default_rng(seed)
     w, h, edge = cam.width, cam.height, 10.0
 
-    def back_color(px, py, rng):
-        base = (0.10, 0.52, 0.48) if int(np.floor(py / 2.0)) % 2 == 0 else (0.22, 0.76, 0.26)
-        return _tint(rng, base)
+    def back_color(px, py):
+        return _stripes(py, 2.0, (0.10, 0.52, 0.48), (0.22, 0.76, 0.26))
 
-    def front_color(px, py, rng):
-        base = (0.82, 0.16, 0.12) if int(np.floor(px / 2.0)) % 2 == 0 else (0.96, 0.66, 0.14)
-        return _tint(rng, base)
+    def front_color(px, py):
+        return _stripes(px, 2.0, (0.82, 0.16, 0.12), (0.96, 0.66, 0.14))
 
-    splats = _plane(cam, rng, z=4.0, x_range=(-8, w + 8), y_range=(-8, h + 8),
-                    spacing=10.0, sigma=10.0, opacity=1.0,
-                    color_fn=lambda px, py, rng: (0.14, 0.58, 0.40), jitter=0.0)
-    splats += _plane(cam, rng, z=3.95, x_range=(-8, w + 8), y_range=(-8, h + 8),
-                     spacing=0.55, sigma=0.25, opacity=0.9, color_fn=back_color)
-    splats += _plane(cam, rng, z=2.05, x_range=(edge, w + 8), y_range=(-8, h + 8),
-                     spacing=10.0, sigma=10.0, opacity=1.0,
-                     color_fn=lambda px, py, rng: (0.85, 0.38, 0.12), jitter=0.0)
-    splats += _plane(cam, rng, z=2.0, x_range=(edge, w + 8), y_range=(-8, h + 8),
-                     spacing=0.55, sigma=0.25, opacity=0.9, color_fn=front_color)
-    splats += _clusters(cam, rng, z=1.9, x_range=(edge, w + 8), y_range=(-8, h + 8),
-                        spacing=3.0, sigma=0.07, opacity=0.92, color=(0.95, 0.90, 0.75))
-    splats += _clusters(cam, rng, z=3.9, x_range=(-8, edge), y_range=(-8, h + 8),
-                        spacing=3.5, sigma=0.07, opacity=0.92, color=(0.90, 0.86, 0.70))
-    return SplatCloud.from_splats(splats), cam
-
-
-def checker_wall(seed: int = 0):
-    """Single checkerboard wall; a pure minification-aliasing target."""
-    cam = default_camera()
-    rng = np.random.default_rng(seed)
-    w, h = cam.width, cam.height
-
-    def color(px, py, rng):
-        on = (int(np.floor(px / 8.0)) + int(np.floor(py / 8.0))) % 2 == 0
-        return _tint(rng, (0.92, 0.90, 0.84) if on else (0.12, 0.10, 0.16), 0.02)
-
-    splats = _plane(cam, rng, z=3.0, x_range=(-8, w + 8), y_range=(-8, h + 8),
-                    spacing=4.0, sigma=2.5, opacity=1.0, color_fn=color)
-    return SplatCloud.from_splats(splats), cam
+    return _cloud(
+        _plane(cam, rng, z=4.0, x_range=(-8, w + 8), y_range=(-8, h + 8),
+               spacing=10.0, sigma=10.0, opacity=1.0, color=(0.14, 0.58, 0.40), jitter=0.0),
+        _plane(cam, rng, z=3.95, x_range=(-8, w + 8), y_range=(-8, h + 8),
+               spacing=0.55, sigma=0.25, opacity=0.9, color=back_color),
+        _plane(cam, rng, z=2.05, x_range=(edge, w + 8), y_range=(-8, h + 8),
+               spacing=10.0, sigma=10.0, opacity=1.0, color=(0.85, 0.38, 0.12), jitter=0.0),
+        _plane(cam, rng, z=2.0, x_range=(edge, w + 8), y_range=(-8, h + 8),
+               spacing=0.55, sigma=0.25, opacity=0.9, color=front_color),
+        _clusters(cam, rng, z=1.9, x_range=(edge, w + 8), y_range=(-8, h + 8),
+                  spacing=3.0, sigma=0.07, opacity=0.92, color=(0.95, 0.90, 0.75)),
+        _clusters(cam, rng, z=3.9, x_range=(-8, edge), y_range=(-8, h + 8),
+                  spacing=3.5, sigma=0.07, opacity=0.92, color=(0.90, 0.86, 0.70)),
+    ), cam
 
 
 def random_cloud(seed: int = 0, n: int = 400):
@@ -188,5 +184,3 @@ def random_cloud(seed: int = 0, n: int = 400):
     sh = ((rng.uniform(0.1, 0.9, (n, 3)) - 0.5) / SH_C0)[:, None, :]
     return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh), cam
 
-
-SCENES = {"two-plane": two_plane_scene, "checker": checker_wall, "cloud": random_cloud}

@@ -13,17 +13,49 @@ tests as a step-by-step oracle for that path:
 They share only the 1D closed-form moments (splatmath.gaussian_moments_012)
 and the module constants with the package; those are checked against
 quadrature in _oracles.py.
+
+The scalar code takes one screen-space splat at a time as a Splat2D record;
+stack_splats turns a list of them into the ProjectedCloud the package takes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from splatlab.blending import ALPHA_MAX, GUARD_HI, GUARD_LO, MIN_SIDE
-from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedSplat, normalize_quat
+from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud, normalize_quat
 from splatlab.splatmath import gaussian_moments_012
+
+# --- one screen-space splat ---------------------------------------------------
+
+
+class Splat2D(NamedTuple):
+    """One screen-space splat: 2D Gaussian plus depth, opacity and color."""
+
+    mu2d: np.ndarray  # (2,) pixels
+    cov2d: np.ndarray  # (2, 2) symmetric, pixels^2
+    depth: float  # camera-space z
+    opacity: float
+    color: np.ndarray  # (3,) linear rgb
+
+
+def stack_splats(splats) -> ProjectedCloud:
+    """A ProjectedCloud holding the Splat2D records in list order."""
+    splats = list(splats)
+    cov = np.array([s.cov2d for s in splats], dtype=float).reshape(-1, 2, 2)
+    return ProjectedCloud(
+        mu2d=np.array([s.mu2d for s in splats], dtype=float).reshape(-1, 2),
+        cxx=cov[:, 0, 0],
+        cxy=cov[:, 0, 1],
+        cyy=cov[:, 1, 1],
+        depth=[s.depth for s in splats],
+        opacity=[s.opacity for s in splats],
+        color=np.array([s.color for s in splats], dtype=float).reshape(-1, 3),
+    )
+
 
 # --- 2x2 eigen-solve ----------------------------------------------------------
 
@@ -148,7 +180,7 @@ def paired_axes(eig: Eigen2):
     return eig.e2, eig.sigma2, eig.e1, eig.sigma1
 
 
-def to_splat_frame(win: TransmittanceWindow, splat: ProjectedSplat, eig: Eigen2) -> SplatFrame:
+def to_splat_frame(win: TransmittanceWindow, splat: Splat2D, eig: Eigen2) -> SplatFrame:
     a1, s1, a2, s2 = paired_axes(eig)
     d = win.center - splat.mu2d
     # elementwise (not @) to match the vectorized kernels bit for bit
@@ -196,7 +228,7 @@ def compute_moments(frame: SplatFrame, t: float, o: float) -> GaussianMoments:
     return GaussianMoments(m0=float(m0), m1=m1, m2=m2)
 
 
-def scalar_alpha_center(pixel_center, splat: ProjectedSplat) -> float:
+def scalar_alpha_center(pixel_center, splat: Splat2D) -> float:
     """Alpha sampled at a point: o * exp(-d^2/2), Mahalanobis d, clamped at ALPHA_MAX."""
     cov = splat.cov2d
     det = cov[0, 0] * cov[1, 1] - cov[0, 1] * cov[0, 1]
@@ -205,7 +237,7 @@ def scalar_alpha_center(pixel_center, splat: ProjectedSplat) -> float:
     return min(splat.opacity * float(np.exp(-0.5 * q)), ALPHA_MAX)
 
 
-def scalar_alpha_integrated(pixel_center, splat: ProjectedSplat, eig: Eigen2) -> float:
+def scalar_alpha_integrated(pixel_center, splat: Splat2D, eig: Eigen2) -> float:
     """Alpha integrated over the unit pixel square centered at pixel_center.
 
     Evaluated in the splat frame with the same box reinterpretation the window
@@ -229,7 +261,7 @@ def _fallback_blend(win: TransmittanceWindow, frame: SplatFrame, o: float):
     return weight, nxt
 
 
-def update_window(win: TransmittanceWindow, splat: ProjectedSplat, eig: Eigen2):
+def update_window(win: TransmittanceWindow, splat: Splat2D, eig: Eigen2):
     """Blend one splat into the window; returns (weight, next window).
 
     Mass is conserved: next.mass == win.mass - weight up to roundoff. When a
@@ -327,13 +359,15 @@ def eval_sh(sh, direction) -> np.ndarray:
     return np.maximum(rgb + 0.5, 0.0)
 
 
-def project_splat(splat, cam, lowpass: float = 0.0):
-    """Project one Splat3D to screen space; returns None when culled.
+def project_splat(cloud, i: int, cam, lowpass: float = 0.0):
+    """Project splat i of a SplatCloud to screen space; returns a Splat2D, or
+    None when culled.
 
     lowpass is added to the diagonal of cov2d after projection.
     """
+    mu = cloud.mu[i]
     r, t = cam.rotation, cam.translation
-    p = r @ splat.mu + t
+    p = r @ mu + t
     z = p[2]
     if z <= cam.near:
         return None
@@ -346,7 +380,7 @@ def project_splat(splat, cam, lowpass: float = 0.0):
             [0.0, cam.fy / z, -cam.fy * y / (z * z)],
         ]
     )
-    cov3d = build_covariance(splat.scale, splat.rot)
+    cov3d = build_covariance(cloud.scale[i], cloud.rot[i])
     jw = jac @ r
     cov2d = jw @ cov3d @ jw.T
     cov2d = 0.5 * (cov2d + cov2d.T)
@@ -356,11 +390,11 @@ def project_splat(splat, cam, lowpass: float = 0.0):
     if not (np.all(np.isfinite(mu2d)) and np.all(np.isfinite(cov2d))):
         return None
 
-    view_dir = splat.mu - cam.center
+    view_dir = mu - cam.center
     n = np.linalg.norm(view_dir)
     view_dir = view_dir / n if n > 0 else np.array([0.0, 0.0, 1.0])
-    color = eval_sh(splat.sh, view_dir)
+    color = eval_sh(cloud.sh[i], view_dir)
 
-    return ProjectedSplat(
-        mu2d=mu2d, cov2d=cov2d, depth=float(z), opacity=float(splat.opacity), color=color
+    return Splat2D(
+        mu2d=mu2d, cov2d=cov2d, depth=float(z), opacity=float(cloud.opacity[i]), color=color
     )

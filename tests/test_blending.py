@@ -18,6 +18,7 @@ from _oracles import (
 )
 from _reference import (
     GaussianMoments,
+    Splat2D,
     SplatFrame,
     TransmittanceWindow,
     compute_moments,
@@ -27,6 +28,7 @@ from _reference import (
     paired_axes,
     scalar_alpha_center,
     scalar_alpha_integrated,
+    stack_splats,
     to_splat_frame,
     update_window,
 )
@@ -41,13 +43,12 @@ from splatlab.blending import (
     prepare_splats,
     subsample_axis,
 )
-from splatlab.scene import ProjectedSplat
 
 PX = (0.5, 0.5)
 
 
 def iso_splat(mu, sig, o, color=(1.0, 0.0, 0.0), depth=1.0):
-    return ProjectedSplat(
+    return Splat2D(
         mu2d=np.asarray(mu, float),
         cov2d=sig * sig * np.eye(2),
         depth=depth,
@@ -60,7 +61,7 @@ def rot_splat(mu, sig1, sig2, theta, o, color=(1.0, 0.0, 0.0), depth=1.0):
     c, s = np.cos(theta), np.sin(theta)
     r = np.array([[c, -s], [s, c]])
     cov = r @ np.diag([sig1 * sig1, sig2 * sig2]) @ r.T
-    return ProjectedSplat(
+    return Splat2D(
         mu2d=np.asarray(mu, float),
         cov2d=0.5 * (cov + cov.T),
         depth=depth,
@@ -114,8 +115,7 @@ def test_frame_translation_invariance():
             value=float(rng.uniform(0.1, 1)),
         )
         shift = rng.uniform(-5, 5, 2)
-        sp2 = ProjectedSplat(mu2d=sp.mu2d + shift, cov2d=sp.cov2d, depth=sp.depth,
-                             opacity=sp.opacity, color=sp.color)
+        sp2 = sp._replace(mu2d=sp.mu2d + shift)
         win2 = TransmittanceWindow(center=win.center + shift, sides=win.sides, value=win.value)
         a = to_splat_frame(win, sp, eigen2x2(sp.cov2d))
         b = to_splat_frame(win2, sp2, eigen2x2(sp2.cov2d))
@@ -276,7 +276,7 @@ def test_moments_m0_clamped():
 def window_step(splat, center=PX, sides=(1.0, 1.0), value=1.0):
     """One _WindowBlend.step of splat on a single window whose center, sides
     and value are set directly; returns (weight, center, sides, value) after."""
-    prep = prepare_splats([splat])
+    prep = prepare_splats(stack_splats([splat]))
     prep.color = np.array([[1.0, 0.0, 0.0]])  # the red channel accumulates the weight
     blend = _WindowBlend(np.zeros((1, 2)))
     blend.wc[0] = center
@@ -321,7 +321,7 @@ def test_update_left_overlap_narrows_toward_right():
     assert s[0] < 1.0
     assert w > 0.0
     # Exact values against the quadrature oracle, in the prepared splat frame.
-    prep = prepare_splats([sp])
+    prep = prepare_splats(stack_splats([sp]))
     d = np.array(PX) - prep.mu[0]
     u = np.array([d @ prep.a1[0]])
     vv = np.array([d @ prep.a2[0]])
@@ -352,8 +352,7 @@ def test_update_mass_conservation_randomized():
             value=float(rng.uniform(0.01, 1.0)),
         )
         sp = random_splat(rng, sig_lo=-3, sig_hi=3)
-        sp = ProjectedSplat(mu2d=win.center + rng.normal(0, max(win.sides.max(), 1), 2),
-                            cov2d=sp.cov2d, depth=sp.depth, opacity=sp.opacity, color=sp.color)
+        sp = sp._replace(mu2d=win.center + rng.normal(0, max(win.sides.max(), 1), 2))
         mass_prev = win.mass
         w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
         assert 0.0 <= w <= mass_prev * (1 + 1e-9) + 1e-300
@@ -468,18 +467,12 @@ def test_scalar_alpha_integrated_equals_fresh_gb_weight():
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
 def test_blend_empty_list(mode):
     bg = (0.2, 0.4, 0.6)
-    rgb, res = blend_pixel([], PX, mode, bg)
+    rgb, res = blend_pixel(stack_splats([]), PX, mode, bg)
     assert np.allclose(rgb, bg)
     assert res == 1.0
 
 
 def test_blend_mode_aliases():
-    sp = iso_splat(PX, 1.0, 0.5)
-    for alias, main in (("scalar-center", "center"), ("scalar-integrated", "integrated"),
-                        ("gaussian-blending", "gb"), ("supersample", "ss")):
-        a, _ = blend_pixel([sp], PX, alias)
-        b, _ = blend_pixel([sp], PX, main)
-        assert np.array_equal(a, b)
     with pytest.raises(ValueError, match="unknown blend mode"):
         canonical_mode("bilinear")
 
@@ -501,9 +494,9 @@ def test_blend_single_splat_equivalence():
                            10.0 ** rng.uniform(np.log10(2), np.log10(6)),
                            rng.uniform(0, 2 * np.pi), float(rng.uniform(0.3, 0.95)),
                            color=rng.uniform(0, 1, 3))
-        cg, rg = blend_pixel([sp], PX, "gb", bg)
-        ci, ri = blend_pixel([sp], PX, "integrated", bg)
-        cs, rs = blend_pixel([sp], PX, "ss", bg, ss_k=64)
+        cg, rg = blend_pixel(stack_splats([sp]), PX, "gb", bg)
+        ci, ri = blend_pixel(stack_splats([sp]), PX, "integrated", bg)
+        cs, rs = blend_pixel(stack_splats([sp]), PX, "ss", bg, ss_k=64)
         assert np.allclose(cg, ci, atol=1e-12)
         assert rg == pytest.approx(ri, abs=1e-12)
         assert np.allclose(cg, cs, atol=1e-4)
@@ -518,15 +511,15 @@ def test_blend_two_overlapping_plus_background_splat():
     front_b = iso_splat((0.85, 0.5), 0.3, 0.95, color=(0, 1, 0), depth=1.2)
     back = iso_splat(PX, 6.0, 0.9, color=(0, 0, 1), depth=5.0)
     splats = [front_a, front_b, back]
-    ref, _ = blend_pixel(splats, PX, "ss", (0, 0, 0), ss_k=64)
+    ref, _ = blend_pixel(stack_splats(splats), PX, "ss", (0, 0, 0), ss_k=64)
     errs = {}
     for mode in ("center", "integrated", "gb"):
-        got, _ = blend_pixel(splats, PX, mode, (0, 0, 0))
+        got, _ = blend_pixel(stack_splats(splats), PX, mode, (0, 0, 0))
         errs[mode] = float(np.linalg.norm(got - ref))
     assert errs["gb"] < errs["center"]
     assert errs["gb"] < errs["integrated"]
     # The background splat keeps visible weight under GB.
-    got_gb, _ = blend_pixel(splats, PX, "gb", (0, 0, 0))
+    got_gb, _ = blend_pixel(stack_splats(splats), PX, "gb", (0, 0, 0))
     assert got_gb[2] > 0.1
 
 
@@ -541,7 +534,7 @@ def test_blend_monotone_depletion():
                           10.0 ** rng.uniform(-0.5, 0.5), float(rng.uniform(0.2, 0.9)),
                           color=rng.uniform(0, 1, 3), depth=float(i + 1))
             )
-            _, res = blend_pixel(splats, PX, mode, ss_k=8)
+            _, res = blend_pixel(stack_splats(splats), PX, mode, ss_k=8)
             assert res <= prev + 1e-12
             prev = res
 
@@ -551,15 +544,14 @@ def test_blend_color_commutation():
     rng = np.random.default_rng(14)
     splats = [random_splat(rng, lo=-0.5, hi=1.5, sig_lo=-0.5, sig_hi=0.7) for _ in range(5)]
     for mode in ("center", "integrated", "gb"):
-        base, res0 = blend_pixel(splats, PX, mode)
+        base, res0 = blend_pixel(stack_splats(splats), PX, mode)
         unit_weights = []
         for j in range(5):
             probe = [
-                ProjectedSplat(mu2d=s.mu2d, cov2d=s.cov2d, depth=s.depth, opacity=s.opacity,
-                               color=np.array([1.0, 0, 0]) if i == j else np.zeros(3))
+                s._replace(color=np.array([1.0, 0, 0]) if i == j else np.zeros(3))
                 for i, s in enumerate(splats)
             ]
-            c, res = blend_pixel(probe, PX, mode)
+            c, res = blend_pixel(stack_splats(probe), PX, mode)
             unit_weights.append(c[0])
             assert res == pytest.approx(res0, abs=1e-15)
         recon = sum(w * s.color for w, s in zip(unit_weights, splats))
@@ -571,11 +563,11 @@ def test_blend_epsilon_termination():
     # splat that would push T below it is not composited. GB composites the
     # splat that drops the mass below epsilon, then terminates.
     splats = [iso_splat(PX, 2.0, 0.9, depth=float(i + 1)) for i in range(20)]
-    _, res_loose = blend_pixel(splats, PX, "center", epsilon=0.5)
+    _, res_loose = blend_pixel(stack_splats(splats), PX, "center", epsilon=0.5)
     assert res_loose == 1.0  # alpha 0.9 would leave T = 0.1 < 0.5, so frozen
-    _, res_tight = blend_pixel(splats, PX, "center", epsilon=1e-6)
+    _, res_tight = blend_pixel(stack_splats(splats), PX, "center", epsilon=1e-6)
     assert res_tight < 0.01
-    rgb_gb, res_gb = blend_pixel(splats, PX, "gb", (0, 0, 0), epsilon=0.5)
+    rgb_gb, res_gb = blend_pixel(stack_splats(splats), PX, "gb", (0, 0, 0), epsilon=0.5)
     sp = splats[0]
     w1 = scalar_alpha_integrated(PX, sp, eigen2x2(sp.cov2d))
     assert res_gb == pytest.approx(1.0 - w1, abs=1e-12)  # one splat, then stop
@@ -587,8 +579,8 @@ def test_blend_depth_tie_stable_order():
     # the same depth must keep red dominant.
     red = iso_splat(PX, 2.0, 0.95, color=(1, 0, 0), depth=3.0)
     green = iso_splat(PX, 2.0, 0.95, color=(0, 1, 0), depth=3.0)
-    a, _ = blend_pixel([red, green], PX, "center")
-    b, _ = blend_pixel([green, red], PX, "center")
+    a, _ = blend_pixel(stack_splats([red, green]), PX, "center")
+    b, _ = blend_pixel(stack_splats([green, red]), PX, "center")
     assert a[0] > a[1]
     assert b[1] > b[0]
 
@@ -604,7 +596,7 @@ def test_supersample_convergence():
     deltas = []
     prev = None
     for k in (8, 16, 32, 64):
-        c, _ = blend_pixel(splats, PX, "ss", ss_k=k)
+        c, _ = blend_pixel(stack_splats(splats), PX, "ss", ss_k=k)
         if prev is not None:
             deltas.append(np.abs(c - prev).max())
         prev = c
@@ -629,23 +621,24 @@ def test_support_cutoff_is_opt_in():
     # Bare pixel blending sees the full Gaussian tails; a finite support box
     # (the rasterizer's preparation) makes distant splats contribute nothing.
     far = iso_splat((4.0, 0.5), 1.0, 0.9)
-    _, res_full = blend_pixel([far], PX, "gb", (0, 0, 0))
+    _, res_full = blend_pixel(stack_splats([far]), PX, "gb", (0, 0, 0))
     assert res_full < 1.0  # untruncated tail still absorbs a little
-    prep3 = prepare_splats([far], support_sigma=3.0)
+    prep3 = prepare_splats(stack_splats([far]), support_sigma=3.0)
     rgb, res = blend_pixel(prep3, PX, "gb", (0, 0, 0))
     assert res == 1.0 and np.allclose(rgb, 0.0)
     rgb, res = blend_pixel(prep3, PX, "center", (0, 0, 0))
     assert res == 1.0
     near = iso_splat((3.0, 0.5), 1.0, 0.9)  # 3 sigma box reaches the center
-    _, res2 = blend_pixel(prepare_splats([near], support_sigma=3.0), PX, "gb", (0, 0, 0))
+    prep3 = prepare_splats(stack_splats([near]), support_sigma=3.0)
+    _, res2 = blend_pixel(prep3, PX, "gb", (0, 0, 0))
     assert res2 < 1.0
 
 
 def test_prepare_splats_culls_degenerate():
     good = iso_splat(PX, 1.0, 0.5)
-    bad = ProjectedSplat(mu2d=np.zeros(2), cov2d=np.array([[1.0, 2.0], [2.0, 1.0]]),
-                         depth=1.0, opacity=0.5, color=np.zeros(3))
-    prep = prepare_splats([bad, good])
+    bad = Splat2D(mu2d=np.zeros(2), cov2d=np.array([[1.0, 2.0], [2.0, 1.0]]),
+                  depth=1.0, opacity=0.5, color=np.zeros(3))
+    prep = prepare_splats(stack_splats([bad, good]))
     assert len(prep) == 1
     assert prep.n_culled_degenerate == 1
 
@@ -654,7 +647,7 @@ def test_prepare_splats_sorts_stably():
     rng = np.random.default_rng(3)
     splats = [iso_splat(rng.uniform(0, 1, 2), 1.0, 0.5, depth=d)
               for d in (3.0, 1.0, 3.0, 2.0, 1.0)]
-    prep = prepare_splats(splats)
+    prep = prepare_splats(stack_splats(splats))
     assert np.all(np.diff(prep.depth) >= 0)
     # Ties keep input order: the two depth-1 splats stay as input 1 then 4.
     assert np.allclose(prep.mu[0], splats[1].mu2d)
@@ -667,7 +660,7 @@ def test_vectorized_matches_scalar_ops_gb():
     for _ in range(100):
         n = int(rng.integers(1, 8))
         splats = [random_splat(rng, sig_lo=-1.5, sig_hi=2.0) for _ in range(n)]
-        prep = prepare_splats(splats)
+        prep = prepare_splats(stack_splats(splats))
         px = np.array(PX)
         bg = np.array([0.2, 0.3, 0.4])
         rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "gb", bg, 1e-4)
@@ -675,7 +668,7 @@ def test_vectorized_matches_scalar_ops_gb():
         win = init_window(px)
         rgb = np.zeros(3)
         for j in range(len(prep)):
-            sp = ProjectedSplat(
+            sp = Splat2D(
                 mu2d=prep.mu[j],
                 cov2d=(prep.s1[j] ** 2) * np.outer(prep.a1[j], prep.a1[j])
                 + (prep.s2[j] ** 2) * np.outer(prep.a2[j], prep.a2[j]),
@@ -698,7 +691,7 @@ def test_vectorized_center_matches_scalar_alpha_chain():
     for _ in range(100):
         n = int(rng.integers(1, 10))
         splats = [random_splat(rng, sig_lo=-1, sig_hi=1.2) for _ in range(n)]
-        prep = prepare_splats(splats)
+        prep = prepare_splats(stack_splats(splats))
         px = np.array(PX)
         bg = np.array([0.5, 0.5, 0.5])
         rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "center", bg, 1e-4)
@@ -720,9 +713,9 @@ def test_vectorized_center_matches_scalar_alpha_chain():
         assert res_vec[0, 0] == pytest.approx(t, rel=1e-12)
 
 
-def prep_to_splat(prep: PreparedSplats, j: int) -> ProjectedSplat:
+def prep_to_splat(prep: PreparedSplats, j: int) -> Splat2D:
     cov = (prep.s1[j] ** 2) * np.outer(prep.a1[j], prep.a1[j]) + (
         prep.s2[j] ** 2
     ) * np.outer(prep.a2[j], prep.a2[j])
-    return ProjectedSplat(mu2d=prep.mu[j], cov2d=cov, depth=float(prep.depth[j]),
-                          opacity=float(prep.opacity[j]), color=prep.color[j])
+    return Splat2D(mu2d=prep.mu[j], cov2d=cov, depth=float(prep.depth[j]),
+                   opacity=float(prep.opacity[j]), color=prep.color[j])

@@ -9,7 +9,7 @@ from _oracles import residual_transmittance_gl
 from splatlab.errorlab import (
     PSNR_CAP,
     SweepConfig,
-    iso_splat2d,
+    iso_cloud,
     paper_mu_sweep,
     paper_sigma_sweep,
     psnr,
@@ -19,26 +19,30 @@ from splatlab.errorlab import (
     two_splat_config,
 )
 from splatlab.raster import Framebuffer
-from splatlab.scene import ProjectedSplat
+from splatlab.scene import ProjectedCloud
+
+RED = (1.0, 0.0, 0.0)
 
 
 # --- true residual transmittance ---------------------------------------------
 
 
 def test_true_residual_trivials():
-    assert true_residual_transmittance([]) == 1.0
-    far = [iso_splat2d([30.0, 0.0], 1.0, 1.0)]
+    empty = iso_cloud(np.zeros((0, 2)), [], [], np.zeros((0, 3)), [])
+    assert true_residual_transmittance(empty) == 1.0
+    # A Python float, so that sweep CSVs hold plain reprs.
+    assert type(true_residual_transmittance(two_splat_config(0.5, 1.0))) is float
+    far = iso_cloud([[30.0, 0.0]], [1.0], [1.0], [RED], [1.0])
     assert true_residual_transmittance(far) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_true_residual_closed_matches_quadrature():
     rng = np.random.default_rng(3)
     for _ in range(25):
-        splats = [
-            iso_splat2d(rng.uniform(-1.5, 1.5, 2), 10.0 ** rng.uniform(-0.8, 0.6),
-                        float(rng.uniform(0.2, 1.0)), depth=float(i))
-            for i in range(2)
-        ]
+        rows = [(rng.uniform(-1.5, 1.5, 2), 10.0 ** rng.uniform(-0.8, 0.6), rng.uniform(0.2, 1.0))
+                for _ in range(2)]
+        mu, sigma, opacity = zip(*rows)
+        splats = iso_cloud(mu, sigma, opacity, [RED] * 2, [0.0, 1.0])
         c = true_residual_transmittance(splats, "closed")
         q = true_residual_transmittance(splats, "quad")
         assert c == pytest.approx(q, abs=1e-9)
@@ -57,27 +61,26 @@ def test_true_residual_quad_path_many_splats():
     mus = rng.uniform(-0.8, 0.8, (3, 2))
     sigmas = 10.0 ** rng.uniform(-0.5, 0.3, 3)
     ops = rng.uniform(0.3, 1.0, 3)
-    splats = [iso_splat2d(mus[i], sigmas[i], float(ops[i]), depth=float(i))
-              for i in range(3)]
+    splats = iso_cloud(mus, sigmas, ops, [RED] * 3, [0.0, 1.0, 2.0])
     got = true_residual_transmittance(splats)
     want = residual_transmittance_gl(mus, sigmas, ops)
     assert got == pytest.approx(want, rel=1e-8)
 
 
 def test_true_residual_closed_form_rejections():
-    three = [iso_splat2d([0.0, 0.0], 1.0, 0.5, depth=float(i)) for i in range(3)]
+    three = iso_cloud(np.zeros((3, 2)), [1.0] * 3, [0.5] * 3, [RED] * 3, [0.0, 1.0, 2.0])
     with pytest.raises(ValueError, match="at most two"):
         true_residual_transmittance(three, "closed")
-    aniso = ProjectedSplat(mu2d=np.zeros(2), cov2d=np.diag([1.0, 4.0]), depth=1.0,
-                           opacity=0.5, color=np.zeros(3))
+    aniso = ProjectedCloud(mu2d=np.zeros((1, 2)), cxx=[1.0], cxy=[0.0], cyy=[4.0], depth=[1.0],
+                           opacity=[0.5], color=np.zeros((1, 3)))
     with pytest.raises(ValueError, match="isotropic"):
-        true_residual_transmittance([aniso], "closed")
+        true_residual_transmittance(aniso, "closed")
     # auto falls back to quadrature instead of raising
-    got = true_residual_transmittance([aniso])
-    assert got == true_residual_transmittance([aniso], "quad")
+    got = true_residual_transmittance(aniso)
+    assert got == true_residual_transmittance(aniso, "quad")
     assert 0.0 < got < 1.0
     with pytest.raises(ValueError, match="method"):
-        true_residual_transmittance([], "fast")
+        true_residual_transmittance(three, "fast")
 
 
 # --- transmittance_error ------------------------------------------------------
@@ -100,8 +103,7 @@ def test_error_scalar_negative_on_overlap():
 
 def test_error_gb_flat_limit_exact():
     # A huge uniform splat is represented exactly by the uniform window model.
-    splats = [iso_splat2d([0.0, 0.0], 1e5, 0.5, depth=1.0),
-              iso_splat2d([0.0, 0.0], 1e5, 0.5, depth=2.0)]
+    splats = iso_cloud(np.zeros((2, 2)), [1e5, 1e5], [0.5, 0.5], [RED] * 2, [1.0, 2.0])
     assert abs(transmittance_error("gb", splats)) <= 1e-6
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _reference import Splat2D, stack_splats
 from splatlab import raster
 from splatlab.blending import blend_pixel, prepare_splats
 from splatlab.raster import (
@@ -11,11 +12,11 @@ from splatlab.raster import (
     render,
     render_projected,
 )
-from splatlab.scene import Camera, ProjectedSplat, Splat3D, SplatCloud
+from splatlab.scene import Camera, SplatCloud
 
 
 def iso_splat(mu, sig, o, color=(1.0, 0.0, 0.0), depth=1.0):
-    return ProjectedSplat(
+    return Splat2D(
         mu2d=np.asarray(mu, float),
         cov2d=sig * sig * np.eye(2),
         depth=depth,
@@ -32,7 +33,7 @@ def random_scene(rng, n, width, height, sig_lo=-0.3, sig_hi=1.0):
         d = np.diag(10.0 ** rng.uniform(sig_lo, sig_hi, 2)) ** 2
         cov = r @ d @ r.T
         out.append(
-            ProjectedSplat(
+            Splat2D(
                 mu2d=rng.uniform([-3, -3], [width + 3, height + 3]),
                 cov2d=0.5 * (cov + cov.T),
                 depth=float(rng.uniform(1, 20)),
@@ -40,7 +41,7 @@ def random_scene(rng, n, width, height, sig_lo=-0.3, sig_hi=1.0):
                 color=rng.uniform(0, 1, 3),
             )
         )
-    return out
+    return stack_splats(out)
 
 
 def make_camera(width=32, height=24, fx=30.0):
@@ -50,19 +51,18 @@ def make_camera(width=32, height=24, fx=30.0):
 
 
 def random_cloud(rng, n=40):
-    splats = []
+    rows = []
     for _ in range(n):
         q = rng.normal(size=4)
-        splats.append(
-            Splat3D(
-                mu=np.array([rng.uniform(-2, 2), rng.uniform(-1.5, 1.5), rng.uniform(3, 10)]),
-                scale=10.0 ** rng.uniform(-1.3, -0.3, 3),
-                rot=q / np.linalg.norm(q),
-                opacity=float(rng.uniform(0.1, 1.0)),
-                sh=rng.uniform(0, 0.8, (1, 3)),
-            )
-        )
-    return SplatCloud.from_splats(splats)
+        rows.append((
+            [rng.uniform(-2, 2), rng.uniform(-1.5, 1.5), rng.uniform(3, 10)],
+            10.0 ** rng.uniform(-1.3, -0.3, 3),
+            q / np.linalg.norm(q),
+            rng.uniform(0.1, 1.0),
+            rng.uniform(0, 0.8, (1, 3)),
+        ))
+    mu, scale, rot, opacity, sh = (np.array(col) for col in zip(*rows))
+    return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh)
 
 
 # --- rendering: structural properties ----------------------------------------
@@ -70,26 +70,28 @@ def random_cloud(rng, n=40):
 
 def test_empty_scene_is_background():
     bg = (0.25, 0.5, 0.75)
-    fb = render_projected([], 20, 12, "gb", background=bg)
+    fb = render_projected(stack_splats([]), 20, 12, "gb", background=bg)
     assert fb.rgb.shape == (12, 20, 3)
     assert np.allclose(fb.rgb, bg)
     assert np.all(fb.residual == 1.0)
+    fb3 = render(SplatCloud.empty(), make_camera(20, 12), "center", background=bg)
+    assert np.array_equal(fb3.rgb, fb.rgb) and fb3.stats.n_input == 0
 
 
 def test_flat_opaque_splat_fills_frame():
     sp = iso_splat((16.0, 12.0), 1e4, 1.0, color=(0.2, 0.9, 0.4))
-    fb = render_projected([sp], 32, 24, "gb")
+    fb = render_projected(stack_splats([sp]), 32, 24, "gb")
     assert np.allclose(fb.rgb, [0.2, 0.9, 0.4], atol=1e-5)
     assert np.all(fb.residual < 1e-5)
-    fbc = render_projected([sp], 32, 24, "center")
+    fbc = render_projected(stack_splats([sp]), 32, 24, "center")
     assert np.allclose(fbc.rgb, 0.99 * np.array([0.2, 0.9, 0.4]), atol=1e-5)
 
 
 def test_render_rejects_bad_dimensions():
     with pytest.raises(ValueError, match="dimensions"):
-        render_projected([], 0, 64)
+        render_projected(stack_splats([]), 0, 64)
     with pytest.raises(ValueError, match="dimensions"):
-        render_projected([], 64, -1)
+        render_projected(stack_splats([]), 64, -1)
 
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
@@ -155,9 +157,9 @@ def test_offscreen_splat_not_drawn():
     on = iso_splat((8.0, 8.0), 1.0, 0.5)
     off = iso_splat((-50.0, 8.0), 1.0, 0.5)
     edge = iso_splat((-2.5, 8.0), 1.0, 0.5)  # box [-5.5, 0.5] reaches pixel center 0.5
-    assert render_projected([on, off], 16, 16, "gb").stats.n_drawn == 1
-    assert render_projected([off], 16, 16, "center").stats.n_drawn == 0
-    assert render_projected([on, off, edge], 16, 16, "ss", ss_k=2).stats.n_drawn == 2
+    assert render_projected(stack_splats([on, off]), 16, 16, "gb").stats.n_drawn == 1
+    assert render_projected(stack_splats([off]), 16, 16, "center").stats.n_drawn == 0
+    assert render_projected(stack_splats([on, off, edge]), 16, 16, "ss", ss_k=2).stats.n_drawn == 2
 
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
@@ -165,7 +167,7 @@ def test_support_box_edges_on_pixel_centers(mode):
     # Support boxes are closed: a box edge exactly on a pixel center includes
     # that pixel, and the next pixel out is untouched.
     sp = iso_splat((8.5, 5.5), 1.0, 0.9)  # 3 sigma box [5.5, 11.5] x [2.5, 8.5]
-    prep = prepare_splats([sp], 3.0)
+    prep = prepare_splats(stack_splats([sp]), 3.0)
     assert prep.aabb.tolist() == [[5.5, 2.5, 11.5, 8.5]]
     fb = render_projected(prep, 16, 12, mode, ss_k=2)
     for y in range(12):
@@ -221,15 +223,6 @@ def test_render_full_pipeline():
     assert np.array_equal(fb.rgb, again.rgb)
 
 
-def test_render_accepts_splat_list():
-    rng = np.random.default_rng(13)
-    cloud = random_cloud(rng, 10)
-    cam = make_camera()
-    a = render(cloud, cam, "gb")
-    b = render(list(cloud), cam, "gb")
-    assert np.array_equal(a.rgb, b.rgb)
-
-
 def test_render_lowpass_defaults():
     rng = np.random.default_rng(14)
     cloud = random_cloud(rng, 30)
@@ -256,13 +249,10 @@ def test_render_scaled_camera_shapes():
 
 def test_near_cull_counted():
     cam = make_camera()
-    behind = Splat3D(mu=np.array([0.0, 0.0, -5.0]), scale=np.full(3, 0.1),
-                     rot=np.array([1.0, 0, 0, 0]), opacity=0.5,
-                     sh=np.full((1, 3), 0.3))
-    front = Splat3D(mu=np.array([0.0, 0.0, 5.0]), scale=np.full(3, 0.1),
-                    rot=np.array([1.0, 0, 0, 0]), opacity=0.5,
-                    sh=np.full((1, 3), 0.3))
-    fb = render(SplatCloud.from_splats([behind, front]), cam, "gb")
+    behind_and_front = SplatCloud(mu=[[0.0, 0.0, -5.0], [0.0, 0.0, 5.0]],
+                                  scale=np.full((2, 3), 0.1), rot=[[1.0, 0, 0, 0]] * 2,
+                                  opacity=[0.5, 0.5], sh=np.full((2, 1, 3), 0.3))
+    fb = render(behind_and_front, cam, "gb")
     assert fb.stats.n_culled_near == 1
     assert fb.stats.n_drawn == 1
 

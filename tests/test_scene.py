@@ -13,7 +13,7 @@ from _reference import build_covariance, eval_sh, project_splat
 from splatlab.scene import (
     Camera,
     PlyParseError,
-    Splat3D,
+    ProjectedCloud,
     SplatCloud,
     eval_sh_batch,
     load_camera,
@@ -41,14 +41,25 @@ def make_camera(**kw):
     return Camera(**base)
 
 
+def splat_cloud(rows) -> SplatCloud:
+    """A SplatCloud from per-splat (mu, scale, rot, opacity, sh) rows."""
+    mu, scale, rot, opacity, sh = (np.array(col, dtype=float) for col in zip(*rows))
+    return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh)
+
+
+def one_splat(mu, scale=(0.1, 0.1, 0.1), rot=IDENTITY_Q, opacity=1.0, sh=np.zeros((1, 3))):
+    return splat_cloud([(mu, scale, rot, opacity, sh)])
+
+
 def random_splat(rng, bands=1):
+    """One (mu, scale, rot, opacity, sh) row."""
     q = rng.normal(size=4)
-    return Splat3D(
-        mu=rng.uniform(-2.0, 2.0, 3),
-        scale=np.exp(rng.uniform(-2.0, 0.5, 3)),
-        rot=q / np.linalg.norm(q),
-        opacity=float(rng.uniform(0.1, 1.0)),
-        sh=rng.uniform(-0.5, 0.5, (bands, 3)),
+    return (
+        rng.uniform(-2.0, 2.0, 3),
+        np.exp(rng.uniform(-2.0, 0.5, 3)),
+        q / np.linalg.norm(q),
+        rng.uniform(0.1, 1.0),
+        rng.uniform(-0.5, 0.5, (bands, 3)),
     )
 
 
@@ -84,9 +95,9 @@ def test_build_covariance_eigenvalues_randomized():
         assert np.allclose(got, want, rtol=1e-9, atol=1e-12 * want.max())
 
 
-def project_one(splat, cam, lowpass=0.0):
+def project_one(cloud, cam, lowpass=0.0):
     """project_cloud on a one-splat cloud: (mu2d, cov2d, depth), or None if culled."""
-    pc = project_cloud(SplatCloud.from_splats([splat]), cam, lowpass=lowpass)
+    pc = project_cloud(cloud, cam, lowpass=lowpass)
     if len(pc) == 0:
         return None
     cov = np.array([[pc.cxx[0], pc.cxy[0]], [pc.cxy[0], pc.cyy[0]]])
@@ -95,30 +106,22 @@ def project_one(splat, cam, lowpass=0.0):
 
 def test_on_axis_projection():
     cam = make_camera()
-    s = Splat3D(
-        mu=[0.0, 0.0, 2.0], scale=[0.1, 0.1, 0.1], rot=IDENTITY_Q, opacity=0.8,
-        sh=np.zeros((1, 3)),
-    )
-    mu2d, cov2d, depth = project_one(s, cam)
+    mu2d, cov2d, depth = project_one(one_splat([0.0, 0.0, 2.0], opacity=0.8), cam)
     assert np.allclose(mu2d, [cam.cx, cam.cy], atol=1e-12)
     want = (cam.fx / 2.0) ** 2 * 0.1**2
     assert np.allclose(cov2d, want * np.eye(2), rtol=1e-12)
     assert depth == pytest.approx(2.0)
     # Doubling depth quarters the screen covariance for on-axis isotropic splats.
-    s4 = Splat3D(mu=[0.0, 0.0, 4.0], scale=[0.1, 0.1, 0.1], rot=IDENTITY_Q,
-                 opacity=0.8, sh=np.zeros((1, 3)))
-    _, cov4, _ = project_one(s4, cam)
+    _, cov4, _ = project_one(one_splat([0.0, 0.0, 4.0], opacity=0.8), cam)
     assert np.allclose(cov4 * 4.0, cov2d, rtol=1e-12)
 
 
 def test_behind_camera_culled():
     cam = make_camera()
-    behind = Splat3D(mu=[0.0, 0.0, -1.0], scale=[0.1] * 3, rot=IDENTITY_Q, opacity=1.0,
-                     sh=np.zeros((1, 3)))
-    inside_near = Splat3D(mu=[0.0, 0.0, 0.005], scale=[0.1] * 3, rot=IDENTITY_Q,
-                          opacity=1.0, sh=np.zeros((1, 3)))  # in front but inside near plane
+    behind = one_splat([0.0, 0.0, -1.0])
+    inside_near = one_splat([0.0, 0.0, 0.005])  # in front but inside near plane
     for s in (behind, inside_near):
-        pc = project_cloud(SplatCloud.from_splats([s]), cam)
+        pc = project_cloud(s, cam)
         assert len(pc) == 0
         assert pc.n_culled_near == 1 and pc.n_culled_nonfinite == 0
 
@@ -139,8 +142,7 @@ def test_projection_matches_finite_difference_jacobian():
         mu = rng.uniform(-1.5, 1.5, 3)
         if (cam.rotation @ mu + cam.translation)[2] < 0.5:
             continue
-        s = Splat3D(mu=mu, scale=np.exp(rng.uniform(-3.0, -1.0, 3)),
-                    rot=rng.normal(size=4), opacity=1.0, sh=np.zeros((1, 3)))
+        s = one_splat(mu, scale=np.exp(rng.uniform(-3.0, -1.0, 3)), rot=rng.normal(size=4))
         p = project_one(s, cam)
         assert p is not None
         mu2d, cov2d, _ = p
@@ -151,7 +153,7 @@ def test_projection_matches_finite_difference_jacobian():
             d = np.zeros(3)
             d[k] = eps
             jfd[:, k] = (_project_point(mu + d, cam) - _project_point(mu - d, cam)) / (2 * eps)
-        ref = jfd @ build_covariance(s.scale, s.rot) @ jfd.T
+        ref = jfd @ build_covariance(s.scale[0], s.rot[0]) @ jfd.T
         assert np.allclose(cov2d, ref, rtol=1e-5, atol=1e-8)
         assert np.allclose(mu2d, _project_point(mu, cam), atol=1e-12)
 
@@ -163,7 +165,7 @@ def test_projection_scale_consistency():
     for k in (0.5, 2.0, 8.0):
         cam_k = cam.scaled(k)
         for _ in range(20):
-            s = random_splat(rng)
+            s = one_splat(*random_splat(rng))
             a, b = project_one(s, cam), project_one(s, cam_k)
             if a is None:
                 assert b is None
@@ -174,8 +176,7 @@ def test_projection_scale_consistency():
 
 def test_lowpass_floor_added_to_diagonal():
     cam = make_camera()
-    s = Splat3D(mu=[0.1, -0.2, 3.0], scale=[0.05] * 3, rot=IDENTITY_Q, opacity=1.0,
-                sh=np.zeros((1, 3)))
+    s = one_splat([0.1, -0.2, 3.0], scale=[0.05] * 3)
     _, bare, _ = project_one(s, cam, lowpass=0.0)
     _, floored, _ = project_one(s, cam, lowpass=0.3)
     assert np.allclose(floored - bare, 0.3 * np.eye(2), atol=1e-12)
@@ -184,16 +185,15 @@ def test_lowpass_floor_added_to_diagonal():
 def test_project_cloud_matches_scalar_path():
     rng = np.random.default_rng(23)
     cam = make_camera(world_to_cam=random_pose(rng))
-    splats = [random_splat(rng, bands=4) for _ in range(200)]
+    rows = [random_splat(rng, bands=4) for _ in range(200)]
     # Push a few behind the camera to exercise culling.
-    splats[7] = Splat3D(mu=cam.center - 3.0 * cam.rotation[2], scale=[0.1] * 3,
-                        rot=IDENTITY_Q, opacity=0.5, sh=np.zeros((4, 3)))
-    cloud = SplatCloud.from_splats(splats)
+    rows[7] = (cam.center - 3.0 * cam.rotation[2], [0.1] * 3, IDENTITY_Q, 0.5, np.zeros((4, 3)))
+    cloud = splat_cloud(rows)
     pc = project_cloud(cloud, cam, lowpass=0.3)
 
     kept = 0
-    for i, s in enumerate(splats):
-        ref = project_splat(s, cam, lowpass=0.3)
+    for i in range(len(cloud)):
+        ref = project_splat(cloud, i, cam, lowpass=0.3)
         if ref is None:
             assert i not in pc.source_index
             continue
@@ -208,6 +208,39 @@ def test_project_cloud_matches_scalar_path():
     assert pc.n_culled_near >= 1
     # Survivor order is the input order (stable for depth ties downstream).
     assert np.all(np.diff(pc.source_index) > 0)
+
+
+def projected_fields(m=4):
+    rng = np.random.default_rng(m)
+    return dict(mu2d=rng.uniform(0, 8, (m, 2)), cxx=np.ones(m), cxy=np.zeros(m), cyy=np.ones(m),
+                depth=rng.uniform(1, 5, m), opacity=rng.uniform(0, 1, m),
+                color=rng.uniform(0, 1, (m, 3)))
+
+
+def test_projected_cloud_defaults():
+    pc = ProjectedCloud(**projected_fields())
+    assert len(pc) == 4
+    assert np.array_equal(pc.source_index, np.arange(4))
+    assert pc.n_culled_near == 0 and pc.n_culled_nonfinite == 0
+    assert len(ProjectedCloud(**projected_fields(0))) == 0
+
+
+@pytest.mark.parametrize("field, shape", [
+    ("mu2d", (4, 3)),
+    ("mu2d", (4,)),
+    ("color", (4,)),
+    ("color", (3, 3)),
+    ("cxx", (3,)),
+    ("cxy", (4, 1)),
+    ("cyy", (5,)),
+    ("depth", (4, 2)),
+    ("opacity", ()),
+])
+def test_projected_cloud_rejects_bad_shapes(field, shape):
+    fields = projected_fields()
+    fields[field] = np.zeros(shape)
+    with pytest.raises(ValueError, match=rf"^{field} must have shape"):
+        ProjectedCloud(**fields)
 
 
 def sh_one(sh, direction):
@@ -372,6 +405,52 @@ def test_ply_rejects_bad_files(tmp_path):
         load_ply(p)
 
 
+def test_ply_header_bit_flips_raise_only_parse_errors(tmp_path):
+    # Every single-bit corruption of a header save_ply wrote either loads or
+    # raises PlyParseError; no IndexError, KeyError or bare ValueError escapes.
+    one = SplatCloud(mu=[[0.1, -0.2, 3.0]], scale=[[0.1, 0.2, 0.3]], rot=[IDENTITY_Q],
+                     opacity=[0.5], sh=np.full((1, 4, 3), 0.1))
+    path = tmp_path / "one.ply"
+    save_ply(path, one)
+    raw = path.read_bytes()
+    body_at = raw.index(b"end_header\n") + len(b"end_header\n")
+    assert body_at == 627 and len(load_ply(path)) == 1
+    escaped = []
+    for i in range(body_at):
+        for bit in range(8):
+            flipped = bytearray(raw)
+            flipped[i] ^= 1 << bit
+            path.write_bytes(flipped)
+            try:
+                load_ply(path)
+            except PlyParseError:
+                pass
+            except Exception as e:  # noqa: BLE001 - any other type is the failure
+                escaped.append((i, bit, type(e).__name__))
+    assert escaped == []
+
+
+@pytest.mark.parametrize("old, new, match", [
+    ("element vertex 1\n", "element vertex x\n", "vertex count 'x'"),
+    ("element vertex 1\n", "element vertex -1\n", "vertex count '-1'"),
+    ("element vertex 1\n", "element vertex\n", "malformed header line"),
+    ("format binary_little_endian 1.0\n", "format\n", "malformed header line"),
+    ("property float x\n", "property float\n", "malformed header line"),
+    ("element vertex 1\n", "elemenu vertex 1\n", "malformed header line"),
+    ("property float f_rest_0\n", "property float f_rest_9\n",
+     r"missing vertex properties \['f_rest_0'\]"),
+], ids=["count-x", "count-negative", "count-missing", "format-missing", "property-name-missing",
+        "unknown-keyword", "f_rest-gap"])
+def test_ply_rejects_malformed_header_lines(tmp_path, old, new, match):
+    path = tmp_path / "bad.ply"
+    save_ply(path, make_cloud(np.random.default_rng(4), n=1, bands=4))
+    raw = path.read_bytes()
+    assert old.encode() in raw
+    path.write_bytes(raw.replace(old.encode(), new.encode(), 1))
+    with pytest.raises(PlyParseError, match=match):
+        load_ply(path)
+
+
 def test_ply_truncation_reports_offset(tmp_path):
     rng = np.random.default_rng(2)
     cloud = make_cloud(rng, n=8, bands=1)
@@ -383,33 +462,18 @@ def test_ply_truncation_reports_offset(tmp_path):
         load_ply(path)
 
 
-def test_splat_cloud_sequence_protocol():
-    rng = np.random.default_rng(8)
-    cloud = make_cloud(rng, n=5, bands=4)
-    assert len(cloud) == 5
-    s = cloud[2]
-    assert isinstance(s, Splat3D)
-    assert np.allclose(s.mu, cloud.mu[2])
-    assert len(list(cloud)) == 5
-    again = SplatCloud.from_splats(list(cloud))
-    assert np.allclose(again.sh, cloud.sh)
-    assert np.allclose(again.rot, cloud.rot)
-
-
 def test_splat_validation():
-    with pytest.raises(ValueError):
-        Splat3D(mu=[0, 0, 0], scale=[0.0, 1, 1], rot=IDENTITY_Q, opacity=0.5,
-                sh=np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        Splat3D(mu=[0, 0, 0], scale=[1, 1, 1], rot=IDENTITY_Q, opacity=1.5,
-                sh=np.zeros((1, 3)))
-    with pytest.raises(ValueError):
-        Splat3D(mu=[0, 0, 0], scale=[1, 1, 1], rot=IDENTITY_Q, opacity=0.5,
-                sh=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="scale"):
+        one_splat([0, 0, 0], scale=[0.0, 1, 1])
+    with pytest.raises(ValueError, match="opacity"):
+        one_splat([0, 0, 0], opacity=1.5)
+    with pytest.raises(ValueError, match="band count 2"):
+        one_splat([0, 0, 0], sh=np.zeros((2, 3)))
     # Unnormalized quaternions are normalized on ingest.
-    s = Splat3D(mu=[0, 0, 0], scale=[1, 1, 1], rot=[2.0, 0, 0, 0], opacity=0.5,
-                sh=np.zeros((1, 3)))
-    assert np.linalg.norm(s.rot) == pytest.approx(1.0)
+    s = one_splat([0, 0, 0], rot=[2.0, 0, 0, 0])
+    assert np.array_equal(s.rot, [[1.0, 0.0, 0.0, 0.0]])
+    assert len(make_cloud(np.random.default_rng(8), n=5, bands=4)) == 5
+    assert len(SplatCloud.empty()) == 0
 
 
 def test_ply_rejects_element_before_vertex(tmp_path):

@@ -11,7 +11,7 @@ import pytest
 
 from _reference import DegenerateSplatError, eigen2x2
 from splatlab.blending import prepare_splats
-from splatlab.scene import ProjectedSplat
+from splatlab.scene import ProjectedCloud
 from splatlab.splatmath import eigen2x2_batch, gaussian_moment_k
 
 # (k, sigma, a, b, expected) from the quadrature oracle.
@@ -154,9 +154,9 @@ def test_eigen_sign_determinism():
     for cxx, cxy, cyy in ((2.0, -0.9, 1.0), (1.0, -0.9, 2.0)):
         _, _, ex, ey = eigen2x2_batch(cxx, cxy, cyy)
         assert max((ex, ey), key=abs) > 0.0
-        sp = ProjectedSplat(mu2d=np.zeros(2), cov2d=np.array([[cxx, cxy], [cxy, cyy]]),
-                            depth=1.0, opacity=0.5, color=np.zeros(3))
-        prep = prepare_splats([sp])
+        sp = ProjectedCloud(mu2d=np.zeros((1, 2)), cxx=[cxx], cxy=[cxy], cyy=[cyy],
+                            depth=[1.0], opacity=[0.5], color=np.zeros((1, 3)))
+        prep = prepare_splats(sp)
         for v in (prep.a1[0], prep.a2[0]):
             assert v[np.argmax(np.abs(v))] > 0.0
 
