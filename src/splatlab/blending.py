@@ -19,10 +19,18 @@ moment-matches a new box. The integrated weight of the splat is
 and the new box mass equals the old mass minus w by construction.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
-over the splats that updates, per splat, only the grid points inside its
-support box. The rasterizer calls it on bands of pixel rows, blend_pixel on a
-single pixel. tests/_reference.py replays the same arithmetic one splat and
-one window at a time (update_window, scalar_alpha_*) as the tests' oracle.
+over the splats in which a splat updates only the grid points inside its
+support box. A large splat (a box over 256 points or 1/16 of the grid) is one
+vectorized step over the live points of its box, which it fills well on its
+own. A run of consecutive small splats is blended in depth layers: its
+(point, splat) pairs are stable-sorted by point, and layer k is one step over
+every point with a k-th splat in the run, with one splat index per point.
+Each point still meets the same splats in the same order through the same
+elementwise arithmetic, so the schedule changes no pixel. The rasterizer
+calls blend_grid on bands of pixel rows, blend_pixel on a single pixel, where
+every splat is large. tests/_reference.py replays the same arithmetic one
+splat and one window at a time (update_window, scalar_alpha_*) as the tests'
+oracle.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from splatlab.scene import ProjectedCloud
-from splatlab.splatmath import eigen2x2_batch, gaussian_moments_012
+from splatlab.splatmath import eigen2x2_batch, gaussian_i0, gaussian_moments_012
 
 EPSILON_DEFAULT = 1e-4  # classic termination threshold on remaining transmittance
 ALPHA_MAX = 0.99  # scalar-mode clamp
@@ -43,6 +51,12 @@ GUARD_HI = 1e6  # window side / sigma above this -> scalar fallback
 SUPPORT_SIGMA = 3.0  # rasterizer truncation: points beyond this many sigmas ignore the splat
 
 MODES = ("center", "integrated", "gb", "ss")
+
+# The blend_grid schedule (see _steps); none of these changes a pixel.
+_LARGE_POINTS = 256  # a box over this many grid points fills a vectorized step by itself
+_LARGE_SHARE = 16  # a box over 1/16 of the grid is large too, so a 1x1 grid steps splat by splat
+_MIN_RUN = 8  # shorter runs save fewer steps than their pair sorts cost
+_RUN_PAIRS = 1 << 14  # pairs per run: bounds run memory and the pairs left to points that end in it
 
 
 def canonical_mode(mode: str) -> str:
@@ -158,8 +172,9 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float | None = None
     )
 
 
-def _alpha_center(prep: PreparedSplats, j: int, d: np.ndarray) -> np.ndarray:
-    """Unclamped alpha of splat j sampled at offsets d = point - mu, (p, 2)."""
+def _alpha_center(prep: PreparedSplats, j, d: np.ndarray) -> np.ndarray:
+    """Unclamped alpha of splat j sampled at offsets d = point - mu, (p, 2);
+    j is one splat index or one per point."""
     q = (
         prep.inv_xx[j] * d[:, 0] * d[:, 0]
         - 2.0 * prep.inv_xy[j] * d[:, 0] * d[:, 1]
@@ -168,14 +183,20 @@ def _alpha_center(prep: PreparedSplats, j: int, d: np.ndarray) -> np.ndarray:
     return prep.opacity[j] * np.exp(-0.5 * q)
 
 
-def _alpha_integrated(prep: PreparedSplats, j: int, d: np.ndarray) -> np.ndarray:
-    """Unclamped alpha of splat j integrated over the unit square around each point."""
+def _alpha_integrated(prep: PreparedSplats, j, d: np.ndarray) -> np.ndarray:
+    """Unclamped alpha of splat j integrated over the unit square around each
+    point; j is one splat index or one per point."""
     # elementwise (not @) so results do not depend on the batch size
     u = d[:, 0] * prep.a1[j, 0] + d[:, 1] * prep.a1[j, 1]
     v = d[:, 0] * prep.a2[j, 0] + d[:, 1] * prep.a2[j, 1]
-    i0u, _, _ = gaussian_moments_012(prep.s1[j], u - 0.5, u + 0.5)
-    i0v, _, _ = gaussian_moments_012(prep.s2[j], v - 0.5, v + 0.5)
-    return prep.opacity[j] * i0u * i0v
+    return prep.opacity[j] * gaussian_i0(prep.s1[j], u - 0.5, u + 0.5) * gaussian_i0(
+        prep.s2[j], v - 0.5, v + 0.5)
+
+
+def _masked(j, mask: np.ndarray):
+    """The splat index of the points kept by mask: j itself when it is one
+    index for every point, else its per-point entries under mask."""
+    return j[mask] if isinstance(j, np.ndarray) else j
 
 
 class _ScalarBlend:
@@ -188,8 +209,9 @@ class _ScalarBlend:
         self.rgb = np.zeros((points.shape[0], 3))
         self.t = np.ones(points.shape[0])
 
-    def step(self, prep: PreparedSplats, j: int, act: np.ndarray, epsilon: float) -> np.ndarray:
-        """Composite splat j at the live points act; returns the points it terminates."""
+    def step(self, prep: PreparedSplats, j, act: np.ndarray, epsilon: float) -> np.ndarray:
+        """Composite splat j (one index, or one per point of act) at the live
+        points act; returns the points it terminates."""
         alpha = np.minimum(self.alpha_of(prep, j, self.points[act] - prep.mu[j]), ALPHA_MAX)
         use = alpha >= ALPHA_SKIP
         if not use.any():
@@ -201,7 +223,7 @@ class _ScalarBlend:
         kill = use & (tn < epsilon)
         comp = use & ~kill
         ci = act[comp]
-        self.rgb[ci] += (alpha[comp] * t[ci])[:, None] * prep.color[j]
+        self.rgb[ci] += (alpha[comp] * t[ci])[:, None] * prep.color[_masked(j, comp)]
         t[ci] = tn[comp]
         return act[kill]
 
@@ -218,17 +240,18 @@ class _WindowBlend:
         self.ws = np.ones((points.shape[0], 2))  # window sides
         self.wv = np.ones(points.shape[0])  # window values
 
-    def step(self, prep: PreparedSplats, j: int, act: np.ndarray, epsilon: float) -> np.ndarray:
-        """Blend splat j into the windows of the live points act; returns the
-        points whose remaining mass drops below epsilon."""
+    def step(self, prep: PreparedSplats, j, act: np.ndarray, epsilon: float) -> np.ndarray:
+        """Blend splat j (one index, or one per point of act) into the windows
+        of the live points act; returns the points whose remaining mass drops
+        below epsilon."""
         wc, ws, wv = self.wc, self.ws, self.wv
         o = prep.opacity[j]
         s1, s2 = prep.s1[j], prep.s2[j]
         a1, a2 = prep.a1[j], prep.a2[j]
         d = wc[act] - prep.mu[j]
         # elementwise (not @) so results do not depend on the batch size
-        u = d[:, 0] * a1[0] + d[:, 1] * a1[1]
-        v = d[:, 0] * a2[0] + d[:, 1] * a2[1]
+        u = d[:, 0] * a1[..., 0] + d[:, 1] * a1[..., 1]
+        v = d[:, 0] * a2[..., 0] + d[:, 1] * a2[..., 1]
         l1 = ws[act, 0]
         l2 = ws[act, 1]
         t = wv[act]
@@ -282,7 +305,8 @@ class _WindowBlend:
                 l1n = np.where(over, l1n * grow, l1n)
                 l2n = np.where(over, l2n * grow, l2n)
                 vn = np.where(over, 1.0, vn)
-            cn = prep.mu[j] + mean_u[:, None] * a1 + mean_v[:, None] * a2
+            ju = _masked(j, upd)
+            cn = prep.mu[ju] + mean_u[:, None] * prep.a1[ju] + mean_v[:, None] * prep.a2[ju]
 
             # Guard-tripped points keep geometry and scale value only.
             wc[ui] = np.where(oku[:, None], cn, wc[ui])
@@ -290,7 +314,7 @@ class _WindowBlend:
             ws[ui, 1] = np.where(oku, l2n, ws[ui, 1])
             wv[ui] = np.where(oku, vn, (t * (1.0 - alpha_fb))[upd])
 
-            self.rgb[ui] += weight[upd][:, None] * prep.color[j]
+            self.rgb[ui] += weight[upd][:, None] * prep.color[ju]
         return ui[mass_next[upd] < epsilon]
 
     def residual(self) -> np.ndarray:
@@ -313,6 +337,80 @@ def pixel_blocks(sub: np.ndarray, k: int) -> np.ndarray:
     return np.ascontiguousarray(blocks).reshape(ny * nx, k, k, *sub.shape[2:])
 
 
+def _run_pairs(run, x0, x1, y0, nx: int, cover):
+    """(point, splat) pairs of a run of splats, splat by splat in depth order
+    and row-major inside each splat's support rectangle; cover holds each
+    run splat's rectangle size."""
+    ends = np.cumsum(cover)
+    of = np.repeat(np.arange(run.size), cover)  # each pair's position in the run
+    row, col = np.divmod(np.arange(ends[-1]) - (ends - cover)[of], (x1[run] - x0[run])[of])
+    return (y0[run] * nx + x0[run])[of] + row * nx + col, run[of]
+
+
+def _layers(pt, js, p: int):
+    """Depth layers of a run's pairs, given in depth order: layer k pairs
+    every point with its k-th splat of the run. The sort by point is stable,
+    so each point still meets its splats in depth order."""
+    if pt.size == 0:
+        return
+    # a uint16 key sorts by radix
+    order = np.argsort(pt.astype(np.uint16) if p <= 1 << 16 else pt, kind="stable")
+    pt, js = pt[order], js[order]
+    head = np.empty(pt.size, dtype=bool)
+    head[0] = True
+    np.not_equal(pt[1:], pt[:-1], out=head[1:])
+    starts = np.flatnonzero(head)
+    rank = np.arange(pt.size) - np.repeat(starts, np.diff(np.append(starts, pt.size)))
+    order = np.argsort(rank.astype(np.uint16), kind="stable")
+    pt, js = pt[order], js[order]
+    lo = 0
+    for hi in np.cumsum(np.bincount(rank)).tolist():
+        yield pt[lo:hi], js[lo:hi]
+        lo = hi
+
+
+def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, done: np.ndarray):
+    """The blend steps of the grid ys x xs in depth order, as (points, j).
+
+    A large splat is one step with j its index, over the points of its
+    support rectangle, and so is each splat of a run of fewer than _MIN_RUN
+    consecutive small ones. A longer run is one step per depth layer, with j
+    one splat index per point, split where its pairs exceed _RUN_PAIRS. Each
+    point meets the same splats in the same order either way. Points already
+    marked in done are left out of a run's pairs; the caller filters each
+    step's points the same way.
+    """
+    p = done.size
+    x0, x1, y0, y1 = prep.support_rects(xs, ys)
+    nbox = np.maximum(x1 - x0, 0) * np.maximum(y1 - y0, 0)
+    drawn = np.flatnonzero(nbox)
+    cover = nbox[drawn]
+    small = cover <= min(_LARGE_POINTS, p // _LARGE_SHARE)
+    runs, pair_ends = [], None
+    if small.any():
+        # [start, stop) of every maximal stretch of consecutive small splats
+        edge = np.concatenate(([False], small)) != np.concatenate((small, [False]))
+        runs = np.flatnonzero(edge).reshape(-1, 2).tolist()
+        pair_ends = np.cumsum(cover)
+    rects = np.array([drawn, y0[drawn], y1[drawn], x0[drawn], x1[drawn]]).T.tolist()
+    index = np.arange(p).reshape(ys.size, xs.size)
+    i = 0
+    for start, stop in runs + [[drawn.size, drawn.size]]:
+        if stop - start < _MIN_RUN:
+            start = stop  # too short to repay the sorts: step it splat by splat
+        for j, ya, yb, xa, xb in rects[i:start]:
+            yield index[ya:yb, xa:xb].ravel(), j
+        while start < stop:
+            end = min(stop, max(start + 1, int(pair_ends.searchsorted(
+                pair_ends[start] - cover[start] + _RUN_PAIRS, side="right"))))
+            run = drawn[start:end]
+            pt, js = _run_pairs(run, x0, x1, y0, xs.size, cover[start:end])
+            keep = ~done[pt]
+            yield from _layers(pt[keep], js[keep], p)
+            start = end
+        i = stop
+
+
 def blend_grid(
     prep: PreparedSplats,
     xs,
@@ -327,9 +425,13 @@ def blend_grid(
     Returns rgb (ny, nx, 3) and residual (ny, nx), row-major in y. Splats are
     walked once, front to back; each updates only the live points inside its
     closed support box, an index rectangle found by binary search on each
-    axis. Every point's result depends on its own coordinates alone, so any
-    split of a frame into grids gives the same pixels. ss blends the k x k
-    sub-points of every pixel in center mode and averages each pixel's block.
+    axis. Large splats are one step each, over their rectangle; runs of
+    small ones are one step per depth layer (_steps), which cuts the steps
+    on frames of many small splats from one per splat to about the depth
+    complexity. Every point's result depends on its own coordinates and its
+    own splat sequence alone, so neither the schedule nor any split of a
+    frame into grids changes a pixel. ss blends the k x k sub-points of
+    every pixel in center mode and averages each pixel's block.
     """
     mode = canonical_mode(mode)
     xs = np.asarray(xs, dtype=float).reshape(-1)
@@ -352,14 +454,12 @@ def blend_grid(
     else:
         blend = _ScalarBlend(points, _alpha_center if mode == "center" else _alpha_integrated)
 
-    x0, x1, y0, y1 = prep.support_rects(xs, ys)
-    index = np.arange(p).reshape(ys.size, xs.size)
     done = np.zeros(p, dtype=bool)
     live = p
-    for j in np.flatnonzero((x0 < x1) & (y0 < y1)):
-        act = index[y0[j] : y1[j], x0[j] : x1[j]].ravel()
+    for act, j in _steps(prep, xs, ys, done):
         if live < p:
-            act = act[~done[act]]
+            keep = ~done[act]
+            act, j = act[keep], _masked(j, keep)
         if act.size == 0:
             continue
         ended = blend.step(prep, j, act, epsilon)

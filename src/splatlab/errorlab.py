@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .blending import blend_pixel, canonical_mode
+from .blending import blend_pixel, canonical_mode, prepare_splats
 from .scene import ProjectedCloud
 from .splatmath import gaussian_moment_k
 
@@ -196,10 +196,11 @@ def run_sweep(config: SweepConfig, csv_path=None):
         sigma = float(val) if config.sweep_var == "sigma" else config.sigma
         splats = two_splat_config(mu_x, sigma, config.opacity, config.offset_y)
         t_true = true_residual_transmittance(splats)
+        prep = prepare_splats(splats)  # shared by every mode
         for mode in config.modes:
-            dt = transmittance_error(mode, splats, epsilon=config.epsilon,
-                                     ss_k=config.ss_k, true_value=t_true)
-            rows.append(SweepRow(config.sweep_var, float(val), mode, dt))
+            _, t_mode = blend_pixel(prep, (0.0, 0.0), mode, epsilon=config.epsilon,
+                                    ss_k=config.ss_k)
+            rows.append(SweepRow(config.sweep_var, float(val), mode, t_mode - t_true))
     summary = {m: float(np.mean([abs(r.delta_t) for r in rows if r.mode == m]))
                for m in config.modes}
     if csv_path is not None:

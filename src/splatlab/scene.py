@@ -157,15 +157,28 @@ def load_camera(path) -> Camera:
 
 
 # ---------------------------------------------------------------------------
-# Structure-of-arrays scene container
+# Structure-of-arrays scene containers
+
+
+def _check_shape(name: str, arr: np.ndarray, shape: tuple) -> None:
+    if arr.shape != shape:
+        raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+
+
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    """ValueError naming the field and the first row holding NaN or +-inf."""
+    bad = ~np.isfinite(arr)
+    if bad.any():
+        raise ValueError(f"{name}[{np.argwhere(bad)[0][0]}] is not finite (nan or inf)")
 
 
 @dataclass
 class SplatCloud:
     """A scene's splats, one contiguous array per attribute, row i for splat i.
 
-    Ingest validates every row: values finite, scale > 0, opacity in [0, 1],
-    SH bands in VALID_SH_BANDS; quaternions are normalized.
+    Ingest validates every field's shape and every row: values finite,
+    scale > 0, opacity in [0, 1], SH bands in VALID_SH_BANDS; quaternions are
+    normalized.
     """
 
     mu: np.ndarray  # (n, 3)
@@ -180,16 +193,15 @@ class SplatCloud:
         self.rot = np.ascontiguousarray(self.rot, dtype=float)
         self.opacity = np.ascontiguousarray(self.opacity, dtype=float)
         self.sh = np.ascontiguousarray(self.sh, dtype=float)
-        # NaN passes every comparison below, so reject non-finite values first.
-        for name in ("mu", "scale", "rot", "opacity", "sh"):
-            arr = getattr(self, name)
-            if not np.isfinite(arr).all():
-                i = np.argwhere(~np.isfinite(arr))[0][0]
-                raise ValueError(f"{name}[{i}] is not finite (nan or inf)")
-        self.rot = normalize_quat(self.rot)
-        n = self.mu.shape[0]
+        n = self.mu.shape[0] if self.mu.ndim else 0
+        for name, shape in (("mu", (n, 3)), ("scale", (n, 3)), ("rot", (n, 4)), ("opacity", (n,))):
+            _check_shape(name, getattr(self, name), shape)
         if self.sh.ndim != 3 or self.sh.shape[0] != n or self.sh.shape[2] != 3:
             raise ValueError("sh must be (n, bands, 3)")
+        # NaN passes every comparison below, so reject non-finite values first.
+        for name in ("mu", "scale", "rot", "opacity", "sh"):
+            _check_finite(name, getattr(self, name))
+        self.rot = normalize_quat(self.rot)
         if self.sh.shape[1] not in VALID_SH_BANDS:
             raise ValueError(f"unsupported SH band count {self.sh.shape[1]}")
         if np.any(self.scale <= 0.0):
@@ -256,9 +268,10 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
 class ProjectedCloud:
     """Screen-space splats, one array per attribute, row i for splat i.
 
-    project_cloud keeps the input order of the splats that survive its
-    near-plane and finiteness culls and counts what it dropped; source_index
-    maps each row back to its input splat (row i itself when omitted).
+    Ingest checks every field's shape and rejects NaN and +-inf. project_cloud
+    keeps the input order of the splats that survive its near-plane and
+    finiteness culls and counts what it dropped; source_index maps each row
+    back to its input splat (row i itself when omitted).
     """
 
     mu2d: np.ndarray  # (m, 2)
@@ -278,8 +291,8 @@ class ProjectedCloud:
         for name, shape in (("mu2d", (m, 2)), ("cxx", (m,)), ("cxy", (m,)), ("cyy", (m,)),
                             ("depth", (m,)), ("opacity", (m,)), ("color", (m, 3))):
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != shape:
-                raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+            _check_shape(name, arr, shape)
+            _check_finite(name, arr)
             setattr(self, name, arr)
         if self.source_index is None:
             self.source_index = np.arange(m)
@@ -334,7 +347,8 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
     cxy = np.einsum("nk,nk->n", a[:, 0], a[:, 1])
 
     finite = (
-        np.isfinite(mu2d).all(axis=1)
+        np.isfinite(z)
+        & np.isfinite(mu2d).all(axis=1)
         & np.isfinite(cxx)
         & np.isfinite(cxy)
         & np.isfinite(cyy)

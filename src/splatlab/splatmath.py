@@ -29,7 +29,9 @@ SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
 SQRT2 = np.sqrt(2.0)
 
 
-def _i0(sigma, a, b):
+def gaussian_i0(sigma, a, b):
+    """I0 alone over [a, b]: the hot path for callers that need no I1 or I2;
+    no validation, array in / array out."""
     # erf(b') - erf(a') loses all precision once both bounds sit in the same
     # far tail (erf saturates at 1), so switch to erfc there; the mixed-sign
     # case adds two positive terms and is safe as plain erf.
@@ -65,7 +67,7 @@ def gaussian_moment_k(k, sigma, a, b):
         raise ValueError("lower bound exceeds upper bound")
 
     # I0 alone needs no exp; I1 and I2 come from the shared evaluation.
-    res = _i0(sigma, a, b) if k == 0 else gaussian_moments_012(sigma, a, b)[k]
+    res = gaussian_i0(sigma, a, b) if k == 0 else gaussian_moments_012(sigma, a, b)[k]
     if res.ndim == 0:
         return float(res)
     return res
@@ -82,7 +84,7 @@ def gaussian_moments_012(sigma, a, b):
     s2 = sigma * sigma
     ea = np.exp(-(a * a) / (2.0 * s2))
     eb = np.exp(-(b * b) / (2.0 * s2))
-    i0 = _i0(sigma, a, b)
+    i0 = gaussian_i0(sigma, a, b)
     i1 = s2 * (ea - eb)
     i2 = s2 * (i0 + a * ea - b * eb)
     return i0, i1, i2

@@ -126,6 +126,19 @@ def test_behind_camera_culled():
         assert pc.n_culled_near == 1 and pc.n_culled_nonfinite == 0
 
 
+def test_overflowing_depth_culled_as_nonfinite():
+    # A finite position whose camera depth overflows: turned 45 degrees about
+    # y, (-1.5e308, 0, 1.5e308) lands at depth inf with a finite screen x.
+    # ProjectedCloud rejects an infinite depth, so project_cloud must cull it.
+    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
+    w2c = np.array([[c, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0], [-s, 0.0, c, 0.0]])
+    cloud = SplatCloud(mu=[[-1.5e308, 0.0, 1.5e308], [0.0, 0.0, 2.0]], scale=np.full((2, 3), 0.1),
+                       rot=np.tile(IDENTITY_Q, (2, 1)), opacity=[0.5, 0.5], sh=np.zeros((2, 1, 3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        pc = project_cloud(cloud, make_camera(world_to_cam=w2c))
+    assert pc.n_culled_nonfinite == 1 and pc.source_index.tolist() == [1]
+
+
 def _project_point(mu, cam):
     p = cam.rotation @ mu + cam.translation
     return np.array(
@@ -240,6 +253,21 @@ def test_projected_cloud_rejects_bad_shapes(field, shape):
     fields = projected_fields()
     fields[field] = np.zeros(shape)
     with pytest.raises(ValueError, match=rf"^{field} must have shape"):
+        ProjectedCloud(**fields)
+
+
+@pytest.mark.parametrize("field, bad, row", [
+    ("opacity", np.nan, (2,)),
+    ("mu2d", np.nan, (2, 1)),
+    ("cxx", np.nan, (2,)),
+])
+def test_projected_cloud_rejects_nonfinite(field, bad, row):
+    # Unchecked, these rendered to a late Framebuffer error (opacity), a splat
+    # silently never drawn (mu2d) and a miscounted degenerate cull (cxx).
+    fields = projected_fields()
+    fields[field][row] = bad
+    fields[field][3] = np.inf  # a later bad row: the error names the first
+    with pytest.raises(ValueError, match=rf"^{field}\[2\] is not finite"):
         ProjectedCloud(**fields)
 
 
@@ -474,6 +502,22 @@ def test_splat_validation():
     assert np.array_equal(s.rot, [[1.0, 0.0, 0.0, 0.0]])
     assert len(make_cloud(np.random.default_rng(8), n=5, bands=4)) == 5
     assert len(SplatCloud.empty()) == 0
+
+
+@pytest.mark.parametrize("field, value", [
+    ("mu", np.zeros((2, 2))),
+    ("scale", np.ones((2, 2))),
+    ("opacity", np.full(3, 0.5)),
+    ("rot", np.tile(IDENTITY_Q, (3, 1))),
+])
+def test_splat_cloud_rejects_bad_shapes(field, value):
+    # Unchecked, mu and scale failed later in project_cloud with numpy errors,
+    # and the extra opacity or rot row was silently ignored.
+    fields = dict(mu=np.zeros((2, 3)), scale=np.ones((2, 3)), rot=np.tile(IDENTITY_Q, (2, 1)),
+                  opacity=np.full(2, 0.5), sh=np.zeros((2, 1, 3)))
+    fields[field] = value
+    with pytest.raises(ValueError, match=rf"^{field} must have shape"):
+        SplatCloud(**fields)
 
 
 def test_ply_rejects_element_before_vertex(tmp_path):
