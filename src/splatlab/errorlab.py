@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .blending import blend_pixel, canonical_mode, prepare_splats
+from .blending import EPSILON_DEFAULT, blend_pixel, canonical_mode, prepare_splats
 from .scene import ProjectedCloud
 from .splatmath import gaussian_moment_k
 
@@ -115,9 +115,14 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
     return val
 
 
-def transmittance_error(mode: str, splats: ProjectedCloud, *, epsilon: float = 1e-4,
+def transmittance_error(mode: str, splats, *, epsilon: float = EPSILON_DEFAULT,
                         ss_k: int = 256, true_value: float | None = None) -> float:
-    """Delta T = residual transmittance of the mode minus the exact value."""
+    """Delta T = residual transmittance of the mode minus the exact value.
+
+    splats is whatever blend_pixel takes: a ProjectedCloud or a PreparedSplats.
+    The exact value is true_value when given, else true_residual_transmittance
+    of the ProjectedCloud; a PreparedSplats requires true_value.
+    """
     mode = canonical_mode(mode)
     if true_value is None:
         true_value = true_residual_transmittance(splats)
@@ -139,7 +144,7 @@ class SweepConfig:
     sigma: float = 1.0  # fixed when sweeping mu_x
     opacity: float = 1.0
     offset_y: float = 0.1
-    epsilon: float = 1e-4
+    epsilon: float = EPSILON_DEFAULT
     ss_k: int = 256
 
     def __post_init__(self):
@@ -198,9 +203,9 @@ def run_sweep(config: SweepConfig, csv_path=None):
         t_true = true_residual_transmittance(splats)
         prep = prepare_splats(splats)  # shared by every mode
         for mode in config.modes:
-            _, t_mode = blend_pixel(prep, (0.0, 0.0), mode, epsilon=config.epsilon,
-                                    ss_k=config.ss_k)
-            rows.append(SweepRow(config.sweep_var, float(val), mode, t_mode - t_true))
+            dt = transmittance_error(mode, prep, epsilon=config.epsilon, ss_k=config.ss_k,
+                                     true_value=t_true)
+            rows.append(SweepRow(config.sweep_var, float(val), mode, dt))
     summary = {m: float(np.mean([abs(r.delta_t) for r in rows if r.mode == m]))
                for m in config.modes}
     if csv_path is not None:

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blending import SUPPORT_SIGMA, PreparedSplats, blend_grid, canonical_mode, prepare_splats
+from .blending import (EPSILON_DEFAULT, SUPPORT_SIGMA, PreparedSplats, blend_grid, canonical_mode,
+                       prepare_splats)
 from .scene import Camera, SplatCloud, project_cloud
 
 # diagonal covariance floor (px^2) for center mode; the window modes and the
@@ -55,14 +56,6 @@ class Framebuffer:
         if np.any(self.residual < 0) or np.any(self.residual > 1):
             raise ValueError("residual transmittance must lie in [0, 1]")
 
-    @property
-    def height(self) -> int:
-        return self.rgb.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.rgb.shape[1]
-
 
 def render_projected(
     projected,
@@ -70,7 +63,7 @@ def render_projected(
     height: int,
     mode: str = "gb",
     *,
-    epsilon: float = 1e-4,
+    epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
     background=(0.0, 0.0, 0.0),
 ) -> Framebuffer:
@@ -102,7 +95,7 @@ def render(
     camera: Camera,
     mode: str = "gb",
     *,
-    epsilon: float = 1e-4,
+    epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
     background=(0.0, 0.0, 0.0),
     lowpass: float | None = None,

@@ -9,7 +9,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,7 @@ SH_C3 = (
 
 
 class PlyParseError(ValueError):
-    """Malformed splat PLY; message carries the byte offset where parsing stopped."""
+    """Malformed splat PLY; the message names the file and what is malformed."""
 
 
 def normalize_quat(q):
@@ -66,8 +65,6 @@ class Camera:
 
     def __post_init__(self):
         w2c = np.asarray(self.world_to_cam, dtype=float)
-        if w2c.shape == (4, 4):
-            w2c = w2c[:3, :]
         if w2c.shape != (3, 4):
             raise ValueError(f"world_to_cam must be 3x4, got {w2c.shape}")
         r = w2c[:, :3]
@@ -108,52 +105,6 @@ class Camera:
             height=max(1, int(round(self.height * k))),
             near=self.near,
         )
-
-
-def save_camera(path, cam: Camera) -> None:
-    doc = {
-        "fx": cam.fx,
-        "fy": cam.fy,
-        "cx": cam.cx,
-        "cy": cam.cy,
-        "width": cam.width,
-        "height": cam.height,
-        "world_to_cam": [float(v) for v in cam.world_to_cam.reshape(-1)],
-        "near": cam.near,
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
-
-
-def load_camera(path) -> Camera:
-    """Camera JSON: {fx, fy, cx, cy, width, height, world_to_cam: 12 row-major, near}.
-
-    An optional "scale" field multiplies fx, fy, cx, cy, width, height, which is
-    how the zoom-in / zoom-out experiments are expressed on disk.
-    """
-    with open(path) as f:
-        doc = json.load(f)
-    required = ("fx", "fy", "cx", "cy", "width", "height", "world_to_cam", "near")
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ValueError(f"camera file {path} missing keys: {missing}")
-    w2c = np.asarray(doc["world_to_cam"], dtype=float)
-    if w2c.size != 12:
-        raise ValueError("world_to_cam must hold 12 numbers (3x4 row-major)")
-    cam = Camera(
-        world_to_cam=w2c.reshape(3, 4),
-        fx=float(doc["fx"]),
-        fy=float(doc["fy"]),
-        cx=float(doc["cx"]),
-        cy=float(doc["cy"]),
-        width=int(doc["width"]),
-        height=int(doc["height"]),
-        near=float(doc["near"]),
-    )
-    if "scale" in doc:
-        cam = cam.scaled(float(doc["scale"]))
-    return cam
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +332,6 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
 # ---------------------------------------------------------------------------
 # PLY ingestion (binary little-endian, de-facto trained-splat layout)
 
-_REST_TO_BANDS = {0: 1, 9: 4, 24: 9, 45: 16}
-
-
 def load_ply(path) -> SplatCloud:
     """Read a trained-splat PLY.
 
@@ -437,9 +385,11 @@ def load_ply(path) -> SplatCloud:
         raise PlyParseError(f"{path}: missing vertex element")
 
     n_rest = sum(1 for p in props if p.startswith("f_rest_"))
-    if n_rest not in _REST_TO_BANDS:
-        raise PlyParseError(f"{path}: f_rest count {n_rest} not in {sorted(_REST_TO_BANDS)}")
-    bands = _REST_TO_BANDS[n_rest]
+    # f_rest holds the 3 color channels of every SH coefficient but the DC one.
+    allowed = [3 * (b - 1) for b in VALID_SH_BANDS]
+    if n_rest not in allowed:
+        raise PlyParseError(f"{path}: f_rest count {n_rest} not in {allowed}")
+    bands = n_rest // 3 + 1
     required = (
         ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2", "opacity"]
         + [f"scale_{i}" for i in range(3)]
@@ -484,7 +434,7 @@ def save_ply(path, cloud: SplatCloud) -> None:
     """Write splats in the same trained-splat layout load_ply reads."""
     n = len(cloud)
     bands = cloud.sh.shape[1]
-    n_rest = {1: 0, 4: 9, 9: 24, 16: 45}[bands]
+    n_rest = 3 * (bands - 1)
 
     names = ["x", "y", "z", "nx", "ny", "nz", "f_dc_0", "f_dc_1", "f_dc_2"]
     names += [f"f_rest_{j}" for j in range(n_rest)]

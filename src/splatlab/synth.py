@@ -169,8 +169,6 @@ def two_plane_zoom_scene(seed: int = 0):
 def random_cloud(seed: int = 0, n: int = 400):
     """Unstructured anisotropic splats filling the view frustum."""
     cam = default_camera()
-    if n == 0:
-        return SplatCloud.empty(), cam
     rng = np.random.default_rng(seed)
     z = rng.uniform(2.5, 6.0, n)
     half_x = 0.9 * z * (cam.width / 2.0) / cam.fx

@@ -1,13 +1,12 @@
-"""Scene model tests: covariance build, projection, SH color, PLY and camera I/O.
+"""Scene model tests: covariance build, projection, SH color, PLY I/O.
 
 Projection and SH behaviours run on project_cloud and eval_sh_batch, the code
 the renderer runs; the one-splat versions in _reference.py are their oracle.
 """
 
-import json
-
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _reference import build_covariance, eval_sh, project_splat
 from splatlab.scene import (
@@ -16,10 +15,8 @@ from splatlab.scene import (
     ProjectedCloud,
     SplatCloud,
     eval_sh_batch,
-    load_camera,
     load_ply,
     project_cloud,
-    save_camera,
     save_ply,
 )
 
@@ -327,37 +324,8 @@ def test_camera_validation():
         make_camera(world_to_cam=np.hstack([2.0 * np.eye(3), np.zeros((3, 1))]))
     with pytest.raises(ValueError):
         make_camera(near=0.0)
-
-
-def test_camera_json_roundtrip(tmp_path):
-    rng = np.random.default_rng(19)
-    cam = make_camera(world_to_cam=random_pose(rng))
-    path = tmp_path / "cam.json"
-    save_camera(path, cam)
-    back = load_camera(path)
-    assert np.allclose(back.world_to_cam, cam.world_to_cam)
-    assert (back.fx, back.fy, back.cx, back.cy) == (cam.fx, cam.fy, cam.cx, cam.cy)
-    assert (back.width, back.height, back.near) == (cam.width, cam.height, cam.near)
-
-
-def test_camera_json_scale_field(tmp_path):
-    cam = make_camera()
-    path = tmp_path / "cam.json"
-    save_camera(path, cam)
-    doc = json.loads(path.read_text())
-    doc["scale"] = 0.125
-    path.write_text(json.dumps(doc))
-    small = load_camera(path)
-    assert small.fx == pytest.approx(cam.fx * 0.125)
-    assert small.width == 8 and small.height == 6
-    assert small.cx == pytest.approx(cam.cx * 0.125)
-
-
-def test_camera_json_missing_key(tmp_path):
-    path = tmp_path / "cam.json"
-    path.write_text(json.dumps({"fx": 1.0}))
-    with pytest.raises(ValueError, match="missing"):
-        load_camera(path)
+    with pytest.raises(ValueError):
+        make_camera(world_to_cam=np.eye(4))  # 3x4 only
 
 
 def make_cloud(rng, n=50, bands=16):
@@ -456,6 +424,39 @@ def test_ply_header_bit_flips_raise_only_parse_errors(tmp_path):
             except Exception as e:  # noqa: BLE001 - any other type is the failure
                 escaped.append((i, bit, type(e).__name__))
     assert escaped == []
+
+
+PAYLOAD_BYTES = 3 * 17 * 4  # 3 degree-0 splats of 17 float32 properties
+
+
+@pytest.fixture(scope="module")
+def payload_ply(tmp_path_factory):
+    """Path and bytes of a saved file whose vertex payload is PAYLOAD_BYTES long."""
+    path = tmp_path_factory.mktemp("payload") / "cloud.ply"
+    save_ply(path, make_cloud(np.random.default_rng(5), n=3, bands=1))
+    return path, path.read_bytes()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(edit=st.integers(0, 9 * PAYLOAD_BYTES - 1))
+def test_ply_payload_corruption_raises_only_parse_errors(payload_ply, edit):
+    # Nine edits per payload byte: flip one of its 8 bits, or cut the payload
+    # there. The result either loads or raises PlyParseError; a flipped float
+    # can make a field NaN, inf or out of range.
+    path, saved = payload_ply
+    raw = bytearray(saved)
+    body_at = len(raw) - PAYLOAD_BYTES
+    assert raw[:body_at].endswith(b"end_header\n")
+    byte, bit = divmod(edit, 9)
+    if bit == 8:
+        del raw[body_at + byte:]
+    else:
+        raw[body_at + byte] ^= 1 << bit
+    path.write_bytes(raw)
+    try:
+        assert isinstance(load_ply(path), SplatCloud)
+    except PlyParseError:
+        pass
 
 
 @pytest.mark.parametrize("old, new, match", [
