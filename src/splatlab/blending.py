@@ -268,7 +268,7 @@ class _WindowBlend:
         i0v, i1v, i2v = gaussian_moments_012(s2, v - hv, v + hv)
         to = t * o
         w_int = to * i0u * i0v
-        m0 = np.maximum(t * area - w_int, 0.0)
+        m0 = np.maximum(mass - w_int, 0.0)
 
         # Fallback (guard tripped): raw scalar alpha at the window center.
         alpha_fb = o * np.exp(-0.5 * ((u / s1) ** 2 + (v / s2) ** 2))
@@ -289,10 +289,10 @@ class _WindowBlend:
             oku = ok[upd]
             m0u = m0[upd]
             with np.errstate(divide="ignore", invalid="ignore"):
-                mean_u = np.where(m0u > 0.0, (t * area * u - to * i1u * i0v)[upd] / m0u, 0.0)
-                mean_v = np.where(m0u > 0.0, (t * area * v - to * i0u * i1v)[upd] / m0u, 0.0)
-                m2u = (t * area * (u * u + l1 * l1 / 12.0) - to * i2u * i0v)[upd]
-                m2v = (t * area * (v * v + l2 * l2 / 12.0) - to * i0u * i2v)[upd]
+                mean_u = np.where(m0u > 0.0, (mass * u - to * i1u * i0v)[upd] / m0u, 0.0)
+                mean_v = np.where(m0u > 0.0, (mass * v - to * i0u * i1v)[upd] / m0u, 0.0)
+                m2u = (mass * (u * u + l1 * l1 / 12.0) - to * i2u * i0v)[upd]
+                m2v = (mass * (v * v + l2 * l2 / 12.0) - to * i0u * i2v)[upd]
                 var_u = np.where(m0u > 0.0, np.maximum(m2u / m0u - mean_u * mean_u, 0.0), 0.0)
                 var_v = np.where(m0u > 0.0, np.maximum(m2v / m0u - mean_v * mean_v, 0.0), 0.0)
             l1n = np.maximum(np.sqrt(12.0 * var_u), MIN_SIDE)
@@ -416,16 +416,15 @@ def blend_grid(
     xs,
     ys,
     mode: str,
-    background=(0.0, 0.0, 0.0),
     epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
 ):
     """Blend at every point of the separable grid ys x xs, both ascending.
 
-    Returns rgb (ny, nx, 3) and residual (ny, nx), row-major in y. Splats are
-    walked once, front to back; each updates only the live points inside its
-    closed support box, an index rectangle found by binary search on each
-    axis. Large splats are one step each, over their rectangle; runs of
+    Returns rgb (ny, nx, 3), composited over black, and residual (ny, nx),
+    row-major in y. Splats are walked once, front to back; each updates only
+    the live points inside its closed support box, an index rectangle found
+    by binary search on each axis. Large splats are one step each, over their rectangle; runs of
     small ones are one step per depth layer (_steps), which cuts the steps
     on frames of many small splats from one per splat to about the depth
     complexity. Every point's result depends on its own coordinates and its
@@ -440,7 +439,7 @@ def blend_grid(
         if ss_k < 1:
             raise ValueError("supersample factor must be >= 1")
         rgb, t = blend_grid(prep, subsample_axis(xs, ss_k), subsample_axis(ys, ss_k),
-                            "center", background, epsilon)
+                            "center", epsilon)
         return (pixel_blocks(rgb, ss_k).mean(axis=(1, 2)).reshape(ys.size, xs.size, 3),
                 pixel_blocks(t, ss_k).mean(axis=(1, 2)).reshape(ys.size, xs.size))
 
@@ -469,20 +468,18 @@ def blend_grid(
             if live == 0:
                 break
 
-    residual = blend.residual()
-    rgb = blend.rgb + residual[:, None] * np.asarray(background, dtype=float).reshape(3)
-    return rgb.reshape(ys.size, xs.size, 3), residual.reshape(ys.size, xs.size)
+    return blend.rgb.reshape(ys.size, xs.size, 3), blend.residual().reshape(ys.size, xs.size)
 
 
 def blend_pixel(
     splats,
     pixel,
     mode: str,
-    background=(0.0, 0.0, 0.0),
     epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
 ):
-    """Blend splats at one pixel, front to back; returns (rgb, residual).
+    """Blend splats at one pixel, front to back; returns (rgb, residual) as
+    blend_grid does, rgb composited over black.
 
     splats is a ProjectedCloud, prepared here untruncated, or a PreparedSplats.
     pixel gives the pixel's center coordinates; integrated and gb modes treat
@@ -490,5 +487,5 @@ def blend_pixel(
     """
     prep = splats if isinstance(splats, PreparedSplats) else prepare_splats(splats)
     xy = np.asarray(pixel, dtype=float).reshape(2)
-    rgb, res = blend_grid(prep, xy[:1], xy[1:], mode, background, epsilon, ss_k)
+    rgb, res = blend_grid(prep, xy[:1], xy[1:], mode, epsilon, ss_k)
     return rgb[0, 0], float(res[0, 0])

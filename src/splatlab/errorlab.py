@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .blending import EPSILON_DEFAULT, blend_pixel, canonical_mode, prepare_splats
+from .blending import EPSILON_DEFAULT, blend_pixel, prepare_splats
 from .scene import ProjectedCloud
 from .splatmath import gaussian_moment_k
 
@@ -116,16 +116,13 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
 
 
 def transmittance_error(mode: str, splats, *, epsilon: float = EPSILON_DEFAULT,
-                        ss_k: int = 256, true_value: float | None = None) -> float:
-    """Delta T = residual transmittance of the mode minus the exact value.
+                        ss_k: int = 256, true_value: float) -> float:
+    """Delta T = residual transmittance of the mode at the unit pixel at the
+    origin minus true_value, the exact one.
 
     splats is whatever blend_pixel takes: a ProjectedCloud or a PreparedSplats.
-    The exact value is true_value when given, else true_residual_transmittance
-    of the ProjectedCloud; a PreparedSplats requires true_value.
+    true_residual_transmittance of the ProjectedCloud gives true_value.
     """
-    mode = canonical_mode(mode)
-    if true_value is None:
-        true_value = true_residual_transmittance(splats)
     _, t_mode = blend_pixel(splats, (0.0, 0.0), mode, epsilon=epsilon, ss_k=ss_k)
     return t_mode - true_value
 

@@ -5,6 +5,9 @@ which walks the depth-sorted splats once per band and lets each splat update
 only the pixel centers inside its support box. A pixel's result depends on
 its own center alone, so the band size bounds memory (ss expands every pixel
 into ss_k**2 sub-points) without changing any pixel.
+
+A frame's rgb is composited over black; fb.rgb + fb.residual[..., None] * bg
+composites it over any other background bg.
 """
 
 from __future__ import annotations
@@ -38,7 +41,9 @@ class RenderStats:
 
 @dataclass
 class Framebuffer:
-    """Linear-light rgb plus the residual transmittance that survived blending."""
+    """Linear-light rgb composited over black, plus the residual transmittance
+    that survived blending: fb.rgb + fb.residual[..., None] * bg is the frame
+    over the background bg."""
 
     rgb: np.ndarray  # (h, w, 3)
     residual: np.ndarray  # (h, w)
@@ -58,21 +63,21 @@ class Framebuffer:
 
 
 def render_projected(
-    projected,
+    prep: PreparedSplats,
     width: int,
     height: int,
     mode: str = "gb",
     *,
     epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
-    background=(0.0, 0.0, 0.0),
 ) -> Framebuffer:
-    """Render already-projected splats: a ProjectedCloud, prepared here at
-    SUPPORT_SIGMA, or a PreparedSplats."""
+    """Render splats prepared by prepare_splats, whose support_sigma sets their
+    truncation (render uses SUPPORT_SIGMA); any other input is a TypeError."""
+    if not isinstance(prep, PreparedSplats):
+        raise TypeError(f"render_projected takes a PreparedSplats, not {type(prep).__name__}; "
+                        "prepare it with prepare_splats(projected, SUPPORT_SIGMA)")
     if width <= 0 or height <= 0:
         raise ValueError("image dimensions must be positive")
-    mode = canonical_mode(mode)
-    prep = projected if isinstance(projected, PreparedSplats) else prepare_splats(projected, SUPPORT_SIGMA)
     xs = np.arange(width) + 0.5
     ys = np.arange(height) + 0.5
     k = max(ss_k, 1) if mode == "ss" else 1
@@ -81,7 +86,7 @@ def render_projected(
     res = np.empty((height, width))
     for top in range(0, height, rows):
         band = slice(top, top + rows)
-        rgb[band], res[band] = blend_grid(prep, xs, ys[band], mode, background, epsilon, ss_k)
+        rgb[band], res[band] = blend_grid(prep, xs, ys[band], mode, epsilon, ss_k)
 
     fb = Framebuffer(rgb=rgb, residual=res)
     x0, x1, y0, y1 = prep.support_rects(xs, ys)
@@ -97,7 +102,6 @@ def render(
     *,
     epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
-    background=(0.0, 0.0, 0.0),
     lowpass: float | None = None,
 ) -> Framebuffer:
     """Project a 3D scene and render it in the given blend mode.
@@ -111,10 +115,7 @@ def render(
     t0 = time.perf_counter()
     proj = project_cloud(scene, camera, lowpass=lowpass)
     prep = prepare_splats(proj, SUPPORT_SIGMA)
-    fb = render_projected(
-        prep, camera.width, camera.height, mode,
-        epsilon=epsilon, ss_k=ss_k, background=background,
-    )
+    fb = render_projected(prep, camera.width, camera.height, mode, epsilon=epsilon, ss_k=ss_k)
     fb.stats.n_input = len(scene)
     fb.stats.n_culled_near = proj.n_culled_near
     fb.stats.n_culled_nonfinite = proj.n_culled_nonfinite

@@ -163,16 +163,6 @@ class SplatCloud:
     def __len__(self) -> int:
         return self.mu.shape[0]
 
-    @classmethod
-    def empty(cls) -> "SplatCloud":
-        return cls(
-            mu=np.zeros((0, 3)),
-            scale=np.ones((0, 3)),
-            rot=np.tile(np.array([1.0, 0.0, 0.0, 0.0]), (0, 1)),
-            opacity=np.zeros(0),
-            sh=np.zeros((0, 1, 3)),
-        )
-
 
 def eval_sh_batch(sh, dirs) -> np.ndarray:
     """Real SH color (degree <= 3) per splat toward a unit direction.
@@ -413,7 +403,16 @@ def load_ply(path) -> SplatCloud:
 
     mu = data[:, [col["x"], col["y"], col["z"]]]
     opacity = scipy.special.expit(data[:, col["opacity"]])
-    scale = np.exp(data[:, [col[f"scale_{i}"] for i in range(3)]])
+    log_scale = data[:, [col[f"scale_{i}"] for i in range(3)]]
+    with np.errstate(over="ignore"):
+        scale = np.exp(log_scale)
+    # exp overflows to inf above a log-scale of about 709.8 and underflows to 0
+    # below about -745.1; name the value the file holds, not its exp.
+    bad = np.argwhere(~((scale > 0.0) & (scale < np.inf)))
+    if bad.size:
+        v, i = bad[0]
+        raise PlyParseError(f"{path}: scale_{i} of vertex {v} is {log_scale[v, i]}, "
+                            "whose exp is not a finite positive scale")
     rot = data[:, [col[f"rot_{i}"] for i in range(4)]]
 
     sh = np.zeros((n_vertex, bands, 3))

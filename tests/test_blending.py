@@ -466,9 +466,8 @@ def test_scalar_alpha_integrated_equals_fresh_gb_weight():
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
 def test_blend_empty_list(mode):
-    bg = (0.2, 0.4, 0.6)
-    rgb, res = blend_pixel(stack_splats([]), PX, mode, bg)
-    assert np.allclose(rgb, bg)
+    rgb, res = blend_pixel(stack_splats([]), PX, mode)
+    assert np.array_equal(rgb, np.zeros(3))
     assert res == 1.0
 
 
@@ -482,7 +481,6 @@ def test_blend_single_splat_equivalence():
     # supersample oracle agrees to its box-reinterpretation/discretization
     # error, which is far below 1e-4 for these footprints.
     rng = np.random.default_rng(11)
-    bg = (0.1, 0.2, 0.3)
     for i in range(60):
         if i % 2 == 0:
             sig = 10.0 ** rng.uniform(np.log10(0.7), np.log10(5.0))
@@ -494,9 +492,9 @@ def test_blend_single_splat_equivalence():
                            10.0 ** rng.uniform(np.log10(2), np.log10(6)),
                            rng.uniform(0, 2 * np.pi), float(rng.uniform(0.3, 0.95)),
                            color=rng.uniform(0, 1, 3))
-        cg, rg = blend_pixel(stack_splats([sp]), PX, "gb", bg)
-        ci, ri = blend_pixel(stack_splats([sp]), PX, "integrated", bg)
-        cs, rs = blend_pixel(stack_splats([sp]), PX, "ss", bg, ss_k=64)
+        cg, rg = blend_pixel(stack_splats([sp]), PX, "gb")
+        ci, ri = blend_pixel(stack_splats([sp]), PX, "integrated")
+        cs, rs = blend_pixel(stack_splats([sp]), PX, "ss", ss_k=64)
         assert np.allclose(cg, ci, atol=1e-12)
         assert rg == pytest.approx(ri, abs=1e-12)
         assert np.allclose(cg, cs, atol=1e-4)
@@ -511,15 +509,15 @@ def test_blend_two_overlapping_plus_background_splat():
     front_b = iso_splat((0.85, 0.5), 0.3, 0.95, color=(0, 1, 0), depth=1.2)
     back = iso_splat(PX, 6.0, 0.9, color=(0, 0, 1), depth=5.0)
     splats = [front_a, front_b, back]
-    ref, _ = blend_pixel(stack_splats(splats), PX, "ss", (0, 0, 0), ss_k=64)
+    ref, _ = blend_pixel(stack_splats(splats), PX, "ss", ss_k=64)
     errs = {}
     for mode in ("center", "integrated", "gb"):
-        got, _ = blend_pixel(stack_splats(splats), PX, mode, (0, 0, 0))
+        got, _ = blend_pixel(stack_splats(splats), PX, mode)
         errs[mode] = float(np.linalg.norm(got - ref))
     assert errs["gb"] < errs["center"]
     assert errs["gb"] < errs["integrated"]
     # The background splat keeps visible weight under GB.
-    got_gb, _ = blend_pixel(stack_splats(splats), PX, "gb", (0, 0, 0))
+    got_gb, _ = blend_pixel(stack_splats(splats), PX, "gb")
     assert got_gb[2] > 0.1
 
 
@@ -567,7 +565,7 @@ def test_blend_epsilon_termination():
     assert res_loose == 1.0  # alpha 0.9 would leave T = 0.1 < 0.5, so frozen
     _, res_tight = blend_pixel(stack_splats(splats), PX, "center", epsilon=1e-6)
     assert res_tight < 0.01
-    rgb_gb, res_gb = blend_pixel(stack_splats(splats), PX, "gb", (0, 0, 0), epsilon=0.5)
+    rgb_gb, res_gb = blend_pixel(stack_splats(splats), PX, "gb", epsilon=0.5)
     sp = splats[0]
     w1 = scalar_alpha_integrated(PX, sp, eigen2x2(sp.cov2d))
     assert res_gb == pytest.approx(1.0 - w1, abs=1e-12)  # one splat, then stop
@@ -621,16 +619,16 @@ def test_support_cutoff_is_opt_in():
     # Bare pixel blending sees the full Gaussian tails; a finite support box
     # (the rasterizer's preparation) makes distant splats contribute nothing.
     far = iso_splat((4.0, 0.5), 1.0, 0.9)
-    _, res_full = blend_pixel(stack_splats([far]), PX, "gb", (0, 0, 0))
+    _, res_full = blend_pixel(stack_splats([far]), PX, "gb")
     assert res_full < 1.0  # untruncated tail still absorbs a little
     prep3 = prepare_splats(stack_splats([far]), support_sigma=3.0)
-    rgb, res = blend_pixel(prep3, PX, "gb", (0, 0, 0))
+    rgb, res = blend_pixel(prep3, PX, "gb")
     assert res == 1.0 and np.allclose(rgb, 0.0)
-    rgb, res = blend_pixel(prep3, PX, "center", (0, 0, 0))
+    rgb, res = blend_pixel(prep3, PX, "center")
     assert res == 1.0
     near = iso_splat((3.0, 0.5), 1.0, 0.9)  # 3 sigma box reaches the center
     prep3 = prepare_splats(stack_splats([near]), support_sigma=3.0)
-    _, res2 = blend_pixel(prep3, PX, "gb", (0, 0, 0))
+    _, res2 = blend_pixel(prep3, PX, "gb")
     assert res2 < 1.0
 
 
@@ -662,8 +660,7 @@ def test_vectorized_matches_scalar_ops_gb():
         splats = [random_splat(rng, sig_lo=-1.5, sig_hi=2.0) for _ in range(n)]
         prep = prepare_splats(stack_splats(splats))
         px = np.array(PX)
-        bg = np.array([0.2, 0.3, 0.4])
-        rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "gb", bg, 1e-4)
+        rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "gb", 1e-4)
 
         win = init_window(px)
         rgb = np.zeros(3)
@@ -681,7 +678,6 @@ def test_vectorized_matches_scalar_ops_gb():
             win = nxt
             if win.mass < 1e-4:
                 break
-        rgb += win.mass * bg
         assert np.allclose(rgb, rgb_vec[0, 0], rtol=1e-10, atol=1e-12)
         assert res_vec[0, 0] == pytest.approx(win.mass, rel=1e-10, abs=1e-12)
 
@@ -693,8 +689,7 @@ def test_vectorized_center_matches_scalar_alpha_chain():
         splats = [random_splat(rng, sig_lo=-1, sig_hi=1.2) for _ in range(n)]
         prep = prepare_splats(stack_splats(splats))
         px = np.array(PX)
-        bg = np.array([0.5, 0.5, 0.5])
-        rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "center", bg, 1e-4)
+        rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "center", 1e-4)
 
         t = 1.0
         rgb = np.zeros(3)
@@ -708,7 +703,6 @@ def test_vectorized_center_matches_scalar_alpha_chain():
                 break
             rgb += prep.color[j] * alpha * t
             t = tn
-        rgb += t * bg
         assert np.allclose(rgb, rgb_vec[0, 0], rtol=1e-10, atol=1e-14)
         assert res_vec[0, 0] == pytest.approx(t, rel=1e-12)
 

@@ -89,7 +89,8 @@ def test_true_residual_closed_form_rejections():
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
 def test_error_far_config_near_zero(mode):
     splats = two_splat_config(3.0, 0.3)
-    assert abs(transmittance_error(mode, splats, ss_k=64)) < 1e-3
+    t_true = true_residual_transmittance(splats)
+    assert abs(transmittance_error(mode, splats, ss_k=64, true_value=t_true)) < 1e-3
 
 
 def test_error_scalar_negative_on_overlap():
@@ -104,23 +105,27 @@ def test_error_scalar_negative_on_overlap():
 def test_error_gb_flat_limit_exact():
     # A huge uniform splat is represented exactly by the uniform window model.
     splats = iso_cloud(np.zeros((2, 2)), [1e5, 1e5], [0.5, 0.5], [RED] * 2, [1.0, 2.0])
-    assert abs(transmittance_error("gb", splats)) <= 1e-6
+    t_true = true_residual_transmittance(splats)
+    assert abs(transmittance_error("gb", splats, true_value=t_true)) <= 1e-6
 
 
 def test_error_ss_tracks_truth():
     # The supersample oracle carries the scalar clamps (alpha <= 0.99, skip
     # below 1/255), which bound its accuracy near 1e-3 when o = 1.
-    worst = 0.0
-    for mu_x in np.arange(-3.0, 3.01, 0.5):
-        worst = max(worst, abs(transmittance_error("ss", two_splat_config(float(mu_x), 1.0), ss_k=256)))
-    for sigma in 10.0 ** np.arange(np.log10(0.05), np.log10(5.0) + 0.025, 0.25):
-        worst = max(worst, abs(transmittance_error("ss", two_splat_config(0.5, float(sigma)), ss_k=256)))
+    configs = [two_splat_config(float(mu_x), 1.0) for mu_x in np.arange(-3.0, 3.01, 0.5)]
+    configs += [two_splat_config(0.5, float(sigma))
+                for sigma in 10.0 ** np.arange(np.log10(0.05), np.log10(5.0) + 0.025, 0.25)]
+    worst = max(abs(transmittance_error("ss", splats, ss_k=256,
+                                        true_value=true_residual_transmittance(splats)))
+                for splats in configs)
     assert worst < 2e-3
 
 
 def test_error_ss_converges_in_k():
     splats = two_splat_config(0.3, 0.8)
-    errs = [abs(transmittance_error("ss", splats, ss_k=k)) for k in (4, 16, 64, 256)]
+    t_true = true_residual_transmittance(splats)
+    errs = [abs(transmittance_error("ss", splats, ss_k=k, true_value=t_true))
+            for k in (4, 16, 64, 256)]
     assert errs[-1] < errs[0]
     assert errs[-1] < 1.5e-3
 

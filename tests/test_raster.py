@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import Splat2D, stack_splats
 from splatlab import raster
-from splatlab.blending import blend_pixel, prepare_splats
+from splatlab.blending import SUPPORT_SIGMA, blend_pixel, prepare_splats
 from splatlab.raster import (
     Framebuffer,
     render,
@@ -68,30 +68,43 @@ def random_cloud(rng, n=40):
 # --- rendering: structural properties ----------------------------------------
 
 
-def test_empty_scene_is_background():
-    bg = (0.25, 0.5, 0.75)
-    fb = render_projected(stack_splats([]), 20, 12, "gb", background=bg)
-    assert fb.rgb.shape == (12, 20, 3)
-    assert np.allclose(fb.rgb, bg)
-    assert np.all(fb.residual == 1.0)
-    fb3 = render(SplatCloud.empty(), make_camera(20, 12), "center", background=bg)
-    assert np.array_equal(fb3.rgb, fb.rgb) and fb3.stats.n_input == 0
+def test_zero_row_scene_renders_rgb_0_residual_1():
+    # rgb is composited over black; residual 1 lets any background show through whole.
+    prep = prepare_splats(stack_splats([]), SUPPORT_SIGMA)
+    nothing = SplatCloud(mu=np.zeros((0, 3)), scale=np.ones((0, 3)), rot=np.zeros((0, 4)),
+                         opacity=np.zeros(0), sh=np.zeros((0, 1, 3)))
+    for mode in ("center", "integrated", "gb", "ss"):
+        fb = render_projected(prep, 20, 12, mode, ss_k=2)
+        fb3 = render(nothing, make_camera(20, 12), mode, ss_k=2)
+        for got in (fb, fb3):
+            assert got.rgb.shape == (12, 20, 3)
+            assert np.all(got.rgb == 0.0) and np.all(got.residual == 1.0)
+        assert fb3.stats.n_input == 0 and fb3.stats.n_drawn == 0
 
 
 def test_flat_opaque_splat_fills_frame():
     sp = iso_splat((16.0, 12.0), 1e4, 1.0, color=(0.2, 0.9, 0.4))
-    fb = render_projected(stack_splats([sp]), 32, 24, "gb")
+    prep = prepare_splats(stack_splats([sp]), SUPPORT_SIGMA)
+    fb = render_projected(prep, 32, 24, "gb")
     assert np.allclose(fb.rgb, [0.2, 0.9, 0.4], atol=1e-5)
     assert np.all(fb.residual < 1e-5)
-    fbc = render_projected(stack_splats([sp]), 32, 24, "center")
+    fbc = render_projected(prep, 32, 24, "center")
     assert np.allclose(fbc.rgb, 0.99 * np.array([0.2, 0.9, 0.4]), atol=1e-5)
 
 
 def test_render_rejects_bad_dimensions():
+    prep = prepare_splats(stack_splats([]), SUPPORT_SIGMA)
     with pytest.raises(ValueError, match="dimensions"):
-        render_projected(stack_splats([]), 0, 64)
+        render_projected(prep, 0, 64)
     with pytest.raises(ValueError, match="dimensions"):
-        render_projected(stack_splats([]), 64, -1)
+        render_projected(prep, 64, -1)
+
+
+def test_render_projected_takes_prepared_splats_only():
+    # A ProjectedCloud carries no truncation rule; the caller picks one in prepare_splats.
+    projected = stack_splats([iso_splat((8.0, 8.0), 1.0, 0.5)])
+    with pytest.raises(TypeError, match=r"not ProjectedCloud.*prepare_splats"):
+        render_projected(projected, 16, 16, "gb")
 
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
@@ -99,13 +112,12 @@ def test_pixel_equals_blend_pixel(mode):
     rng = np.random.default_rng(7)
     scene = random_scene(rng, 50, 32, 24)
     prep = prepare_splats(scene)
-    bg = (0.1, 0.2, 0.3)
     k = 4
-    fb = render_projected(prep, 32, 24, mode, background=bg, ss_k=k)
+    fb = render_projected(prep, 32, 24, mode, ss_k=k)
     for _ in range(40):
         x = int(rng.integers(0, 32))
         y = int(rng.integers(0, 24))
-        rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, bg, ss_k=k)
+        rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, ss_k=k)
         assert np.array_equal(fb.rgb[y, x], rgb)
         assert fb.residual[y, x] == res
 
@@ -116,12 +128,11 @@ def test_matches_brute_force_no_binning():
     rng = np.random.default_rng(9)
     scene = random_scene(rng, 40, 19, 13)
     prep = prepare_splats(scene, 3.0)
-    bg = (0.1, 0.2, 0.3)
     for mode in ("center", "integrated", "gb", "ss"):
-        fb = render_projected(prep, 19, 13, mode, background=bg, ss_k=3)
+        fb = render_projected(prep, 19, 13, mode, ss_k=3)
         for y in range(13):
             for x in range(19):
-                rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, bg, ss_k=3)
+                rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, ss_k=3)
                 assert fb.rgb[y, x].tobytes() == rgb.tobytes(), (mode, x, y)
                 assert fb.residual[y, x] == res, (mode, x, y)
 
@@ -143,11 +154,11 @@ def test_supersample_chunking_consistent(monkeypatch):
     # A band budget small enough to split the frame into many row bands must
     # agree with the one-band result.
     rng = np.random.default_rng(11)
-    scene = random_scene(rng, 20, 16, 16)
+    prep = prepare_splats(random_scene(rng, 20, 16, 16), SUPPORT_SIGMA)
     monkeypatch.setattr(raster, "_BAND_POINTS", 1 << 30)
-    a = render_projected(scene, 16, 16, "ss", ss_k=8)
+    a = render_projected(prep, 16, 16, "ss", ss_k=8)
     monkeypatch.setattr(raster, "_BAND_POINTS", 3 * 16 * 8 * 8)  # three rows per band
-    b = render_projected(scene, 16, 16, "ss", ss_k=8)
+    b = render_projected(prep, 16, 16, "ss", ss_k=8)
     assert a.rgb.tobytes() == b.rgb.tobytes()
     assert a.residual.tobytes() == b.residual.tobytes()
 
@@ -157,9 +168,14 @@ def test_offscreen_splat_not_drawn():
     on = iso_splat((8.0, 8.0), 1.0, 0.5)
     off = iso_splat((-50.0, 8.0), 1.0, 0.5)
     edge = iso_splat((-2.5, 8.0), 1.0, 0.5)  # box [-5.5, 0.5] reaches pixel center 0.5
-    assert render_projected(stack_splats([on, off]), 16, 16, "gb").stats.n_drawn == 1
-    assert render_projected(stack_splats([off]), 16, 16, "center").stats.n_drawn == 0
-    assert render_projected(stack_splats([on, off, edge]), 16, 16, "ss", ss_k=2).stats.n_drawn == 2
+
+    def n_drawn(splats, mode, **kw):
+        prep = prepare_splats(stack_splats(splats), SUPPORT_SIGMA)
+        return render_projected(prep, 16, 16, mode, **kw).stats.n_drawn
+
+    assert n_drawn([on, off], "gb") == 1
+    assert n_drawn([off], "center") == 0
+    assert n_drawn([on, off, edge], "ss", ss_k=2) == 2
 
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
@@ -193,11 +209,10 @@ def test_support_box_edges_on_pixel_centers(mode):
 def test_render_equals_blend_pixel_property(seed, n, width, height, mode):
     rng = np.random.default_rng(seed)
     prep = prepare_splats(random_scene(rng, n, width, height, sig_lo=-0.7), 3.0)
-    bg = tuple(rng.uniform(0, 1, 3))
-    fb = render_projected(prep, width, height, mode, background=bg, ss_k=3)
+    fb = render_projected(prep, width, height, mode, ss_k=3)
     for y in range(height):
         for x in range(width):
-            rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, bg, ss_k=3)
+            rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, ss_k=3)
             assert fb.rgb[y, x].tobytes() == rgb.tobytes()
             assert fb.residual[y, x] == res
     centers = np.stack(np.meshgrid(np.arange(width) + 0.5, np.arange(height) + 0.5), -1)
@@ -213,13 +228,13 @@ def test_render_full_pipeline():
     rng = np.random.default_rng(12)
     cloud = random_cloud(rng, 60)
     cam = make_camera()
-    fb = render(cloud, cam, "gb", background=(0.05, 0.05, 0.05))
+    fb = render(cloud, cam, "gb")
     assert fb.rgb.shape == (24, 32, 3)
     assert np.all(fb.residual >= 0) and np.all(fb.residual <= 1)
     assert fb.stats.n_input == 60
     assert fb.stats.n_drawn <= 60
     assert fb.stats.wall_time > 0
-    again = render(cloud, cam, "gb", background=(0.05, 0.05, 0.05))
+    again = render(cloud, cam, "gb")
     assert np.array_equal(fb.rgb, again.rgb)
 
 

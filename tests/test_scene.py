@@ -4,12 +4,16 @@ Projection and SH behaviours run on project_cloud and eval_sh_batch, the code
 the renderer runs; the one-splat versions in _reference.py are their oracle.
 """
 
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import build_covariance, eval_sh, project_splat
 from splatlab.scene import (
+    VALID_SH_BANDS,
     Camera,
     PlyParseError,
     ProjectedCloud,
@@ -360,6 +364,32 @@ def test_ply_roundtrip(tmp_path, bands):
         )
 
 
+@pytest.fixture(scope="module")
+def roundtrip_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("roundtrip") / "cloud.ply"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12),
+       bands=st.sampled_from(VALID_SH_BANDS))
+def test_ply_roundtrip_property(roundtrip_path, seed, n, bands):
+    # Any cloud, the empty one included, loads back as saved within the float32
+    # tolerance of the activations: positions to 1e3, scales e^-10 to e^5,
+    # opacity anywhere in [0, 1] (0 and 1 in about 1 row of 7 each).
+    rng = np.random.default_rng(seed)
+    cloud = SplatCloud(mu=rng.uniform(-1e3, 1e3, (n, 3)),
+                       scale=np.exp(rng.uniform(-10, 5, (n, 3))),
+                       rot=rng.normal(size=(n, 4)),
+                       opacity=np.clip(rng.uniform(-0.2, 1.2, n), 0, 1),
+                       sh=rng.uniform(-3, 3, (n, bands, 3)))
+    save_ply(roundtrip_path, cloud)
+    back = load_ply(roundtrip_path)
+    for name in ("mu", "scale", "rot", "opacity", "sh"):
+        got, want = getattr(back, name), getattr(cloud, name)
+        assert got.shape == want.shape, name
+        assert np.allclose(got, want, rtol=1e-5, atol=1e-6), name
+
+
 def test_ply_activation_fixtures(tmp_path):
     # opacity_raw = 0 -> 0.5 and scale_raw = 0 -> 1 by construction of the format.
     path = tmp_path / "one.ply"
@@ -502,7 +532,6 @@ def test_splat_validation():
     s = one_splat([0, 0, 0], rot=[2.0, 0, 0, 0])
     assert np.array_equal(s.rot, [[1.0, 0.0, 0.0, 0.0]])
     assert len(make_cloud(np.random.default_rng(8), n=5, bands=4)) == 5
-    assert len(SplatCloud.empty()) == 0
 
 
 @pytest.mark.parametrize("field, value", [
@@ -565,3 +594,23 @@ def test_load_ply_rejects_nonfinite(tmp_path):
     path.write_bytes(bytes(raw[:body_at]) + data.tobytes())
     with pytest.raises(PlyParseError, match=r"cloud\.ply: mu\[2\] is not finite"):
         load_ply(path)
+
+
+@pytest.mark.parametrize("log_scale", [1000.0, -1000.0])
+def test_load_ply_rejects_log_scale_beyond_exp(tmp_path, log_scale):
+    # exp(1000) overflows to inf and exp(-1000) underflows to 0 though the file
+    # holds a finite value; the error quotes that value, and numpy warns of nothing.
+    path = tmp_path / "cloud.ply"
+    save_ply(path, make_cloud(np.random.default_rng(9), n=4, bands=1))
+    raw = path.read_bytes()
+    body_at = raw.index(b"end_header\n") + len(b"end_header\n")
+    props = [line.split()[2] for line in raw[:body_at].decode().splitlines()
+             if line.startswith("property")]
+    data = np.frombuffer(raw, dtype="<f4", offset=body_at).reshape(4, -1).copy()
+    data[1, props.index("scale_0")] = log_scale
+    path.write_bytes(raw[:body_at] + data.tobytes())
+    message = re.escape(f"cloud.ply: scale_0 of vertex 1 is {log_scale}")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PlyParseError, match=message):
+            load_ply(path)
