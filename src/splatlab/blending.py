@@ -16,7 +16,10 @@ moment-matches a new box. The integrated weight of the splat is
 
     w = t * o * I0_{sigma1}(u1, u2) * I0_{sigma2}(v1, v2)
 
-and the new box mass equals the old mass minus w by construction.
+and the new box mass equals the old mass minus w by construction. Where the
+window side / sigma leaves [GUARD_LO, GUARD_HI] on either axis, the point takes
+the scalar fallback instead: its box keeps its geometry and its value is scaled
+by 1 - alpha at the box center. Each step sends each point down one branch.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
 over the splats in which a splat updates only the grid points inside its
@@ -183,12 +186,18 @@ def _alpha_center(prep: PreparedSplats, j, d: np.ndarray) -> np.ndarray:
     return prep.opacity[j] * np.exp(-0.5 * q)
 
 
+def _frame(prep: PreparedSplats, j, d: np.ndarray):
+    """Offsets d = point - mu, (p, 2), in splat j's principal frame: (u, v) =
+    (d . a1, d . a2); j is one splat index or one per point."""
+    a1, a2 = prep.a1[j], prep.a2[j]
+    # elementwise (not @) so results do not depend on the batch size
+    return d[:, 0] * a1[..., 0] + d[:, 1] * a1[..., 1], d[:, 0] * a2[..., 0] + d[:, 1] * a2[..., 1]
+
+
 def _alpha_integrated(prep: PreparedSplats, j, d: np.ndarray) -> np.ndarray:
     """Unclamped alpha of splat j integrated over the unit square around each
     point; j is one splat index or one per point."""
-    # elementwise (not @) so results do not depend on the batch size
-    u = d[:, 0] * prep.a1[j, 0] + d[:, 1] * prep.a1[j, 1]
-    v = d[:, 0] * prep.a2[j, 0] + d[:, 1] * prep.a2[j, 1]
+    u, v = _frame(prep, j, d)
     return prep.opacity[j] * gaussian_i0(prep.s1[j], u - 0.5, u + 0.5) * gaussian_i0(
         prep.s2[j], v - 0.5, v + 0.5)
 
@@ -232,7 +241,8 @@ class _ScalarBlend:
 
 
 class _WindowBlend:
-    """Gaussian blending: per-point transmittance windows, moment-matched updates."""
+    """Gaussian blending: per-point transmittance windows. A step sends each
+    point down one branch, _moments in the guard, _fallback outside it."""
 
     def __init__(self, points: np.ndarray):
         self.rgb = np.zeros((points.shape[0], 3))
@@ -243,79 +253,72 @@ class _WindowBlend:
     def step(self, prep: PreparedSplats, j, act: np.ndarray, epsilon: float) -> np.ndarray:
         """Blend splat j (one index, or one per point of act) into the windows
         of the live points act; returns the points whose remaining mass drops
-        below epsilon."""
-        wc, ws, wv = self.wc, self.ws, self.wv
-        o = prep.opacity[j]
-        s1, s2 = prep.s1[j], prep.s2[j]
-        a1, a2 = prep.a1[j], prep.a2[j]
-        d = wc[act] - prep.mu[j]
-        # elementwise (not @) so results do not depend on the batch size
-        u = d[:, 0] * a1[..., 0] + d[:, 1] * a1[..., 1]
-        v = d[:, 0] * a2[..., 0] + d[:, 1] * a2[..., 1]
-        l1 = ws[act, 0]
-        l2 = ws[act, 1]
-        t = wv[act]
-        area = l1 * l2
-        mass = t * area
-
-        r1 = l1 / s1
-        r2 = l2 / s2
+        below epsilon. A branch with no points is not called."""
+        r1, r2 = self.ws[act, 0] / prep.s1[j], self.ws[act, 1] / prep.s2[j]
         ok = (r1 >= GUARD_LO) & (r1 <= GUARD_HI) & (r2 >= GUARD_LO) & (r2 <= GUARD_HI)
+        if ok.all():
+            return self._moments(prep, j, act, epsilon)
+        if not ok.any():
+            return self._fallback(prep, j, act, epsilon)
+        trip = ~ok
+        return np.concatenate((self._moments(prep, _masked(j, ok), act[ok], epsilon),
+                               self._fallback(prep, _masked(j, trip), act[trip], epsilon)))
 
-        hu = 0.5 * l1
-        hv = 0.5 * l2
-        i0u, i1u, i2u = gaussian_moments_012(s1, u - hu, u + hu)
-        i0v, i1v, i2v = gaussian_moments_012(s2, v - hv, v + hv)
-        to = t * o
+    def _moments(self, prep: PreparedSplats, j, act: np.ndarray, epsilon: float) -> np.ndarray:
+        """In-guard points: moment-match a new box to t * (1 - alpha) over the
+        window, by the closed-form Gaussian moments in the splat frame."""
+        u, v = _frame(prep, j, self.wc[act] - prep.mu[j])
+        l1, l2 = self.ws[act, 0], self.ws[act, 1]
+        t = self.wv[act]
+        mass = t * (l1 * l2)
+        hu, hv = 0.5 * l1, 0.5 * l2
+        i0u, i1u, i2u = gaussian_moments_012(prep.s1[j], u - hu, u + hu)
+        i0v, i1v, i2v = gaussian_moments_012(prep.s2[j], v - hv, v + hv)
+        to = t * prep.opacity[j]
         w_int = to * i0u * i0v
         m0 = np.maximum(mass - w_int, 0.0)
-
-        # Fallback (guard tripped): raw scalar alpha at the window center.
-        alpha_fb = o * np.exp(-0.5 * ((u / s1) ** 2 + (v / s2) ** 2))
-        w_fb = (t * alpha_fb) * area
-        mass_fb = (t * (1.0 - alpha_fb)) * area
-
-        weight = np.where(ok, w_int, w_fb)
-        mass_next = np.where(ok, m0, mass_fb)
 
         # Splats with zero integrated weight leave the window untouched. Every
         # other splat is composited; the one that drops the mass below epsilon
         # still contributes, and the point terminates after it.
-        noop = ok & (w_int == 0.0)
-        upd = ~noop
-
+        upd = w_int != 0.0
         ui = act[upd]
-        if ui.size:
-            oku = ok[upd]
-            m0u = m0[upd]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                mean_u = np.where(m0u > 0.0, (mass * u - to * i1u * i0v)[upd] / m0u, 0.0)
-                mean_v = np.where(m0u > 0.0, (mass * v - to * i0u * i1v)[upd] / m0u, 0.0)
-                m2u = (mass * (u * u + l1 * l1 / 12.0) - to * i2u * i0v)[upd]
-                m2v = (mass * (v * v + l2 * l2 / 12.0) - to * i0u * i2v)[upd]
-                var_u = np.where(m0u > 0.0, np.maximum(m2u / m0u - mean_u * mean_u, 0.0), 0.0)
-                var_v = np.where(m0u > 0.0, np.maximum(m2v / m0u - mean_v * mean_v, 0.0), 0.0)
+        if ui.size == 0:
+            return ui
+        m0u = m0[upd]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mean_u = np.where(m0u > 0.0, (mass * u - to * i1u * i0v)[upd] / m0u, 0.0)
+            mean_v = np.where(m0u > 0.0, (mass * v - to * i0u * i1v)[upd] / m0u, 0.0)
+            m2u = (mass * (u * u + l1 * l1 / 12.0) - to * i2u * i0v)[upd]
+            m2v = (mass * (v * v + l2 * l2 / 12.0) - to * i0u * i2v)[upd]
+            var_u = np.where(m0u > 0.0, np.maximum(m2u / m0u - mean_u * mean_u, 0.0), 0.0)
+            var_v = np.where(m0u > 0.0, np.maximum(m2v / m0u - mean_v * mean_v, 0.0), 0.0)
             l1n = np.maximum(np.sqrt(12.0 * var_u), MIN_SIDE)
             l2n = np.maximum(np.sqrt(12.0 * var_v), MIN_SIDE)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                vn = np.where(m0u > 0.0, m0u / (l1n * l2n), 0.0)
-            over = vn > 1.0
-            if over.any():
-                grow = np.sqrt(np.where(over, vn, 1.0))
-                l1n = np.where(over, l1n * grow, l1n)
-                l2n = np.where(over, l2n * grow, l2n)
-                vn = np.where(over, 1.0, vn)
-            ju = _masked(j, upd)
-            cn = prep.mu[ju] + mean_u[:, None] * prep.a1[ju] + mean_v[:, None] * prep.a2[ju]
+            vn = np.where(m0u > 0.0, m0u / (l1n * l2n), 0.0)
+        over = vn > 1.0
+        if over.any():
+            grow = np.sqrt(np.where(over, vn, 1.0))
+            l1n = np.where(over, l1n * grow, l1n)
+            l2n = np.where(over, l2n * grow, l2n)
+            vn = np.where(over, 1.0, vn)
+        ju = _masked(j, upd)
+        self.wc[ui] = prep.mu[ju] + mean_u[:, None] * prep.a1[ju] + mean_v[:, None] * prep.a2[ju]
+        self.ws[ui, 0], self.ws[ui, 1], self.wv[ui] = l1n, l2n, vn
+        self.rgb[ui] += w_int[upd][:, None] * prep.color[ju]
+        return ui[m0u < epsilon]
 
-            # Guard-tripped points keep geometry and scale value only.
-            wc[ui] = np.where(oku[:, None], cn, wc[ui])
-            ws[ui, 0] = np.where(oku, l1n, ws[ui, 0])
-            ws[ui, 1] = np.where(oku, l2n, ws[ui, 1])
-            wv[ui] = np.where(oku, vn, (t * (1.0 - alpha_fb))[upd])
-
-            self.rgb[ui] += weight[upd][:, None] * prep.color[ju]
-        return ui[mass_next[upd] < epsilon]
+    def _fallback(self, prep: PreparedSplats, j, act: np.ndarray, epsilon: float) -> np.ndarray:
+        """Guard-tripped points: scale the value by the raw scalar alpha at
+        the window center; the window keeps its geometry."""
+        u, v = _frame(prep, j, self.wc[act] - prep.mu[j])
+        alpha = prep.opacity[j] * np.exp(-0.5 * ((u / prep.s1[j]) ** 2 + (v / prep.s2[j]) ** 2))
+        t = self.wv[act]
+        area = self.ws[act, 0] * self.ws[act, 1]
+        tn = t * (1.0 - alpha)
+        self.wv[act] = tn
+        self.rgb[act] += ((t * alpha) * area)[:, None] * prep.color[j]
+        return act[tn * area < epsilon]
 
     def residual(self) -> np.ndarray:
         """Remaining transmittance mass of each window."""

@@ -42,14 +42,6 @@ class PlyParseError(ValueError):
     """Malformed splat PLY; the message names the file and what is malformed."""
 
 
-def normalize_quat(q):
-    q = np.asarray(q, dtype=float)
-    n = np.linalg.norm(q, axis=-1, keepdims=True)
-    if np.any(n == 0.0):
-        raise ValueError("zero quaternion")
-    return q / n
-
-
 @dataclass(frozen=True)
 class Camera:
     """Pinhole camera with a rigid world-to-camera transform."""
@@ -129,7 +121,7 @@ class SplatCloud:
 
     Ingest validates every field's shape and every row: values finite,
     scale > 0, opacity in [0, 1], SH bands in VALID_SH_BANDS; quaternions are
-    normalized.
+    nonzero, and normalized.
     """
 
     mu: np.ndarray  # (n, 3)
@@ -152,7 +144,10 @@ class SplatCloud:
         # NaN passes every comparison below, so reject non-finite values first.
         for name in ("mu", "scale", "rot", "opacity", "sh"):
             _check_finite(name, getattr(self, name))
-        self.rot = normalize_quat(self.rot)
+        norm = np.linalg.norm(self.rot, axis=1, keepdims=True)
+        if not norm.all():
+            raise ValueError(f"rot[{np.flatnonzero(norm == 0.0)[0]}] is a zero quaternion")
+        self.rot = self.rot / norm
         if self.sh.shape[1] not in VALID_SH_BANDS:
             raise ValueError(f"unsupported SH band count {self.sh.shape[1]}")
         if np.any(self.scale <= 0.0):

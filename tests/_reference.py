@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from splatlab.blending import ALPHA_MAX, GUARD_HI, GUARD_LO, MIN_SIDE
-from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud, normalize_quat
+from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud
 from splatlab.splatmath import gaussian_moments_012
 
 # --- one screen-space splat ---------------------------------------------------
@@ -318,7 +318,8 @@ def quat_to_rotmat(q) -> np.ndarray:
 
 def build_covariance(scale, rot) -> np.ndarray:
     """World-space covariance of a splat: R diag(s^2) R^T."""
-    r = quat_to_rotmat(normalize_quat(rot))
+    q = np.asarray(rot, dtype=float)
+    r = quat_to_rotmat(q / np.linalg.norm(q))
     m = r * np.asarray(scale, dtype=float)[None, :]  # R @ diag(s)
     return m @ m.T
 

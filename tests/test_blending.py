@@ -32,7 +32,10 @@ from _reference import (
     to_splat_frame,
     update_window,
 )
+from splatlab import blending
 from splatlab.blending import (
+    GUARD_HI,
+    GUARD_LO,
     MIN_SIDE,
     PreparedSplats,
     _WindowBlend,
@@ -417,6 +420,93 @@ def test_update_min_side_clamp():
     assert np.all(s >= MIN_SIDE)
     assert 0.0 <= v <= 1.0
     assert v * s[0] * s[1] == pytest.approx(1.0 - w, abs=1e-9)
+
+
+# --- one step over windows that take different branches --------------------
+
+MIXED_EPSILON = 1e-3
+# Window sides of each point of MIXED_ACT, against splat sigmas of 0.5 to 2:
+# points 0, 1, 5 and 6 are in the guard, 2 and 7 below GUARD_LO, 4 above
+# GUARD_HI. Point 5 lies 1e4 px away (zero integrated weight, a no-op); the
+# masses of 6 and 7 drop below MIXED_EPSILON. Point 3 is not live.
+MIXED_SIDES = [(1.0, 1.0), (0.8, 1.3), (0.03, 1.0), (1.0, 1.0), (1e7, 1e7), (1.0, 1.0),
+               (1.0, 1.0), (0.04, 0.04)]
+MIXED_VALUES = [1.0, 0.7, 0.9, 1.0, 0.6, 1.0, 1.2e-3, 1.0]
+MIXED_ACT = np.array([0, 1, 2, 4, 5, 6, 7])
+MIXED_IN_GUARD = 4
+
+
+def mixed_prep():
+    return prepare_splats(stack_splats([
+        iso_splat((0.0, 0.0), 1.0, 0.9, color=(1.0, 0.2, 0.1), depth=1.0),
+        rot_splat((0.3, -0.2), 2.0, 0.7, 0.4, 0.6, color=(0.1, 0.8, 0.3), depth=2.0),
+        iso_splat((-0.4, 0.1), 0.5, 0.5, color=(0.2, 0.3, 0.9), depth=3.0),
+    ]))
+
+
+def mixed_windows(prep, j):
+    """A _WindowBlend over the MIXED_* windows; the points that must lose
+    their mass sit on the mean of their splat."""
+    js = np.broadcast_to(j, MIXED_ACT.shape)
+    centers = np.array([(0.2, 0.1), (-0.3, 0.4), (0.1, -0.1), (0.0, 0.0), (0.5, 0.5),
+                        (1e4, -1e4), tuple(prep.mu[js[5]]), tuple(prep.mu[js[6]])])
+    blend = _WindowBlend(centers)
+    blend.ws[:] = MIXED_SIDES
+    blend.wv[:] = MIXED_VALUES
+    return blend
+
+
+def window_state(blend, i):
+    return blend.rgb[i], blend.wc[i], blend.ws[i], blend.wv[i]
+
+
+@pytest.mark.parametrize("j", [0, np.array([0, 1, 2, 0, 1, 2, 0])], ids=["one-splat", "per-point"])
+def test_window_step_mixed_branches_equal_solo_steps(j):
+    # One step whose points take both branches, the no-op and epsilon
+    # terminations must leave each point as stepping it alone does.
+    prep = mixed_prep()
+    js = np.broadcast_to(j, MIXED_ACT.shape)
+    r = np.array(MIXED_SIDES)[MIXED_ACT] / np.stack([prep.s1[js], prep.s2[js]], axis=1)
+    assert np.count_nonzero(((r >= GUARD_LO) & (r <= GUARD_HI)).all(axis=1)) == MIXED_IN_GUARD
+    assert (r < GUARD_LO).any() and (r > GUARD_HI).any()
+
+    blend = mixed_windows(prep, j)
+    before = [tuple(a.copy() for a in window_state(blend, i)) for i in range(8)]
+    ended = blend.step(prep, j, MIXED_ACT, MIXED_EPSILON)
+    solo_ended = set()
+    for i, ji in zip(MIXED_ACT.tolist(), js.tolist()):
+        solo = mixed_windows(prep, j)
+        if solo.step(prep, ji, np.array([i]), MIXED_EPSILON).size:
+            solo_ended.add(i)
+        for got, want in zip(window_state(blend, i), window_state(solo, i)):
+            assert np.array_equal(got, want)
+    assert sorted(ended.tolist()) == sorted(solo_ended) == [6, 7]
+    for i in (3, 5):  # not live; a no-op
+        for got, want in zip(window_state(blend, i), before[i]):
+            assert np.array_equal(got, want)
+
+
+def test_window_step_runs_moments_on_in_guard_points_only(monkeypatch):
+    # Guard-tripped points never reach the moment update: a step computes
+    # the moments of the u and v axes of its in-guard points, and no more.
+    sizes = []
+    real = blending.gaussian_moments_012
+
+    def counted(sigma, a, b):
+        sizes.append(np.size(a))
+        return real(sigma, a, b)
+
+    monkeypatch.setattr(blending, "gaussian_moments_012", counted)
+    prep = mixed_prep()
+    blend = _WindowBlend(np.zeros((5, 2)))
+    blend.ws[:] = 0.01  # side / sigma <= 0.02 for every splat
+    blend.step(prep, 0, np.arange(5), MIXED_EPSILON)
+    blend.step(prep, np.array([0, 1, 2, 1, 0]), np.arange(5), MIXED_EPSILON)
+    assert sizes == []
+    for j in (0, np.array([0, 1, 2, 0, 1, 2, 0])):
+        sizes.clear()
+        mixed_windows(prep, j).step(prep, j, MIXED_ACT, MIXED_EPSILON)
+        assert sum(sizes) == 2 * MIXED_IN_GUARD
 
 
 # --- scalar alphas ----------------------------------------------------------

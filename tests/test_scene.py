@@ -531,6 +531,12 @@ def test_splat_validation():
     # Unnormalized quaternions are normalized on ingest.
     s = one_splat([0, 0, 0], rot=[2.0, 0, 0, 0])
     assert np.array_equal(s.rot, [[1.0, 0.0, 0.0, 0.0]])
+    # A zero quaternion has no rotation; the error names the first such row.
+    cloud = make_cloud(np.random.default_rng(8), n=4, bands=1)
+    rot = cloud.rot.copy()
+    rot[2:] = 0.0
+    with pytest.raises(ValueError, match=r"^rot\[2\] is a zero quaternion$"):
+        SplatCloud(mu=cloud.mu, scale=cloud.scale, rot=rot, opacity=cloud.opacity, sh=cloud.sh)
     assert len(make_cloud(np.random.default_rng(8), n=5, bands=4)) == 5
 
 
@@ -593,6 +599,20 @@ def test_load_ply_rejects_nonfinite(tmp_path):
     data[2, 0] = np.nan  # x of the third vertex
     path.write_bytes(bytes(raw[:body_at]) + data.tobytes())
     with pytest.raises(PlyParseError, match=r"cloud\.ply: mu\[2\] is not finite"):
+        load_ply(path)
+
+
+def test_load_ply_rejects_zero_quaternion(tmp_path):
+    path = tmp_path / "cloud.ply"
+    save_ply(path, make_cloud(np.random.default_rng(9), n=4, bands=1))
+    raw = path.read_bytes()
+    body_at = raw.index(b"end_header\n") + len(b"end_header\n")
+    props = [line.split()[2] for line in raw[:body_at].decode().splitlines()
+             if line.startswith("property")]
+    data = np.frombuffer(raw, dtype="<f4", offset=body_at).reshape(4, -1).copy()
+    data[2, [props.index(f"rot_{i}") for i in range(4)]] = 0.0
+    path.write_bytes(raw[:body_at] + data.tobytes())
+    with pytest.raises(PlyParseError, match=r"cloud\.ply: rot\[2\] is a zero quaternion"):
         load_ply(path)
 
 
