@@ -6,6 +6,7 @@ one window at a time, written for reading rather than speed, and serve the
 tests as a step-by-step oracle for that path:
 
   update_window, scalar_alpha_*   blending.blend_grid / _WindowBlend.step
+  gaussian_i0_cases               splatmath.gaussian_i0
   eigen2x2                        splatmath.eigen2x2_batch
   eval_sh                         scene.eval_sh_batch
   project_splat                   scene.project_cloud
@@ -24,10 +25,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.special
 
 from splatlab.blending import ALPHA_MAX, GUARD_HI, GUARD_LO, MIN_SIDE
 from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud
-from splatlab.splatmath import gaussian_moments_012
+from splatlab.splatmath import SQRT2, SQRT_HALF_PI, gaussian_moments_012
 
 # --- one screen-space splat ---------------------------------------------------
 
@@ -55,6 +57,28 @@ def stack_splats(splats) -> ProjectedCloud:
         opacity=[s.opacity for s in splats],
         color=np.array([s.color for s in splats], dtype=float).reshape(-1, 3),
     )
+
+
+# --- 1D Gaussian mass ---------------------------------------------------------
+
+
+def gaussian_i0_cases(sigma, a, b):
+    """I0 over [a, b] case by case: erf over every element, then an erfc pair
+    over every element for each one-sided case that occurs anywhere, merged
+    with np.where. splatmath.gaussian_i0 must equal it bit for bit."""
+    # erf(b') - erf(a') loses all precision once both bounds sit in the same
+    # far tail (erf saturates at 1), so switch to erfc there; the mixed-sign
+    # case adds two positive terms and is safe as plain erf.
+    sa = np.asarray(a, dtype=float) / (SQRT2 * sigma)
+    sb = np.asarray(b, dtype=float) / (SQRT2 * sigma)
+    out = scipy.special.erf(sb) - scipy.special.erf(sa)
+    pos = sa >= 0.0  # both bounds right of center (sa <= sb always)
+    neg = sb <= 0.0
+    if np.any(pos):
+        out = np.where(pos, scipy.special.erfc(sa) - scipy.special.erfc(sb), out)
+    if np.any(neg):
+        out = np.where(neg, scipy.special.erfc(-sb) - scipy.special.erfc(-sa), out)
+    return SQRT_HALF_PI * sigma * out
 
 
 # --- 2x2 eigen-solve ----------------------------------------------------------

@@ -3,16 +3,19 @@
 Expected moment values were frozen from an independent arbitrary-precision
 quadrature (mpmath, 40 digits) of x^k exp(-x^2 / 2 sigma^2) over [a, b]. The
 eigen tests run on eigen2x2_batch, the solver prepare_splats uses; the
-one-matrix eigen2x2 in _reference.py is its step-by-step oracle.
+one-matrix eigen2x2 in _reference.py is its step-by-step oracle, as
+gaussian_i0_cases there is gaussian_i0's.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _reference import DegenerateSplatError, eigen2x2
+from _oracles import moment_quad
+from _reference import DegenerateSplatError, eigen2x2, gaussian_i0_cases
 from splatlab.blending import prepare_splats
 from splatlab.scene import ProjectedCloud
-from splatlab.splatmath import eigen2x2_batch, gaussian_moment_k
+from splatlab.splatmath import eigen2x2_batch, gaussian_i0, gaussian_moment_k
 
 # (k, sigma, a, b, expected) from the quadrature oracle.
 MOMENT_CASES = [
@@ -85,6 +88,87 @@ def test_moment_broadcasts():
     got = gaussian_moment_k(0, sig, -1.0, 1.0)
     want = np.array([gaussian_moment_k(0, float(s), -1.0, 1.0) for s in sig])
     assert np.allclose(got, want, rtol=1e-14)
+
+
+def test_moment_batched_mixed_cases_match_quadrature():
+    # One call whose array holds far-right, far-left and straddling intervals,
+    # so the mixed-sign elements are scattered into the erfc result.
+    sigma = np.array([1.0, 1.0, 1.0, 2.5, 0.05, 3.0, 1.0, 1.0])
+    a = np.array([8.0, -10.0, -3.0, 0.75, -0.5, -12.0, -0.25, 0.0])
+    b = np.array([10.0, -8.0, 1.0, 4.0, 0.5, -9.0, 30.0, 0.5])
+    got = gaussian_moment_k(0, sigma, a, b)
+    assert got.shape == a.shape
+    for g, s, lo, hi in zip(got, sigma, a, b):
+        assert g == pytest.approx(moment_quad(0, s, lo, hi), rel=1e-9)
+    # scalar input still returns a Python float in each of the three cases
+    for lo, hi in ((8.0, 10.0), (-10.0, -8.0), (-3.0, 1.0)):
+        assert type(gaussian_moment_k(0, 1.0, lo, hi)) is float
+
+
+def _assert_bit_equal(got, want):
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def test_gaussian_i0_equals_cases_on_signed_zeros():
+    # Every pair of bounds from {-1, -0.0, +0.0, 1} with a <= b: each case,
+    # the a == b intervals and the zero bounds whose sign picks the case.
+    vals = [-1.0, -0.0, 0.0, 1.0]
+    a, b = (np.array(v) for v in zip(*[(x, y) for x in vals for y in vals if x <= y]))
+    for sigma in (1.0, np.linspace(0.5, 3.0, a.size)):
+        _assert_bit_equal(gaussian_i0(sigma, a, b), gaussian_i0_cases(sigma, a, b))
+    for x, y in zip(a.tolist(), b.tolist()):
+        _assert_bit_equal(gaussian_i0(2.0, x, y), gaussian_i0_cases(2.0, x, y))
+
+
+def _bounds(rng, size):
+    """size bounds in sigma units, uniform on [-40, 40]; one in four is
+    exactly +0.0 or -0.0 instead."""
+    x = rng.uniform(-40.0, 40.0, size)
+    pick = rng.integers(0, 8, size)
+    x[pick == 0] = 0.0
+    x[pick == 1] = -0.0
+    return x
+
+
+@st.composite
+def _i0_inputs(draw):
+    """(sigma, a, b) with a <= b in one of the forms gaussian_i0 is called with:
+    flat arrays with a scalar or a per-element sigma, the (rows, cols) bounds
+    _alpha_integrated passes on a _Rect, 0-d arrays and Python floats. The
+    bounds come from a drawn seed (a few draws per example keep hypothesis's
+    own cost low); every fourth pair of an array is cut to a == b."""
+    form = draw(st.sampled_from(["flat", "per_element", "rect", "zero_d", "python"]))
+    sigma = 10.0 ** draw(st.floats(-1.5, 1.5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if form == "rect":
+        # u = dx * a1x + dy * a1y over a separable grid, bounds u -+ 0.5
+        rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+        theta = draw(st.floats(0.0, 2.0 * np.pi))
+        dx, dy = sigma * _bounds(rng, cols), sigma * _bounds(rng, rows)[:, None]
+        u = dx * np.cos(theta) + dy * np.sin(theta)
+        return np.float64(sigma), u - 0.5, u + 0.5
+    n = 1 if form in ("zero_d", "python") else draw(st.integers(1, 24))
+    x, y = _bounds(rng, n), _bounds(rng, n)
+    a, b = np.minimum(x, y), np.maximum(x, y)
+    b[3::4] = a[3::4]
+    if form == "per_element":
+        sigma = 10.0 ** rng.uniform(-1.5, 1.5, n)
+    a, b = sigma * a, sigma * b
+    if form == "zero_d":
+        return np.asarray(sigma), np.asarray(a[0]), np.asarray(b[0])
+    if form == "python":
+        return float(sigma), float(a[0]), float(b[0])
+    return sigma, a, b
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_i0_inputs())
+def test_gaussian_i0_equals_cases_property(args):
+    # Bounds up to 40 sigma out, mixing all three cases, equal bounds and
+    # signed zeros: same values and sign bits as the case-by-case reference.
+    _assert_bit_equal(gaussian_i0(*args), gaussian_i0_cases(*args))
 
 
 def test_moment_rejects_bad_input():
