@@ -23,11 +23,16 @@ by 1 - alpha at the box center. Each step sends each point down one branch.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
 over the splats in which a splat updates only the grid points inside its
-support box. A large splat (a box over 256 points or 1/16 of the grid) is one
-vectorized step over the live points of its box, which it fills well on its
-own. That step is dense when the box holds over 256 points and at least half
-of them are live: it reads and writes basic-slice views of the box in the
-state reshaped to the grid (a _Rect), and masks the done points out of every
+support box. It cuts its grid into bands of rows of at most _BAND_POINTS
+blend points (ss counts every sub-point), and _steps alone decides the steps
+of a band. Each step is a _Rect or a _Gather of live points that carries its
+splat index j, and each step body is written once over both forms.
+
+A large splat (a box over 256 points or 1/16 of the grid) is one vectorized
+step over the live points of its box, which it fills well on its own. That
+step is dense when the box holds over 256 points and at least half of them
+are live: it reads and writes basic-slice views of the box in the state
+reshaped to the grid (a _Rect), and masks the done points out of every
 write. Any other box gathers its live points by a flat index array and
 scatters back (a _Gather), for two reasons measured on a 2-vCPU x86-64 VM: on
 the 1 x 1 grids of blend_pixel the dense form's fixed cost made the paper
@@ -37,11 +42,12 @@ took 1.3x as long). In gb, when the live windows of a box take both branches,
 each branch's points take the form they would as a box of their own. A run of
 consecutive small splats is blended in depth layers: its (point, splat) pairs
 are stable-sorted by point, and layer k is one gathered step over every point
-with a k-th splat in the run, with one splat index per point. Each step body
-is written once over both forms. Each point still meets the same splats in the
-same order through the same elementwise arithmetic, so neither the schedule
-nor a step's form changes a pixel. The rasterizer calls blend_grid on bands of
-pixel rows, blend_pixel on a single pixel, where every splat is large.
+with a k-th splat in the run, with one splat index per point.
+
+Each point still meets the same splats in the same order through the same
+elementwise arithmetic, so neither the bands, nor the schedule, nor a step's
+form changes a pixel. The rasterizer calls blend_grid on the whole frame,
+blend_pixel on a single pixel, where every splat is large.
 tests/_reference.py replays the same arithmetic one splat and one window at a
 time (update_window, scalar_alpha_*) as the tests' oracle.
 """
@@ -70,6 +76,7 @@ _LARGE_POINTS = 256  # a box over this many grid points fills a vectorized step 
 _LARGE_SHARE = 16  # a box over 1/16 of the grid is large too, so a 1x1 grid steps splat by splat
 _MIN_RUN = 8  # shorter runs save fewer steps than their pair sorts cost
 _RUN_PAIRS = 1 << 14  # pairs per run: bounds run memory and the pairs left to points that end in it
+_BAND_POINTS = 1 << 14  # blend points per band (pixels times ss_k**2 in ss): bounds band memory
 
 
 def canonical_mode(mode: str) -> str:
@@ -212,24 +219,22 @@ def _alpha_integrated(prep: PreparedSplats, j, dx, dy) -> np.ndarray:
         prep.s2[j], v - 0.5, v + 0.5)
 
 
-def _masked(j, mask: np.ndarray):
-    """The splat index of the points kept by mask: j itself when it is one
-    index for every point, else its per-point entries under mask."""
-    return j[mask] if isinstance(j, np.ndarray) else j
-
-
 class _Gather:
     """A step's points as a flat index array act into the (p, ...) blend
-    state, all of them live; reads gather copies, writes scatter.
+    state, all of them live, and j the splat each meets: one index for every
+    point, or one per point. Reads gather copies, writes scatter.
 
-    A step body reaches its points only through the methods this class
-    shares with _Rect: offsets (point - mu as x and y), get (a state array
+    A step body reaches its points only through the members this class
+    shares with _Rect: j, offsets (point - mu as x and y), get (a state array
     at the points), alive (a mask cut to the live points), within (the live
-    points under a mask as a selection of their own), points (their flat
-    indices) and write (the step's updates)."""
+    points under a mask as a step of their own), points (their flat indices)
+    and write (the step's updates)."""
 
-    def __init__(self, act: np.ndarray):
-        self.act = act
+    def __init__(self, act: np.ndarray, j):
+        self.act, self.j = act, j
+
+    def _masked(self, mask):
+        return self.j[mask] if isinstance(self.j, np.ndarray) else self.j
 
     def offsets(self, points: np.ndarray, mu: np.ndarray):
         d = points[self.act] - mu
@@ -242,31 +247,31 @@ class _Gather:
         return mask
 
     def within(self, mask: np.ndarray) -> _Gather:
-        return _Gather(self.act[mask])
+        return _Gather(self.act[mask], self._masked(mask))
 
     def points(self, where: np.ndarray) -> np.ndarray:
         return self.act[where]
 
-    def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, j, *pairs) -> None:
+    def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, *pairs) -> None:
         """rgb += w * color[j], and a = v for each (a, v) of pairs, at the
         points the mask where keeps (every point when None)."""
         keep = slice(None) if where is None else where
         ids = self.act[keep]
-        rgb[ids] += w[keep][:, None] * color[_masked(j, keep)]
+        rgb[ids] += w[keep][:, None] * color[self._masked(keep)]
         for a, v in pairs:
             a[ids] = v[keep]
 
 
 class _Rect:
     """A step's points as the rectangle key = (rows, cols) of the grid whose
-    flat indices are index: basic-slice views of the (p, ...) blend state
-    reshaped to index.shape + (...), with the mask live of the points that
-    are not done. Reads are views, so a body writes a state array only after
-    its last read of it; writes copy where a mask of live points holds (live
-    itself when none is given)."""
+    flat indices are index, all meeting splat j: basic-slice views of the
+    (p, ...) blend state reshaped to index.shape + (...), with the mask live
+    of the points that are not done. Reads are views, so a body writes a
+    state array only after its last read of it; writes copy where a mask of
+    live points holds (live itself when none is given)."""
 
-    def __init__(self, key: tuple, live: np.ndarray, index: np.ndarray):
-        self.key, self.live, self.index = key, live, index
+    def __init__(self, key: tuple, live: np.ndarray, index: np.ndarray, j: int):
+        self.key, self.live, self.index, self.j = key, live, index, j
 
     def offsets(self, points: np.ndarray, mu: np.ndarray):
         # points is a separable grid: x along its first row and y down its
@@ -281,33 +286,27 @@ class _Rect:
         return mask & self.live
 
     def within(self, mask: np.ndarray):
-        return _selection(_rect_points(self.key, mask, self.index))
+        return _rect_points(self.key, mask, self.index, self.j)
 
     def points(self, where: np.ndarray) -> np.ndarray:
         return self.index[self.key][where]
 
-    def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, j, *pairs) -> None:
+    def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, *pairs) -> None:
         # rgb channel by channel, as a masked copy of the sum: a mask broadcast
         # over the channels, or np.add(..., where=), ran 2.6-3x slower (numpy 2.4)
         where = self.live if where is None else where
         view = self.get(rgb)
-        for a, v in (*((rgb[:, c], view[..., c] + w * color[j, c]) for c in range(3)), *pairs):
+        for a, v in (*((rgb[:, c], view[..., c] + w * color[self.j, c]) for c in range(3)), *pairs):
             np.copyto(self.get(a), v, where=where)
 
 
-def _rect_points(key: tuple, live: np.ndarray, index: np.ndarray):
+def _rect_points(key: tuple, live: np.ndarray, index: np.ndarray, j: int):
     """The points under live of the rectangle key = (rows, cols) of the grid
-    of flat indices index, as a step's points: a _Rect when they are at
-    least half of a rectangle of over _LARGE_POINTS points, else their flat
-    indices (see blend_grid)."""
+    of flat indices index, as a step of splat j in the form the module
+    docstring's rule gives: a _Rect or a _Gather."""
     if live.size > _LARGE_POINTS and 2 * np.count_nonzero(live) >= live.size:
-        return _Rect(key, live, index)
-    return index[key][live]
-
-
-def _selection(sel):
-    """A step's points as a _Gather or _Rect; a flat index array is gathered."""
-    return _Gather(sel) if isinstance(sel, np.ndarray) else sel
+        return _Rect(key, live, index, j)
+    return _Gather(index[key][live], j)
 
 
 class _ScalarBlend:
@@ -320,11 +319,10 @@ class _ScalarBlend:
         self.rgb = np.zeros((points.shape[0], 3))
         self.t = np.ones(points.shape[0])
 
-    def step(self, prep: PreparedSplats, j, sel, epsilon: float) -> np.ndarray:
-        """Composite splat j (one index, or one per point) at the live points
-        sel, a flat index array or a _Rect; returns the points it
-        terminates."""
-        sel = _selection(sel)
+    def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
+        """Composite the splats sel.j at the live points of the step sel;
+        returns the points it terminates."""
+        j = sel.j
         alpha = np.minimum(self.alpha_of(prep, j, *sel.offsets(self.points, prep.mu[j])),
                            ALPHA_MAX)
         use = sel.alive(alpha >= ALPHA_SKIP)
@@ -336,7 +334,7 @@ class _ScalarBlend:
         # composited; the point terminates at its previous T.
         kill = use & (tn < epsilon)
         comp = use & ~kill
-        sel.write(comp, self.rgb, alpha * t, prep.color, j, (self.t, tn))
+        sel.write(comp, self.rgb, alpha * t, prep.color, (self.t, tn))
         return sel.points(kill)
 
     def residual(self) -> np.ndarray:
@@ -353,28 +351,27 @@ class _WindowBlend:
         self.ws = np.ones((points.shape[0], 2))  # window sides
         self.wv = np.ones(points.shape[0])  # window values
 
-    def step(self, prep: PreparedSplats, j, sel, epsilon: float) -> np.ndarray:
-        """Blend splat j (one index, or one per point) into the windows of the
-        live points sel, a flat index array or a _Rect; returns the points
-        whose remaining mass drops below epsilon. A branch with no points is
-        not called; when both have points, each takes its own."""
-        sel = _selection(sel)
+    def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
+        """Blend the splats sel.j into the windows of the live points of the
+        step sel; returns the points whose remaining mass drops below
+        epsilon. A branch with no points is not called; when both have
+        points, each takes its own."""
         ws = sel.get(self.ws)
-        r1, r2 = ws[..., 0] / prep.s1[j], ws[..., 1] / prep.s2[j]
+        r1, r2 = ws[..., 0] / prep.s1[sel.j], ws[..., 1] / prep.s2[sel.j]
         ok = (r1 >= GUARD_LO) & (r1 <= GUARD_HI) & (r2 >= GUARD_LO) & (r2 <= GUARD_HI)
         trip = sel.alive(~ok)
         if not trip.any():
-            return self._moments(prep, j, sel, epsilon)
+            return self._moments(prep, sel, epsilon)
         ok = sel.alive(ok)
         if not ok.any():
-            return self._fallback(prep, j, sel, epsilon)
-        return np.concatenate((
-            self._moments(prep, _masked(j, ok), sel.within(ok), epsilon),
-            self._fallback(prep, _masked(j, trip), sel.within(trip), epsilon)))
+            return self._fallback(prep, sel, epsilon)
+        return np.concatenate((self._moments(prep, sel.within(ok), epsilon),
+                               self._fallback(prep, sel.within(trip), epsilon)))
 
-    def _moments(self, prep: PreparedSplats, j, sel, epsilon: float) -> np.ndarray:
+    def _moments(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """In-guard points: moment-match a new box to t * (1 - alpha) over the
         window, by the closed-form Gaussian moments in the splat frame."""
+        j = sel.j
         d = sel.get(self.wc) - prep.mu[j]
         u, v = _frame(prep, j, d[..., 0], d[..., 1])
         ws = sel.get(self.ws)
@@ -412,14 +409,15 @@ class _WindowBlend:
             l2n = np.where(over, l2n * grow, l2n)
             vn = np.where(over, 1.0, vn)
         mu, a1, a2 = prep.mu[j], prep.a1[j], prep.a2[j]
-        sel.write(upd, self.rgb, w_int, prep.color, j,
+        sel.write(upd, self.rgb, w_int, prep.color,
                   *((self.wc[:, c], mu[..., c] + mean_u * a1[..., c] + mean_v * a2[..., c])
                     for c in (0, 1)), (self.ws[:, 0], l1n), (self.ws[:, 1], l2n), (self.wv, vn))
         return sel.points(upd & (m0 < epsilon))
 
-    def _fallback(self, prep: PreparedSplats, j, sel, epsilon: float) -> np.ndarray:
+    def _fallback(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Guard-tripped points: scale the value by the raw scalar alpha at
         the window center; the window keeps its geometry."""
+        j = sel.j
         d = sel.get(self.wc) - prep.mu[j]
         u, v = _frame(prep, j, d[..., 0], d[..., 1])
         alpha = prep.opacity[j] * np.exp(-0.5 * ((u / prep.s1[j]) ** 2 + (v / prep.s2[j]) ** 2))
@@ -427,7 +425,7 @@ class _WindowBlend:
         ws = sel.get(self.ws)
         area = ws[..., 0] * ws[..., 1]
         tn = t * (1.0 - alpha)
-        sel.write(None, self.rgb, (t * alpha) * area, prep.color, j, (self.wv, tn))
+        sel.write(None, self.rgb, (t * alpha) * area, prep.color, (self.wv, tn))
         return sel.points(sel.alive(tn * area < epsilon))
 
     def residual(self) -> np.ndarray:
@@ -461,9 +459,9 @@ def _run_pairs(run, x0, x1, y0, nx: int, cover):
 
 
 def _layers(pt, js, p: int):
-    """Depth layers of a run's pairs, given in depth order: layer k pairs
-    every point with its k-th splat of the run. The sort by point is stable,
-    so each point still meets its splats in depth order."""
+    """Depth layers of a run's pairs, given in depth order, as gathered
+    steps: layer k pairs every point with its k-th splat of the run. The sort
+    by point is stable, so each point still meets its splats in depth order."""
     if pt.size == 0:
         return
     # a uint16 key sorts by radix
@@ -478,25 +476,22 @@ def _layers(pt, js, p: int):
     pt, js = pt[order], js[order]
     lo = 0
     for hi in np.cumsum(np.bincount(rank)).tolist():
-        yield pt[lo:hi], js[lo:hi]
+        yield _Gather(pt[lo:hi], js[lo:hi])
         lo = hi
 
 
 def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarray):
-    """The blend steps of the grid ys x xs in depth order, as (points, j).
+    """The blend steps of the grid ys x xs in depth order: each a _Rect or a
+    _Gather of the points marked in live (ny, nx) when the step is taken.
 
-    A large splat is one step with j its index and points its support
-    rectangle, a pair of slices (rows, cols) of the grid, and so is each splat
-    of a run of fewer than _MIN_RUN consecutive small ones. blend_grid steps
-    a rectangle dense when it holds over _LARGE_POINTS points and at least
-    half of them are live, and gathers its live points otherwise, for the two
-    reasons its docstring gives. A longer run is one step per depth layer, with
-    points a flat index array and j one splat index per point, split where
-    its pairs exceed _RUN_PAIRS. Each point meets the same splats in the same
-    order either way. Points no longer marked in live (flat) are left out of
-    a run's pairs; the caller leaves out those that end later.
+    A large splat is one step over its support rectangle, and so is each
+    splat of a run of fewer than _MIN_RUN consecutive small ones. A longer
+    run is one step per depth layer, with one splat index per point, split
+    where its pairs exceed _RUN_PAIRS. A step with no live point is left out.
     """
     p = live.size
+    flat = live.reshape(-1)
+    index = np.arange(p).reshape(live.shape)
     x0, x1, y0, y1 = prep.support_rects(xs, ys)
     nbox = np.maximum(x1 - x0, 0) * np.maximum(y1 - y0, 0)
     drawn = np.flatnonzero(nbox)
@@ -514,14 +509,22 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
         if stop - start < _MIN_RUN:
             start = stop  # too short to repay the sorts: step it splat by splat
         for j, ya, yb, xa, xb in rects[i:start]:
-            yield (slice(ya, yb), slice(xa, xb)), j
+            key = (slice(ya, yb), slice(xa, xb))
+            box = live[key]
+            if box.any():
+                yield _rect_points(key, box, index, j)
         while start < stop:
             end = min(stop, max(start + 1, int(pair_ends.searchsorted(
                 pair_ends[start] - cover[start] + _RUN_PAIRS, side="right"))))
             run = drawn[start:end]
             pt, js = _run_pairs(run, x0, x1, y0, xs.size, cover[start:end])
-            keep = live[pt]
-            yield from _layers(pt[keep], js[keep], p)
+            keep = flat[pt]
+            for layer in _layers(pt[keep], js[keep], p):
+                keep = flat[layer.act]
+                if keep.all():  # nothing in the layer has ended: no copy
+                    yield layer
+                elif keep.any():
+                    yield layer.within(keep)
             start = end
         i = stop
 
@@ -537,37 +540,31 @@ def blend_grid(
     """Blend at every point of the separable grid ys x xs, both ascending.
 
     Returns rgb (ny, nx, 3), composited over black, and residual (ny, nx),
-    row-major in y. Splats are walked once, front to back; each updates only
-    the live points inside its closed support box, an index rectangle found
-    by binary search on each axis. Large splats are one step each, over
-    their rectangle; runs of small ones are one step per depth layer
-    (_steps), which cuts the steps on frames of many small splats from one
-    per splat to about the depth complexity.
-
-    A rectangle of over _LARGE_POINTS points of which at least half are live
-    is stepped dense (_rect_points): on slice views of the state, with the
-    done points masked out of every write. Any other rectangle gathers its
-    live points by index. Measured on a 2-vCPU x86-64 VM: on the 1 x 1 grids
-    of blend_pixel the dense form's fixed cost is larger than the gather's
-    (paper sweeps 4-8% slower), and on a mostly-done rectangle it spends an
-    alpha on every done point (integrated on two_plane at x3, 45% of
-    rectangle points done, 1.3x as long).
-
-    Every point's result depends on its own coordinates and its own splat
-    sequence alone, so neither the schedule, nor a step's form, nor any split
-    of a frame into grids changes a pixel. ss blends the k x k sub-points of
-    every pixel in center mode and averages each pixel's block.
+    row-major in y; an empty axis gives empty arrays of those shapes. The
+    grid is cut into bands of whole rows that hold at most _BAND_POINTS blend
+    points (sub-points in ss), or of single rows where one row holds more;
+    an ss pixel row that holds more is blended in bands of sub-point rows.
+    Each band walks the splats once, front to back, in the steps of _steps.
+    ss blends the k x k sub-points of every pixel in center mode and
+    averages each pixel's block.
     """
     mode = canonical_mode(mode)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float).reshape(-1)
+    k = ss_k if mode == "ss" else 1
+    if k < 1:
+        raise ValueError("supersample factor must be >= 1")
+    rows = max(_BAND_POINTS // (max(xs.size, 1) * k * k), 1)
+    if ys.size > rows:
+        rgb, res = np.empty((ys.size, xs.size, 3)), np.empty((ys.size, xs.size))
+        for top in range(0, ys.size, rows):
+            band = slice(top, top + rows)
+            rgb[band], res[band] = blend_grid(prep, xs, ys[band], mode, epsilon, ss_k)
+        return rgb, res
     if mode == "ss":
-        if ss_k < 1:
-            raise ValueError("supersample factor must be >= 1")
-        rgb, t = blend_grid(prep, subsample_axis(xs, ss_k), subsample_axis(ys, ss_k),
-                            "center", epsilon)
-        return (pixel_blocks(rgb, ss_k).mean(axis=(1, 2)).reshape(ys.size, xs.size, 3),
-                pixel_blocks(t, ss_k).mean(axis=(1, 2)).reshape(ys.size, xs.size))
+        rgb, t = blend_grid(prep, subsample_axis(xs, k), subsample_axis(ys, k), "center", epsilon)
+        return (pixel_blocks(rgb, k).mean(axis=(1, 2)).reshape(ys.size, xs.size, 3),
+                pixel_blocks(t, k).mean(axis=(1, 2)).reshape(ys.size, xs.size))
 
     points = np.empty((ys.size, xs.size, 2))
     points[..., 0] = xs
@@ -581,17 +578,9 @@ def blend_grid(
 
     live = np.ones((ys.size, xs.size), dtype=bool)  # the points not done
     flat_live = live.reshape(-1)
-    index = np.arange(p).reshape(live.shape)
     n_live = p
-    for sel, j in _steps(prep, xs, ys, flat_live):
-        if isinstance(sel, tuple):
-            sel = _rect_points(sel, live[sel], index)
-        elif n_live < p:
-            keep = flat_live[sel]
-            sel, j = sel[keep], _masked(j, keep)
-        if isinstance(sel, np.ndarray) and sel.size == 0:
-            continue
-        ended = blend.step(prep, j, sel, epsilon)
+    for step in _steps(prep, xs, ys, live):
+        ended = blend.step(prep, step, epsilon)
         if ended.size:
             flat_live[ended] = False
             n_live -= ended.size

@@ -1,10 +1,11 @@
 """Front-to-back full-frame rendering.
 
-The frame is blended in bands of whole pixel rows by blending.blend_grid,
-which walks the depth-sorted splats once per band and lets each splat update
-only the pixel centers inside its support box. A pixel's result depends on
-its own center alone, so the band size bounds memory (ss expands every pixel
-into ss_k**2 sub-points) without changing any pixel.
+The frame is one blending.blend_grid call over the pixel centers. blend_grid
+cuts it into bands of whole pixel rows, walks the depth-sorted splats once per
+band and lets each splat update only the pixel centers inside its support box.
+A pixel's result depends on its own center alone, so the band size bounds
+memory (ss expands every pixel into ss_k**2 sub-points) without changing any
+pixel.
 
 A frame's rgb is composited over black; fb.rgb + fb.residual[..., None] * bg
 composites it over any other background bg.
@@ -24,9 +25,6 @@ from .scene import Camera, SplatCloud, project_cloud
 # diagonal covariance floor (px^2) for center mode; the window modes and the
 # supersample reference run unfiltered
 LOWPASS_CENTER = 0.3
-
-# blend points per band (pixels times ss_k**2 in ss mode); bounds band memory
-_BAND_POINTS = 1 << 14
 
 
 @dataclass
@@ -80,14 +78,7 @@ def render_projected(
         raise ValueError("image dimensions must be positive")
     xs = np.arange(width) + 0.5
     ys = np.arange(height) + 0.5
-    k = max(ss_k, 1) if mode == "ss" else 1
-    rows = max(_BAND_POINTS // (width * k * k), 1)
-    rgb = np.empty((height, width, 3))
-    res = np.empty((height, width))
-    for top in range(0, height, rows):
-        band = slice(top, top + rows)
-        rgb[band], res[band] = blend_grid(prep, xs, ys[band], mode, epsilon, ss_k)
-
+    rgb, res = blend_grid(prep, xs, ys, mode, epsilon, ss_k)
     fb = Framebuffer(rgb=rgb, residual=res)
     x0, x1, y0, y1 = prep.support_rects(xs, ys)
     fb.stats.n_drawn = int(np.count_nonzero((x0 < x1) & (y0 < y1)))
@@ -102,18 +93,17 @@ def render(
     *,
     epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
-    lowpass: float | None = None,
 ) -> Framebuffer:
     """Project a 3D scene and render it in the given blend mode.
 
-    lowpass=None picks the per-mode default: the 0.3 px^2 screen-space floor
-    for center, none for the window modes and supersampling.
+    center projects with the LOWPASS_CENTER screen-space floor, the window
+    modes and supersampling with none; for another floor, render the output
+    of project_cloud(..., lowpass=...) through prepare_splats and
+    render_projected.
     """
     mode = canonical_mode(mode)
-    if lowpass is None:
-        lowpass = LOWPASS_CENTER if mode == "center" else 0.0
     t0 = time.perf_counter()
-    proj = project_cloud(scene, camera, lowpass=lowpass)
+    proj = project_cloud(scene, camera, lowpass=LOWPASS_CENTER if mode == "center" else 0.0)
     prep = prepare_splats(proj, SUPPORT_SIGMA)
     fb = render_projected(prep, camera.width, camera.height, mode, epsilon=epsilon, ss_k=ss_k)
     fb.stats.n_input = len(scene)

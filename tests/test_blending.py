@@ -38,6 +38,7 @@ from splatlab.blending import (
     GUARD_LO,
     MIN_SIDE,
     PreparedSplats,
+    _Gather,
     _WindowBlend,
     blend_grid,
     blend_pixel,
@@ -285,7 +286,7 @@ def window_step(splat, center=PX, sides=(1.0, 1.0), value=1.0):
     blend.wc[0] = center
     blend.ws[0] = sides
     blend.wv[0] = value
-    blend.step(prep, 0, np.array([0]), 0.0)
+    blend.step(prep, _Gather(np.array([0]), 0), 0.0)
     return blend.rgb[0, 0], blend.wc[0], blend.ws[0], blend.wv[0]
 
 
@@ -472,11 +473,11 @@ def test_window_step_mixed_branches_equal_solo_steps(j):
 
     blend = mixed_windows(prep, j)
     before = [tuple(a.copy() for a in window_state(blend, i)) for i in range(8)]
-    ended = blend.step(prep, j, MIXED_ACT, MIXED_EPSILON)
+    ended = blend.step(prep, _Gather(MIXED_ACT, j), MIXED_EPSILON)
     solo_ended = set()
     for i, ji in zip(MIXED_ACT.tolist(), js.tolist()):
         solo = mixed_windows(prep, j)
-        if solo.step(prep, ji, np.array([i]), MIXED_EPSILON).size:
+        if solo.step(prep, _Gather(np.array([i]), ji), MIXED_EPSILON).size:
             solo_ended.add(i)
         for got, want in zip(window_state(blend, i), window_state(solo, i)):
             assert np.array_equal(got, want)
@@ -500,12 +501,12 @@ def test_window_step_runs_moments_on_in_guard_points_only(monkeypatch):
     prep = mixed_prep()
     blend = _WindowBlend(np.zeros((5, 2)))
     blend.ws[:] = 0.01  # side / sigma <= 0.02 for every splat
-    blend.step(prep, 0, np.arange(5), MIXED_EPSILON)
-    blend.step(prep, np.array([0, 1, 2, 1, 0]), np.arange(5), MIXED_EPSILON)
+    blend.step(prep, _Gather(np.arange(5), 0), MIXED_EPSILON)
+    blend.step(prep, _Gather(np.arange(5), np.array([0, 1, 2, 1, 0])), MIXED_EPSILON)
     assert sizes == []
     for j in (0, np.array([0, 1, 2, 0, 1, 2, 0])):
         sizes.clear()
-        mixed_windows(prep, j).step(prep, j, MIXED_ACT, MIXED_EPSILON)
+        mixed_windows(prep, j).step(prep, _Gather(MIXED_ACT, j), MIXED_EPSILON)
         assert sum(sizes) == 2 * MIXED_IN_GUARD
 
 
@@ -559,6 +560,38 @@ def test_blend_empty_list(mode):
     rgb, res = blend_pixel(stack_splats([]), PX, mode)
     assert np.array_equal(rgb, np.zeros(3))
     assert res == 1.0
+
+
+@pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
+def test_blend_grid_empty_axis(mode):
+    # No band division by zero: a grid with no columns or no rows gives
+    # empty arrays of the grid's shape.
+    prep = prepare_splats(stack_splats([iso_splat(PX, 1.0, 0.5)]))
+    for xs, ys in (([], [0.5, 1.5]), ([0.5, 1.5], []), ([], [])):
+        rgb, res = blend_grid(prep, xs, ys, mode, ss_k=2)
+        assert rgb.shape == (len(ys), len(xs), 3) and res.shape == (len(ys), len(xs))
+
+
+def test_blend_pixel_ss_bands_of_sub_rows(monkeypatch):
+    # A pixel whose k * k sub-points exceed the band budget is blended in
+    # bands of sub-point rows; the split changes no byte.
+    prep = prepare_splats(stack_splats([
+        iso_splat((0.3, 0.7), 0.4, 0.8, color=(0.9, 0.2, 0.1), depth=1.0),
+        iso_splat((0.6, 0.2), 0.6, 0.6, color=(0.1, 0.3, 0.8), depth=2.0),
+    ]))
+    want_rgb, want_res = blend_pixel(prep, PX, "ss", ss_k=4)
+    calls = []
+    real = blending.blend_grid
+
+    def logged(prep, xs, ys, mode, *args):
+        calls.append((mode, np.size(ys)))
+        return real(prep, xs, ys, mode, *args)
+
+    monkeypatch.setattr(blending, "blend_grid", logged)
+    monkeypatch.setattr(blending, "_BAND_POINTS", 4)  # one row of 4 sub-points per band
+    rgb, res = blend_pixel(prep, PX, "ss", ss_k=4)
+    assert calls == [("ss", 1), ("center", 4)] + [("center", 1)] * 4
+    assert rgb.tobytes() == want_rgb.tobytes() and res == want_res
 
 
 def test_blend_mode_aliases():

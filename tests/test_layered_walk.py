@@ -28,20 +28,20 @@ class StepLog:
     """Counts blend_grid's steps by kind, the points layer steps end, and the
     calls of each blend body (_ScalarBlend.step, _WindowBlend._moments and
     _fallback) on one splat's rectangle by form: forms[(body, "dense")] for
-    a _Rect, forms[(body, "gathered")] for flat indices."""
+    a _Rect, forms[(body, "gathered")] for a _Gather."""
 
     def __init__(self, monkeypatch):
         self.single = self.layer = self.ended_in_layer = 0
         self.forms = Counter()
         steps = blending._steps
 
-        def logged_steps(prep, xs, ys, live):
-            for sel, j in steps(prep, xs, ys, live):
-                if isinstance(j, np.ndarray):
+        def logged_steps(*args):
+            for sel in steps(*args):
+                if isinstance(sel.j, np.ndarray):
                     self.layer += 1
                 else:
                     self.single += 1
-                yield sel, j
+                yield sel
 
         monkeypatch.setattr(blending, "_steps", logged_steps)
         for cls, name in ((blending._ScalarBlend, "step"), (blending._WindowBlend, "_moments"),
@@ -49,9 +49,9 @@ class StepLog:
             monkeypatch.setattr(cls, name, self._wrap(name, getattr(cls, name)))
 
     def _wrap(self, name, body):
-        def logged_body(blend, prep, j, sel, epsilon):
-            ended = body(blend, prep, j, sel, epsilon)
-            if isinstance(j, np.ndarray):
+        def logged_body(blend, prep, sel, epsilon):
+            ended = body(blend, prep, sel, epsilon)
+            if isinstance(sel.j, np.ndarray):
                 self.ended_in_layer += ended.size
             else:
                 self.forms[name, "dense" if isinstance(sel, blending._Rect) else "gathered"] += 1
@@ -198,7 +198,7 @@ def test_render_bounds_and_band_split_property(seed, n_small, n_large, width, he
         assert np.isfinite(fb.rgb).all() and (fb.rgb >= 0).all()
         assert ((fb.residual >= 0) & (fb.residual <= 1)).all()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(raster, "_BAND_POINTS", 1)
+            mp.setattr(blending, "_BAND_POINTS", 1)
             rows = render_projected(prep, width, height, mode, ss_k=2)
         assert rows.rgb.tobytes() == fb.rgb.tobytes()
         assert rows.residual.tobytes() == fb.residual.tobytes()

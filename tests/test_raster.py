@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import Splat2D, stack_splats
-from splatlab import raster
+from splatlab import blending, raster
 from splatlab.blending import SUPPORT_SIGMA, blend_pixel, prepare_splats
 from splatlab.raster import (
     Framebuffer,
     render,
     render_projected,
 )
-from splatlab.scene import Camera, SplatCloud
+from splatlab.scene import Camera, SplatCloud, project_cloud
 
 
 def iso_splat(mu, sig, o, color=(1.0, 0.0, 0.0), depth=1.0):
@@ -155,9 +155,9 @@ def test_supersample_chunking_consistent(monkeypatch):
     # agree with the one-band result.
     rng = np.random.default_rng(11)
     prep = prepare_splats(random_scene(rng, 20, 16, 16), SUPPORT_SIGMA)
-    monkeypatch.setattr(raster, "_BAND_POINTS", 1 << 30)
+    monkeypatch.setattr(blending, "_BAND_POINTS", 1 << 30)
     a = render_projected(prep, 16, 16, "ss", ss_k=8)
-    monkeypatch.setattr(raster, "_BAND_POINTS", 3 * 16 * 8 * 8)  # three rows per band
+    monkeypatch.setattr(blending, "_BAND_POINTS", 3 * 16 * 8 * 8)  # three rows per band
     b = render_projected(prep, 16, 16, "ss", ss_k=8)
     assert a.rgb.tobytes() == b.rgb.tobytes()
     assert a.residual.tobytes() == b.residual.tobytes()
@@ -239,17 +239,20 @@ def test_render_full_pipeline():
 
 
 def test_render_lowpass_defaults():
+    # render projects center with the LOWPASS_CENTER floor and gb with none;
+    # the staged path renders any other floor.
     rng = np.random.default_rng(14)
     cloud = random_cloud(rng, 30)
     cam = make_camera()
+
+    def staged(mode, lowpass):
+        prep = prepare_splats(project_cloud(cloud, cam, lowpass=lowpass), SUPPORT_SIGMA)
+        return render_projected(prep, cam.width, cam.height, mode)
+
     dflt = render(cloud, cam, "center")
-    explicit = render(cloud, cam, "center", lowpass=0.3)
-    off = render(cloud, cam, "center", lowpass=0.0)
-    assert np.array_equal(dflt.rgb, explicit.rgb)
-    assert not np.array_equal(dflt.rgb, off.rgb)
-    gb_dflt = render(cloud, cam, "gb")
-    gb_off = render(cloud, cam, "gb", lowpass=0.0)
-    assert np.array_equal(gb_dflt.rgb, gb_off.rgb)
+    assert np.array_equal(dflt.rgb, staged("center", raster.LOWPASS_CENTER).rgb)
+    assert not np.array_equal(dflt.rgb, staged("center", 0.0).rgb)
+    assert np.array_equal(render(cloud, cam, "gb").rgb, staged("gb", 0.0).rgb)
 
 
 def test_render_scaled_camera_shapes():
