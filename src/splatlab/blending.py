@@ -28,26 +28,27 @@ blend points (ss counts every sub-point), and _steps alone decides the steps
 of a band. Each step is a _Rect or a _Gather of live points that carries its
 splat index j, and each step body is written once over both forms.
 
-A large splat (a box over 256 points or 1/16 of the grid) is one vectorized
-step over the live points of its box, which it fills well on its own. That
-step is dense when the box holds over 256 points and at least half of them
-are live: it reads and writes basic-slice views of the box in the state
-reshaped to the grid (a _Rect), and masks the done points out of every
-write. Any other box gathers its live points by a flat index array and
-scatters back (a _Gather), for two reasons measured on a 2-vCPU x86-64 VM: on
-the 1 x 1 grids of blend_pixel the dense form's fixed cost made the paper
-sweeps 4-8% slower, and on a box that is mostly done it spends an alpha on
-every done point (integrated on two_plane at x3, with 45% of box points done,
-took 1.3x as long). In gb, when the live windows of a box take both branches,
-each branch's points take the form they would as a box of their own. A run of
-consecutive small splats is blended in depth layers: its (point, splat) pairs
-are stable-sorted by point, and layer k is one gathered step over every point
-with a k-th splat in the run, with one splat index per point.
+A large splat (a box over 256 points) is one vectorized step over the live
+points of its box, which it fills well on its own. That step is dense when
+at least half of the box's points are live: it reads and writes basic-slice
+views of the box in the state reshaped to the grid (a _Rect), and masks the
+done points out of every write. Any other box gathers its live points by a
+flat index array and scatters back (a _Gather), for two reasons measured on a
+2-vCPU x86-64 VM: on the 1 x 1 grids of blend_pixel the dense form's fixed
+cost made the paper sweeps 4-8% slower, and on a box that is mostly done it
+spends an alpha on every done point (integrated on two_plane at x3, with 45%
+of box points done, took 1.3x as long). In gb, when the live windows of a box
+take both branches, each branch's points take the form they would as a box of
+their own. A run of at least _MIN_RUN consecutive small splats is blended in
+depth layers, in batches of at most _BAND_POINTS (point, splat) pairs: a
+batch's pairs are stable-sorted by point, and layer k is one gathered step
+over every point with a k-th splat in the batch, with one splat index per
+point.
 
 Each point still meets the same splats in the same order through the same
 elementwise arithmetic, so neither the bands, nor the schedule, nor a step's
 form changes a pixel. The rasterizer calls blend_grid on the whole frame,
-blend_pixel on a single pixel, where every splat is large.
+blend_pixel on a single pixel, where every drawn splat is small.
 tests/_reference.py replays the same arithmetic one splat and one window at a
 time (update_window, scalar_alpha_*) as the tests' oracle.
 """
@@ -73,10 +74,8 @@ MODES = ("center", "integrated", "gb", "ss")
 
 # The blend_grid schedule (see _steps); none of these changes a pixel.
 _LARGE_POINTS = 256  # a box over this many grid points fills a vectorized step by itself
-_LARGE_SHARE = 16  # a box over 1/16 of the grid is large too, so a 1x1 grid steps splat by splat
 _MIN_RUN = 8  # shorter runs save fewer steps than their pair sorts cost
-_RUN_PAIRS = 1 << 14  # pairs per run: bounds run memory and the pairs left to points that end in it
-_BAND_POINTS = 1 << 14  # blend points per band (pixels times ss_k**2 in ss): bounds band memory
+_BAND_POINTS = 1 << 14  # blend points per band (pixels times ss_k**2 in ss), pairs per run batch
 
 
 def canonical_mode(mode: str) -> str:
@@ -472,7 +471,7 @@ def _layers(pt, js, p: int):
     np.not_equal(pt[1:], pt[:-1], out=head[1:])
     starts = np.flatnonzero(head)
     rank = np.arange(pt.size) - np.repeat(starts, np.diff(np.append(starts, pt.size)))
-    order = np.argsort(rank.astype(np.uint16), kind="stable")
+    order = np.argsort(rank.astype(np.uint16) if pt.size <= 1 << 16 else rank, kind="stable")
     pt, js = pt[order], js[order]
     lo = 0
     for hi in np.cumsum(np.bincount(rank)).tolist():
@@ -487,7 +486,8 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
     A large splat is one step over its support rectangle, and so is each
     splat of a run of fewer than _MIN_RUN consecutive small ones. A longer
     run is one step per depth layer, with one splat index per point, split
-    where its pairs exceed _RUN_PAIRS. A step with no live point is left out.
+    into batches of at most _BAND_POINTS pairs, or of one splat where its box
+    holds more. A step with no live point is left out.
     """
     p = live.size
     flat = live.reshape(-1)
@@ -496,9 +496,9 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
     nbox = np.maximum(x1 - x0, 0) * np.maximum(y1 - y0, 0)
     drawn = np.flatnonzero(nbox)
     cover = nbox[drawn]
-    small = cover <= min(_LARGE_POINTS, p // _LARGE_SHARE)
+    small = cover <= _LARGE_POINTS
     runs, pair_ends = [], None
-    if small.any():
+    if np.count_nonzero(small) >= _MIN_RUN:
         # [start, stop) of every maximal stretch of consecutive small splats
         edge = np.concatenate(([False], small)) != np.concatenate((small, [False]))
         runs = np.flatnonzero(edge).reshape(-1, 2).tolist()
@@ -515,7 +515,7 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
                 yield _rect_points(key, box, index, j)
         while start < stop:
             end = min(stop, max(start + 1, int(pair_ends.searchsorted(
-                pair_ends[start] - cover[start] + _RUN_PAIRS, side="right"))))
+                pair_ends[start] - cover[start] + _BAND_POINTS, side="right"))))
             run = drawn[start:end]
             pt, js = _run_pairs(run, x0, x1, y0, xs.size, cover[start:end])
             keep = flat[pt]

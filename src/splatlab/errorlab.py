@@ -153,6 +153,8 @@ class SweepConfig:
             raise ValueError("step must be > 0")
         if self.stop < self.start:
             raise ValueError("empty sweep range")
+        if self.spacing == "log" and not self.start > 0:
+            raise ValueError("log spacing needs start > 0")
         if not self.modes:
             raise ValueError("at least one mode required")
 

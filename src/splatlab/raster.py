@@ -56,7 +56,7 @@ class Framebuffer:
             raise ValueError("residual shape must match rgb height and width")
         if not np.all(np.isfinite(self.rgb)) or np.any(self.rgb < 0):
             raise ValueError("rgb must be finite and nonnegative")
-        if np.any(self.residual < 0) or np.any(self.residual > 1):
+        if not np.all((self.residual >= 0) & (self.residual <= 1)):  # NaN fails both
             raise ValueError("residual transmittance must lie in [0, 1]")
 
 

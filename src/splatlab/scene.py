@@ -115,6 +115,14 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
         raise ValueError(f"{name}[{np.argwhere(bad)[0][0]}] is not finite (nan or inf)")
 
 
+def _check_unit(name: str, arr: np.ndarray) -> None:
+    """ValueError naming the field and the first row outside [0, 1]."""
+    bad = (arr < 0.0) | (arr > 1.0)
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(f"{name}[{i}] is {arr[i]}, outside [0, 1]")
+
+
 @dataclass
 class SplatCloud:
     """A scene's splats, one contiguous array per attribute, row i for splat i.
@@ -152,8 +160,7 @@ class SplatCloud:
             raise ValueError(f"unsupported SH band count {self.sh.shape[1]}")
         if np.any(self.scale <= 0.0):
             raise ValueError("scale components must be > 0")
-        if np.any(self.opacity < 0.0) or np.any(self.opacity > 1.0):
-            raise ValueError("opacity must be in [0, 1]")
+        _check_unit("opacity", self.opacity)
 
     def __len__(self) -> int:
         return self.mu.shape[0]
@@ -204,10 +211,11 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
 class ProjectedCloud:
     """Screen-space splats, one array per attribute, row i for splat i.
 
-    Ingest checks every field's shape and rejects NaN and +-inf. project_cloud
-    keeps the input order of the splats that survive its near-plane and
-    finiteness culls and counts what it dropped; source_index maps each row
-    back to its input splat (row i itself when omitted).
+    Ingest checks every field's shape, rejects NaN and +-inf, and opacity
+    outside [0, 1]. project_cloud keeps the input order of the splats that
+    survive its near-plane and finiteness culls and counts what it dropped;
+    source_index maps each row back to its input splat (row i itself when
+    omitted).
     """
 
     mu2d: np.ndarray  # (m, 2)
@@ -230,6 +238,7 @@ class ProjectedCloud:
             _check_shape(name, arr, shape)
             _check_finite(name, arr)
             setattr(self, name, arr)
+        _check_unit("opacity", self.opacity)
         if self.source_index is None:
             self.source_index = np.arange(m)
 

@@ -366,7 +366,7 @@ def test_update_mass_conservation_randomized():
     assert worst <= 1e-9
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+@settings(max_examples=400)
 @given(
     log_sides=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
     value=st.floats(0.01, 1.0),

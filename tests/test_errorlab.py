@@ -152,6 +152,15 @@ def test_sweep_config_validation():
         SweepConfig(sweep_var="sigma", start=0.1, stop=1, step=0.1, spacing="geometric")
     with pytest.raises(ValueError, match="mode"):
         SweepConfig(sweep_var="mu_x", start=0, stop=1, step=0.1, modes=())
+    # unchecked, this constructed and .values() then failed in log10
+    with pytest.raises(ValueError, match="start > 0"):
+        paper_sigma_sweep(start=0.0)
+
+
+def test_sweep_rejects_opacity_outside_unit_interval():
+    # Unchecked, the sweep ran to the end on splats that cover more than all.
+    with pytest.raises(ValueError, match=r"^opacity\[0\] is 1.5, outside \[0, 1\]$"):
+        run_sweep(paper_mu_sweep(opacity=1.5, step=1.0))
 
 
 def test_sweep_degenerate_single_point():

@@ -163,7 +163,7 @@ def _i0_inputs(draw):
     return sigma, a, b
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+@settings(max_examples=100)
 @given(_i0_inputs())
 def test_gaussian_i0_equals_cases_property(args):
     # Bounds up to 40 sigma out, mixing all three cases, equal bounds and
