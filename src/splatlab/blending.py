@@ -23,10 +23,13 @@ by 1 - alpha at the box center. Each step sends each point down one branch.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
 over the splats in which a splat updates only the grid points inside its
-support box. It cuts its grid into bands of rows of at most _BAND_POINTS
+support box. It cuts its grid into near-square tiles of at most _TILE_POINTS
 blend points (ss counts every sub-point), and _steps alone decides the steps
-of a band. Each step is a _Rect or a _Gather of live points that carries its
-splat index j, and each step body is written once over both forms.
+of a tile. A splat is stepped once per tile its box crosses, and a box
+crosses fewer square tiles than full-width row bands of the same area. There
+is no binning: each tile walks the whole depth-sorted list. Each step is a
+_Rect or a _Gather of live points that carries its splat index j, and each
+step body is written once over both forms.
 
 A large splat (a box over 256 points) is one vectorized step over the live
 points of its box, which it fills well on its own. That step is dense when
@@ -40,13 +43,13 @@ spends an alpha on every done point (integrated on two_plane at x3, with 45%
 of box points done, took 1.3x as long). In gb, when the live windows of a box
 take both branches, each branch's points take the form they would as a box of
 their own. A run of at least _MIN_RUN consecutive small splats is blended in
-depth layers, in batches of at most _BAND_POINTS (point, splat) pairs: a
+depth layers, in batches of at most _TILE_POINTS (point, splat) pairs: a
 batch's pairs are stable-sorted by point, and layer k is one gathered step
 over every point with a k-th splat in the batch, with one splat index per
 point.
 
 Each point still meets the same splats in the same order through the same
-elementwise arithmetic, so neither the bands, nor the schedule, nor a step's
+elementwise arithmetic, so neither the tiles, nor the schedule, nor a step's
 form changes a pixel. The rasterizer calls blend_grid on the whole frame,
 blend_pixel on a single pixel, where every drawn splat is small.
 tests/_reference.py replays the same arithmetic one splat and one window at a
@@ -55,7 +58,9 @@ time (update_window, scalar_alpha_*) as the tests' oracle.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
+from math import isqrt
 
 import numpy as np
 
@@ -75,7 +80,7 @@ MODES = ("center", "integrated", "gb", "ss")
 # The blend_grid schedule (see _steps); none of these changes a pixel.
 _LARGE_POINTS = 256  # a box over this many grid points fills a vectorized step by itself
 _MIN_RUN = 8  # shorter runs save fewer steps than their pair sorts cost
-_BAND_POINTS = 1 << 14  # blend points per band (pixels times ss_k**2 in ss), pairs per run batch
+_TILE_POINTS = 1 << 14  # blend points per tile (pixels times ss_k**2 in ss), pairs per run batch
 
 
 def canonical_mode(mode: str) -> str:
@@ -486,7 +491,7 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
     A large splat is one step over its support rectangle, and so is each
     splat of a run of fewer than _MIN_RUN consecutive small ones. A longer
     run is one step per depth layer, with one splat index per point, split
-    into batches of at most _BAND_POINTS pairs, or of one splat where its box
+    into batches of at most _TILE_POINTS pairs, or of one splat where its box
     holds more. A step with no live point is left out.
     """
     p = live.size
@@ -498,7 +503,8 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
     cover = nbox[drawn]
     small = cover <= _LARGE_POINTS
     runs, pair_ends = [], None
-    if np.count_nonzero(small) >= _MIN_RUN:
+    # on a 1 x 1 grid every layer holds one pair, so a run saves no step
+    if p > 1 and np.count_nonzero(small) >= _MIN_RUN:
         # [start, stop) of every maximal stretch of consecutive small splats
         edge = np.concatenate(([False], small)) != np.concatenate((small, [False]))
         runs = np.flatnonzero(edge).reshape(-1, 2).tolist()
@@ -515,7 +521,7 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
                 yield _rect_points(key, box, index, j)
         while start < stop:
             end = min(stop, max(start + 1, int(pair_ends.searchsorted(
-                pair_ends[start] - cover[start] + _BAND_POINTS, side="right"))))
+                pair_ends[start] - cover[start] + _TILE_POINTS, side="right"))))
             run = drawn[start:end]
             pt, js = _run_pairs(run, x0, x1, y0, xs.size, cover[start:end])
             keep = flat[pt]
@@ -527,6 +533,20 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
                     yield layer.within(keep)
             start = end
         i = stop
+
+
+def check_ss_k(ss_k) -> int:
+    """ss_k itself when it is an integer >= 1, not a bool; ValueError naming
+    it otherwise."""
+    if isinstance(ss_k, bool) or not isinstance(ss_k, numbers.Integral) or ss_k < 1:
+        raise ValueError(f"ss_k must be an integer >= 1, not {ss_k!r}")
+    return ss_k
+
+
+def _balanced(n: int, most: int) -> int:
+    """The piece size that cuts n into the fewest near-equal pieces of at
+    most most: ceil(n / ceil(n / most)); n itself (at least 1) when it fits."""
+    return -(-n // -(-n // most)) if n > most else max(n, 1)
 
 
 def blend_grid(
@@ -541,25 +561,28 @@ def blend_grid(
 
     Returns rgb (ny, nx, 3), composited over black, and residual (ny, nx),
     row-major in y; an empty axis gives empty arrays of those shapes. The
-    grid is cut into bands of whole rows that hold at most _BAND_POINTS blend
-    points (sub-points in ss), or of single rows where one row holds more;
-    an ss pixel row that holds more is blended in bands of sub-point rows.
-    Each band walks the splats once, front to back, in the steps of _steps.
-    ss blends the k x k sub-points of every pixel in center mode and
-    averages each pixel's block.
+    grid is cut into tiles of whole pixels that hold at most _TILE_POINTS
+    blend points (sub-points in ss), or of single pixels where one pixel
+    holds more; an ss pixel that holds more is blended in tiles of its
+    sub-point grid. A tile is at most isqrt(_TILE_POINTS // k**2) pixels
+    wide, so a grid no wider is cut into bands of rows; widths and heights
+    are balanced. Each tile walks the splats once, front to back, in the steps
+    of _steps. ss blends the k x k sub-points of every pixel in center mode
+    and averages each pixel's block; ss_k must be an integer >= 1.
     """
     mode = canonical_mode(mode)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float).reshape(-1)
-    k = ss_k if mode == "ss" else 1
-    if k < 1:
-        raise ValueError("supersample factor must be >= 1")
-    rows = max(_BAND_POINTS // (max(xs.size, 1) * k * k), 1)
-    if ys.size > rows:
+    k = check_ss_k(ss_k) if mode == "ss" else 1
+    cols = _balanced(xs.size, max(isqrt(_TILE_POINTS // (k * k)), 1))
+    rows = _balanced(ys.size, max(_TILE_POINTS // (cols * k * k), 1))
+    if ys.size > rows or xs.size > cols:
         rgb, res = np.empty((ys.size, xs.size, 3)), np.empty((ys.size, xs.size))
         for top in range(0, ys.size, rows):
-            band = slice(top, top + rows)
-            rgb[band], res[band] = blend_grid(prep, xs, ys[band], mode, epsilon, ss_k)
+            for left in range(0, xs.size, cols):
+                tile = slice(top, top + rows), slice(left, left + cols)
+                rgb[tile], res[tile] = blend_grid(prep, xs[tile[1]], ys[tile[0]], mode, epsilon,
+                                                  ss_k)
         return rgb, res
     if mode == "ss":
         rgb, t = blend_grid(prep, subsample_axis(xs, k), subsample_axis(ys, k), "center", epsilon)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .blending import EPSILON_DEFAULT, blend_pixel, prepare_splats
+from .blending import EPSILON_DEFAULT, blend_pixel, check_ss_k, prepare_splats
 from .scene import ProjectedCloud
 from .splatmath import gaussian_moment_k
 
@@ -157,6 +157,7 @@ class SweepConfig:
             raise ValueError("log spacing needs start > 0")
         if not self.modes:
             raise ValueError("at least one mode required")
+        check_ss_k(self.ss_k)
 
     def values(self) -> np.ndarray:
         if self.spacing == "linear":

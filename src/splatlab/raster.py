@@ -1,11 +1,11 @@
 """Front-to-back full-frame rendering.
 
 The frame is one blending.blend_grid call over the pixel centers. blend_grid
-cuts it into bands of whole pixel rows, walks the depth-sorted splats once per
-band and lets each splat update only the pixel centers inside its support box.
-A pixel's result depends on its own center alone, so the band size bounds
-memory (ss expands every pixel into ss_k**2 sub-points) without changing any
-pixel.
+cuts it into near-square tiles of whole pixels, walks the depth-sorted splats
+once per tile and lets each splat update only the pixel centers inside its
+support box. A pixel's result depends on its own center alone, so the tile
+size bounds memory (ss expands every pixel into ss_k**2 sub-points) without
+changing any pixel.
 
 A frame's rgb is composited over black; fb.rgb + fb.residual[..., None] * bg
 composites it over any other background bg.

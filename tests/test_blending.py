@@ -564,7 +564,7 @@ def test_blend_empty_list(mode):
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
 def test_blend_grid_empty_axis(mode):
-    # No band division by zero: a grid with no columns or no rows gives
+    # No tile division by zero: a grid with no columns or no rows gives
     # empty arrays of the grid's shape.
     prep = prepare_splats(stack_splats([iso_splat(PX, 1.0, 0.5)]))
     for xs, ys in (([], [0.5, 1.5]), ([0.5, 1.5], []), ([], [])):
@@ -573,8 +573,8 @@ def test_blend_grid_empty_axis(mode):
 
 
 def test_blend_pixel_ss_bands_of_sub_rows(monkeypatch):
-    # A pixel whose k * k sub-points exceed the band budget is blended in
-    # bands of sub-point rows; the split changes no byte.
+    # A pixel whose k * k sub-points exceed the tile budget is blended in
+    # tiles of its sub-point grid; the split changes no byte.
     prep = prepare_splats(stack_splats([
         iso_splat((0.3, 0.7), 0.4, 0.8, color=(0.9, 0.2, 0.1), depth=1.0),
         iso_splat((0.6, 0.2), 0.6, 0.6, color=(0.1, 0.3, 0.8), depth=2.0),
@@ -584,14 +584,27 @@ def test_blend_pixel_ss_bands_of_sub_rows(monkeypatch):
     real = blending.blend_grid
 
     def logged(prep, xs, ys, mode, *args):
-        calls.append((mode, np.size(ys)))
+        calls.append((mode, np.size(ys), np.size(xs)))
         return real(prep, xs, ys, mode, *args)
 
     monkeypatch.setattr(blending, "blend_grid", logged)
-    monkeypatch.setattr(blending, "_BAND_POINTS", 4)  # one row of 4 sub-points per band
+    monkeypatch.setattr(blending, "_TILE_POINTS", 4)  # tiles of 2 x 2 sub-points
     rgb, res = blend_pixel(prep, PX, "ss", ss_k=4)
-    assert calls == [("ss", 1), ("center", 4)] + [("center", 1)] * 4
+    assert calls == [("ss", 1, 1), ("center", 4, 4)] + [("center", 2, 2)] * 4
     assert rgb.tobytes() == want_rgb.tobytes() and res == want_res
+
+
+@pytest.mark.parametrize("ss_k", [0, -2, 2.0, 1.5, True, "4"])
+def test_blend_grid_rejects_bad_ss_k(ss_k):
+    # Unchecked, 2.0 and True failed deep inside, with a TypeError from the
+    # reshape in pixel_blocks.
+    prep = prepare_splats(stack_splats([iso_splat(PX, 1.0, 0.5)]))
+    with pytest.raises(ValueError, match=rf"^ss_k must be an integer >= 1, not {ss_k!r}$"):
+        blend_grid(prep, [0.5], [0.5], "ss", ss_k=ss_k)
+    # a NumPy integer is an integer
+    want = blend_grid(prep, [0.5], [0.5], "ss", ss_k=2)
+    got = blend_grid(prep, [0.5], [0.5], "ss", ss_k=np.int64(2))
+    assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
 
 
 def test_blend_mode_aliases():

@@ -157,6 +157,13 @@ def test_sweep_config_validation():
         paper_sigma_sweep(start=0.0)
 
 
+@pytest.mark.parametrize("ss_k", [0, 2.5, True])
+def test_sweep_config_rejects_bad_ss_k(ss_k):
+    # Unchecked, SweepConfig(ss_k=0) constructed and failed only in run_sweep.
+    with pytest.raises(ValueError, match="ss_k"):
+        paper_mu_sweep(ss_k=ss_k)
+
+
 def test_sweep_rejects_opacity_outside_unit_interval():
     # Unchecked, the sweep ran to the end on splats that cover more than all.
     with pytest.raises(ValueError, match=r"^opacity\[0\] is 1.5, outside \[0, 1\]$"):

@@ -91,6 +91,16 @@ def test_layers_keep_depth_order_past_uint16_ranks():
     assert np.array_equal(np.concatenate([layer.j for layer in layers]), np.arange(70_000))
 
 
+def test_blend_pixel_steps_splat_by_splat(monkeypatch):
+    # On blend_pixel's 1 x 1 grid every depth layer would hold one pair, so a
+    # run would save no step: each of the 12 small splats is a step of its own.
+    prep = prepare_splats(stack_splats([iso((0.5, 0.5), 1.0, 0.1, float(depth), (1, 0, 0))
+                                        for depth in range(12)]), SUPPORT_SIGMA)
+    log = StepLog(monkeypatch)
+    blend_pixel(prep, (0.5, 0.5), "center")
+    assert (log.single, log.layer) == (12, 0)
+
+
 def iso(mu, sigma, opacity, depth, color):
     return Splat2D(mu2d=np.asarray(mu, float), cov2d=sigma * sigma * np.eye(2), depth=depth,
                    opacity=opacity, color=np.asarray(color, float))
@@ -137,12 +147,12 @@ def test_points_terminate_inside_a_run(mode, monkeypatch):
 @pytest.mark.parametrize("mode", MODES)
 def test_run_pair_budget_changes_no_pixel(mode, monkeypatch):
     # A budget of a few pairs splits every run into many small batches (and
-    # the frame into bands of one row).
+    # the frame into tiles of a few pixels).
     cloud, cam = synth.two_plane_zoom_scene(1)
     prep = prepare_splats(project_cloud(cloud, cam), SUPPORT_SIGMA)
     want = render_projected(prep, cam.width, cam.height, mode, ss_k=2, epsilon=0.05)
     log = StepLog(monkeypatch)
-    monkeypatch.setattr(blending, "_BAND_POINTS", 8)
+    monkeypatch.setattr(blending, "_TILE_POINTS", 8)
     got = render_projected(prep, cam.width, cam.height, mode, ss_k=2, epsilon=0.05)
     assert got.rgb.tobytes() == want.rgb.tobytes()
     assert got.residual.tobytes() == want.residual.tobytes()
@@ -197,7 +207,7 @@ def test_dense_rect_steps_equal_blend_pixel(mode, monkeypatch):
        width=st.integers(1, 24), height=st.integers(1, 18))
 def test_render_bounds_and_band_split_property(seed, n_small, n_large, width, height):
     # Random frames of small and large splats: the residual stays in [0, 1],
-    # rgb finite and >= 0, in every mode, and bands of one pixel row, whose
+    # rgb finite and >= 0, in every mode, and tiles of one blend point, whose
     # edges cut the dense rectangles, change no byte.
     rng = np.random.default_rng(seed)
     sigmas = np.concatenate([rng.uniform(0.3, 1.0, n_small), rng.uniform(3.0, 8.0, n_large)])
@@ -211,7 +221,7 @@ def test_render_bounds_and_band_split_property(seed, n_small, n_large, width, he
         assert np.isfinite(fb.rgb).all() and (fb.rgb >= 0).all()
         assert ((fb.residual >= 0) & (fb.residual <= 1)).all()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(blending, "_BAND_POINTS", 1)
+            mp.setattr(blending, "_TILE_POINTS", 1)
             rows = render_projected(prep, width, height, mode, ss_k=2)
         assert rows.rgb.tobytes() == fb.rgb.tobytes()
         assert rows.residual.tobytes() == fb.residual.tobytes()

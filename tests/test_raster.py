@@ -151,16 +151,59 @@ def test_truncation_bound_3_to_5_sigma():
 
 
 def test_supersample_chunking_consistent(monkeypatch):
-    # A band budget small enough to split the frame into many row bands must
-    # agree with the one-band result.
+    # A tile budget small enough to split the frame into many tiles must
+    # agree with the one-tile result.
     rng = np.random.default_rng(11)
     prep = prepare_splats(random_scene(rng, 20, 16, 16), SUPPORT_SIGMA)
-    monkeypatch.setattr(blending, "_BAND_POINTS", 1 << 30)
+    monkeypatch.setattr(blending, "_TILE_POINTS", 1 << 30)
     a = render_projected(prep, 16, 16, "ss", ss_k=8)
-    monkeypatch.setattr(blending, "_BAND_POINTS", 3 * 16 * 8 * 8)  # three rows per band
+    monkeypatch.setattr(blending, "_TILE_POINTS", 3 * 16 * 8 * 8)  # tiles of 6 x 8 pixels
     b = render_projected(prep, 16, 16, "ss", ss_k=8)
     assert a.rgb.tobytes() == b.rgb.tobytes()
     assert a.residual.tobytes() == b.residual.tobytes()
+
+
+@pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
+def test_tiles_bound_points_and_cover_frame_once(mode, monkeypatch):
+    # A 64-point budget cuts frames whose sides are multiples of no tile side
+    # into tiles: 19 x 13 both ways, 45 x 2 only across; ss at k=3 holds 9
+    # sub-points per pixel. Every leaf (a call that walks the splats) holds
+    # at most the budget, the leaves cover each blend point of the frame
+    # exactly once, and the cut changes no byte of the one-tile render.
+    k = 3
+    calls = []
+    real = blending.blend_grid
+
+    def logged(prep, xs, ys, mode, *args):
+        call = [xs, ys, mode, 0]
+        calls.append(call)
+        n = len(calls)
+        out = real(prep, xs, ys, mode, *args)
+        call[3] = len(calls) - n  # the calls made inside this one
+        return out
+
+    monkeypatch.setattr(blending, "blend_grid", logged)
+    for width, height in ((19, 13), (45, 2)):
+        prep = prepare_splats(random_scene(np.random.default_rng(12), 30, width, height),
+                              SUPPORT_SIGMA)
+        monkeypatch.setattr(blending, "_TILE_POINTS", 1 << 30)
+        whole = render_projected(prep, width, height, mode, ss_k=k)
+        calls.clear()
+        monkeypatch.setattr(blending, "_TILE_POINTS", 64)
+        tiled = render_projected(prep, width, height, mode, ss_k=k)
+        assert tiled.rgb.tobytes() == whole.rgb.tobytes()
+        assert tiled.residual.tobytes() == whole.residual.tobytes()
+
+        sub = k if mode == "ss" else 1
+        grid_x = blending.subsample_axis(np.arange(width) + 0.5, sub)
+        grid_y = blending.subsample_axis(np.arange(height) + 0.5, sub)
+        covered = np.zeros((grid_y.size, grid_x.size), dtype=int)
+        leaves = [(xs, ys, m) for xs, ys, m, inner in calls if inner == 0]
+        assert len(leaves) > 1
+        for xs, ys, m in leaves:
+            assert m != "ss" and 0 < np.size(xs) * np.size(ys) <= 64
+            covered[np.ix_(grid_y.searchsorted(ys), grid_x.searchsorted(xs))] += 1
+        assert (covered == 1).all()
 
 
 def test_offscreen_splat_not_drawn():
