@@ -58,13 +58,12 @@ time (update_window, scalar_alpha_*) as the tests' oracle.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
-from splatlab.scene import ProjectedCloud
+from splatlab.scene import ProjectedCloud, is_count
 from splatlab.splatmath import eigen2x2_batch, gaussian_i0, gaussian_moments_012
 
 EPSILON_DEFAULT = 1e-4  # classic termination threshold on remaining transmittance
@@ -131,30 +130,24 @@ class PreparedSplats:
         )
 
 
-def prepare_splats(projected: ProjectedCloud, support_sigma: float | None = None) -> PreparedSplats:
+def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> PreparedSplats:
     """Eigen-decompose, cull degenerates, and depth-sort (stable) for blending.
 
-    support_sigma sets the per-splat support boxes the kernels test evaluation
-    points against; None (the default for direct pixel blending) leaves the
-    Gaussians untruncated, while the rasterizer prepares at SUPPORT_SIGMA.
+    support_sigma (> 0) sets the per-splat support boxes the kernels test
+    evaluation points against; the default, inf, leaves the Gaussians
+    untruncated for direct pixel blending, while the rasterizer prepares at
+    SUPPORT_SIGMA.
     """
-    mu2d, cxx, cxy, cyy = projected.mu2d, projected.cxx, projected.cxy, projected.cyy
-    depth, opacity, color = projected.depth, projected.opacity, projected.color
-
-    lam1, lam2, e1x, e1y = eigen2x2_batch(cxx, cxy, cyy)
-    ok = lam2 > 0.0
-    n_bad = int(lam2.size - np.count_nonzero(ok))
-    if n_bad:
-        keep = np.flatnonzero(ok)
-        mu2d, depth, opacity, color = mu2d[keep], depth[keep], opacity[keep], color[keep]
-        lam1, lam2, e1x, e1y = lam1[keep], lam2[keep], e1x[keep], e1y[keep]
-        cxx, cxy, cyy = cxx[keep], cxy[keep], cyy[keep]
-
+    if not support_sigma > 0:  # NaN too
+        raise ValueError(f"support_sigma must be > 0, not {support_sigma!r}")
+    lam1, lam2, e1x, e1y = eigen2x2_batch(projected.cxx, projected.cxy, projected.cyy)
+    keep = np.flatnonzero(lam2 > 0.0)
     # Stable sort keeps input order on depth ties.
-    order = np.argsort(depth, kind="stable")
-    mu2d, depth, opacity, color = mu2d[order], depth[order], opacity[order], color[order]
+    order = keep[np.argsort(projected.depth[keep], kind="stable")]
+    mu2d, depth = projected.mu2d[order], projected.depth[order]
+    opacity, color = projected.opacity[order], projected.color[order]
+    cxx, cxy, cyy = projected.cxx[order], projected.cxy[order], projected.cyy[order]
     lam1, lam2, e1x, e1y = lam1[order], lam2[order], e1x[order], e1y[order]
-    cxx, cxy, cyy = cxx[order], cxy[order], cyy[order]
 
     sig1, sig2 = np.sqrt(lam1), np.sqrt(lam2)
     e1 = np.stack([e1x, e1y], axis=1)
@@ -170,13 +163,9 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float | None = None
     s1 = np.where(swap, sig2, sig1)
     s2 = np.where(swap, sig1, sig2)
 
-    if support_sigma is None:
-        # Untruncated: pixel-level blending sees the full Gaussians. Finite
-        # cutoffs are the rasterizer's concern.
-        aabb = np.tile([-np.inf, -np.inf, np.inf, np.inf], (mu2d.shape[0], 1))
-    else:
-        ext = support_sigma * (sig1[:, None] * np.abs(e1) + sig2[:, None] * np.abs(e2))
-        aabb = np.concatenate([mu2d - ext, mu2d + ext], axis=1)  # x1, y1, x2, y2
+    # every component of ext is > 0, so an infinite support_sigma gives infinite boxes
+    ext = support_sigma * (sig1[:, None] * np.abs(e1) + sig2[:, None] * np.abs(e2))
+    aabb = np.concatenate([mu2d - ext, mu2d + ext], axis=1)  # x1, y1, x2, y2
 
     det = cxx * cyy - cxy * cxy
     return PreparedSplats(
@@ -192,7 +181,7 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float | None = None
         inv_xx=cyy / det,
         inv_xy=cxy / det,
         inv_yy=cxx / det,
-        n_culled_degenerate=n_bad,
+        n_culled_degenerate=len(projected) - keep.size,
     )
 
 
@@ -538,9 +527,18 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
 def check_ss_k(ss_k) -> int:
     """ss_k itself when it is an integer >= 1, not a bool; ValueError naming
     it otherwise."""
-    if isinstance(ss_k, bool) or not isinstance(ss_k, numbers.Integral) or ss_k < 1:
+    if not is_count(ss_k):
         raise ValueError(f"ss_k must be an integer >= 1, not {ss_k!r}")
     return ss_k
+
+
+def _check_axis(name: str, a: np.ndarray) -> None:
+    """ValueError naming the axis and showing its values unless they are
+    finite and non-decreasing; support_rects' searchsorted needs both."""
+    # ends finite and no step down (a NaN fails every comparison): all finite
+    if a.size and not (isfinite(a[0]) and isfinite(a[-1])
+                       and (a.size == 1 or (a[1:] >= a[:-1]).all())):
+        raise ValueError(f"{name} must be finite and non-decreasing, not {a}")
 
 
 def _balanced(n: int, most: int) -> int:
@@ -557,7 +555,9 @@ def blend_grid(
     epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
 ):
-    """Blend at every point of the separable grid ys x xs, both ascending.
+    """Blend at every point of the separable grid ys x xs, both finite and
+    non-decreasing (in ss, the k sub-points of every pixel too: pixel
+    centers at least (k - 1) / k apart); ValueError naming the axis otherwise.
 
     Returns rgb (ny, nx, 3), composited over black, and residual (ny, nx),
     row-major in y; an empty axis gives empty arrays of those shapes. The
@@ -573,6 +573,8 @@ def blend_grid(
     mode = canonical_mode(mode)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float).reshape(-1)
+    _check_axis("xs", xs)
+    _check_axis("ys", ys)
     k = check_ss_k(ss_k) if mode == "ss" else 1
     cols = _balanced(xs.size, max(isqrt(_TILE_POINTS // (k * k)), 1))
     rows = _balanced(ys.size, max(_TILE_POINTS // (cols * k * k), 1))

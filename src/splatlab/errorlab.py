@@ -26,8 +26,12 @@ _ISO_TOL = 1e-12
 
 def iso_cloud(mu, sigma, opacity, color, depth) -> ProjectedCloud:
     """Isotropic screen-space splats, covariance sigma^2 I: mu (m, 2), color
-    (m, 3), sigma, opacity and depth (m,)."""
-    var = np.square(np.asarray(sigma, dtype=float))
+    (m, 3), sigma (> 0), opacity and depth (m,)."""
+    sigma = np.asarray(sigma, dtype=float)
+    bad = np.flatnonzero(~(sigma > 0.0))  # NaN too
+    if bad.size:
+        raise ValueError(f"sigma[{bad[0]}] is {sigma.flat[bad[0]]}, must be > 0")
+    var = np.square(sigma)
     return ProjectedCloud(mu2d=mu, cxx=var, cxy=np.zeros_like(var), cyy=var.copy(),
                           depth=depth, opacity=opacity, color=color)
 
@@ -39,13 +43,14 @@ def two_splat_config(mu_x: float, sigma: float, opacity: float = 1.0,
                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0])
 
 
-def _iso_params(splats: ProjectedCloud) -> list:
-    """(mu row, sigma, opacity) per splat; sigma and opacity as Python floats."""
+def _iso_params(splats: ProjectedCloud) -> list | None:
+    """(mu row, sigma, opacity) per splat, sigma and opacity as Python floats;
+    None when any splat is not isotropic."""
     out = []
     for mu, xx, xy, yy, o in zip(splats.mu2d, splats.cxx.tolist(), splats.cxy.tolist(),
                                  splats.cyy.tolist(), splats.opacity.tolist()):
         if abs(xy) > _ISO_TOL * xx or abs(xx - yy) > _ISO_TOL * xx:
-            raise ValueError("closed form requires isotropic splats")
+            return None
         out.append((mu, math.sqrt(xx), o))
     return out
 
@@ -80,17 +85,11 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
     """
     if method not in ("auto", "closed", "quad"):
         raise ValueError(f"unknown method {method!r}")
-    use_closed = method == "closed"
-    if method == "auto":
-        try:
-            _iso_params(splats)
-            use_closed = len(splats) <= 2
-        except ValueError:
-            use_closed = False
-    if use_closed:
-        params = _iso_params(splats)
-        if len(params) > 2:
-            raise ValueError("closed form covers at most two splats")
+    params = None if method == "quad" else _iso_params(splats)
+    closed = params is not None and len(params) <= 2
+    if method == "closed" and not closed:
+        raise ValueError("closed form covers at most two isotropic splats")
+    if closed:
         total = 1.0
         for mu, s, o in params:
             total -= _alpha_integral_iso(mu, s, o)
@@ -149,12 +148,20 @@ class SweepConfig:
             raise ValueError(f"unknown sweep variable {self.sweep_var!r}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
+        for name in ("start", "stop", "step"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if not self.step > 0:
             raise ValueError("step must be > 0")
         if self.stop < self.start:
             raise ValueError("empty sweep range")
         if self.spacing == "log" and not self.start > 0:
             raise ValueError("log spacing needs start > 0")
+        # the truth and iso_cloud take sigma > 0 only
+        if self.sweep_var == "sigma" and not self.start > 0:
+            raise ValueError(f"a sigma sweep needs start > 0, not {self.start!r}")
+        if self.sweep_var == "mu_x" and not self.sigma > 0:
+            raise ValueError(f"sigma must be > 0, not {self.sigma!r}")
         if not self.modes:
             raise ValueError("at least one mode required")
         check_ss_k(self.ss_k)

@@ -18,9 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blending import (EPSILON_DEFAULT, SUPPORT_SIGMA, PreparedSplats, blend_grid, canonical_mode,
-                       prepare_splats)
-from .scene import Camera, SplatCloud, project_cloud
+from .blending import SUPPORT_SIGMA, PreparedSplats, blend_grid, canonical_mode, prepare_splats
+from .scene import Camera, SplatCloud, check_image_size, project_cloud
 
 # diagonal covariance floor (px^2) for center mode; the window modes and the
 # supersample reference run unfiltered
@@ -66,19 +65,19 @@ def render_projected(
     height: int,
     mode: str = "gb",
     *,
-    epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
 ) -> Framebuffer:
     """Render splats prepared by prepare_splats, whose support_sigma sets their
-    truncation (render uses SUPPORT_SIGMA); any other input is a TypeError."""
+    truncation (render uses SUPPORT_SIGMA); any other input is a TypeError.
+    width and height are integers >= 1. Points terminate at EPSILON_DEFAULT;
+    blend_grid takes any other epsilon."""
     if not isinstance(prep, PreparedSplats):
         raise TypeError(f"render_projected takes a PreparedSplats, not {type(prep).__name__}; "
                         "prepare it with prepare_splats(projected, SUPPORT_SIGMA)")
-    if width <= 0 or height <= 0:
-        raise ValueError("image dimensions must be positive")
+    check_image_size(width, height)
     xs = np.arange(width) + 0.5
     ys = np.arange(height) + 0.5
-    rgb, res = blend_grid(prep, xs, ys, mode, epsilon, ss_k)
+    rgb, res = blend_grid(prep, xs, ys, mode, ss_k=ss_k)
     fb = Framebuffer(rgb=rgb, residual=res)
     x0, x1, y0, y1 = prep.support_rects(xs, ys)
     fb.stats.n_drawn = int(np.count_nonzero((x0 < x1) & (y0 < y1)))
@@ -91,7 +90,6 @@ def render(
     camera: Camera,
     mode: str = "gb",
     *,
-    epsilon: float = EPSILON_DEFAULT,
     ss_k: int = 16,
 ) -> Framebuffer:
     """Project a 3D scene and render it in the given blend mode.
@@ -105,7 +103,7 @@ def render(
     t0 = time.perf_counter()
     proj = project_cloud(scene, camera, lowpass=LOWPASS_CENTER if mode == "center" else 0.0)
     prep = prepare_splats(proj, SUPPORT_SIGMA)
-    fb = render_projected(prep, camera.width, camera.height, mode, epsilon=epsilon, ss_k=ss_k)
+    fb = render_projected(prep, camera.width, camera.height, mode, ss_k=ss_k)
     fb.stats.n_input = len(scene)
     fb.stats.n_culled_near = proj.n_culled_near
     fb.stats.n_culled_nonfinite = proj.n_culled_nonfinite

@@ -9,6 +9,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,6 +39,18 @@ SH_C3 = (
 )
 
 
+def is_count(value) -> bool:
+    """True for an integer >= 1 that is not a bool; NumPy integers count."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= 1
+
+
+def check_image_size(width, height) -> None:
+    """ValueError naming width or height unless both are integers >= 1."""
+    for name, value in (("width", width), ("height", height)):
+        if not is_count(value):
+            raise ValueError(f"image dimensions must be integers >= 1: {name} is {value!r}")
+
+
 class PlyParseError(ValueError):
     """Malformed splat PLY; the message names the file and what is malformed."""
 
@@ -56,6 +69,7 @@ class Camera:
     near: float = 0.01
 
     def __post_init__(self):
+        check_image_size(self.width, self.height)
         w2c = np.asarray(self.world_to_cam, dtype=float)
         if w2c.shape != (3, 4):
             raise ValueError(f"world_to_cam must be 3x4, got {w2c.shape}")

@@ -32,7 +32,7 @@ from _reference import (
     to_splat_frame,
     update_window,
 )
-from splatlab import blending
+from splatlab import blending, synth
 from splatlab.blending import (
     GUARD_HI,
     GUARD_LO,
@@ -47,6 +47,7 @@ from splatlab.blending import (
     prepare_splats,
     subsample_axis,
 )
+from splatlab.scene import project_cloud
 
 PX = (0.5, 0.5)
 
@@ -605,6 +606,50 @@ def test_blend_grid_rejects_bad_ss_k(ss_k):
     want = blend_grid(prep, [0.5], [0.5], "ss", ss_k=2)
     got = blend_grid(prep, [0.5], [0.5], "ss", ss_k=np.int64(2))
     assert got[0].tobytes() == want[0].tobytes() and got[1].tobytes() == want[1].tobytes()
+
+
+def cloud_at_3_sigma():
+    cloud, cam = synth.random_cloud(0, n=20)
+    return prepare_splats(project_cloud(cloud, cam), 3.0)
+
+
+def test_blend_grid_rejects_descending_axes():
+    # Unchecked, support_rects' searchsorted ran on any order: at y = 20.5
+    # the ascending xs gave residuals [1, 1, 0.9429] and the reversed ones
+    # [1, 1, 1], with no warning.
+    prep = cloud_at_3_sigma()
+    _, res = blend_grid(prep, [10.5, 20.5, 40.5], [20.5], "center")
+    assert res[0, 2] < 1.0
+    with pytest.raises(ValueError,
+                       match=r"^xs must be finite and non-decreasing, not \[40.5 20.5 10.5\]$"):
+        blend_grid(prep, [40.5, 20.5, 10.5], [20.5], "center")
+    with pytest.raises(ValueError, match=r"^ys must be finite and non-decreasing"):
+        blend_grid(prep, [20.5], [30.5, 20.5], "gb")
+    # equal coordinates are non-decreasing, and so is an empty axis
+    _, res = blend_grid(prep, [40.5, 40.5], [20.5], "center")
+    assert res[0, 0] == res[0, 1] < 1.0
+    assert blend_grid(prep, [], [20.5], "center")[1].shape == (1, 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+def test_blend_grid_rejects_nonfinite_axes(bad):
+    # Unchecked, blend_pixel((nan, 3.0), "gb") returned the background:
+    # residual 1.0 at a point that is no point.
+    prep = cloud_at_3_sigma()
+    with pytest.raises(ValueError, match=r"^xs must be finite and non-decreasing"):
+        blend_pixel(prep, (bad, 3.0), "gb")
+    with pytest.raises(ValueError, match=r"^ys must be finite and non-decreasing"):
+        blend_pixel(prep, (3.0, bad), "center")
+    with pytest.raises(ValueError, match=r"^xs must be finite and non-decreasing"):
+        blend_grid(prep, [10.5, bad, 40.5], [20.5], "integrated")
+
+
+@pytest.mark.parametrize("support_sigma", [0.0, -3.0, np.nan, -np.inf])
+def test_prepare_splats_rejects_support_sigma_not_positive(support_sigma):
+    # Unchecked, a NaN support_sigma gave NaN boxes, and the frame drew nothing.
+    projected = stack_splats([iso_splat(PX, 1.0, 0.5)])
+    with pytest.raises(ValueError, match=rf"^support_sigma must be > 0, not {support_sigma!r}$"):
+        prepare_splats(projected, support_sigma)
 
 
 def test_blend_mode_aliases():

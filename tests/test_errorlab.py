@@ -157,6 +157,30 @@ def test_sweep_config_validation():
         paper_sigma_sweep(start=0.0)
 
 
+@pytest.mark.parametrize("overrides, match", [
+    (dict(start=-np.inf), r"^start must be finite, not -inf$"),
+    (dict(stop=np.inf), r"^stop must be finite, not inf$"),
+    (dict(step=np.nan), r"^step must be finite, not nan$"),
+    (dict(sigma=-1.0), r"^sigma must be > 0, not -1.0$"),
+    (dict(sigma=0.0), r"^sigma must be > 0, not 0.0$"),
+    (dict(sweep_var="sigma", start=0.0, stop=1.0, step=0.1), r"^a sigma sweep needs start > 0"),
+], ids=["start", "stop", "step", "sigma-negative", "sigma-zero", "sigma-sweep-start"])
+def test_sweep_config_rejects_what_the_truth_cannot_take(overrides, match):
+    # Unchecked, sigma -1 ran as sigma +1 (iso_cloud squares it), sigma 0
+    # failed inside the truth, and stop=inf failed in values() with
+    # "Maximum allowed size exceeded".
+    with pytest.raises(ValueError, match=match):
+        paper_mu_sweep(**overrides)
+    # a fixed sigma is not read by a sigma sweep
+    assert paper_sigma_sweep(sigma=-1.0).sigma == -1.0
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_iso_cloud_rejects_sigma_not_positive(bad):
+    with pytest.raises(ValueError, match=rf"^sigma\[1\] is {bad}, must be > 0$"):
+        iso_cloud(np.zeros((3, 2)), [1.0, bad, bad], [0.5] * 3, [RED] * 3, [0.0, 1.0, 2.0])
+
+
 @pytest.mark.parametrize("ss_k", [0, 2.5, True])
 def test_sweep_config_rejects_bad_ss_k(ss_k):
     # Unchecked, SweepConfig(ss_k=0) constructed and failed only in run_sweep.

@@ -18,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import Splat2D, stack_splats
 from splatlab import blending, raster, synth
-from splatlab.blending import SUPPORT_SIGMA, blend_pixel, prepare_splats
-from splatlab.raster import render_projected
+from splatlab.blending import SUPPORT_SIGMA, blend_grid, blend_pixel, prepare_splats
+from splatlab.raster import Framebuffer, render_projected
 from splatlab.scene import project_cloud
 
 MODES = ["center", "integrated", "gb", "ss"]
@@ -139,7 +139,7 @@ def test_points_terminate_inside_a_run(mode, monkeypatch):
     prep = prepare_splats(interleaved_scene(np.random.default_rng(22), opacity=(0.95, 0.99)),
                           SUPPORT_SIGMA)
     log = StepLog(monkeypatch)
-    fb = render_projected(prep, 24, 18, mode, ss_k=1, epsilon=0.3)
+    fb = Framebuffer(*blend_grid(prep, np.arange(24) + 0.5, np.arange(18) + 0.5, mode, 0.3, 1))
     assert log.ended_in_layer > 0
     assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k=1, epsilon=0.3)
 
@@ -150,10 +150,11 @@ def test_run_pair_budget_changes_no_pixel(mode, monkeypatch):
     # the frame into tiles of a few pixels).
     cloud, cam = synth.two_plane_zoom_scene(1)
     prep = prepare_splats(project_cloud(cloud, cam), SUPPORT_SIGMA)
-    want = render_projected(prep, cam.width, cam.height, mode, ss_k=2, epsilon=0.05)
+    xs, ys = np.arange(cam.width) + 0.5, np.arange(cam.height) + 0.5
+    want = Framebuffer(*blend_grid(prep, xs, ys, mode, 0.05, 2))
     log = StepLog(monkeypatch)
     monkeypatch.setattr(blending, "_TILE_POINTS", 8)
-    got = render_projected(prep, cam.width, cam.height, mode, ss_k=2, epsilon=0.05)
+    got = Framebuffer(*blend_grid(prep, xs, ys, mode, 0.05, 2))
     assert got.rgb.tobytes() == want.rgb.tobytes()
     assert got.residual.tobytes() == want.residual.tobytes()
     assert log.layer > 100
@@ -196,7 +197,7 @@ def test_dense_rect_steps_equal_blend_pixel(mode, monkeypatch):
     # (a 1 x 1 grid, so every rectangle is gathered) is the reference.
     prep = prepare_splats(dense_rect_scene(), SUPPORT_SIGMA)
     log = StepLog(monkeypatch)
-    fb = render_projected(prep, 48, 24, mode, ss_k=2, epsilon=0.5)
+    fb = Framebuffer(*blend_grid(prep, np.arange(48) + 0.5, np.arange(24) + 0.5, mode, 0.5, 2))
     assert {form for _, form in log.forms} == {"dense", "gathered"}
     assert dict(log.forms) == DENSE_FORMS[mode]
     assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k=2, epsilon=0.5)

@@ -100,6 +100,18 @@ def test_render_rejects_bad_dimensions():
         render_projected(prep, 64, -1)
 
 
+@pytest.mark.parametrize("width, height, name", [
+    (2.5, 3, "width"), (True, 3, "width"), (3, np.float64(2.0), "height"), (3, False, "height"),
+])
+def test_render_projected_rejects_non_integer_sizes(width, height, name):
+    # Unchecked, width 2.5 rendered 3 columns and True rendered 1.
+    prep = prepare_splats(stack_splats([iso_splat((1.0, 1.0), 1.0, 0.5)]), SUPPORT_SIGMA)
+    with pytest.raises(ValueError, match=rf"^image dimensions must be integers >= 1: {name} is "):
+        render_projected(prep, width, height)
+    # a NumPy integer is an integer
+    assert render_projected(prep, np.int64(3), 2).residual.shape == (2, 3)
+
+
 def test_render_projected_takes_prepared_splats_only():
     # A ProjectedCloud carries no truncation rule; the caller picks one in prepare_splats.
     projected = stack_splats([iso_splat((8.0, 8.0), 1.0, 0.5)])

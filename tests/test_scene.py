@@ -344,6 +344,22 @@ def test_camera_validation():
         make_camera(world_to_cam=np.eye(4))  # 3x4 only
 
 
+@pytest.mark.parametrize("field, value", [
+    ("width", 64.5), ("width", True), ("width", 0), ("height", -48), ("height", 48.0),
+])
+def test_camera_rejects_non_integer_sizes(field, value):
+    # Unchecked, width 64.5 rendered 65 columns and width True rendered 1.
+    with pytest.raises(ValueError, match=rf"^image dimensions must be integers >= 1: {field} is "):
+        make_camera(**{field: value})
+    assert make_camera(width=np.int64(64)).width == 64
+
+
+@pytest.mark.parametrize("k", [0.0, -2.0])
+def test_camera_scaled_rejects_factor_not_positive(k):
+    with pytest.raises(ValueError, match="scale factor must be > 0"):
+        make_camera().scaled(k)
+
+
 def make_cloud(rng, n=50, bands=16):
     q = rng.normal(size=(n, 4))
     return SplatCloud(
@@ -566,6 +582,54 @@ def test_splat_cloud_rejects_bad_shapes(field, value):
     fields[field] = value
     with pytest.raises(ValueError, match=rf"^{field} must have shape"):
         SplatCloud(**fields)
+
+
+@pytest.mark.parametrize("sh", [np.zeros((2, 3)), np.zeros((3, 1, 3)), np.zeros((2, 1, 2))],
+                         ids=["2d", "rows", "channels"])
+def test_splat_cloud_rejects_bad_sh_shape(sh):
+    with pytest.raises(ValueError, match=r"^sh must be \(n, bands, 3\)$"):
+        SplatCloud(mu=np.zeros((2, 3)), scale=np.ones((2, 3)), rot=np.tile(IDENTITY_Q, (2, 1)),
+                   opacity=np.full(2, 0.5), sh=sh)
+
+
+def test_ply_skips_comment_and_obj_info_lines(tmp_path):
+    cloud = make_cloud(np.random.default_rng(10), n=3, bands=4)
+    path = tmp_path / "cloud.ply"
+    save_ply(path, cloud)
+    want = load_ply(path)
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"format binary_little_endian 1.0\n",
+                                 b"comment made by hand\nformat binary_little_endian 1.0\n"
+                                 b"obj_info scanned 2026\ncomment\n", 1))
+    got = load_ply(path)
+    for name in CLOUD_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_ply_reads_only_the_vertex_element(tmp_path):
+    # An element after vertex ends the header read: its properties (here a
+    # list type load_ply does not read) are not vertex properties, and its
+    # payload sits after the vertex data.
+    cloud = make_cloud(np.random.default_rng(11), n=3, bands=1)
+    path = tmp_path / "cloud.ply"
+    save_ply(path, cloud)
+    want = load_ply(path)
+    raw = path.read_bytes()
+    body_at = raw.index(b"end_header\n")
+    path.write_bytes(raw[:body_at] + b"element face 1\nproperty list uchar int vertex_indices\n"
+                     + raw[body_at:] + bytes([3]) + np.arange(3, dtype="<i4").tobytes())
+    got = load_ply(path)
+    for name in CLOUD_FIELDS:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+def test_ply_rejects_missing_format_line(tmp_path):
+    path = tmp_path / "cloud.ply"
+    save_ply(path, make_cloud(np.random.default_rng(12), n=1, bands=1))
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"format binary_little_endian 1.0\n", b"", 1))
+    with pytest.raises(PlyParseError, match=r"cloud\.ply: missing format line$"):
+        load_ply(path)
 
 
 def test_ply_rejects_element_before_vertex(tmp_path):
