@@ -532,13 +532,24 @@ def check_ss_k(ss_k) -> int:
     return ss_k
 
 
-def _check_axis(name: str, a: np.ndarray) -> None:
+def check_epsilon(epsilon) -> None:
+    """ValueError naming epsilon unless it is finite and >= 0; a NaN would
+    end no point (tn < nan is always false)."""
+    if not (isfinite(epsilon) and epsilon >= 0.0):
+        raise ValueError(f"epsilon must be finite and >= 0, not {epsilon!r}")
+
+
+def _check_axis(name: str, a: np.ndarray, k: int) -> None:
     """ValueError naming the axis and showing its values unless they are
-    finite and non-decreasing; support_rects' searchsorted needs both."""
+    finite and non-decreasing, and in ss (k > 1) their k sub-points per pixel
+    too, which puts pixel centers at least (k - 1) / k apart; support_rects'
+    searchsorted needs both."""
+    sub = subsample_axis(a, k) if k > 1 else a
     # ends finite and no step down (a NaN fails every comparison): all finite
-    if a.size and not (isfinite(a[0]) and isfinite(a[-1])
-                       and (a.size == 1 or (a[1:] >= a[:-1]).all())):
-        raise ValueError(f"{name} must be finite and non-decreasing, not {a}")
+    if sub.size and not (isfinite(sub[0]) and isfinite(sub[-1])
+                         and (sub.size == 1 or (sub[1:] >= sub[:-1]).all())):
+        gap = f", pixel centers at least (k - 1) / k = {(k - 1) / k:g} apart" if k > 1 else ""
+        raise ValueError(f"{name} must be finite and non-decreasing{gap}, not {a}")
 
 
 def _balanced(n: int, most: int) -> int:
@@ -557,7 +568,8 @@ def blend_grid(
 ):
     """Blend at every point of the separable grid ys x xs, both finite and
     non-decreasing (in ss, the k sub-points of every pixel too: pixel
-    centers at least (k - 1) / k apart); ValueError naming the axis otherwise.
+    centers at least (k - 1) / k apart); ValueError naming the axis otherwise,
+    or epsilon unless it is finite and >= 0.
 
     Returns rgb (ny, nx, 3), composited over black, and residual (ny, nx),
     row-major in y; an empty axis gives empty arrays of those shapes. The
@@ -571,11 +583,12 @@ def blend_grid(
     and averages each pixel's block; ss_k must be an integer >= 1.
     """
     mode = canonical_mode(mode)
+    check_epsilon(epsilon)
+    k = check_ss_k(ss_k) if mode == "ss" else 1
     xs = np.asarray(xs, dtype=float).reshape(-1)
     ys = np.asarray(ys, dtype=float).reshape(-1)
-    _check_axis("xs", xs)
-    _check_axis("ys", ys)
-    k = check_ss_k(ss_k) if mode == "ss" else 1
+    _check_axis("xs", xs, k)
+    _check_axis("ys", ys, k)
     cols = _balanced(xs.size, max(isqrt(_TILE_POINTS // (k * k)), 1))
     rows = _balanced(ys.size, max(_TILE_POINTS // (cols * k * k), 1))
     if ys.size > rows or xs.size > cols:

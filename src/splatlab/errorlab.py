@@ -16,9 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from .blending import EPSILON_DEFAULT, blend_pixel, check_ss_k, prepare_splats
+from .blending import EPSILON_DEFAULT, blend_pixel, check_epsilon, check_ss_k, prepare_splats
 from .scene import ProjectedCloud
-from .splatmath import gaussian_moment_k
+from .splatmath import gaussian_i0
 
 PSNR_CAP = 99.0
 _ISO_TOL = 1e-12
@@ -57,8 +57,8 @@ def _iso_params(splats: ProjectedCloud) -> list | None:
 
 def _alpha_integral_iso(mu, sigma, o) -> float:
     # integral of o * exp(-|x-mu|^2 / 2 sigma^2) over [-0.5, 0.5]^2
-    ix = gaussian_moment_k(0, sigma, -0.5 - mu[0], 0.5 - mu[0])
-    iy = gaussian_moment_k(0, sigma, -0.5 - mu[1], 0.5 - mu[1])
+    ix = gaussian_i0(sigma, -0.5 - mu[0], 0.5 - mu[0])
+    iy = gaussian_i0(sigma, -0.5 - mu[1], 0.5 - mu[1])
     return o * float(ix) * float(iy)
 
 
@@ -72,7 +72,7 @@ def _pair_integral_iso(mu1, s1, o1, mu2, s2, o2) -> float:
         a, b = mu1[ax], mu2[ax]
         muc = (a * s2 * s2 + b * s1 * s1) / (s1 * s1 + s2 * s2)
         pref = math.exp(-((a - b) ** 2) / (2.0 * (s1 * s1 + s2 * s2)))
-        total *= pref * float(gaussian_moment_k(0, sc, -0.5 - muc, 0.5 - muc))
+        total *= pref * float(gaussian_i0(sc, -0.5 - muc, 0.5 - muc))
     return total
 
 
@@ -81,15 +81,16 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
 
     Closed form for up to two isotropic splats (expansion of (1-a1)(1-a2) with
     the product-of-Gaussians identity); adaptive 2D quadrature to 1e-10
-    otherwise. method forces "closed" or "quad".
+    otherwise, or always when method is "quad". ValueError naming the first
+    splat whose covariance is not positive definite.
     """
-    if method not in ("auto", "closed", "quad"):
+    if method not in ("auto", "quad"):
         raise ValueError(f"unknown method {method!r}")
+    pd = (splats.cxx > 0.0) & (splats.cxx * splats.cyy - splats.cxy * splats.cxy > 0.0)
+    if not pd.all():
+        raise ValueError(f"covariance of splat {np.argmin(pd)} is not positive definite")
     params = None if method == "quad" else _iso_params(splats)
-    closed = params is not None and len(params) <= 2
-    if method == "closed" and not closed:
-        raise ValueError("closed form covers at most two isotropic splats")
-    if closed:
+    if params is not None and len(params) <= 2:
         total = 1.0
         for mu, s, o in params:
             total -= _alpha_integral_iso(mu, s, o)
@@ -148,7 +149,9 @@ class SweepConfig:
             raise ValueError(f"unknown sweep variable {self.sweep_var!r}")
         if self.spacing not in ("linear", "log"):
             raise ValueError(f"unknown spacing {self.spacing!r}")
-        for name in ("start", "stop", "step"):
+        # mu_x is read by a sigma sweep only
+        fixed = ("mu_x", "offset_y") if self.sweep_var == "sigma" else ("offset_y",)
+        for name in ("start", "stop", "step") + fixed:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         if not self.step > 0:
@@ -162,8 +165,11 @@ class SweepConfig:
             raise ValueError(f"a sigma sweep needs start > 0, not {self.start!r}")
         if self.sweep_var == "mu_x" and not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, not {self.sigma!r}")
+        if not 0.0 <= self.opacity <= 1.0:  # NaN too
+            raise ValueError(f"opacity must be in [0, 1], not {self.opacity!r}")
         if not self.modes:
             raise ValueError("at least one mode required")
+        check_epsilon(self.epsilon)
         check_ss_k(self.ss_k)
 
     def values(self) -> np.ndarray:

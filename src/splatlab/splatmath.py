@@ -27,6 +27,9 @@ pair; a mixed-sign element that shares its array with one-sided ones also runs
 through the erfc pair, whose value it then overwrites. Either function costs
 about 7-30 ns per element, by argument range (scipy 1.17, 2-vCPU x86-64 VM).
 
+gaussian_i0 serves the integrated kernel and errorlab's closed-form truth;
+gaussian_moments_012 serves the gb kernel.
+
 tests/_reference.py keeps a case-by-case I0 (gaussian_i0_cases) as the
 tests' bit-identical oracle for gaussian_i0, and a one-matrix-at-a-time
 eigen-solve (eigen2x2) as the oracle for eigen2x2_batch.
@@ -63,37 +66,9 @@ def gaussian_i0(sigma, a, b):
     return SQRT_HALF_PI * sigma * out
 
 
-def gaussian_moment_k(k, sigma, a, b):
-    """k-th moment (k in {0, 1, 2}) of the unnormalized 1D Gaussian over [a, b].
-
-    Validating front of gaussian_moments_012: broadcasts over array inputs,
-    raises ValueError unless sigma is finite and > 0, the bounds are finite
-    and a <= b.
-    """
-    if k not in (0, 1, 2):
-        raise ValueError(f"moment order must be 0, 1 or 2, got {k!r}")
-    sigma = np.asarray(sigma, dtype=float)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not np.all(np.isfinite(sigma)) or np.any(sigma <= 0.0):
-        raise ValueError("sigma must be finite and > 0")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("bounds must be finite")
-    if np.any(a > b):
-        raise ValueError("lower bound exceeds upper bound")
-
-    # I0 alone needs no exp; I1 and I2 come from the shared evaluation.
-    res = gaussian_i0(sigma, a, b) if k == 0 else gaussian_moments_012(sigma, a, b)[k]
-    if res.ndim == 0:
-        return float(res)
-    return res
-
-
 def gaussian_moments_012(sigma, a, b):
-    """All three moments over [a, b] at once, sharing the exp evaluations.
-
-    The hot path every kernel calls: no validation, array in / array out.
-    """
+    """All three moments over [a, b] at once, sharing the exp evaluations;
+    no validation, array in / array out."""
     sigma = np.asarray(sigma, dtype=float)
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)

@@ -631,6 +631,18 @@ def test_blend_grid_rejects_descending_axes():
     assert blend_grid(prep, [], [20.5], "center")[1].shape == (1, 0)
 
 
+def test_blend_grid_ss_names_the_pixel_axis():
+    # ss pixel centers closer than (k - 1) / k interleave their sub-points;
+    # the message used to show those, [0.25 0.75 0.35 0.85], not the caller's.
+    prep = cloud_at_3_sigma()
+    with pytest.raises(ValueError, match=r"^xs must be finite and non-decreasing, pixel centers "
+                                         r"at least \(k - 1\) / k = 0.5 apart, not \[0.5 0.6\]$"):
+        blend_grid(prep, [0.5, 0.6], [20.5], "ss", ss_k=2)
+    # exactly (k - 1) / k apart is allowed
+    _, res = blend_grid(prep, [0.5, 1.0], [20.5], "ss", ss_k=2)
+    assert res.shape == (1, 2)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_blend_grid_rejects_nonfinite_axes(bad):
     # Unchecked, blend_pixel((nan, 3.0), "gb") returned the background:

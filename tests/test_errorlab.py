@@ -1,11 +1,14 @@
 """Transmittance-error sweep and metric tests."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from _oracles import residual_transmittance_gl
+from splatlab import errorlab
+from splatlab.blending import blend_pixel
 from splatlab.errorlab import (
     PSNR_CAP,
     SweepConfig,
@@ -27,6 +30,20 @@ RED = (1.0, 0.0, 0.0)
 # --- true residual transmittance ---------------------------------------------
 
 
+@pytest.fixture
+def dblquad_calls(monkeypatch):
+    """A list that grows by one each time the truth runs its quadrature."""
+    calls = []
+    real = errorlab.integrate.dblquad
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(errorlab.integrate, "dblquad", counted)
+    return calls
+
+
 def test_true_residual_trivials():
     empty = iso_cloud(np.zeros((0, 2)), [], [], np.zeros((0, 3)), [])
     assert true_residual_transmittance(empty) == 1.0
@@ -36,23 +53,29 @@ def test_true_residual_trivials():
     assert true_residual_transmittance(far) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_true_residual_closed_matches_quadrature():
+def test_true_residual_closed_matches_quadrature(dblquad_calls):
     rng = np.random.default_rng(3)
     for _ in range(25):
         rows = [(rng.uniform(-1.5, 1.5, 2), 10.0 ** rng.uniform(-0.8, 0.6), rng.uniform(0.2, 1.0))
                 for _ in range(2)]
         mu, sigma, opacity = zip(*rows)
         splats = iso_cloud(mu, sigma, opacity, [RED] * 2, [0.0, 1.0])
-        c = true_residual_transmittance(splats, "closed")
+        c = true_residual_transmittance(splats)
+        assert not dblquad_calls  # the closed form, not the quadrature
         q = true_residual_transmittance(splats, "quad")
+        assert len(dblquad_calls) == 1
+        dblquad_calls.clear()
         assert c == pytest.approx(q, abs=1e-9)
 
 
-def test_true_residual_sweep_grid_self_check():
+def test_true_residual_sweep_grid_self_check(dblquad_calls):
     for mu_x in np.arange(-3.0, 3.01, 0.5):
         splats = two_splat_config(float(mu_x), 1.0)
-        c = true_residual_transmittance(splats, "closed")
+        c = true_residual_transmittance(splats)
+        assert not dblquad_calls  # the closed form, not the quadrature
         q = true_residual_transmittance(splats, "quad")
+        assert len(dblquad_calls) == 1
+        dblquad_calls.clear()
         assert c == pytest.approx(q, abs=1e-9)
 
 
@@ -69,18 +92,30 @@ def test_true_residual_quad_path_many_splats():
 
 def test_true_residual_closed_form_rejections():
     three = iso_cloud(np.zeros((3, 2)), [1.0] * 3, [0.5] * 3, [RED] * 3, [0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match="at most two"):
-        true_residual_transmittance(three, "closed")
     aniso = ProjectedCloud(mu2d=np.zeros((1, 2)), cxx=[1.0], cxy=[0.0], cyy=[4.0], depth=[1.0],
                            opacity=[0.5], color=np.zeros((1, 3)))
-    with pytest.raises(ValueError, match="isotropic"):
-        true_residual_transmittance(aniso, "closed")
     # auto falls back to quadrature instead of raising
     got = true_residual_transmittance(aniso)
     assert got == true_residual_transmittance(aniso, "quad")
     assert 0.0 < got < 1.0
-    with pytest.raises(ValueError, match="method"):
-        true_residual_transmittance(three, "fast")
+    for method in ("fast", "closed"):
+        with pytest.raises(ValueError, match="method"):
+            true_residual_transmittance(three, method)
+
+
+@pytest.mark.parametrize("method", ["auto", "quad"])
+@pytest.mark.parametrize("cov", [(1.0, 2.0, 1.0), (-1.0, 0.0, -1.0), (0.0, 0.0, 0.0),
+                                 (1.0, 1.0, 1.0)],
+                         ids=["indefinite", "negative", "zero", "singular"])
+def test_truth_rejects_covariance_not_positive_definite(cov, method):
+    # Unchecked, the indefinite and negative covariances read 0.484 and 0.453
+    # with no error; the zero and singular ones failed inside the closed form
+    # or np.linalg.inv, naming no splat. The renderer culls all four.
+    cxx, cxy, cyy = cov
+    splats = ProjectedCloud(mu2d=[[0.1, 0.0]] * 2, cxx=[1.0, cxx], cxy=[0.0, cxy], cyy=[1.0, cyy],
+                            depth=[1.0, 2.0], opacity=[0.5, 0.5], color=np.zeros((2, 3)))
+    with pytest.raises(ValueError, match=r"^covariance of splat 1 is not positive definite$"):
+        true_residual_transmittance(splats, method)
 
 
 # --- transmittance_error ------------------------------------------------------
@@ -164,15 +199,23 @@ def test_sweep_config_validation():
     (dict(sigma=-1.0), r"^sigma must be > 0, not -1.0$"),
     (dict(sigma=0.0), r"^sigma must be > 0, not 0.0$"),
     (dict(sweep_var="sigma", start=0.0, stop=1.0, step=0.1), r"^a sigma sweep needs start > 0"),
-], ids=["start", "stop", "step", "sigma-negative", "sigma-zero", "sigma-sweep-start"])
+    (dict(sweep_var="sigma", start=0.05, stop=5.0, step=1.0, mu_x=np.nan),
+     r"^mu_x must be finite, not nan$"),
+    (dict(offset_y=np.inf), r"^offset_y must be finite, not inf$"),
+    (dict(opacity=-0.5), r"^opacity must be in \[0, 1\], not -0.5$"),
+    (dict(opacity=np.nan), r"^opacity must be in \[0, 1\], not nan$"),
+], ids=["start", "stop", "step", "sigma-negative", "sigma-zero", "sigma-sweep-start",
+        "mu_x-sigma-sweep", "offset_y", "opacity-negative", "opacity-nan"])
 def test_sweep_config_rejects_what_the_truth_cannot_take(overrides, match):
     # Unchecked, sigma -1 ran as sigma +1 (iso_cloud squares it), sigma 0
     # failed inside the truth, and stop=inf failed in values() with
-    # "Maximum allowed size exceeded".
+    # "Maximum allowed size exceeded". mu_x, offset_y and opacity failed only
+    # in run_sweep, with a ProjectedCloud message that names no config field.
     with pytest.raises(ValueError, match=match):
         paper_mu_sweep(**overrides)
-    # a fixed sigma is not read by a sigma sweep
+    # a fixed sigma is not read by a sigma sweep, nor a fixed mu_x by a mu_x one
     assert paper_sigma_sweep(sigma=-1.0).sigma == -1.0
+    assert np.isnan(paper_mu_sweep(mu_x=np.nan).mu_x)
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
@@ -190,8 +233,20 @@ def test_sweep_config_rejects_bad_ss_k(ss_k):
 
 def test_sweep_rejects_opacity_outside_unit_interval():
     # Unchecked, the sweep ran to the end on splats that cover more than all.
-    with pytest.raises(ValueError, match=r"^opacity\[0\] is 1.5, outside \[0, 1\]$"):
+    with pytest.raises(ValueError, match=r"^opacity must be in \[0, 1\], not 1.5$"):
         run_sweep(paper_mu_sweep(opacity=1.5, step=1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-3])
+def test_epsilon_must_be_finite_and_not_negative(bad):
+    # Unchecked, tn < nan was always false, so no point ever ended: a NaN
+    # sweep ran as epsilon 0 and returned a full summary, and blend_pixel
+    # gave residual 1.0.
+    match = rf"^epsilon must be finite and >= 0, not {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=match):
+        blend_pixel(two_splat_config(0.5, 1.0), (0.0, 0.0), "gb", epsilon=bad)
+    with pytest.raises(ValueError, match=match):
+        paper_sigma_sweep(step=1.0, epsilon=bad)
 
 
 def test_sweep_degenerate_single_point():

