@@ -4,7 +4,8 @@ The two-splat sweep places isotropic splats at (mu_x, -offset_y) and
 (mu_x, +offset_y) over the unit pixel centered at the origin and compares each
 blend mode's residual transmittance against the exact integral of the product
 transmittance over the pixel. Splats are ProjectedCloud rows, front to back
-by depth.
+by depth. The truth's quadrature path imports scipy.integrate on first use, so
+a process that only renders, or only takes the closed form, never loads it.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .blending import EPSILON_DEFAULT, blend_pixel, check_epsilon, check_ss_k, prepare_splats
 from .scene import ProjectedCloud
@@ -24,13 +24,29 @@ PSNR_CAP = 99.0
 _ISO_TOL = 1e-12
 
 
+def _first_bad_det(sigmas: list) -> int | None:
+    """Index of the first sigma (a Python float) whose covariance sigma^2 I
+    has no finite determinant sigma^4 > 0, or None. The truth and
+    prepare_splats both take that determinant; in double precision it
+    underflows to 0 below sigma of about 1.3e-81 and overflows above about
+    1.2e77."""
+    for i, s in enumerate(sigmas):
+        var = s * s  # float arithmetic: inf or 0.0, never a numpy warning
+        if not 0.0 < var * var < math.inf:  # NaN too
+            return i
+    return None
+
+
 def iso_cloud(mu, sigma, opacity, color, depth) -> ProjectedCloud:
     """Isotropic screen-space splats, covariance sigma^2 I: mu (m, 2), color
-    (m, 3), sigma (> 0), opacity and depth (m,)."""
+    (m, 3), sigma (> 0, with a finite sigma^4 > 0), opacity and depth (m,)."""
     sigma = np.asarray(sigma, dtype=float)
     bad = np.flatnonzero(~(sigma > 0.0))  # NaN too
     if bad.size:
         raise ValueError(f"sigma[{bad[0]}] is {sigma.flat[bad[0]]}, must be > 0")
+    i = _first_bad_det(sigma.ravel().tolist())
+    if i is not None:
+        raise ValueError(f"sigma[{i}] is {sigma.flat[i]}, its sigma^4 is not a finite value > 0")
     var = np.square(sigma)
     return ProjectedCloud(mu2d=mu, cxx=var, cxy=np.zeros_like(var), cyy=var.copy(),
                           depth=depth, opacity=opacity, color=color)
@@ -81,8 +97,9 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
 
     Closed form for up to two isotropic splats (expansion of (1-a1)(1-a2) with
     the product-of-Gaussians identity); adaptive 2D quadrature to 1e-10
-    otherwise, or always when method is "quad". ValueError naming the first
-    splat whose covariance is not positive definite.
+    otherwise, or always when method is "quad". The quadrature imports
+    scipy.integrate on first use. ValueError naming the first splat whose
+    covariance is not positive definite.
     """
     if method not in ("auto", "quad"):
         raise ValueError(f"unknown method {method!r}")
@@ -109,6 +126,8 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
             q = inv[0, 0] * dx * dx + 2.0 * inv[0, 1] * dx * dy + inv[1, 1] * dy * dy
             t *= 1.0 - o * math.exp(-0.5 * q)
         return t
+
+    from scipy import integrate  # here, not at the top: no render and no closed form needs it
 
     val, _ = integrate.dblquad(product_t, -0.5, 0.5, -0.5, 0.5,
                                epsabs=1e-12, epsrel=1e-10)
@@ -165,6 +184,11 @@ class SweepConfig:
             raise ValueError(f"a sigma sweep needs start > 0, not {self.start!r}")
         if self.sweep_var == "mu_x" and not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, not {self.sigma!r}")
+        with np.errstate(over="ignore"):  # an inf value is rejected next
+            sigmas = self.values().tolist() if self.sweep_var == "sigma" else [self.sigma]
+        i = _first_bad_det(sigmas)
+        if i is not None:
+            raise ValueError(f"sigma {sigmas[i]!r}: its sigma^4 is not a finite value > 0")
         if not 0.0 <= self.opacity <= 1.0:  # NaN too
             raise ValueError(f"opacity must be in [0, 1], not {self.opacity!r}")
         if not self.modes:

@@ -7,6 +7,8 @@ step-by-step oracle for the vectorized kernels; the window-update behaviours
 run on the shipped kernel, blending._WindowBlend.step.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -654,6 +656,14 @@ def test_blend_grid_rejects_nonfinite_axes(bad):
         blend_pixel(prep, (3.0, bad), "center")
     with pytest.raises(ValueError, match=r"^xs must be finite and non-decreasing"):
         blend_grid(prep, [10.5, bad, 40.5], [20.5], "integrated")
+
+
+@pytest.mark.parametrize("pixel", [(0.0, 0.0, 1.0), (1.0,), ()])
+def test_blend_pixel_names_a_pixel_of_the_wrong_size(pixel):
+    # Unchecked, numpy said "cannot reshape array of size 3 into shape (2,)".
+    match = rf"^pixel must hold 2 coordinates \(x, y\), not {re.escape(repr(pixel))}$"
+    with pytest.raises(ValueError, match=match):
+        blend_pixel(stack_splats([]), pixel, "gb")
 
 
 @pytest.mark.parametrize("support_sigma", [0.0, -3.0, np.nan, -np.inf])

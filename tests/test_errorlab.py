@@ -1,13 +1,18 @@
 """Transmittance-error sweep and metric tests."""
 
 import csv
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from _oracles import residual_transmittance_gl
-from splatlab import errorlab
 from splatlab.blending import blend_pixel
 from splatlab.errorlab import (
     PSNR_CAP,
@@ -34,13 +39,15 @@ RED = (1.0, 0.0, 0.0)
 def dblquad_calls(monkeypatch):
     """A list that grows by one each time the truth runs its quadrature."""
     calls = []
-    real = errorlab.integrate.dblquad
+    real = scipy.integrate.dblquad
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(errorlab.integrate, "dblquad", counted)
+    # the truth imports scipy.integrate when it runs the quadrature, and so
+    # reads this attribute at call time
+    monkeypatch.setattr(scipy.integrate, "dblquad", counted)
     return calls
 
 
@@ -116,6 +123,38 @@ def test_truth_rejects_covariance_not_positive_definite(cov, method):
                             depth=[1.0, 2.0], opacity=[0.5, 0.5], color=np.zeros((2, 3)))
     with pytest.raises(ValueError, match=r"^covariance of splat 1 is not positive definite$"):
         true_residual_transmittance(splats, method)
+
+
+_IMPORT_GUARD = textwrap.dedent("""
+    import sys
+
+    from splatlab import errorlab, raster, synth
+    from splatlab.blending import blend_pixel
+
+    pair = errorlab.two_splat_config(0.5, 1.0)
+    closed = errorlab.true_residual_transmittance(pair)
+    blend_pixel(pair, (0.0, 0.0), "gb")
+    assert "scipy.integrate" not in sys.modules, "loaded by import, render or closed form"
+    # every render calls scipy.special; it stays a module-level import, so that
+    # no first render pays for loading it
+    assert "scipy.special" in sys.modules, "scipy.special is no longer imported up front"
+
+    far = errorlab.iso_cloud([[0.5, -0.1], [0.5, 0.1], [60.0, 0.0]], [1.0] * 3, [1.0] * 3,
+                             [[1.0, 0.0, 0.0]] * 3, [1.0, 2.0, 3.0])
+    quad = errorlab.true_residual_transmittance(far, "quad")
+    assert "scipy.integrate" in sys.modules
+    assert abs(quad - closed) <= 1e-9, (quad, closed)
+""")
+
+
+def test_scipy_integrate_loads_only_with_the_quadrature():
+    # One interpreter start, since this process has scipy.integrate loaded
+    # already (the oracles import it).
+    src = Path(__file__).resolve().parents[1] / "src"
+    run = subprocess.run([sys.executable, "-W", "error", "-c", _IMPORT_GUARD],
+                         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
 
 
 # --- transmittance_error ------------------------------------------------------
@@ -222,6 +261,42 @@ def test_sweep_config_rejects_what_the_truth_cannot_take(overrides, match):
 def test_iso_cloud_rejects_sigma_not_positive(bad):
     with pytest.raises(ValueError, match=rf"^sigma\[1\] is {bad}, must be > 0$"):
         iso_cloud(np.zeros((3, 2)), [1.0, bad, bad], [0.5] * 3, [RED] * 3, [0.0, 1.0, 2.0])
+
+
+@pytest.mark.parametrize("bad", [1e-170, 1e-100, 1e100, 1e200])
+def test_sigma_needs_a_finite_positive_determinant(bad):
+    # Unchecked, sigma 1e-170 squared to 0 and the truth said "covariance of
+    # splat 0 is not positive definite"; 1e200 overflowed with a numpy
+    # RuntimeWarning. 1e-100 and 1e100 square to finite values, but their
+    # sigma^4, the determinant that the truth and prepare_splats take, under-
+    # or overflows and failed the same two ways.
+    shown = re.escape(repr(bad))
+    with pytest.raises(ValueError,
+                       match=rf"^sigma\[1\] is {shown}, its sigma\^4 is not a finite value > 0$"):
+        iso_cloud(np.zeros((2, 2)), [1.0, bad], [0.5] * 2, [RED] * 2, [0.0, 1.0])
+    match = rf"^sigma {shown}: its sigma\^4 is not a finite value > 0$"
+    with pytest.raises(ValueError, match=match):
+        paper_mu_sweep(sigma=bad, step=1.0)
+    # a sigma sweep checks every value it will run, not only start
+    lo, hi = sorted([bad, 1.0])
+    with pytest.raises(ValueError, match=match):
+        SweepConfig(sweep_var="sigma", start=lo, stop=hi, step=hi - lo)
+    with pytest.raises(ValueError, match=r"^sigma 1e\+78: its sigma\^4 is not a finite value > 0$"):
+        paper_sigma_sweep(start=1e70, stop=1e80, step=1.0)
+    # this grid's last value, 10^308.4, overflows to inf; no warning escapes
+    with pytest.raises(ValueError, match=r"^sigma 1e\+300: "):
+        paper_sigma_sweep(start=1e300, stop=1.7e308, step=0.4)
+
+
+def test_sigma_near_the_determinant_limits_runs_clean():
+    # The extremes that pass run through every mode and the truth with no
+    # numpy warning (the suite turns warnings into errors). Only that: at
+    # 1.1e77 the closed form's value is off, since gaussian_i0's erfc
+    # difference cancels when sigma far exceeds the interval.
+    run_sweep(paper_mu_sweep(sigma=1.3e-81, step=3.0, modes=("center", "integrated", "gb", "ss"),
+                             ss_k=4))
+    run_sweep(paper_mu_sweep(sigma=1.1e77, step=3.0, modes=("center", "integrated", "gb", "ss"),
+                             ss_k=4))
 
 
 @pytest.mark.parametrize("ss_k", [0, 2.5, True])

@@ -276,6 +276,28 @@ def test_render_equals_blend_pixel_property(seed, n, width, height, mode):
     assert fb.stats.n_drawn == sum(drawn)
 
 
+@settings(max_examples=40)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(0, 12),
+    width=st.integers(1, 16),
+    height=st.integers(1, 12),
+    epsilon=st.sampled_from([1e-4, 0.0]),
+)
+def test_white_splats_partition_unity_property(seed, n, width, height, epsilon):
+    # Each step moves mass from the residual into rgb, epsilon termination,
+    # the gb fallback and its over branch included; so with every splat white,
+    # rgb[..., c] + residual == 1 in every mode, with no oracle.
+    rng = np.random.default_rng(seed)
+    cloud = random_scene(rng, n, width, height, sig_lo=-0.7)
+    cloud.color[:] = 1.0
+    prep = prepare_splats(cloud)
+    xs, ys = np.arange(width) + 0.5, np.arange(height) + 0.5
+    for mode in ("center", "integrated", "gb", "ss"):
+        rgb, res = blending.blend_grid(prep, xs, ys, mode, epsilon, ss_k=2)
+        assert np.abs(rgb + res[..., None] - 1.0).max(initial=0.0) <= 1e-12, mode
+
+
 # --- rendering: full 3D pipeline ---------------------------------------------
 
 
