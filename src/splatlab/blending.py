@@ -16,10 +16,11 @@ moment-matches a new box. The integrated weight of the splat is
 
     w = t * o * I0_{sigma1}(u1, u2) * I0_{sigma2}(v1, v2)
 
-and the new box mass equals the old mass minus w by construction. Where the
-window side / sigma leaves [GUARD_LO, GUARD_HI] on either axis, the point takes
-the scalar fallback instead: its box keeps its geometry and its value is scaled
-by 1 - alpha at the box center. Each step sends each point down one branch.
+and the new box mass equals the old mass minus w by construction. Only where
+the splat is wider than 1 / GUARD_LO window sides on both axes, so that alpha
+at the box center stands for its average, the point takes the scalar fallback:
+its box keeps its geometry and its value is scaled by 1 - alpha at the box
+center. Each step sends each point down one branch.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
 over the splats in which a splat updates only the grid points inside its
@@ -70,8 +71,7 @@ EPSILON_DEFAULT = 1e-4  # classic termination threshold on remaining transmittan
 ALPHA_MAX = 0.99  # scalar-mode clamp
 ALPHA_SKIP = 1.0 / 255.0  # scalar-mode skip threshold
 MIN_SIDE = 1e-6  # pixels; window sides never collapse below this
-GUARD_LO = 0.1  # window side / sigma below this -> scalar fallback
-GUARD_HI = 1e6  # window side / sigma above this -> scalar fallback
+GUARD_LO = 0.1  # window side / sigma below this on both axes -> scalar fallback
 SUPPORT_SIGMA = 3.0  # rasterizer truncation: points beyond this many sigmas ignore the splat
 
 MODES = ("center", "integrated", "gb", "ss")
@@ -104,7 +104,6 @@ class PreparedSplats:
     mu: np.ndarray  # (m, 2)
     color: np.ndarray  # (m, 3)
     opacity: np.ndarray  # (m,)
-    depth: np.ndarray  # (m,)
     a1: np.ndarray  # (m, 2)
     a2: np.ndarray  # (m, 2)
     s1: np.ndarray  # (m,)
@@ -140,12 +139,13 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
     """
     if not support_sigma > 0:  # NaN too
         raise ValueError(f"support_sigma must be > 0, not {support_sigma!r}")
-    lam1, lam2, e1x, e1y = eigen2x2_batch(projected.cxx, projected.cxy, projected.cyy)
-    keep = np.flatnonzero(lam2 > 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lam1, lam2, e1x, e1y = eigen2x2_batch(projected.cxx, projected.cxy, projected.cyy)
+        # the solve squares norms up to 2 lam1^2; a splat where that overflows is culled
+        keep = np.flatnonzero((lam2 > 0.0) & (2.0 * lam1 * lam1 < np.inf))
     # Stable sort keeps input order on depth ties.
     order = keep[np.argsort(projected.depth[keep], kind="stable")]
-    mu2d, depth = projected.mu2d[order], projected.depth[order]
-    opacity, color = projected.opacity[order], projected.color[order]
+    mu2d, opacity, color = projected.mu2d[order], projected.opacity[order], projected.color[order]
     cxx, cxy, cyy = projected.cxx[order], projected.cxy[order], projected.cyy[order]
     lam1, lam2, e1x, e1y = lam1[order], lam2[order], e1x[order], e1y[order]
 
@@ -172,7 +172,6 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
         mu=mu2d,
         color=color,
         opacity=opacity,
-        depth=depth,
         a1=a1,
         a2=a2,
         s1=s1,
@@ -336,7 +335,8 @@ class _ScalarBlend:
 
 class _WindowBlend:
     """Gaussian blending: per-point transmittance windows. A step sends each
-    point down one branch, _moments in the guard, _fallback outside it."""
+    point down one branch: _fallback when the splat is wider than
+    1 / GUARD_LO window sides on both axes, _moments otherwise."""
 
     def __init__(self, points: np.ndarray):
         self.rgb = np.zeros((points.shape[0], 3))
@@ -350,8 +350,7 @@ class _WindowBlend:
         epsilon. A branch with no points is not called; when both have
         points, each takes its own."""
         ws = sel.get(self.ws)
-        r1, r2 = ws[..., 0] / prep.s1[sel.j], ws[..., 1] / prep.s2[sel.j]
-        ok = (r1 >= GUARD_LO) & (r1 <= GUARD_HI) & (r2 >= GUARD_LO) & (r2 <= GUARD_HI)
+        ok = (ws[..., 0] / prep.s1[sel.j] >= GUARD_LO) | (ws[..., 1] / prep.s2[sel.j] >= GUARD_LO)
         trip = sel.alive(~ok)
         if not trip.any():
             return self._moments(prep, sel, epsilon)

@@ -4,8 +4,9 @@ The two-splat sweep places isotropic splats at (mu_x, -offset_y) and
 (mu_x, +offset_y) over the unit pixel centered at the origin and compares each
 blend mode's residual transmittance against the exact integral of the product
 transmittance over the pixel. Splats are ProjectedCloud rows, front to back
-by depth. The truth's quadrature path imports scipy.integrate on first use, so
-a process that only renders, or only takes the closed form, never loads it.
+by depth. The truth is closed-form for up to two axis-aligned splats; its
+quadrature path, for the rest, imports scipy.integrate on first use, so a
+process that only renders, or only takes the closed form, never loads it.
 """
 
 from __future__ import annotations
@@ -18,10 +19,9 @@ import numpy as np
 
 from .blending import EPSILON_DEFAULT, blend_pixel, check_epsilon, check_ss_k, prepare_splats
 from .scene import ProjectedCloud
-from .splatmath import gaussian_i0
+from .splatmath import ISO_TOL, gaussian_i0
 
 PSNR_CAP = 99.0
-_ISO_TOL = 1e-12
 
 
 def _first_bad_det(sigmas: list) -> int | None:
@@ -59,35 +59,35 @@ def two_splat_config(mu_x: float, sigma: float, opacity: float = 1.0,
                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0])
 
 
-def _iso_params(splats: ProjectedCloud) -> list | None:
-    """(mu row, sigma, opacity) per splat, sigma and opacity as Python floats;
-    None when any splat is not isotropic."""
+def _axis_params(splats: ProjectedCloud) -> list | None:
+    """(mu row, (sigma_x, sigma_y), opacity) per splat, sigmas and opacity as
+    Python floats; None when any splat is not axis-aligned."""
     out = []
     for mu, xx, xy, yy, o in zip(splats.mu2d, splats.cxx.tolist(), splats.cxy.tolist(),
                                  splats.cyy.tolist(), splats.opacity.tolist()):
-        if abs(xy) > _ISO_TOL * xx or abs(xx - yy) > _ISO_TOL * xx:
+        if abs(xy) > ISO_TOL * math.sqrt(xx * yy):
             return None
-        out.append((mu, math.sqrt(xx), o))
+        out.append((mu, (math.sqrt(xx), math.sqrt(yy)), o))
     return out
 
 
-def _alpha_integral_iso(mu, sigma, o) -> float:
-    # integral of o * exp(-|x-mu|^2 / 2 sigma^2) over [-0.5, 0.5]^2
-    ix = gaussian_i0(sigma, -0.5 - mu[0], 0.5 - mu[0])
-    iy = gaussian_i0(sigma, -0.5 - mu[1], 0.5 - mu[1])
+def _alpha_integral(mu, sigma, o) -> float:
+    # integral over [-0.5, 0.5]^2 of o * exp(-sum over the axes of (x-mu)^2 / 2 sigma^2)
+    ix = gaussian_i0(sigma[0], -0.5 - mu[0], 0.5 - mu[0])
+    iy = gaussian_i0(sigma[1], -0.5 - mu[1], 0.5 - mu[1])
     return o * float(ix) * float(iy)
 
 
-def _pair_integral_iso(mu1, s1, o1, mu2, s2, o2) -> float:
-    # integral of alpha1*alpha2: the product of two unnormalized isotropic
-    # Gaussians is itself an unnormalized Gaussian, separable per axis with
-    # 1/sc^2 = 1/s1^2 + 1/s2^2 and a distance-dependent prefactor.
-    sc = s1 * s2 / math.hypot(s1, s2)
+def _pair_integral(mu1, s1, o1, mu2, s2, o2) -> float:
+    # integral of alpha1*alpha2: the product of two unnormalized axis-aligned
+    # Gaussians is itself one, separable per axis with 1/sc^2 = 1/p^2 + 1/q^2
+    # for the axis's sigmas p and q, and a distance-dependent prefactor.
     total = o1 * o2
     for ax in range(2):
-        a, b = mu1[ax], mu2[ax]
-        muc = (a * s2 * s2 + b * s1 * s1) / (s1 * s1 + s2 * s2)
-        pref = math.exp(-((a - b) ** 2) / (2.0 * (s1 * s1 + s2 * s2)))
+        a, b, p, q = mu1[ax], mu2[ax], s1[ax], s2[ax]
+        sc = p * q / math.hypot(p, q)
+        muc = (a * q * q + b * p * p) / (p * p + q * q)
+        pref = math.exp(-((a - b) ** 2) / (2.0 * (p * p + q * q)))
         total *= pref * float(gaussian_i0(sc, -0.5 - muc, 0.5 - muc))
     return total
 
@@ -95,25 +95,25 @@ def _pair_integral_iso(mu1, s1, o1, mu2, s2, o2) -> float:
 def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") -> float:
     """Exact integral of the product transmittance over the unit pixel at 0.
 
-    Closed form for up to two isotropic splats (expansion of (1-a1)(1-a2) with
-    the product-of-Gaussians identity); adaptive 2D quadrature to 1e-10
-    otherwise, or always when method is "quad". The quadrature imports
-    scipy.integrate on first use. ValueError naming the first splat whose
-    covariance is not positive definite.
+    Closed form for up to two axis-aligned splats, |cxy| <= ISO_TOL *
+    sqrt(cxx * cyy) (expansion of (1-a1)(1-a2) with the product-of-Gaussians
+    identity); adaptive 2D quadrature to 1e-10 otherwise, or always when
+    method is "quad". The quadrature imports scipy.integrate on first use.
+    ValueError naming the first splat whose covariance is not positive
+    definite.
     """
     if method not in ("auto", "quad"):
         raise ValueError(f"unknown method {method!r}")
     pd = (splats.cxx > 0.0) & (splats.cxx * splats.cyy - splats.cxy * splats.cxy > 0.0)
     if not pd.all():
         raise ValueError(f"covariance of splat {np.argmin(pd)} is not positive definite")
-    params = None if method == "quad" else _iso_params(splats)
+    params = None if method == "quad" else _axis_params(splats)
     if params is not None and len(params) <= 2:
         total = 1.0
         for mu, s, o in params:
-            total -= _alpha_integral_iso(mu, s, o)
+            total -= _alpha_integral(mu, s, o)
         if len(params) == 2:
-            (mu1, s1, o1), (mu2, s2, o2) = params
-            total += _pair_integral_iso(mu1, s1, o1, mu2, s2, o2)
+            total += _pair_integral(*params[0], *params[1])
         return total
 
     invs = [np.linalg.inv([[xx, xy], [xy, yy]])

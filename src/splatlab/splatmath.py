@@ -28,7 +28,8 @@ through the erfc pair, whose value it then overwrites. Either function costs
 about 7-30 ns per element, by argument range (scipy 1.17, 2-vCPU x86-64 VM).
 
 gaussian_i0 serves the integrated kernel and errorlab's closed-form truth;
-gaussian_moments_012 serves the gb kernel.
+gaussian_moments_012 serves the gb kernel. ISO_TOL, the one tolerance on a
+covariance's shape, serves eigen2x2_batch and errorlab's truth.
 
 tests/_reference.py keeps a case-by-case I0 (gaussian_i0_cases) as the
 tests' bit-identical oracle for gaussian_i0, and a one-matrix-at-a-time
@@ -42,6 +43,7 @@ import scipy.special
 
 SQRT_HALF_PI = np.sqrt(np.pi / 2.0)
 SQRT2 = np.sqrt(2.0)
+ISO_TOL = 1e-12  # relative tolerance of the isotropy and axis-alignment tests
 
 
 def gaussian_i0(sigma, a, b):
@@ -86,7 +88,9 @@ def eigen2x2_batch(cxx, cxy, cyy):
 
     Takes the three unique entries as arrays, returns
     (lam1, lam2, e1x, e1y) with lam1 >= lam2 and e2 = perp(e1) implied.
-    Degenerate entries come back with lam2 <= 0; callers cull on that.
+    Degenerate entries come back with lam2 <= 0; callers cull on that. When
+    (lam1 - lam2) / 2 <= ISO_TOL * |lam1|, e1 is the screen axis of the larger
+    diagonal entry, x on ties.
     """
     cxx = np.asarray(cxx, dtype=float)
     cxy = np.asarray(cxy, dtype=float)
@@ -103,14 +107,11 @@ def eigen2x2_batch(cxx, cxy, cyy):
     n1 = np.sum(cand1 * cand1, axis=-1)
     n2 = np.sum(cand2 * cand2, axis=-1)
     e1 = np.where((n1 >= n2)[..., None], cand1, cand2)
-    # Diagonal matrices leave both candidates null; fall back to an axis.
-    null = (n1 == 0.0) & (n2 == 0.0)
-    axis = np.where(
-        (cxx >= cyy)[..., None],
-        np.array([1.0, 0.0]),
-        np.array([0.0, 1.0]),
-    )
-    e1 = np.where(null[..., None], axis, e1)
+    # An isotropic matrix (both candidates null when exact) has no principal
+    # axis; its frame must not swing with roundoff in cxy.
+    iso = disc <= ISO_TOL * np.abs(lam1)
+    axis = np.where((cxx >= cyy)[..., None], [1.0, 0.0], [0.0, 1.0])
+    e1 = np.where(iso[..., None], axis, e1)
     norm = np.sqrt(np.sum(e1 * e1, axis=-1, keepdims=True))
     e1 = e1 / np.where(norm > 0.0, norm, 1.0)
     # Deterministic sign: largest-magnitude component positive.

@@ -27,9 +27,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.special
 
-from splatlab.blending import ALPHA_MAX, GUARD_HI, GUARD_LO, MIN_SIDE
+from splatlab.blending import ALPHA_MAX, GUARD_LO, MIN_SIDE
 from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud
-from splatlab.splatmath import SQRT2, SQRT_HALF_PI, gaussian_moments_012
+from splatlab.splatmath import ISO_TOL, SQRT2, SQRT_HALF_PI, gaussian_moments_012
 
 # --- one screen-space splat ---------------------------------------------------
 
@@ -122,6 +122,8 @@ def eigen2x2(cov) -> Eigen2:
     """Analytic eigen-decomposition of a symmetric 2x2 covariance.
 
     Raises DegenerateSplatError when the matrix is not positive definite.
+    Within ISO_TOL of isotropic, e1 is the screen axis of the larger diagonal
+    entry.
     """
     cov = np.asarray(cov, dtype=float)
     a, b, c = cov[0, 0], 0.5 * (cov[0, 1] + cov[1, 0]), cov[1, 1]
@@ -137,7 +139,7 @@ def eigen2x2(cov) -> Eigen2:
     # det/lam1 never subtracts nearly-equal quantities, unlike half_tr - disc
     lam2 = det / lam1
 
-    if b == 0.0:
+    if disc <= ISO_TOL * lam1:
         e1 = np.array([1.0, 0.0]) if a >= c else np.array([0.0, 1.0])
     else:
         # (A - lam1 I) e1 = 0 has two row solutions; pick the better conditioned.
@@ -272,8 +274,8 @@ def scalar_alpha_integrated(pixel_center, splat: Splat2D, eig: Eigen2) -> float:
 
 
 def _fallback_blend(win: TransmittanceWindow, frame: SplatFrame, o: float):
-    # Stability guard tripped: freeze geometry, scalar-blend at the window
-    # center with the raw (unclamped) alpha.
+    # Splat over 1 / GUARD_LO windows wide on both axes: freeze geometry,
+    # scalar-blend at the window center with the raw (unclamped) alpha.
     alpha = o * float(
         np.exp(-0.5 * ((frame.u / frame.sigma1) ** 2 + (frame.v / frame.sigma2) ** 2))
     )
@@ -288,15 +290,12 @@ def _fallback_blend(win: TransmittanceWindow, frame: SplatFrame, o: float):
 def update_window(win: TransmittanceWindow, splat: Splat2D, eig: Eigen2):
     """Blend one splat into the window; returns (weight, next window).
 
-    Mass is conserved: next.mass == win.mass - weight up to roundoff. When a
-    window side falls outside [GUARD_LO, GUARD_HI] times the paired sigma,
-    geometry is frozen and a scalar blend at the window center is applied
-    instead.
+    Mass is conserved: next.mass == win.mass - weight up to roundoff. When
+    both window sides fall below GUARD_LO times the paired sigma, geometry is
+    frozen and a scalar blend at the window center is applied instead.
     """
     frame = to_splat_frame(win, splat, eig)
-    r1 = win.sides[0] / frame.sigma1
-    r2 = win.sides[1] / frame.sigma2
-    if not (GUARD_LO <= r1 <= GUARD_HI and GUARD_LO <= r2 <= GUARD_HI):
+    if win.sides[0] / frame.sigma1 < GUARD_LO and win.sides[1] / frame.sigma2 < GUARD_LO:
         return _fallback_blend(win, frame, splat.opacity)
 
     mom = compute_moments(frame, win.value, splat.opacity)

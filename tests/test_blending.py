@@ -8,10 +8,11 @@ run on the shipped kernel, blending._WindowBlend.step.
 """
 
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from _oracles import (
     alpha_integral_dblquad,
@@ -36,9 +37,9 @@ from _reference import (
 )
 from splatlab import blending, synth
 from splatlab.blending import (
-    GUARD_HI,
     GUARD_LO,
     MIN_SIDE,
+    MODES,
     PreparedSplats,
     _Gather,
     _WindowBlend,
@@ -49,7 +50,9 @@ from splatlab.blending import (
     prepare_splats,
     subsample_axis,
 )
-from splatlab.scene import project_cloud
+from splatlab.errorlab import true_residual_transmittance
+from splatlab.scene import ProjectedCloud, project_cloud
+from splatlab.splatmath import eigen2x2_batch
 
 PX = (0.5, 0.5)
 
@@ -408,13 +411,51 @@ def test_update_guard_fallback_freezes_geometry():
 
 
 def test_update_guard_uses_paired_sigma_per_axis():
-    # sides (1, 1); sigmas (1, 2e-4): the second axis ratio is 5000 (in range)
-    # but only if pairing is per axis; a tiny sigma paired wrong would trip.
-    _, _, s, _ = window_step(rot_splat(PX, 1.0, 2e-4, 0.0, 0.9))
-    # In-guard moment path ran: geometry must have changed.
-    assert not np.array_equal(s, [1.0, 1.0])
-    _, _, s2, _ = window_step(rot_splat(PX, 1.0, 2e-7, 0.0, 0.9))  # ratio 5e6 > 1e6 -> fallback
-    assert np.array_equal(s2, [1.0, 1.0])
+    # The guard trips only where side / sigma < GUARD_LO on both axes, each
+    # side against the sigma paired with it. On sides (1, 0.05), a splat of
+    # sigma 1 along x and 20 along y trips on y alone and takes the moment
+    # path (the geometry changes); one of 20 along x and 1 along y trips on
+    # both and falls back (the geometry stays). Pairing the other way round
+    # would send each down the other branch, pairing by principal order the
+    # two with the major axis along y.
+    for sig1, sig2, theta, moved in ((1.0, 20.0, 0.0, True), (20.0, 1.0, np.pi / 2, True),
+                                     (20.0, 1.0, 0.0, False), (1.0, 20.0, np.pi / 2, False)):
+        _, _, s, _ = window_step(rot_splat(PX, sig1, sig2, theta, 0.9), sides=(1.0, 0.05))
+        assert (not np.array_equal(s, [1.0, 0.05])) == moved, (sig1, sig2, theta)
+    # No upper bound: side / sigma of 5e6 takes the moment path too.
+    _, _, s2, _ = window_step(rot_splat(PX, 1.0, 2e-7, 0.0, 0.9))
+    assert not np.array_equal(s2, [1.0, 1.0])
+
+
+@settings(max_examples=100)
+@given(log_sigmas=st.tuples(st.floats(-9.0, 6.0), st.floats(-9.0, 6.0)),
+       mu=st.tuples(st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)),
+       opacity=st.floats(0.0, 1.0, exclude_min=True))
+def test_gb_axis_aligned_splat_equals_truth_property(log_sigmas, mu, opacity):
+    # One axis-aligned splat of sigma 1e-9..1e6 px per axis over the pixel at
+    # the origin: gb's first step removes the exact integrated alpha, so the
+    # residual is the closed-form truth, for needles thin on one axis and wide
+    # on the other too. Only a splat wider than 10 px on both axes may take
+    # the center sample, which is exact only in the limit.
+    sx, sy = 10.0 ** np.array(log_sigmas)
+    assume(not (sx > 10.0 and sy > 10.0))
+    splats = ProjectedCloud(mu2d=[mu], cxx=[sx * sx], cxy=[0.0], cyy=[sy * sy], depth=[1.0],
+                            opacity=[opacity], color=[[1.0, 0.0, 0.0]])
+    _, res = blend_pixel(splats, (0.0, 0.0), "gb")
+    assert abs(res - true_residual_transmittance(splats)) <= 1e-12
+
+
+def test_near_isotropic_splat_takes_the_screen_axes():
+    # Within ISO_TOL of isotropic the solve takes the screen axes, so a cxy of
+    # +-1e-15 on sigma 1, which could otherwise turn the frame about 45
+    # degrees and move gb's residual by 2e-7, moves it by roundoff at most.
+    res = []
+    for cxy in (0.0, 1e-15, -1e-15):
+        assert eigen2x2_batch(1.0, cxy, 1.0)[2:] == (1.0, 0.0)
+        splats = ProjectedCloud(mu2d=[[0.3, -0.1]], cxx=[1.0], cxy=[cxy], cyy=[1.0], depth=[1.0],
+                                opacity=[0.9], color=[[1.0, 0.0, 0.0]])
+        res.append(blend_pixel(splats, (0.0, 0.0), "gb")[1])
+    assert max(res) - min(res) <= 1e-15
 
 
 def test_update_min_side_clamp():
@@ -430,14 +471,15 @@ def test_update_min_side_clamp():
 
 MIXED_EPSILON = 1e-3
 # Window sides of each point of MIXED_ACT, against splat sigmas of 0.5 to 2:
-# points 0, 1, 5 and 6 are in the guard, 2 and 7 below GUARD_LO, 4 above
-# GUARD_HI. Point 5 lies 1e4 px away (zero integrated weight, a no-op); the
+# points 0, 1, 2, 4, 5 and 6 are in the guard, 2 with one side below
+# GUARD_LO and 4 with both 1e7 sigmas wide; 7 is below GUARD_LO on both
+# axes. Point 5 lies 1e4 px away (zero integrated weight, a no-op); the
 # masses of 6 and 7 drop below MIXED_EPSILON. Point 3 is not live.
 MIXED_SIDES = [(1.0, 1.0), (0.8, 1.3), (0.03, 1.0), (1.0, 1.0), (1e7, 1e7), (1.0, 1.0),
                (1.0, 1.0), (0.04, 0.04)]
 MIXED_VALUES = [1.0, 0.7, 0.9, 1.0, 0.6, 1.0, 1.2e-3, 1.0]
 MIXED_ACT = np.array([0, 1, 2, 4, 5, 6, 7])
-MIXED_IN_GUARD = 4
+MIXED_IN_GUARD = 6
 
 
 def mixed_prep():
@@ -471,8 +513,8 @@ def test_window_step_mixed_branches_equal_solo_steps(j):
     prep = mixed_prep()
     js = np.broadcast_to(j, MIXED_ACT.shape)
     r = np.array(MIXED_SIDES)[MIXED_ACT] / np.stack([prep.s1[js], prep.s2[js]], axis=1)
-    assert np.count_nonzero(((r >= GUARD_LO) & (r <= GUARD_HI)).all(axis=1)) == MIXED_IN_GUARD
-    assert (r < GUARD_LO).any() and (r > GUARD_HI).any()
+    assert np.count_nonzero((r >= GUARD_LO).any(axis=1)) == MIXED_IN_GUARD
+    assert ((r < GUARD_LO).any(axis=1) & (r >= GUARD_LO).any(axis=1)).any()
 
     blend = mixed_windows(prep, j)
     before = [tuple(a.copy() for a in window_state(blend, i)) for i in range(8)]
@@ -849,10 +891,30 @@ def test_prepare_splats_sorts_stably():
     splats = [iso_splat(rng.uniform(0, 1, 2), 1.0, 0.5, depth=d)
               for d in (3.0, 1.0, 3.0, 2.0, 1.0)]
     prep = prepare_splats(stack_splats(splats))
-    assert np.all(np.diff(prep.depth) >= 0)
-    # Ties keep input order: the two depth-1 splats stay as input 1 then 4.
-    assert np.allclose(prep.mu[0], splats[1].mu2d)
-    assert np.allclose(prep.mu[1], splats[4].mu2d)
+    # Ties keep input order: the two depth-1 splats stay as input 1 then 4,
+    # and the two depth-3 ones as 0 then 2.
+    assert np.array_equal(prep.mu, [splats[i].mu2d for i in (1, 4, 3, 0, 2)])
+
+
+@pytest.mark.parametrize("cov", [(1e153, 0.0, 1e153), (1e155, 0.0, 1e155), (1e200, 0.0, 1e200),
+                                 (1e308, 0.0, 1e308), (1e300, 0.0, 1e-10)],
+                         ids=["1e153", "1e155", "1e200", "1e308", "1e300x1e-10"])
+def test_prepare_splats_culls_a_covariance_its_solve_overflows(cov):
+    # Entries past about 1e154 overflow the eigen-solve (its squared norms
+    # reach 2 lam1^2), which leaves a NaN box or a zero axis: such a splat is
+    # counted as culled, with no numpy warning, and 1e153 is still drawn.
+    cxx, cxy, cyy = cov
+    splats = ProjectedCloud(mu2d=[PX], cxx=[cxx], cxy=[cxy], cyy=[cyy], depth=[1.0],
+                            opacity=[0.5], color=[[1.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prep = prepare_splats(splats)
+        if cxx > 1e154:
+            assert len(prep) == 0 and prep.n_culled_degenerate == 1
+            return
+        assert len(prep) == 1 and prep.n_culled_degenerate == 0
+        for mode in MODES:
+            assert blend_pixel(prep, PX, mode)[1] == pytest.approx(0.5, abs=1e-12), mode
 
 
 def test_vectorized_matches_scalar_ops_gb():
@@ -862,6 +924,7 @@ def test_vectorized_matches_scalar_ops_gb():
         n = int(rng.integers(1, 8))
         splats = [random_splat(rng, sig_lo=-1.5, sig_hi=2.0) for _ in range(n)]
         prep = prepare_splats(stack_splats(splats))
+        depths = np.sort([s.depth for s in splats])  # none is culled
         px = np.array(PX)
         rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "gb", 1e-4)
 
@@ -872,7 +935,7 @@ def test_vectorized_matches_scalar_ops_gb():
                 mu2d=prep.mu[j],
                 cov2d=(prep.s1[j] ** 2) * np.outer(prep.a1[j], prep.a1[j])
                 + (prep.s2[j] ** 2) * np.outer(prep.a2[j], prep.a2[j]),
-                depth=float(prep.depth[j]), opacity=float(prep.opacity[j]),
+                depth=float(depths[j]), opacity=float(prep.opacity[j]),
                 color=prep.color[j])
             w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
             if w == 0.0 and nxt is win:
@@ -891,13 +954,14 @@ def test_vectorized_center_matches_scalar_alpha_chain():
         n = int(rng.integers(1, 10))
         splats = [random_splat(rng, sig_lo=-1, sig_hi=1.2) for _ in range(n)]
         prep = prepare_splats(stack_splats(splats))
+        depths = np.sort([s.depth for s in splats])  # none is culled
         px = np.array(PX)
         rgb_vec, res_vec = blend_grid(prep, px[:1], px[1:], "center", 1e-4)
 
         t = 1.0
         rgb = np.zeros(3)
         for j in range(len(prep)):
-            sp = prep_to_splat(prep, j)
+            sp = prep_to_splat(prep, j, depths[j])
             alpha = scalar_alpha_center(px, sp)
             if alpha < 1.0 / 255.0:
                 continue
@@ -910,9 +974,9 @@ def test_vectorized_center_matches_scalar_alpha_chain():
         assert res_vec[0, 0] == pytest.approx(t, rel=1e-12)
 
 
-def prep_to_splat(prep: PreparedSplats, j: int) -> Splat2D:
+def prep_to_splat(prep: PreparedSplats, j: int, depth: float) -> Splat2D:
     cov = (prep.s1[j] ** 2) * np.outer(prep.a1[j], prep.a1[j]) + (
         prep.s2[j] ** 2
     ) * np.outer(prep.a2[j], prep.a2[j])
-    return Splat2D(mu2d=prep.mu[j], cov2d=cov, depth=float(prep.depth[j]),
+    return Splat2D(mu2d=prep.mu[j], cov2d=cov, depth=float(depth),
                    opacity=float(prep.opacity[j]), color=prep.color[j])

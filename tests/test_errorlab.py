@@ -73,6 +73,16 @@ def test_true_residual_closed_matches_quadrature(dblquad_calls):
         assert len(dblquad_calls) == 1
         dblquad_calls.clear()
         assert c == pytest.approx(q, abs=1e-9)
+    # axis-aligned anisotropic pairs, sigma >= 0.05 px, where the quadrature is reliable
+    for _ in range(10):
+        sx, sy = 10.0 ** rng.uniform(np.log10(0.05), 0.6, (2, 2))
+        splats = ProjectedCloud(mu2d=rng.uniform(-1.5, 1.5, (2, 2)), cxx=sx * sx, cxy=[0.0, 0.0],
+                                cyy=sy * sy, depth=[0.0, 1.0], opacity=rng.uniform(0.2, 1.0, 2),
+                                color=[RED] * 2)
+        c = true_residual_transmittance(splats)
+        assert not dblquad_calls
+        assert c == pytest.approx(true_residual_transmittance(splats, "quad"), abs=1e-9)
+        dblquad_calls.clear()
 
 
 def test_true_residual_sweep_grid_self_check(dblquad_calls):
@@ -99,11 +109,12 @@ def test_true_residual_quad_path_many_splats():
 
 def test_true_residual_closed_form_rejections():
     three = iso_cloud(np.zeros((3, 2)), [1.0] * 3, [0.5] * 3, [RED] * 3, [0.0, 1.0, 2.0])
-    aniso = ProjectedCloud(mu2d=np.zeros((1, 2)), cxx=[1.0], cxy=[0.0], cyy=[4.0], depth=[1.0],
-                           opacity=[0.5], color=np.zeros((1, 3)))
+    # sigma 2 and 1 along the diagonals: not axis-aligned
+    rotated = ProjectedCloud(mu2d=np.zeros((1, 2)), cxx=[2.5], cxy=[1.5], cyy=[2.5], depth=[1.0],
+                             opacity=[0.5], color=np.zeros((1, 3)))
     # auto falls back to quadrature instead of raising
-    got = true_residual_transmittance(aniso)
-    assert got == true_residual_transmittance(aniso, "quad")
+    got = true_residual_transmittance(rotated)
+    assert got == true_residual_transmittance(rotated, "quad")
     assert 0.0 < got < 1.0
     for method in ("fast", "closed"):
         with pytest.raises(ValueError, match="method"):

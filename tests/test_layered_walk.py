@@ -169,9 +169,11 @@ def dense_rect_scene():
       1  opacity 0.99: ends a disk of points around (12, 12)
       2  inside that disk, 44 of 324 points live: gathered
       3  partly over the disk, 588 of 720 live: dense, with done points
-      4  sigma 12: every live gb window trips the guard (side/sigma < 0.1)
-      5  sigma 10: gb windows that 0 and 3 resized stay in the guard, the
-         rest trip; the trip branch is dense, the in-guard one gathered
+      4  sigma 12: every live gb window trips the guard (side/sigma < 0.1
+         on both axes): dense
+      5  sigma 10: gb windows with a side of 1 or more (0 and 3 widened
+         some) stay in the guard, the rest trip; each branch holds under
+         half of the box's 1152 points, so both are gathered
     """
     return stack_splats([
         iso((24, 12), 4.0, 0.5, 1.0, (0.9, 0.2, 0.1)),
@@ -186,7 +188,8 @@ def dense_rect_scene():
 DENSE_FORMS = {
     "center": {("step", "dense"): 5, ("step", "gathered"): 1},
     "integrated": {("step", "dense"): 5, ("step", "gathered"): 1},
-    "gb": {("_moments", "dense"): 3, ("_moments", "gathered"): 2, ("_fallback", "dense"): 2},
+    "gb": {("_moments", "dense"): 3, ("_moments", "gathered"): 2, ("_fallback", "dense"): 1,
+           ("_fallback", "gathered"): 1},
     "ss": {("step", "dense"): 5, ("step", "gathered"): 1},
 }
 
