@@ -23,36 +23,43 @@ its box keeps its geometry and its value is scaled by 1 - alpha at the box
 center. Each step sends each point down one branch.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
-over the splats in which a splat updates only the grid points inside its
-support box. It cuts its grid into near-square tiles of at most _TILE_POINTS
-blend points (ss counts every sub-point), and _steps alone decides the steps
-of a tile. A splat is stepped once per tile its box crosses, and a box
-crosses fewer square tiles than full-width row bands of the same area. There
-is no binning: each tile walks the whole depth-sorted list. Each step is a
-_Rect or a _Gather of live points that carries its splat index j, and each
-step body is written once over both forms.
+over the splats in which a splat is stepped only over the grid points of its
+box, where the step body can change a point. The gb body has no skip and
+takes the support box. The center body (which the ss sub-blends run) and the
+integrated body skip alpha below ALPHA_SKIP, as the 3DGS rasterizer does, and
+take the part of the support box where that alpha can reach ALPHA_SKIP, a box
+made conservative for their rounding (PreparedSplats.support_rects). It cuts
+its grid into near-square tiles of at most _TILE_POINTS blend points (ss
+counts every sub-point), and _steps alone decides the steps of a tile. A
+splat is stepped once per tile its box crosses, and a box crosses fewer
+square tiles than full-width row bands of the same area. There is no
+binning: each tile walks the whole depth-sorted list. Each step is a _Rect or
+a _Gather of live points that carries its splat index j, and each step body
+is written once over both forms.
 
 A large splat (a box over 256 points) is one vectorized step over the live
 points of its box, which it fills well on its own. That step is dense when
 at least half of the box's points are live: it reads and writes basic-slice
 views of the box in the state reshaped to the grid (a _Rect), and masks the
-done points out of every write. Any other box gathers its live points by a
-flat index array and scatters back (a _Gather), for two reasons measured on a
-2-vCPU x86-64 VM: on the 1 x 1 grids of blend_pixel the dense form's fixed
-cost made the paper sweeps 4-8% slower, and on a box that is mostly done it
-spends an alpha on every done point (integrated on two_plane at x3, with 45%
-of box points done, took 1.3x as long). In gb, when the live windows of a box
-take both branches, each branch's points take the form they would as a box of
-their own. A run of at least _MIN_RUN consecutive small splats is blended in
-depth layers, in batches of at most _TILE_POINTS (point, splat) pairs: a
-batch's pairs are stable-sorted by point, and layer k is one gathered step
-over every point with a k-th splat in the batch, with one splat index per
-point.
+done points out of every write: rgb, channel-major, takes one in-place add of
+(w * mask) * color, each other state array one masked copy. Any other box
+gathers its live points by a flat index array and scatters back (a _Gather),
+for two reasons measured on a 2-vCPU x86-64 VM: on the 1 x 1 grids of
+blend_pixel the dense form's fixed cost made the paper sweeps 4-8% slower,
+and on a box that is mostly done it spends an alpha on every done point
+(integrated on two_plane at x3, with 45% of box points done, took 1.3x as
+long). In gb, when the live windows of a box take both branches, each
+branch's points take the form they would as a box of their own. A run of at
+least _MIN_RUN consecutive small splats is blended in depth layers, in
+batches of at most _TILE_POINTS (point, splat) pairs: a batch's pairs are
+stable-sorted by point, and layer k is one gathered step over every point
+with a k-th splat in the batch, with one splat index per point.
 
 Each point still meets the same splats in the same order through the same
-elementwise arithmetic, so neither the tiles, nor the schedule, nor a step's
-form changes a pixel. The rasterizer calls blend_grid on the whole frame,
-blend_pixel on a single pixel, where every drawn splat is small.
+elementwise arithmetic, and a point outside a body's box is one that body
+would leave as it is, so neither the boxes, nor the tiles, nor the schedule,
+nor a step's form changes a pixel. The rasterizer calls blend_grid on the
+whole frame, blend_pixel on a single pixel, where every drawn splat is small.
 tests/_reference.py replays the same arithmetic one splat and one window at a
 time (update_window, scalar_alpha_*) as the tests' oracle.
 """
@@ -72,7 +79,9 @@ ALPHA_MAX = 0.99  # scalar-mode clamp
 ALPHA_SKIP = 1.0 / 255.0  # scalar-mode skip threshold
 MIN_SIDE = 1e-6  # pixels; window sides never collapse below this
 GUARD_LO = 0.1  # window side / sigma below this on both axes -> scalar fallback
-SUPPORT_SIGMA = 3.0  # rasterizer truncation: points beyond this many sigmas ignore the splat
+# rasterizer truncation: the support box is the bounding box of
+# SUPPORT_SIGMA * (sigma1 |e1| + sigma2 |e2|), up to SUPPORT_SIGMA * sqrt(2) sigma per axis
+SUPPORT_SIGMA = 3.0
 
 MODES = ("center", "integrated", "gb", "ss")
 
@@ -80,6 +89,11 @@ MODES = ("center", "integrated", "gb", "ss")
 _LARGE_POINTS = 256  # a box over this many grid points fills a vectorized step by itself
 _MIN_RUN = 8  # shorter runs save fewer steps than their pair sorts cost
 _TILE_POINTS = 1 << 14  # blend points per tile (pixels times ss_k**2 in ss), pairs per run batch
+
+# The skip boxes (see PreparedSplats.support_rects); neither changes a pixel.
+_BOX_ULPS = 64  # rounding allowance of a skip box's q in units of eps (its test fails at 0)
+_EPS = float(np.finfo(float).eps)
+_NO_POINTS = np.empty(0, dtype=np.intp)  # a step's ended points when none ended
 
 
 def canonical_mode(mode: str) -> str:
@@ -97,8 +111,15 @@ class PreparedSplats:
     the one within 45 degrees of screen x, the major axis on ties), s1/s2
     their sigmas. aabb rows are the closed support boxes (x1, y1, x2,
     y2) at prepare_splats' support_sigma, infinite when untruncated; a splat
-    changes no point outside its box. inv_* entries are the inverse-covariance
-    coefficients for center-alpha evaluation.
+    changes no point outside its box. reach rows are the half-widths
+    (sqrt(cxx), sqrt(cyy)) of the bounding box of the ellipse q = d' C^-1 d
+    <= 1, widened for rounding (see support_rects). inv_* entries are the
+    inverse-covariance coefficients for center-alpha evaluation.
+
+    Each step body steps a splat over the points of its own box, by
+    support_rects: gb over the support box; center (which the ss sub-blends
+    run) and integrated, which skip alpha below ALPHA_SKIP, over the part of
+    the support box where that alpha can reach ALPHA_SKIP.
     """
 
     mu: np.ndarray  # (m, 2)
@@ -109,6 +130,7 @@ class PreparedSplats:
     s1: np.ndarray  # (m,)
     s2: np.ndarray  # (m,)
     aabb: np.ndarray  # (m, 4)
+    reach: np.ndarray  # (m, 2)
     inv_xx: np.ndarray  # (m,)
     inv_xy: np.ndarray
     inv_yy: np.ndarray
@@ -117,15 +139,39 @@ class PreparedSplats:
     def __len__(self) -> int:
         return self.mu.shape[0]
 
-    def support_rects(self, xs: np.ndarray, ys: np.ndarray):
+    def support_rects(self, xs: np.ndarray, ys: np.ndarray, skip: float = 0.0,
+                      footprint: float = 0.0):
         """Per splat, the index ranges [x0, x1) of xs and [y0, y1) of ys (both
-        ascending) whose coordinates lie in its closed aabb; returns x0, x1, y0, y1."""
-        bx1, by1, bx2, by2 = self.aabb.T
+        ascending) whose coordinates lie in its closed box; returns x0, x1,
+        y0, y1.
+
+        The box is aabb. For a step body that skips alpha below skip > 0,
+        where alpha is o exp(-q / 2) averaged over a square of half-side
+        footprint in the splat frame (0: sampled at the point), it is cut to
+        where that alpha can reach skip: the bounding box of the ellipse q <=
+        r^2 = 2 ln(o / skip), r * reach, grown by the square's bounding box,
+        footprint * (|a1| + |a2|). The float error of q grows like eps * lam1
+        / lam2 in the center form and like eps * sigma1 / 1 px in the erfc
+        differences of integrated alpha; prepare_splats widens reach by
+        _BOX_ULPS eps times their sum, infinite where that allowance is not
+        below 1, and r^2 gets _BOX_ULPS eps for the rounding of log, exp and
+        the product with o, so that no point outside the box passes the skip.
+        skip = 0 leaves aabb.
+        """
+        lo, hi = self.aabb[:, :2], self.aabb[:, 2:]
+        if skip > 0.0:
+            # o <= skip passes nowhere; its r is sqrt(_BOX_ULPS eps), not 0, so
+            # that an infinite reach gives an infinite box, not NaN
+            r2 = 2.0 * np.log(np.maximum(self.opacity / skip, 1.0)) + _BOX_ULPS * _EPS
+            h = np.sqrt(r2)[:, None] * self.reach
+            if footprint:
+                h += footprint * (np.abs(self.a1) + np.abs(self.a2))
+            lo, hi = np.maximum(lo, self.mu - h), np.minimum(hi, self.mu + h)
         return (
-            xs.searchsorted(bx1, side="left"),
-            xs.searchsorted(bx2, side="right"),
-            ys.searchsorted(by1, side="left"),
-            ys.searchsorted(by2, side="right"),
+            xs.searchsorted(lo[:, 0], side="left"),
+            xs.searchsorted(hi[:, 0], side="right"),
+            ys.searchsorted(lo[:, 1], side="left"),
+            ys.searchsorted(hi[:, 1], side="right"),
         )
 
 
@@ -166,6 +212,12 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
     # every component of ext is > 0, so an infinite support_sigma gives infinite boxes
     ext = support_sigma * (sig1[:, None] * np.abs(e1) + sig2[:, None] * np.abs(e2))
     aabb = np.concatenate([mu2d - ext, mu2d + ext], axis=1)  # x1, y1, x2, y2
+    # the rounding allowance of support_rects' skip boxes; sig1 is the major
+    # sigma, and an infinite lam1 / lam2 gives an infinite reach
+    with np.errstate(over="ignore"):
+        tol = _BOX_ULPS * _EPS * (lam1 / lam2 + sig1)
+    widen = np.divide(1.0, 1.0 - tol, out=np.full_like(tol, np.inf), where=tol < 1.0)
+    reach = np.sqrt(np.column_stack((cxx, cyy)) * widen[:, None])
 
     det = cxx * cyy - cxy * cxy
     return PreparedSplats(
@@ -177,6 +229,7 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
         s1=s1,
         s2=s2,
         aabb=aabb,
+        reach=reach,
         inv_xx=cyy / det,
         inv_xy=cxy / det,
         inv_yy=cxx / det,
@@ -242,14 +295,15 @@ class _Gather:
         return _Gather(self.act[mask], self._masked(mask))
 
     def points(self, where: np.ndarray) -> np.ndarray:
-        return self.act[where]
+        return self.act[where] if np.count_nonzero(where) else _NO_POINTS
 
     def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, *pairs) -> None:
-        """rgb += w * color[j], and a = v for each (a, v) of pairs, at the
-        points the mask where keeps (every point when None)."""
+        """rgb += w * color[j] (rgb channel-major, (3, p)), and a = v for each
+        (a, v) of pairs, at the points the mask where keeps (every point when
+        None)."""
         keep = slice(None) if where is None else where
         ids = self.act[keep]
-        rgb[ids] += w[keep][:, None] * color[self._masked(keep)]
+        rgb[:, ids] += (w[keep][:, None] * color[self._masked(keep)]).T
         for a, v in pairs:
             a[ids] = v[keep]
 
@@ -260,7 +314,9 @@ class _Rect:
     (p, ...) blend state reshaped to index.shape + (...), with the mask live
     of the points that are not done. Reads are views, so a body writes a
     state array only after its last read of it; writes copy where a mask of
-    live points holds (live itself when none is given)."""
+    live points holds (live itself when none is given), and rgb adds
+    (w * mask) * color[j] over the whole rectangle, where a masked point adds
+    an exact zero."""
 
     def __init__(self, key: tuple, live: np.ndarray, index: np.ndarray, j: int):
         self.key, self.live, self.index, self.j = key, live, index, j
@@ -281,14 +337,15 @@ class _Rect:
         return _rect_points(self.key, mask, self.index, self.j)
 
     def points(self, where: np.ndarray) -> np.ndarray:
-        return self.index[self.key][where]
+        return self.index[self.key][where] if np.count_nonzero(where) else _NO_POINTS
 
     def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, *pairs) -> None:
-        # rgb channel by channel, as a masked copy of the sum: a mask broadcast
-        # over the channels, or np.add(..., where=), ran 2.6-3x slower (numpy 2.4)
         where = self.live if where is None else where
-        view = self.get(rgb)
-        for a, v in (*((rgb[:, c], view[..., c] + w * color[self.j, c]) for c in range(3)), *pairs):
+        # one in-place add over the channel-major rgb: a masked copy per
+        # channel took 1.5-3.4x as long on boxes of 17 x 17 to 128 x 128
+        rgb.reshape((3,) + self.index.shape)[(slice(None), *self.key)] += (
+            color[self.j][:, None, None] * (w * where))
+        for a, v in pairs:
             np.copyto(self.get(a), v, where=where)
 
 
@@ -303,13 +360,21 @@ def _rect_points(key: tuple, live: np.ndarray, index: np.ndarray, j: int):
 
 class _ScalarBlend:
     """Classic compositing: one transmittance scalar per point, alpha clamped
-    at ALPHA_MAX and skipped below ALPHA_SKIP."""
+    at ALPHA_MAX and skipped below ALPHA_SKIP. alpha_of takes alpha over a
+    square of half-side footprint in the splat frame around each point (0
+    for a point sample)."""
 
-    def __init__(self, points: np.ndarray, alpha_of):
+    def __init__(self, points: np.ndarray, alpha_of, footprint: float):
         self.points = points
         self.alpha_of = alpha_of
-        self.rgb = np.zeros((points.shape[0], 3))
+        self.footprint = footprint
+        self.rgb = np.zeros((3, points.shape[0]))  # channel-major
         self.t = np.ones(points.shape[0])
+
+    def rects(self, prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray):
+        """The rectangles of the grid ys x xs where each splat's alpha can
+        reach ALPHA_SKIP (PreparedSplats.support_rects)."""
+        return prep.support_rects(xs, ys, ALPHA_SKIP, self.footprint)
 
     def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Composite the splats sel.j at the live points of the step sel;
@@ -318,16 +383,16 @@ class _ScalarBlend:
         alpha = np.minimum(self.alpha_of(prep, j, *sel.offsets(self.points, prep.mu[j])),
                            ALPHA_MAX)
         use = sel.alive(alpha >= ALPHA_SKIP)
-        if not use.any():
-            return sel.points(use)
+        if not np.count_nonzero(use):
+            return _NO_POINTS
         t = sel.get(self.t)
         tn = t * (1.0 - alpha)
         # Classic convention: a splat that would push T below epsilon is not
         # composited; the point terminates at its previous T.
         kill = use & (tn < epsilon)
-        comp = use & ~kill
-        sel.write(comp, self.rgb, alpha * t, prep.color, (self.t, tn))
-        return sel.points(kill)
+        ended = sel.points(kill)
+        sel.write(use & ~kill if ended.size else use, self.rgb, alpha * t, prep.color, (self.t, tn))
+        return ended
 
     def residual(self) -> np.ndarray:
         return self.t
@@ -339,10 +404,15 @@ class _WindowBlend:
     1 / GUARD_LO window sides on both axes, _moments otherwise."""
 
     def __init__(self, points: np.ndarray):
-        self.rgb = np.zeros((points.shape[0], 3))
+        self.rgb = np.zeros((3, points.shape[0]))  # channel-major
         self.wc = points.copy()  # window centers
         self.ws = np.ones((points.shape[0], 2))  # window sides
         self.wv = np.ones(points.shape[0])  # window values
+
+    def rects(self, prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray):
+        """The support rectangles of the grid ys x xs: the moment update has
+        no skip."""
+        return prep.support_rects(xs, ys)
 
     def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Blend the splats sel.j into the windows of the live points of the
@@ -352,10 +422,10 @@ class _WindowBlend:
         ws = sel.get(self.ws)
         ok = (ws[..., 0] / prep.s1[sel.j] >= GUARD_LO) | (ws[..., 1] / prep.s2[sel.j] >= GUARD_LO)
         trip = sel.alive(~ok)
-        if not trip.any():
+        if not np.count_nonzero(trip):
             return self._moments(prep, sel, epsilon)
         ok = sel.alive(ok)
-        if not ok.any():
+        if not np.count_nonzero(ok):
             return self._fallback(prep, sel, epsilon)
         return np.concatenate((self._moments(prep, sel.within(ok), epsilon),
                                self._fallback(prep, sel.within(trip), epsilon)))
@@ -381,21 +451,26 @@ class _WindowBlend:
         # other splat is composited; the one that drops the mass below epsilon
         # still contributes, and the point terminates after it.
         upd = sel.alive(w_int != 0.0)
-        if not upd.any():
-            return sel.points(upd)
+        if not np.count_nonzero(upd):
+            return _NO_POINTS
+        # Where m0 is +0.0 the window is empty: every quotient by m0 reads 0,
+        # so both variances are 0 and vn = m0 / (l1n * l2n) = +0.0.
         pos = m0 > 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            mean_u = np.where(pos, (mass * u - to * i1u * i0v) / m0, 0.0)
-            mean_v = np.where(pos, (mass * v - to * i0u * i1v) / m0, 0.0)
-            m2u = mass * (u * u + l1 * l1 / 12.0) - to * i2u * i0v
-            m2v = mass * (v * v + l2 * l2 / 12.0) - to * i0u * i2v
-            var_u = np.where(pos, np.maximum(m2u / m0 - mean_u * mean_u, 0.0), 0.0)
-            var_v = np.where(pos, np.maximum(m2v / m0 - mean_v * mean_v, 0.0), 0.0)
-            l1n = np.maximum(np.sqrt(12.0 * var_u), MIN_SIDE)
-            l2n = np.maximum(np.sqrt(12.0 * var_v), MIN_SIDE)
-            vn = np.where(pos, m0 / (l1n * l2n), 0.0)
+
+        def per_mass(x):
+            return np.divide(x, m0, out=np.zeros_like(m0), where=pos)
+
+        mean_u = per_mass(mass * u - to * i1u * i0v)
+        mean_v = per_mass(mass * v - to * i0u * i1v)
+        var_u = np.maximum(per_mass(mass * (u * u + l1 * l1 / 12.0) - to * i2u * i0v)
+                           - mean_u * mean_u, 0.0)
+        var_v = np.maximum(per_mass(mass * (v * v + l2 * l2 / 12.0) - to * i0u * i2v)
+                           - mean_v * mean_v, 0.0)
+        l1n = np.maximum(np.sqrt(12.0 * var_u), MIN_SIDE)
+        l2n = np.maximum(np.sqrt(12.0 * var_v), MIN_SIDE)
+        vn = m0 / (l1n * l2n)
         over = vn > 1.0
-        if over.any():
+        if np.count_nonzero(over):
             grow = np.sqrt(np.where(over, vn, 1.0))
             l1n = np.where(over, l1n * grow, l1n)
             l2n = np.where(over, l2n * grow, l2n)
@@ -472,20 +547,22 @@ def _layers(pt, js, p: int):
         lo = hi
 
 
-def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarray):
-    """The blend steps of the grid ys x xs in depth order: each a _Rect or a
-    _Gather of the points marked in live (ny, nx) when the step is taken.
+def _steps(ranges, live: np.ndarray):
+    """The blend steps of a grid in depth order: each a _Rect or a _Gather of
+    the points marked in live (ny, nx) when the step is taken, inside the
+    index ranges = (x0, x1, y0, y1) of the grid, one rectangle per splat (a
+    step body's rects).
 
-    A large splat is one step over its support rectangle, and so is each
-    splat of a run of fewer than _MIN_RUN consecutive small ones. A longer
-    run is one step per depth layer, with one splat index per point, split
-    into batches of at most _TILE_POINTS pairs, or of one splat where its box
-    holds more. A step with no live point is left out.
+    A large splat is one step over its rectangle, and so is each splat of a
+    run of fewer than _MIN_RUN consecutive small ones. A longer run is one
+    step per depth layer, with one splat index per point, split into batches
+    of at most _TILE_POINTS pairs, or of one splat where its box holds more.
+    A step with no live point is left out.
     """
     p = live.size
     flat = live.reshape(-1)
     index = np.arange(p).reshape(live.shape)
-    x0, x1, y0, y1 = prep.support_rects(xs, ys)
+    x0, x1, y0, y1 = ranges
     nbox = np.maximum(x1 - x0, 0) * np.maximum(y1 - y0, 0)
     drawn = np.flatnonzero(nbox)
     cover = nbox[drawn]
@@ -505,19 +582,20 @@ def _steps(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, live: np.ndarra
         for j, ya, yb, xa, xb in rects[i:start]:
             key = (slice(ya, yb), slice(xa, xb))
             box = live[key]
-            if box.any():
+            if np.count_nonzero(box):
                 yield _rect_points(key, box, index, j)
         while start < stop:
             end = min(stop, max(start + 1, int(pair_ends.searchsorted(
                 pair_ends[start] - cover[start] + _TILE_POINTS, side="right"))))
             run = drawn[start:end]
-            pt, js = _run_pairs(run, x0, x1, y0, xs.size, cover[start:end])
+            pt, js = _run_pairs(run, x0, x1, y0, live.shape[1], cover[start:end])
             keep = flat[pt]
             for layer in _layers(pt[keep], js[keep], p):
                 keep = flat[layer.act]
-                if keep.all():  # nothing in the layer has ended: no copy
+                n_keep = np.count_nonzero(keep)
+                if n_keep == keep.size:  # nothing in the layer has ended: no copy
                     yield layer
-                elif keep.any():
+                elif n_keep:
                     yield layer.within(keep)
             start = end
         i = stop
@@ -610,13 +688,15 @@ def blend_grid(
     p = points.shape[0]
     if mode == "gb":
         blend = _WindowBlend(points)
+    elif mode == "center":
+        blend = _ScalarBlend(points, _alpha_center, 0.0)
     else:
-        blend = _ScalarBlend(points, _alpha_center if mode == "center" else _alpha_integrated)
+        blend = _ScalarBlend(points, _alpha_integrated, 0.5)  # the unit pixel
 
     live = np.ones((ys.size, xs.size), dtype=bool)  # the points not done
     flat_live = live.reshape(-1)
     n_live = p
-    for step in _steps(prep, xs, ys, live):
+    for step in _steps(blend.rects(prep, xs, ys), live):
         ended = blend.step(prep, step, epsilon)
         if ended.size:
             flat_live[ended] = False
@@ -624,7 +704,7 @@ def blend_grid(
             if n_live == 0:
                 break
 
-    return blend.rgb.reshape(ys.size, xs.size, 3), blend.residual().reshape(ys.size, xs.size)
+    return blend.rgb.T.reshape(ys.size, xs.size, 3), blend.residual().reshape(ys.size, xs.size)
 
 
 def blend_pixel(

@@ -2,8 +2,9 @@
 
 The frame is one blending.blend_grid call over the pixel centers. blend_grid
 cuts it into near-square tiles of whole pixels, walks the depth-sorted splats
-once per tile and lets each splat update only the pixel centers inside its
-support box. A pixel's result depends on its own center alone, so the tile
+once per tile and steps each splat only over the pixel centers inside its
+box, the part of its support box where the mode's step body can change a
+point. A pixel's result depends on its own center alone, so the tile
 size bounds memory (ss expands every pixel into ss_k**2 sub-points) without
 changing any pixel.
 
@@ -32,7 +33,9 @@ class RenderStats:
     n_culled_near: int = 0
     n_culled_nonfinite: int = 0
     n_culled_degenerate: int = 0
-    n_drawn: int = 0  # splats whose support box holds at least one pixel center
+    # splats whose support box holds at least one pixel center; a mode that
+    # skips low alpha steps some of them over no pixel
+    n_drawn: int = 0
     wall_time: float = 0.0
 
 

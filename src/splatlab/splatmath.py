@@ -59,12 +59,12 @@ def gaussian_i0(sigma, a, b):
     mixed = (sa < 0.0) & (sb > 0.0)
     if mixed.all():
         return SQRT_HALF_PI * sigma * (scipy.special.erf(sb) - scipy.special.erf(sa))
-    neg = sb <= 0.0
-    lo = np.where(neg, -sb, sa)
-    hi = np.where(neg, -sa, sb)
+    # a one-sided [lo, hi] is [|sa|, |sb|] in the right tail, [|sb|, |sa|] in the left
+    abs_a, abs_b = np.abs(sa), np.abs(sb)
+    lo, hi = np.minimum(abs_a, abs_b), np.maximum(abs_a, abs_b)
     out = scipy.special.erfc(lo) - scipy.special.erfc(hi)
-    if mixed.any():  # lo, hi = sa, sb there
-        out[mixed] = scipy.special.erf(hi[mixed]) - scipy.special.erf(lo[mixed])
+    if np.count_nonzero(mixed):
+        out[mixed] = scipy.special.erf(sb[mixed]) - scipy.special.erf(sa[mixed])
     return SQRT_HALF_PI * sigma * out
 
 
@@ -102,19 +102,18 @@ def eigen2x2_batch(cxx, cxy, cyy):
     with np.errstate(divide="ignore", invalid="ignore"):
         lam2 = np.where(lam1 > 0.0, det / np.where(lam1 > 0.0, lam1, 1.0), -1.0)
 
-    cand1 = np.stack([cxy, lam1 - cxx], axis=-1)
-    cand2 = np.stack([lam1 - cyy, cxy], axis=-1)
-    n1 = np.sum(cand1 * cand1, axis=-1)
-    n2 = np.sum(cand2 * cand2, axis=-1)
-    e1 = np.where((n1 >= n2)[..., None], cand1, cand2)
+    c1x, c1y = cxy, lam1 - cxx  # two candidate eigenvectors of lam1
+    c2x, c2y = lam1 - cyy, cxy
+    first = c1x * c1x + c1y * c1y >= c2x * c2x + c2y * c2y
     # An isotropic matrix (both candidates null when exact) has no principal
     # axis; its frame must not swing with roundoff in cxy.
     iso = disc <= ISO_TOL * np.abs(lam1)
-    axis = np.where((cxx >= cyy)[..., None], [1.0, 0.0], [0.0, 1.0])
-    e1 = np.where(iso[..., None], axis, e1)
-    norm = np.sqrt(np.sum(e1 * e1, axis=-1, keepdims=True))
-    e1 = e1 / np.where(norm > 0.0, norm, 1.0)
+    on_x = cxx >= cyy
+    ex = np.where(iso, on_x, np.where(first, c1x, c2x))
+    ey = np.where(iso, ~on_x, np.where(first, c1y, c2y))
+    norm = np.sqrt(ex * ex + ey * ey)
+    norm = np.where(norm > 0.0, norm, 1.0)
+    ex, ey = ex / norm, ey / norm
     # Deterministic sign: largest-magnitude component positive.
-    lead = np.where(np.abs(e1[..., 0]) >= np.abs(e1[..., 1]), e1[..., 0], e1[..., 1])
-    e1 = np.where((lead < 0.0)[..., None], -e1, e1)
-    return lam1, lam2, e1[..., 0], e1[..., 1]
+    sign = np.where(np.where(np.abs(ex) >= np.abs(ey), ex, ey) < 0.0, -1.0, 1.0)
+    return lam1, lam2, ex * sign, ey * sign

@@ -145,3 +145,30 @@ def residual_transmittance_gl(mus, sigmas, opacities, panels=24, order=8):
         d2 = (xx - mx) ** 2 + (yy - my) ** 2
         trans *= 1.0 - o * np.exp(-d2 / (2.0 * s * s))
     return float((trans * w2).sum())
+
+
+def residual_one_splat_gl(mu, cxx, cxy, cyy, o, panels=32, order=24):
+    """1 - o * the integral of one splat's Gaussian over the unit pixel at the
+    origin, for any covariance, thin and rotated ones too.
+
+    At height y the Gaussian is its y marginal times a 1D Gaussian in x about
+    the conditional mean mx(y) with the conditional sigma sc, so panelled GL
+    takes y over the pixel clipped to TAIL_SIGMA marginal sigmas and, at each
+    y node, x by gaussian_moments_gl. Where mx(y) crosses a pixel edge, the x
+    integral steps over TAIL_SIGMA * sc in x; y is cut there, so that each
+    step has panels of its own.
+    """
+    sy, sc = np.sqrt(cyy), np.sqrt((cxx * cyy - cxy * cxy) / cyy)
+    lo, hi = max(-0.5, mu[1] - TAIL_SIGMA * sy), min(0.5, mu[1] + TAIL_SIGMA * sy)
+    cuts = {lo, hi}
+    if cxy != 0.0:
+        for edge in (-0.5, 0.5):
+            c = mu[1] + (edge - mu[0]) * cyy / cxy  # mx(c) = edge
+            w = TAIL_SIGMA * sc * cyy / abs(cxy)
+            cuts.update(min(max(c + d, lo), hi) for d in (-w, 0.0, w))
+    cuts = sorted(cuts)
+    y, wy = _gl_nodes(cuts[:-1], cuts[1:], panels, order)
+    y, wy = y.ravel(), wy.ravel()
+    mx = mu[0] + (y - mu[1]) * cxy / cyy
+    ix = gaussian_moments_gl(np.full_like(y, sc), -0.5 - mx, 0.5 - mx, panels, order)[0]
+    return 1.0 - o * float(np.sum(wy * np.exp(-((y - mu[1]) ** 2) / (2.0 * cyy)) * ix))

@@ -503,7 +503,7 @@ def mixed_windows(prep, j):
 
 
 def window_state(blend, i):
-    return blend.rgb[i], blend.wc[i], blend.ws[i], blend.wv[i]
+    return blend.rgb[:, i], blend.wc[i], blend.ws[i], blend.wv[i]  # rgb is channel-major
 
 
 @pytest.mark.parametrize("j", [0, np.array([0, 1, 2, 0, 1, 2, 0])], ids=["one-splat", "per-point"])

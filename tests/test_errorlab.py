@@ -1,6 +1,7 @@
 """Transmittance-error sweep and metric tests."""
 
 import csv
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from _oracles import residual_transmittance_gl
+from _oracles import residual_one_splat_gl, residual_transmittance_gl
 from splatlab.blending import blend_pixel
 from splatlab.errorlab import (
     PSNR_CAP,
@@ -36,18 +37,25 @@ RED = (1.0, 0.0, 0.0)
 
 
 @pytest.fixture
-def dblquad_calls(monkeypatch):
-    """A list that grows by one each time the truth runs its quadrature."""
+def quad_calls(monkeypatch):
+    """A list that grows by one each time the truth runs its quadrature: by
+    one per outermost scipy.integrate.quad call, not per nested one."""
     calls = []
-    real = scipy.integrate.dblquad
+    real = scipy.integrate.quad
+    depth = [0]
 
     def counted(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        if not depth[0]:
+            calls.append(args)
+        depth[0] += 1
+        try:
+            return real(*args, **kwargs)
+        finally:
+            depth[0] -= 1
 
     # the truth imports scipy.integrate when it runs the quadrature, and so
     # reads this attribute at call time
-    monkeypatch.setattr(scipy.integrate, "dblquad", counted)
+    monkeypatch.setattr(scipy.integrate, "quad", counted)
     return calls
 
 
@@ -60,7 +68,7 @@ def test_true_residual_trivials():
     assert true_residual_transmittance(far) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_true_residual_closed_matches_quadrature(dblquad_calls):
+def test_true_residual_closed_matches_quadrature(quad_calls):
     rng = np.random.default_rng(3)
     for _ in range(25):
         rows = [(rng.uniform(-1.5, 1.5, 2), 10.0 ** rng.uniform(-0.8, 0.6), rng.uniform(0.2, 1.0))
@@ -68,10 +76,10 @@ def test_true_residual_closed_matches_quadrature(dblquad_calls):
         mu, sigma, opacity = zip(*rows)
         splats = iso_cloud(mu, sigma, opacity, [RED] * 2, [0.0, 1.0])
         c = true_residual_transmittance(splats)
-        assert not dblquad_calls  # the closed form, not the quadrature
+        assert not quad_calls  # the closed form, not the quadrature
         q = true_residual_transmittance(splats, "quad")
-        assert len(dblquad_calls) == 1
-        dblquad_calls.clear()
+        assert len(quad_calls) == 1
+        quad_calls.clear()
         assert c == pytest.approx(q, abs=1e-9)
     # axis-aligned anisotropic pairs, sigma >= 0.05 px, where the quadrature is reliable
     for _ in range(10):
@@ -80,19 +88,19 @@ def test_true_residual_closed_matches_quadrature(dblquad_calls):
                                 cyy=sy * sy, depth=[0.0, 1.0], opacity=rng.uniform(0.2, 1.0, 2),
                                 color=[RED] * 2)
         c = true_residual_transmittance(splats)
-        assert not dblquad_calls
+        assert not quad_calls
         assert c == pytest.approx(true_residual_transmittance(splats, "quad"), abs=1e-9)
-        dblquad_calls.clear()
+        quad_calls.clear()
 
 
-def test_true_residual_sweep_grid_self_check(dblquad_calls):
+def test_true_residual_sweep_grid_self_check(quad_calls):
     for mu_x in np.arange(-3.0, 3.01, 0.5):
         splats = two_splat_config(float(mu_x), 1.0)
         c = true_residual_transmittance(splats)
-        assert not dblquad_calls  # the closed form, not the quadrature
+        assert not quad_calls  # the closed form, not the quadrature
         q = true_residual_transmittance(splats, "quad")
-        assert len(dblquad_calls) == 1
-        dblquad_calls.clear()
+        assert len(quad_calls) == 1
+        quad_calls.clear()
         assert c == pytest.approx(q, abs=1e-9)
 
 
@@ -105,6 +113,36 @@ def test_true_residual_quad_path_many_splats():
     got = true_residual_transmittance(splats)
     want = residual_transmittance_gl(mus, sigmas, ops)
     assert got == pytest.approx(want, rel=1e-8)
+
+
+def splat(mu, sx, sy, theta=0.0, opacity=0.9):
+    """One splat of sigmas (sx, sy) turned by theta, red."""
+    c, s = math.cos(theta), math.sin(theta)
+    return ProjectedCloud(mu2d=[mu], cxx=[c * c * sx * sx + s * s * sy * sy],
+                          cxy=[c * s * (sx * sx - sy * sy)],
+                          cyy=[s * s * sx * sx + c * c * sy * sy], depth=[1.0], opacity=[opacity],
+                          color=[RED])
+
+
+def test_truth_quadrature_finds_thin_splats():
+    # The truth's quadrature was scipy's dblquad, whose adaptive rule never
+    # sampled a thin splat: sigma (1, 1e-3) px at (0, 0.3) read 1.0 against the
+    # exact 0.997835, and sigma_y = 0.003 px at 19 heights was off by up to
+    # 6.5e-3. Breaks at each splat's center and conditional mean find them.
+    needle = splat((0.0, 0.3), 1.0, 1e-3)
+    assert true_residual_transmittance(needle) == pytest.approx(0.997834610577604, abs=1e-15)
+    assert abs(true_residual_transmittance(needle, "quad") - 0.997834610577604) <= 1e-14
+    for y in np.linspace(-0.45, 0.45, 19):
+        thin = splat((0.0, float(y)), 1.0, 0.003)
+        assert abs(true_residual_transmittance(thin, "quad")
+                   - true_residual_transmittance(thin)) <= 1e-14, y
+    # Rotated, where only the quadrature applies: 30 degrees, and 1 rad with
+    # sigma 1e-4 px, which breaks at the centers alone missed by 1.8e-4.
+    for sy, theta in ((1e-3, math.pi / 6), (1e-4, 1.0)):
+        tilted = splat((0.1, 0.3), 1.0, sy, theta)
+        want = residual_one_splat_gl(tilted.mu2d[0], tilted.cxx[0], tilted.cxy[0], tilted.cyy[0],
+                                     0.9)
+        assert abs(true_residual_transmittance(tilted) - want) <= 1e-12, (sy, theta)
 
 
 def test_true_residual_closed_form_rejections():

@@ -1,15 +1,18 @@
 """The blend_grid schedule: runs of small splats blended in depth layers,
-and large splats stepped dense or gathered.
+large splats stepped dense or gathered, and each body's box.
 
 blend_grid steps a large splat on its own and a run of consecutive small
 splats one depth layer at a time; a large splat's rectangle is stepped dense,
-on slice views, or gathered by index. Neither choice may change a pixel, so
-every test compares frames bit for bit with blend_pixel, whose 1 x 1 grid
-meets each splat in a schedule of its own, or with another schedule of the
-same frame. Each test also checks, on the frame render alone, that the frame
-does reach the path it is about.
+on slice views, or gathered by index. The center and integrated bodies step a
+splat only over the part of its support box where its alpha can pass the
+skip. None of these choices may change a pixel, so every test compares frames
+bit for bit with blend_pixel, whose 1 x 1 grid meets each splat in a schedule
+of its own, or with another schedule of the same frame. Each test also
+checks, on the frame render alone, that the frame does reach the path it is
+about.
 """
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -18,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import Splat2D, stack_splats
 from splatlab import blending, raster, synth
-from splatlab.blending import SUPPORT_SIGMA, blend_grid, blend_pixel, prepare_splats
+from splatlab.blending import ALPHA_SKIP, SUPPORT_SIGMA, blend_grid, blend_pixel, prepare_splats
 from splatlab.raster import Framebuffer, render_projected
 from splatlab.scene import project_cloud
 
@@ -229,3 +232,127 @@ def test_render_bounds_and_band_split_property(seed, n_small, n_large, width, he
             rows = render_projected(prep, width, height, mode, ss_k=2)
         assert rows.rgb.tobytes() == fb.rgb.tobytes()
         assert rows.residual.tobytes() == fb.residual.tobytes()
+
+
+def step_support_boxes(mp):
+    """Make every body step each splat over its plain support box."""
+    mp.setattr(blending._ScalarBlend, "rects",
+               lambda self, prep, xs, ys: prep.support_rects(xs, ys))
+
+
+def rotated(mu, sig1, sig2, theta, opacity, depth, color):
+    c, s = math.cos(theta), math.sin(theta)
+    r = np.array([[c, -s], [s, c]])
+    cov = r @ np.diag([sig1 * sig1, sig2 * sig2]) @ r.T
+    return Splat2D(mu2d=np.asarray(mu, float), cov2d=0.5 * (cov + cov.T), depth=depth,
+                   opacity=opacity, color=np.asarray(color, float))
+
+
+def ellipse_coords(sp):
+    """Screen coordinates about a splat's skip ellipse q <= 2 ln(o / ALPHA_SKIP):
+    its mean, the edges of its bounding box and of that box grown by half a
+    pixel, each nudged in and out by relative 1e-14, 1e-12 and 1e-9, and the
+    other coordinate of the points where the ellipse meets its box; (xs, ys)."""
+    (cxx, cxy), (_, cyy) = sp.cov2d
+    mx, my = sp.mu2d
+    r = math.sqrt(max(2.0 * math.log(sp.opacity / ALPHA_SKIP), 0.0))
+    xs, ys = [mx], [my]
+    for sign in (-1.0, 1.0):
+        for grow in (0.0, 0.5):
+            for nudge in (0.0, -1e-14, 1e-14, -1e-12, 1e-12, -1e-9, 1e-9):
+                xs.append(mx + sign * (r * math.sqrt(cxx) * (1.0 + nudge) + grow))
+                ys.append(my + sign * (r * math.sqrt(cyy) * (1.0 + nudge) + grow))
+        ys.append(my + sign * r * cxy / math.sqrt(cxx))
+        xs.append(mx + sign * r * cxy / math.sqrt(cyy))
+    return xs, ys
+
+
+def both_boxes(render):
+    """render() with the bodies' own boxes and with plain support boxes."""
+    got = render()
+    with pytest.MonkeyPatch.context() as mp:
+        step_support_boxes(mp)
+        want = render()
+    return got, want
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), ss_k=st.integers(1, 3),
+       epsilon=st.sampled_from([1e-4, 0.0]))
+def test_skip_boxes_change_no_pixel_property(seed, n, ss_k, epsilon):
+    # Thin rotated splats (sigma 1e-7..1e3 px, axis ratio up to 1e9) of
+    # opacity from ALPHA_SKIP * (1 +- 1e-9) to 1, on grids through their skip
+    # ellipses and boxes: every frame and blend_pixel, truncated and not,
+    # equals the same render stepped over the plain support boxes, in every
+    # mode. Splats whose rounding allowance reaches 1 keep the support box.
+    rng = np.random.default_rng(seed)
+    splats, xs, ys = [], [], []
+    for depth in range(n):
+        minor = 10.0 ** rng.uniform(-7.0, 3.0)
+        major = minor * 10.0 ** rng.uniform(0.0, min(9.0, 3.0 - math.log10(minor)))
+        opacity = [ALPHA_SKIP * (1.0 - 1e-9), ALPHA_SKIP * (1.0 + 1e-9),
+                   rng.uniform(ALPHA_SKIP, 1.0), 1.0][rng.integers(4)]
+        sp = rotated(rng.uniform(-2.0, 2.0, 2), major, minor, rng.uniform(0.0, math.pi), opacity,
+                     float(depth), rng.uniform(0.0, 1.0, 3))
+        splats.append(sp)
+        sx, sy = ellipse_coords(sp)
+        xs += sx
+        ys += sy
+    xs, ys = np.sort(xs), np.sort(ys)
+    cloud = stack_splats(splats)
+    for prep in (prepare_splats(cloud, SUPPORT_SIGMA), prepare_splats(cloud)):
+        for mode in ("center", "integrated", "gb"):
+            got, want = both_boxes(lambda: blend_grid(prep, xs, ys, mode, epsilon))
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes(), mode
+        # ss: a 5 x 5 grid of pixels, one of whose sub-points sits on a coordinate
+        off = (rng.integers(ss_k) + 0.5) / ss_k - 0.5
+        px, py = (rng.choice(a) - off + np.arange(-2.0, 3.0) for a in (xs, ys))
+        got, want = both_boxes(lambda: blend_grid(prep, px, py, "ss", epsilon, ss_k))
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes(), "ss"
+        for mode in blending.MODES:
+            for x, y in zip(rng.choice(xs, 3), rng.choice(ys, 3)):
+                got, want = both_boxes(lambda: blend_pixel(prep, (x, y), mode, epsilon, ss_k))
+                assert got[0].tobytes() == want[0].tobytes() and got[1] == want[1], mode
+
+
+class AlphaCount:
+    """Counts the splat-point alphas that the center and integrated bodies
+    evaluate (_alpha_center, _alpha_integrated), done points of a dense
+    rectangle included."""
+
+    def __init__(self, mp):
+        self.n = 0
+        for name in ("_alpha_center", "_alpha_integrated"):
+            mp.setattr(blending, name, self._wrap(getattr(blending, name)))
+
+    def _wrap(self, alpha_of):
+        def counted(*args):
+            alpha = alpha_of(*args)
+            self.n += alpha.size
+            return alpha
+        return counted
+
+
+@pytest.mark.parametrize("scene, mode, ss_k, support, own", [
+    (synth.two_plane_scene, "ss", 2, 620043, 484405),
+    (synth.random_cloud, "center", 1, 23939, 16369),
+], ids=["two_plane-ss", "random_cloud-center"])
+def test_skip_boxes_evaluate_fewer_alphas(scene, mode, ss_k, support, own):
+    # x1 frames (64 x 48): the skip box keeps a splat from the points where
+    # its alpha cannot pass ALPHA_SKIP, and the frame stays the same
+    cloud, cam = scene(0)
+    counts = []
+
+    def counted_render():
+        with pytest.MonkeyPatch.context() as mp:
+            count = AlphaCount(mp)
+            fb = raster.render(cloud, cam, mode, ss_k=ss_k)
+        counts.append(count.n)
+        return fb
+
+    got, want = both_boxes(counted_render)
+    assert counts == [own, support]
+    assert got.rgb.tobytes() == want.rgb.tobytes()
+    assert got.residual.tobytes() == want.residual.tobytes()
