@@ -9,6 +9,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -99,6 +100,8 @@ class Camera:
 
     def scaled(self, k: float) -> "Camera":
         """Zoom protocol: multiply intrinsics and resolution by k, pose unchanged."""
+        if not math.isfinite(k):
+            raise ValueError(f"scale factor must be finite, not {k!r}")
         if k <= 0:
             raise ValueError("scale factor must be > 0")
         return Camera(
@@ -184,17 +187,18 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
     """Real SH color (degree <= 3) per splat toward a unit direction.
 
     sh (n, bands, 3), dirs (n, 3) unit -> linear rgb (n, 3), with the
-    trained-file DC convention (+0.5) applied and clamped at 0.
+    trained-file DC convention (+0.5) applied and clamped at 0. dirs is read
+    only when bands > 1; for DC-only SH it may be None.
     """
     sh = np.asarray(sh, dtype=float)
-    dirs = np.asarray(dirs, dtype=float)
     bands = sh.shape[1]
     if bands not in VALID_SH_BANDS:
         raise ValueError(f"unsupported SH band count {bands}")
-    x, y, z = dirs[:, 0:1], dirs[:, 1:2], dirs[:, 2:3]
 
     rgb = SH_C0 * sh[:, 0]
     if bands > 1:
+        dirs = np.asarray(dirs, dtype=float)
+        x, y, z = dirs[:, 0:1], dirs[:, 1:2], dirs[:, 2:3]
         rgb = rgb - SH_C1 * y * sh[:, 1] + SH_C1 * z * sh[:, 2] - SH_C1 * x * sh[:, 3]
     if bands > 4:
         xx, yy, zz = x * x, y * y, z * z
@@ -261,49 +265,66 @@ class ProjectedCloud:
 
 
 def rotmats_from_quats(q) -> np.ndarray:
-    """(n, 4) unit quaternions -> (n, 3, 3) rotation matrices."""
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    m = np.empty((q.shape[0], 3, 3))
-    m[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    m[:, 0, 1] = 2 * (x * y - w * z)
-    m[:, 0, 2] = 2 * (x * z + w * y)
-    m[:, 1, 0] = 2 * (x * y + w * z)
-    m[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    m[:, 1, 2] = 2 * (y * z - w * x)
-    m[:, 2, 0] = 2 * (x * z - w * y)
-    m[:, 2, 1] = 2 * (y * z + w * x)
-    m[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    """(n, 4) unit quaternions -> (3, 3, n) rotation matrices, entry-major:
+    [i, j] holds the (n,) entries R_ij."""
+    w, x, y, z = q.T
+    m = np.empty((3, 3, q.shape[0]))
+    m[0, 0] = 1 - 2 * (y * y + z * z)
+    m[0, 1] = 2 * (x * y - w * z)
+    m[0, 2] = 2 * (x * z + w * y)
+    m[1, 0] = 2 * (x * y + w * z)
+    m[1, 1] = 1 - 2 * (x * x + z * z)
+    m[1, 2] = 2 * (y * z - w * x)
+    m[2, 0] = 2 * (x * z - w * y)
+    m[2, 1] = 2 * (y * z + w * x)
+    m[2, 2] = 1 - 2 * (x * x + y * y)
     return m
 
 
 def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> ProjectedCloud:
-    """Project every splat in one vectorized pass; order of survivors is stable."""
+    """Project every splat in one vectorized pass; order of survivors is stable.
+
+    lowpass (px^2, finite and >= 0) is added to the diagonal of every screen
+    covariance. The covariance is A A^T with A = J R M: J the perspective
+    Jacobian at the mean, R the camera rotation, M = R_splat diag(s). Each
+    row of A is summed from +0 term by term, j outer and k inner, as
+    (J_ij R_jk) M_k, and each entry of A A^T as (p0 + p2) + p1 over its
+    products p. These are the orders that np.einsum takes over J, R and M
+    and then over each pair of rows of A, kept so that every bit equals that
+    einsum form (project_cloud_einsum in tests/_reference.py).
+    J's two structural zeros are skipped: a +-0 term changes no bit of a sum
+    that starts at +0, since a round-to-nearest sum is -0 only when both
+    addends are. View directions are computed only for SH beyond DC.
+    """
+    if not (math.isfinite(lowpass) and lowpass >= 0.0):
+        raise ValueError(f"lowpass must be finite and >= 0, not {lowpass!r}")
     n = len(cloud)
     r, t = cam.rotation, cam.translation
     p = cloud.mu @ r.T + t  # (n, 3) camera space
-    z = p[:, 2]
-    front = z > cam.near
-    n_culled_near = int(n - np.count_nonzero(front))
-
-    idx = np.flatnonzero(front)
-    p = p[idx]
-    z = z[idx]
-    x, y = p[:, 0], p[:, 1]
+    idx = np.flatnonzero(p[:, 2] > cam.near)
+    n_culled_near = n - idx.size
+    rot, scale = cloud.rot, cloud.scale
+    if n_culled_near:
+        p, rot, scale = p[idx], rot[idx], scale[idx]
+    x, y, z = p[:, 0], p[:, 1], p[:, 2]
     mu2d = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
 
-    # cov2d = (J R) Sigma (J R)^T with J the perspective Jacobian at the mean.
-    rot = rotmats_from_quats(cloud.rot[idx])
-    m = rot * cloud.scale[idx][:, None, :]  # (n, 3, 3) = R diag(s)
+    m = rotmats_from_quats(rot)
+    m *= scale.T  # R diag(s)
     zz = z * z
-    jac = np.zeros((idx.size, 2, 3))
-    jac[:, 0, 0] = cam.fx / z
-    jac[:, 0, 2] = -cam.fx * x / zz
-    jac[:, 1, 1] = cam.fy / z
-    jac[:, 1, 2] = -cam.fy * y / zz
-    a = np.einsum("nij,jk,nkl->nil", jac, r, m)  # (n, 2, 3)
-    cxx = np.einsum("nk,nk->n", a[:, 0], a[:, 0]) + lowpass
-    cyy = np.einsum("nk,nk->n", a[:, 1], a[:, 1]) + lowpass
-    cxy = np.einsum("nk,nk->n", a[:, 0], a[:, 1])
+    # J's nonzero entries, row by row, as (column j, J_ij)
+    jac = (((0, cam.fx / z), (2, -cam.fx * x / zz)), ((1, cam.fy / z), (2, -cam.fy * y / zz)))
+    rows = []
+    for terms in jac:
+        a = np.zeros((3, idx.size))
+        for j, j_ij in terms:
+            for k in range(3):
+                a += (j_ij * r[j, k]) * m[k]
+        rows.append(a)
+    (a0, a1, a2), (b0, b1, b2) = rows
+    cxx = (a0 * a0 + a2 * a2) + a1 * a1 + lowpass
+    cyy = (b0 * b0 + b2 * b2) + b1 * b1 + lowpass
+    cxy = (a0 * b0 + a2 * b2) + a1 * b1 + 0.0  # a sum of -0 products reads +0
 
     finite = (
         np.isfinite(z)
@@ -318,9 +339,12 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
         idx, mu2d, z = idx[keep], mu2d[keep], z[keep]
         cxx, cxy, cyy = cxx[keep], cxy[keep], cyy[keep]
 
-    view = cloud.mu[idx] - cam.center
-    norm = np.linalg.norm(view, axis=1, keepdims=True)
-    dirs = np.divide(view, norm, out=np.tile(np.array([0.0, 0.0, 1.0]), (idx.size, 1)), where=norm > 0)
+    dirs = None
+    if cloud.sh.shape[1] > 1:
+        view = cloud.mu[idx] - cam.center
+        norm = np.linalg.norm(view, axis=1, keepdims=True)
+        dirs = np.divide(view, norm, out=np.tile(np.array([0.0, 0.0, 1.0]), (idx.size, 1)),
+                         where=norm > 0)
     color = eval_sh_batch(cloud.sh[idx], dirs)
 
     return ProjectedCloud(
@@ -329,7 +353,7 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
         cxy=cxy,
         cyy=cyy,
         depth=z,
-        opacity=cloud.opacity[idx].copy(),
+        opacity=cloud.opacity[idx],
         color=color,
         n_culled_near=n_culled_near,
         n_culled_nonfinite=n_culled_nonfinite,

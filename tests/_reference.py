@@ -10,10 +10,12 @@ tests as a step-by-step oracle for that path:
   eigen2x2                        splatmath.eigen2x2_batch
   eval_sh                         scene.eval_sh_batch
   project_splat                   scene.project_cloud
+  project_cloud_einsum            scene.project_cloud, bit for bit
 
 They share only the 1D closed-form moments (splatmath.gaussian_moments_012)
 and the module constants with the package; those are checked against
-quadrature in _oracles.py.
+quadrature in _oracles.py. project_cloud_einsum also calls
+scene.eval_sh_batch: it pins the bits of the projection, not of the SH color.
 
 The scalar code takes one screen-space splat at a time as a Splat2D record;
 stack_splats turns a list of them into the ProjectedCloud the package takes.
@@ -28,7 +30,7 @@ import numpy as np
 import scipy.special
 
 from splatlab.blending import ALPHA_MAX, GUARD_LO, MIN_SIDE
-from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud
+from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud, eval_sh_batch
 from splatlab.splatmath import ISO_TOL, SQRT2, SQRT_HALF_PI, gaussian_moments_012
 
 # --- one screen-space splat ---------------------------------------------------
@@ -421,4 +423,70 @@ def project_splat(cloud, i: int, cam, lowpass: float = 0.0):
 
     return Splat2D(
         mu2d=mu2d, cov2d=cov2d, depth=float(z), opacity=float(cloud.opacity[i]), color=color
+    )
+
+
+def project_cloud_einsum(cloud, cam, lowpass: float = 0.0) -> ProjectedCloud:
+    """scene.project_cloud as it was before its contraction became an ordered
+    sum: the bit-exact oracle of that sum. The body is the old one verbatim,
+    but for the rotation matrices, built here one splat at a time by
+    quat_to_rotmat (the same arithmetic per entry).
+
+    Project every splat in one vectorized pass; order of survivors is stable."""
+    n = len(cloud)
+    r, t = cam.rotation, cam.translation
+    p = cloud.mu @ r.T + t  # (n, 3) camera space
+    z = p[:, 2]
+    front = z > cam.near
+    n_culled_near = int(n - np.count_nonzero(front))
+
+    idx = np.flatnonzero(front)
+    p = p[idx]
+    z = z[idx]
+    x, y = p[:, 0], p[:, 1]
+    mu2d = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
+
+    # cov2d = (J R) Sigma (J R)^T with J the perspective Jacobian at the mean.
+    rot = np.array([quat_to_rotmat(q) for q in cloud.rot[idx]]).reshape(-1, 3, 3)
+    m = rot * cloud.scale[idx][:, None, :]  # (n, 3, 3) = R diag(s)
+    zz = z * z
+    jac = np.zeros((idx.size, 2, 3))
+    jac[:, 0, 0] = cam.fx / z
+    jac[:, 0, 2] = -cam.fx * x / zz
+    jac[:, 1, 1] = cam.fy / z
+    jac[:, 1, 2] = -cam.fy * y / zz
+    a = np.einsum("nij,jk,nkl->nil", jac, r, m)  # (n, 2, 3)
+    cxx = np.einsum("nk,nk->n", a[:, 0], a[:, 0]) + lowpass
+    cyy = np.einsum("nk,nk->n", a[:, 1], a[:, 1]) + lowpass
+    cxy = np.einsum("nk,nk->n", a[:, 0], a[:, 1])
+
+    finite = (
+        np.isfinite(z)
+        & np.isfinite(mu2d).all(axis=1)
+        & np.isfinite(cxx)
+        & np.isfinite(cxy)
+        & np.isfinite(cyy)
+    )
+    n_culled_nonfinite = int(idx.size - np.count_nonzero(finite))
+    if n_culled_nonfinite:
+        keep = np.flatnonzero(finite)
+        idx, mu2d, z = idx[keep], mu2d[keep], z[keep]
+        cxx, cxy, cyy = cxx[keep], cxy[keep], cyy[keep]
+
+    view = cloud.mu[idx] - cam.center
+    norm = np.linalg.norm(view, axis=1, keepdims=True)
+    dirs = np.divide(view, norm, out=np.tile(np.array([0.0, 0.0, 1.0]), (idx.size, 1)), where=norm > 0)
+    color = eval_sh_batch(cloud.sh[idx], dirs)
+
+    return ProjectedCloud(
+        mu2d=mu2d,
+        cxx=cxx,
+        cxy=cxy,
+        cyy=cyy,
+        depth=z,
+        opacity=cloud.opacity[idx].copy(),
+        color=color,
+        n_culled_near=n_culled_near,
+        n_culled_nonfinite=n_culled_nonfinite,
+        source_index=idx,
     )

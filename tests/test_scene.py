@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import build_covariance, eval_sh, project_splat
+from _reference import build_covariance, eval_sh, project_cloud_einsum, project_splat
 from splatlab.scene import (
     VALID_SH_BANDS,
     Camera,
@@ -224,6 +224,42 @@ def test_project_cloud_matches_scalar_path():
     assert np.all(np.diff(pc.source_index) > 0)
 
 
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24), identity=st.booleans(),
+       log10_scale=st.sampled_from([(-200.0, -150.0), (-6.0, 3.0), (150.0, 160.0)]),
+       lowpass=st.sampled_from([0.0, 0.3]), bands=st.sampled_from(VALID_SH_BANDS))
+def test_project_cloud_bits_equal_einsum_form_property(seed, n, identity, log10_scale, lowpass,
+                                                       bands):
+    # The ordered sum reproduces the einsum form bit for bit, signs of zero
+    # included. Scales span an underflowing range (products that round to
+    # +-0), an ordinary one and an overflowing one (culled as non-finite);
+    # about half of the splats lie behind the near plane.
+    rng = np.random.default_rng(seed)
+    w2c = np.hstack([np.eye(3), np.zeros((3, 1))]) if identity else random_pose(rng)
+    cam = make_camera(world_to_cam=w2c, fx=rng.uniform(10.0, 500.0), fy=rng.uniform(10.0, 500.0))
+    cloud = SplatCloud(mu=rng.uniform(-2.0, 2.0, (n, 3)),
+                       scale=10.0 ** rng.uniform(*log10_scale, (n, 3)),
+                       rot=rng.normal(size=(n, 4)),
+                       opacity=rng.uniform(0.0, 1.0, n),
+                       sh=rng.uniform(-1.0, 1.0, (n, bands, 3)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = project_cloud(cloud, cam, lowpass=lowpass)
+        want = project_cloud_einsum(cloud, cam, lowpass=lowpass)
+    assert (got.n_culled_near, got.n_culled_nonfinite) == (want.n_culled_near,
+                                                           want.n_culled_nonfinite)
+    for name in ("mu2d", "cxx", "cxy", "cyy", "depth", "opacity", "color", "source_index"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
+
+
+@pytest.mark.parametrize("lowpass", [np.nan, np.inf, -np.inf, -1.0])
+def test_project_cloud_rejects_bad_lowpass(lowpass):
+    # Unchecked, nan and +-inf culled every splat as non-finite (an empty
+    # frame), and -1 shrank every covariance.
+    with pytest.raises(ValueError, match=rf"^lowpass must be finite and >= 0, not {lowpass!r}$"):
+        project_cloud(one_splat([0.0, 0.0, 2.0]), make_camera(), lowpass=lowpass)
+
+
 def projected_fields(m=4):
     rng = np.random.default_rng(m)
     return dict(mu2d=rng.uniform(0, 8, (m, 2)), cxx=np.ones(m), cxy=np.zeros(m), cyy=np.ones(m),
@@ -297,6 +333,8 @@ def test_eval_sh_dc_only():
     a = sh_one(sh, [0.0, 0.0, 1.0])
     b = sh_one(sh, [1.0, 0.0, 0.0])
     assert np.allclose(a, b)
+    # ... and reads none: DC-only SH takes None for the directions.
+    assert np.array_equal(eval_sh_batch(sh[None], None)[0], a)
     # Clamp keeps rgb non-negative.
     dark = sh_one(np.array([[-10.0, -10.0, -10.0]]), [0.0, 0.0, 1.0])
     assert np.all(dark == 0.0)
@@ -357,6 +395,14 @@ def test_camera_rejects_non_integer_sizes(field, value):
 @pytest.mark.parametrize("k", [0.0, -2.0])
 def test_camera_scaled_rejects_factor_not_positive(k):
     with pytest.raises(ValueError, match="scale factor must be > 0"):
+        make_camera().scaled(k)
+
+
+@pytest.mark.parametrize("k", [np.nan, np.inf, -np.inf])
+def test_camera_scaled_rejects_non_finite_factor(k):
+    # Unchecked, nan failed in int() ("cannot convert float NaN to integer")
+    # and inf raised OverflowError.
+    with pytest.raises(ValueError, match=rf"^scale factor must be finite, not {k!r}$"):
         make_camera().scaled(k)
 
 
