@@ -19,8 +19,9 @@ moment-matches a new box. The integrated weight of the splat is
 and the new box mass equals the old mass minus w by construction. Only where
 the splat is wider than 1 / GUARD_LO window sides on both axes, so that alpha
 at the box center stands for its average, the point takes the scalar fallback:
-its box keeps its geometry and its value is scaled by 1 - alpha at the box
-center. Each step sends each point down one branch.
+its box keeps its geometry and its value is scaled by 1 - alpha, the
+center-mode alpha, unclamped, at the box center. Each step sends each point
+down one branch.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
 over the splats in which a splat is stepped only over the grid points of its
@@ -114,7 +115,8 @@ class PreparedSplats:
     changes no point outside its box. reach rows are the half-widths
     (sqrt(cxx), sqrt(cyy)) of the bounding box of the ellipse q = d' C^-1 d
     <= 1, widened for rounding (see support_rects). inv_* entries are the
-    inverse-covariance coefficients for center-alpha evaluation.
+    inverse-covariance coefficients of the center Gaussian (_alpha_center),
+    which serves center, the ss sub-blends and the gb fallback.
 
     Each step body steps a splat over the points of its own box, by
     support_rects: gb over the support box; center (which the ss sub-blends
@@ -360,9 +362,13 @@ def _rect_points(key: tuple, live: np.ndarray, index: np.ndarray, j: int):
 
 class _ScalarBlend:
     """Classic compositing: one transmittance scalar per point, alpha clamped
-    at ALPHA_MAX and skipped below ALPHA_SKIP. alpha_of takes alpha over a
-    square of half-side footprint in the splat frame around each point (0
-    for a point sample)."""
+    at ALPHA_MAX and skipped below skip (ALPHA_SKIP). alpha_of takes alpha
+    over a square of half-side footprint in the splat frame around each point
+    (0 for a point sample). skip is the one skip rule: step composites alpha
+    >= skip, and blend_grid steps a splat over the box where its alpha can
+    reach skip (PreparedSplats.support_rects of skip and footprint)."""
+
+    skip = ALPHA_SKIP
 
     def __init__(self, points: np.ndarray, alpha_of, footprint: float):
         self.points = points
@@ -371,18 +377,13 @@ class _ScalarBlend:
         self.rgb = np.zeros((3, points.shape[0]))  # channel-major
         self.t = np.ones(points.shape[0])
 
-    def rects(self, prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray):
-        """The rectangles of the grid ys x xs where each splat's alpha can
-        reach ALPHA_SKIP (PreparedSplats.support_rects)."""
-        return prep.support_rects(xs, ys, ALPHA_SKIP, self.footprint)
-
     def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Composite the splats sel.j at the live points of the step sel;
         returns the points it terminates."""
         j = sel.j
         alpha = np.minimum(self.alpha_of(prep, j, *sel.offsets(self.points, prep.mu[j])),
                            ALPHA_MAX)
-        use = sel.alive(alpha >= ALPHA_SKIP)
+        use = sel.alive(alpha >= self.skip)
         if not np.count_nonzero(use):
             return _NO_POINTS
         t = sel.get(self.t)
@@ -401,18 +402,17 @@ class _ScalarBlend:
 class _WindowBlend:
     """Gaussian blending: per-point transmittance windows. A step sends each
     point down one branch: _fallback when the splat is wider than
-    1 / GUARD_LO window sides on both axes, _moments otherwise."""
+    1 / GUARD_LO window sides on both axes, _moments otherwise. Neither
+    skips (skip = footprint = 0), so a splat is stepped over its support
+    box."""
+
+    skip = footprint = 0.0
 
     def __init__(self, points: np.ndarray):
         self.rgb = np.zeros((3, points.shape[0]))  # channel-major
         self.wc = points.copy()  # window centers
         self.ws = np.ones((points.shape[0], 2))  # window sides
         self.wv = np.ones(points.shape[0])  # window values
-
-    def rects(self, prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray):
-        """The support rectangles of the grid ys x xs: the moment update has
-        no skip."""
-        return prep.support_rects(xs, ys)
 
     def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Blend the splats sel.j into the windows of the live points of the
@@ -482,12 +482,11 @@ class _WindowBlend:
         return sel.points(upd & (m0 < epsilon))
 
     def _fallback(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
-        """Guard-tripped points: scale the value by the raw scalar alpha at
-        the window center; the window keeps its geometry."""
+        """Guard-tripped points: scale the value by the center-mode alpha,
+        unclamped, at the window center; the window keeps its geometry."""
         j = sel.j
         d = sel.get(self.wc) - prep.mu[j]
-        u, v = _frame(prep, j, d[..., 0], d[..., 1])
-        alpha = prep.opacity[j] * np.exp(-0.5 * ((u / prep.s1[j]) ** 2 + (v / prep.s2[j]) ** 2))
+        alpha = _alpha_center(prep, j, d[..., 0], d[..., 1])
         t = sel.get(self.wv)
         ws = sel.get(self.ws)
         area = ws[..., 0] * ws[..., 1]
@@ -551,7 +550,7 @@ def _steps(ranges, live: np.ndarray):
     """The blend steps of a grid in depth order: each a _Rect or a _Gather of
     the points marked in live (ny, nx) when the step is taken, inside the
     index ranges = (x0, x1, y0, y1) of the grid, one rectangle per splat (a
-    step body's rects).
+    step body's boxes, PreparedSplats.support_rects).
 
     A large splat is one step over its rectangle, and so is each splat of a
     run of fewer than _MIN_RUN consecutive small ones. A longer run is one
@@ -696,7 +695,7 @@ def blend_grid(
     live = np.ones((ys.size, xs.size), dtype=bool)  # the points not done
     flat_live = live.reshape(-1)
     n_live = p
-    for step in _steps(blend.rects(prep, xs, ys), live):
+    for step in _steps(prep.support_rects(xs, ys, blend.skip, blend.footprint), live):
         ended = blend.step(prep, step, epsilon)
         if ended.size:
             flat_live[ended] = False

@@ -188,7 +188,8 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
 
     sh (n, bands, 3), dirs (n, 3) unit -> linear rgb (n, 3), with the
     trained-file DC convention (+0.5) applied and clamped at 0. dirs is read
-    only when bands > 1; for DC-only SH it may be None.
+    only when bands > 1, and must then be (n, 3) (ValueError naming it
+    otherwise); for DC-only SH it may be None.
     """
     sh = np.asarray(sh, dtype=float)
     bands = sh.shape[1]
@@ -198,6 +199,7 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
     rgb = SH_C0 * sh[:, 0]
     if bands > 1:
         dirs = np.asarray(dirs, dtype=float)
+        _check_shape("dirs", dirs, (sh.shape[0], 3))
         x, y, z = dirs[:, 0:1], dirs[:, 1:2], dirs[:, 2:3]
         rgb = rgb - SH_C1 * y * sh[:, 1] + SH_C1 * z * sh[:, 2] - SH_C1 * x * sh[:, 3]
     if bands > 4:
@@ -211,7 +213,6 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
             + SH_C2[4] * (xx - yy) * sh[:, 8]
         )
     if bands > 9:
-        xx, yy, zz = x * x, y * y, z * z
         rgb = (
             rgb
             + SH_C3[0] * y * (3.0 * xx - yy) * sh[:, 9]
@@ -231,9 +232,7 @@ class ProjectedCloud:
 
     Ingest checks every field's shape, rejects NaN and +-inf, and opacity
     outside [0, 1]. project_cloud keeps the input order of the splats that
-    survive its near-plane and finiteness culls and counts what it dropped;
-    source_index maps each row back to its input splat (row i itself when
-    omitted).
+    survive its near-plane and finiteness culls and counts what it dropped.
     """
 
     mu2d: np.ndarray  # (m, 2)
@@ -245,7 +244,6 @@ class ProjectedCloud:
     color: np.ndarray  # (m, 3)
     n_culled_near: int = 0
     n_culled_nonfinite: int = 0
-    source_index: np.ndarray | None = None
 
     def __post_init__(self):
         self.mu2d = np.asarray(self.mu2d, dtype=float)
@@ -257,8 +255,6 @@ class ProjectedCloud:
             _check_finite(name, arr)
             setattr(self, name, arr)
         _check_unit("opacity", self.opacity)
-        if self.source_index is None:
-            self.source_index = np.arange(m)
 
     def __len__(self) -> int:
         return self.mu2d.shape[0]
@@ -357,7 +353,6 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
         color=color,
         n_culled_near=n_culled_near,
         n_culled_nonfinite=n_culled_nonfinite,
-        source_index=idx,
     )
 
 

@@ -6,6 +6,8 @@ from .scene import SH_C0, Camera, SplatCloud
 
 # Layer layout for the two-plane scene, in base-camera pixel units.
 FRONT_EDGE_PX = 27.0  # screen x where the front plane starts
+CLUSTER_SIZE = 3  # splats per _clusters group
+CLUSTER_OFFSET = 0.12  # largest offset of a member from its group center, per axis
 
 
 def sh_dc(rgb) -> np.ndarray:
@@ -60,8 +62,7 @@ def _plane(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color, jit
     return mu, np.tile([sw, sw, max(sw * 0.05, 1e-5)], (n, 1)), np.full(n, opacity), rgb
 
 
-def _clusters(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color,
-              per_cluster=3, offset=0.12):
+def _clusters(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color):
     """Sparse groups of overlapping sub-pixel splats.
 
     Each group sits well inside one pixel at coarse scales and becomes a few
@@ -73,20 +74,20 @@ def _clusters(cam, rng, *, z, x_range, y_range, spacing, sigma, opacity, color,
     upx = z / cam.fx
     sw = sigma * upx
     px, py = _grid(x_range, y_range, spacing)
-    lo = np.array([-0.3, -0.3] + [-0.05] * 3 + [-offset] * (2 * per_cluster))
+    lo = np.array([-0.3, -0.3] + [-0.05] * 3 + [-CLUSTER_OFFSET] * (2 * CLUSTER_SIZE))
     u = rng.uniform(lo, -lo, (px.size, lo.size))
     cx = px + u[:, 0] * spacing
     cy = py + u[:, 1] * spacing
     tint = np.clip(np.asarray(color) + u[:, 2:5], 0.0, 1.0)
-    off = u[:, 5:].reshape(px.size, per_cluster, 2)
+    off = u[:, 5:].reshape(px.size, CLUSTER_SIZE, 2)
     mu = np.stack([
         (cx[:, None] + off[..., 0] - cam.cx) * upx,
         (cy[:, None] + off[..., 1] - cam.cy) * upx,
-        np.broadcast_to(z + np.arange(per_cluster) * 1e-3, off.shape[:2]),
+        np.broadcast_to(z + np.arange(CLUSTER_SIZE) * 1e-3, off.shape[:2]),
     ], axis=2).reshape(-1, 3)
     n = mu.shape[0]
     return (mu, np.tile([sw, sw, max(sw * 0.05, 1e-6)], (n, 1)), np.full(n, opacity),
-            np.repeat(tint, per_cluster, axis=0))
+            np.repeat(tint, CLUSTER_SIZE, axis=0))
 
 
 def _cloud(*parts) -> SplatCloud:

@@ -6,6 +6,7 @@ one window at a time, written for reading rather than speed, and serve the
 tests as a step-by-step oracle for that path:
 
   update_window, scalar_alpha_*   blending.blend_grid / _WindowBlend.step
+  _fallback_blend                 _WindowBlend._fallback, in the splat frame
   gaussian_i0_cases               splatmath.gaussian_i0
   eigen2x2                        splatmath.eigen2x2_batch
   eval_sh                         scene.eval_sh_batch
@@ -16,6 +17,9 @@ They share only the 1D closed-form moments (splatmath.gaussian_moments_012)
 and the module constants with the package; those are checked against
 quadrature in _oracles.py. project_cloud_einsum also calls
 scene.eval_sh_batch: it pins the bits of the projection, not of the SH color.
+_fallback_blend keeps the center Gaussian in its frame form, exp(-((u /
+sigma1)^2 + (v / sigma2)^2) / 2), where the package evaluates it once, from
+the inverse covariance (_alpha_center): an oracle independent of that form.
 
 The scalar code takes one screen-space splat at a time as a Splat2D record;
 stack_splats turns a list of them into the ProjectedCloud the package takes.
@@ -488,5 +492,4 @@ def project_cloud_einsum(cloud, cam, lowpass: float = 0.0) -> ProjectedCloud:
         color=color,
         n_culled_near=n_culled_near,
         n_culled_nonfinite=n_culled_nonfinite,
-        source_index=idx,
     )

@@ -42,7 +42,9 @@ from splatlab.blending import (
     MODES,
     PreparedSplats,
     _Gather,
+    _Rect,
     _WindowBlend,
+    _alpha_center,
     blend_grid,
     blend_pixel,
     canonical_mode,
@@ -425,6 +427,39 @@ def test_update_guard_uses_paired_sigma_per_axis():
     # No upper bound: side / sigma of 5e6 takes the moment path too.
     _, _, s2, _ = window_step(rot_splat(PX, 1.0, 2e-7, 0.0, 0.9))
     assert not np.array_equal(s2, [1.0, 1.0])
+
+
+@pytest.mark.parametrize("form", ["gathered", "dense", "per-point"])
+def test_fallback_scales_by_center_alpha(form):
+    # Guard-tripped windows under rotated anisotropic splats: the step scales
+    # each value by exactly 1 - _alpha_center at the window center, the
+    # renderer's one center Gaussian, and keeps the geometry. A separate
+    # frame-form exponent differs from it in the last bits.
+    rng = np.random.default_rng(7)
+    prep = prepare_splats(stack_splats([
+        rot_splat((0.3, -0.2), 30.0, 5.0, 0.3, 0.9),
+        rot_splat((-4.0, 6.0), 200.0, 40.0, 1.1, 0.6),
+        rot_splat((2.0, 1.0), 15.0, 12.0, 2.5, 1.0),
+    ]))
+    side = 17
+    pts = rng.uniform(-12.0, 12.0, (side * side, 2))
+    blend = _WindowBlend(pts)
+    blend.ws[:] = rng.uniform(0.01, 0.4, (pts.shape[0], 2))  # side / sigma < GUARD_LO
+    blend.wv[:] = rng.uniform(0.05, 1.0, pts.shape[0])
+    wc, ws, wv = blend.wc.copy(), blend.ws.copy(), blend.wv.copy()
+    act = np.arange(pts.shape[0])
+    for j in (0, 1, 2):
+        js = rng.integers(0, 3, act.size) if form == "per-point" else j
+        if form == "dense":
+            index = act.reshape(side, side)
+            sel = _Rect((slice(None), slice(None)), np.ones(index.shape, dtype=bool), index, j)
+        else:
+            sel = _Gather(act, js)
+        blend.step(prep, sel, 0.0)
+        d = wc - prep.mu[js]
+        wv = wv * (1.0 - _alpha_center(prep, js, d[:, 0], d[:, 1]))
+        assert blend.wv.tobytes() == wv.tobytes()
+        assert blend.wc.tobytes() == wc.tobytes() and blend.ws.tobytes() == ws.tobytes()
 
 
 @settings(max_examples=100)

@@ -235,9 +235,11 @@ def test_render_bounds_and_band_split_property(seed, n_small, n_large, width, he
 
 
 def step_support_boxes(mp):
-    """Make every body step each splat over its plain support box."""
-    mp.setattr(blending._ScalarBlend, "rects",
-               lambda self, prep, xs, ys: prep.support_rects(xs, ys))
+    """Make every body step each splat over its plain support box: the boxes
+    of PreparedSplats.support_rects with no skip, whatever the body's."""
+    support_rects = blending.PreparedSplats.support_rects
+    mp.setattr(blending.PreparedSplats, "support_rects",
+               lambda self, xs, ys, skip=0.0, footprint=0.0: support_rects(self, xs, ys))
 
 
 def rotated(mu, sig1, sig2, theta, opacity, depth, color):

@@ -135,9 +135,13 @@ def test_overflowing_depth_culled_as_nonfinite():
     w2c = np.array([[c, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0], [-s, 0.0, c, 0.0]])
     cloud = SplatCloud(mu=[[-1.5e308, 0.0, 1.5e308], [0.0, 0.0, 2.0]], scale=np.full((2, 3), 0.1),
                        rot=np.tile(IDENTITY_Q, (2, 1)), opacity=[0.5, 0.5], sh=np.zeros((2, 1, 3)))
+    cam = make_camera(world_to_cam=w2c)
     with np.errstate(over="ignore", invalid="ignore"):
-        pc = project_cloud(cloud, make_camera(world_to_cam=w2c))
-    assert pc.n_culled_nonfinite == 1 and pc.source_index.tolist() == [1]
+        pc = project_cloud(cloud, cam)
+    assert pc.n_culled_nonfinite == 1 and len(pc) == 1
+    # the survivor is the second splat, at depth 2 cos 45 degrees
+    assert np.allclose(pc.mu2d, [_project_point(cloud.mu[1], cam)], rtol=1e-12, atol=1e-12)
+    assert pc.depth[0] == pytest.approx(2.0 * c, rel=1e-12)
 
 
 def _project_point(mu, cam):
@@ -205,23 +209,18 @@ def test_project_cloud_matches_scalar_path():
     cloud = splat_cloud(rows)
     pc = project_cloud(cloud, cam, lowpass=0.3)
 
-    kept = 0
-    for i in range(len(cloud)):
-        ref = project_splat(cloud, i, cam, lowpass=0.3)
-        if ref is None:
-            assert i not in pc.source_index
-            continue
-        j = int(np.flatnonzero(pc.source_index == i)[0])
+    # Survivor order is the input order (stable for depth ties downstream):
+    # row j is the j-th input the scalar path keeps.
+    kept = [ref for ref in (project_splat(cloud, i, cam, lowpass=0.3) for i in range(len(cloud)))
+            if ref is not None]
+    assert len(pc) == len(kept)
+    assert pc.n_culled_near >= 1
+    for j, ref in enumerate(kept):
         assert np.allclose(pc.mu2d[j], ref.mu2d, rtol=1e-12, atol=1e-12)
         cov = np.array([[pc.cxx[j], pc.cxy[j]], [pc.cxy[j], pc.cyy[j]]])
         assert np.allclose(cov, ref.cov2d, rtol=1e-9, atol=1e-12)
         assert pc.depth[j] == pytest.approx(ref.depth, rel=1e-12)
         assert np.allclose(pc.color[j], ref.color, rtol=1e-12, atol=1e-12)
-        kept += 1
-    assert len(pc) == kept
-    assert pc.n_culled_near >= 1
-    # Survivor order is the input order (stable for depth ties downstream).
-    assert np.all(np.diff(pc.source_index) > 0)
 
 
 @settings(max_examples=40)
@@ -247,7 +246,7 @@ def test_project_cloud_bits_equal_einsum_form_property(seed, n, identity, log10_
         want = project_cloud_einsum(cloud, cam, lowpass=lowpass)
     assert (got.n_culled_near, got.n_culled_nonfinite) == (want.n_culled_near,
                                                            want.n_culled_nonfinite)
-    for name in ("mu2d", "cxx", "cxy", "cyy", "depth", "opacity", "color", "source_index"):
+    for name in ("mu2d", "cxx", "cxy", "cyy", "depth", "opacity", "color"):
         a, b = getattr(got, name), getattr(want, name)
         assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)), name
 
@@ -270,7 +269,6 @@ def projected_fields(m=4):
 def test_projected_cloud_defaults():
     pc = ProjectedCloud(**projected_fields())
     assert len(pc) == 4
-    assert np.array_equal(pc.source_index, np.arange(4))
     assert pc.n_culled_near == 0 and pc.n_culled_nonfinite == 0
     assert len(ProjectedCloud(**projected_fields(0))) == 0
 
@@ -367,6 +365,15 @@ def test_eval_sh_batch_matches_scalar():
 def test_eval_sh_rejects_bad_input():
     with pytest.raises(ValueError, match="band count"):
         eval_sh_batch(np.zeros((1, 5, 3)), np.array([[0.0, 0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("dirs", [None, np.tile([0.0, 0.0, 1.0], (3, 1))], ids=["none", "3x3"])
+def test_eval_sh_rejects_bad_dirs(dirs):
+    # Unchecked, None failed with an IndexError and a (3, 3) dirs for 2
+    # splats with a numpy broadcast error. DC-only SH takes None
+    # (test_eval_sh_dc_only).
+    with pytest.raises(ValueError, match=r"^dirs must have shape \(2, 3\)"):
+        eval_sh_batch(np.zeros((2, 4, 3)), dirs)
 
 
 def test_camera_validation():
