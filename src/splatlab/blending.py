@@ -23,6 +23,14 @@ its box keeps its geometry and its value is scaled by 1 - alpha, the
 center-mode alpha, unclamped, at the box center. Each step sends each point
 down one branch.
 
+The window state is axis-first, as rgb is channel-major (3, p): the centers
+and the sides are (2, p) planes of x and y, the values (p,). The splat frame
+is too (PreparedSplats.sigma and .axes, and mu.T), so a moment update takes
+each per-axis quantity once for both axes, as a (u, v) plane: one frame
+product, one gaussian_moments_012 call, one divide for the four moment
+quotients, and one write per state array. The guard is one comparison over
+both planes.
+
 blend_grid is the one implementation of every mode: one front-to-back walk
 over the splats in which a splat is stepped only over the grid points of its
 box, where the step body can change a point. The gb body has no skip and
@@ -36,20 +44,22 @@ splat is stepped once per tile its box crosses, and a box crosses fewer
 square tiles than full-width row bands of the same area. There is no
 binning: each tile walks the whole depth-sorted list. Each step is a _Rect or
 a _Gather of live points that carries its splat index j, and each step body
-is written once over both forms.
+is written once over both forms. Both read a state array at their points on
+its trailing (point) axis (get), and a per-splat stack at j with the point
+axes its values broadcast over (of).
 
 A large splat (a box over 256 points) is one vectorized step over the live
 points of its box, which it fills well on its own. That step is dense when
 at least half of the box's points are live: it reads and writes basic-slice
-views of the box in the state reshaped to the grid (a _Rect), and masks the
-done points out of every write: rgb, channel-major, takes one in-place add of
-(w * mask) * color, each other state array one masked copy. Any other box
-gathers its live points by a flat index array and scatters back (a _Gather),
-for two reasons measured on a 2-vCPU x86-64 VM: on the 1 x 1 grids of
-blend_pixel the dense form's fixed cost made the paper sweeps 4-8% slower,
-and on a box that is mostly done it spends an alpha on every done point
-(integrated on two_plane at x3, with 45% of box points done, took 1.3x as
-long). In gb, when the live windows of a box take both branches, each
+views of the box in the state, its point axis reshaped to the grid (a _Rect),
+and masks the done points out of every write: rgb, channel-major, takes one
+in-place add of (w * mask) * color, each other state array one masked copy.
+Any other box gathers its live points by a flat index array and scatters back
+(a _Gather), for two reasons measured on a 2-vCPU x86-64 VM: on the 1 x 1
+grids of blend_pixel the dense form's fixed cost made the paper sweeps 4-8%
+slower, and on a box that is mostly done it spends an alpha on every done
+point (integrated on two_plane at x3, with 45% of box points done, took 1.3x
+as long). In gb, when the live windows of a box take both branches, each
 branch's points take the form they would as a box of their own. A run of at
 least _MIN_RUN consecutive small splats is blended in depth layers, in
 batches of at most _TILE_POINTS (point, splat) pairs: a batch's pairs are
@@ -108,15 +118,18 @@ def canonical_mode(mode: str) -> str:
 class PreparedSplats:
     """Depth-sorted splats with precomputed eigen frames and support boxes.
 
-    a1/a2 are the eigenvectors paired with the window's x and y sides (a1 is
-    the one within 45 degrees of screen x, the major axis on ties), s1/s2
-    their sigmas. aabb rows are the closed support boxes (x1, y1, x2,
-    y2) at prepare_splats' support_sigma, infinite when untruncated; a splat
-    changes no point outside its box. reach rows are the half-widths
-    (sqrt(cxx), sqrt(cyy)) of the bounding box of the ellipse q = d' C^-1 d
-    <= 1, widened for rounding (see support_rects). inv_* entries are the
-    inverse-covariance coefficients of the center Gaussian (_alpha_center),
-    which serves center, the ss sub-blends and the gb fallback.
+    The frame is axis-first, like the gb window state it meets: axes[k] (2,
+    m) is the unit vector paired with the window's k-th side, x for k = 0 (the
+    eigenvector within 45 degrees of screen x, the major axis on ties) and y
+    for k = 1, with axes[k, c] its screen component c; sigma[k] is the sigma
+    along axes[k]. mu.T is the axis-first view of the means. aabb rows are the
+    closed support boxes (x1, y1, x2, y2) at prepare_splats' support_sigma,
+    infinite when untruncated; a splat changes no point outside its box.
+    reach rows are the half-widths (sqrt(cxx), sqrt(cyy)) of the bounding box
+    of the ellipse q = d' C^-1 d <= 1, widened for rounding (see
+    support_rects). inv_* entries are the inverse-covariance coefficients of
+    the center Gaussian (_alpha_center), which serves center, the ss
+    sub-blends and the gb fallback.
 
     Each step body steps a splat over the points of its own box, by
     support_rects: gb over the support box; center (which the ss sub-blends
@@ -127,10 +140,8 @@ class PreparedSplats:
     mu: np.ndarray  # (m, 2)
     color: np.ndarray  # (m, 3)
     opacity: np.ndarray  # (m,)
-    a1: np.ndarray  # (m, 2)
-    a2: np.ndarray  # (m, 2)
-    s1: np.ndarray  # (m,)
-    s2: np.ndarray  # (m,)
+    sigma: np.ndarray  # (2, m)
+    axes: np.ndarray  # (2, 2, m)
     aabb: np.ndarray  # (m, 4)
     reach: np.ndarray  # (m, 2)
     inv_xx: np.ndarray  # (m,)
@@ -152,7 +163,7 @@ class PreparedSplats:
         footprint in the splat frame (0: sampled at the point), it is cut to
         where that alpha can reach skip: the bounding box of the ellipse q <=
         r^2 = 2 ln(o / skip), r * reach, grown by the square's bounding box,
-        footprint * (|a1| + |a2|). The float error of q grows like eps * lam1
+        footprint * (|axes[0]| + |axes[1]|). The float error of q grows like eps * lam1
         / lam2 in the center form and like eps * sigma1 / 1 px in the erfc
         differences of integrated alpha; prepare_splats widens reach by
         _BOX_ULPS eps times their sum, infinite where that allowance is not
@@ -167,7 +178,8 @@ class PreparedSplats:
             r2 = 2.0 * np.log(np.maximum(self.opacity / skip, 1.0)) + _BOX_ULPS * _EPS
             h = np.sqrt(r2)[:, None] * self.reach
             if footprint:
-                h += footprint * (np.abs(self.a1) + np.abs(self.a2))
+                ext = np.abs(self.axes)
+                h += footprint * (ext[0] + ext[1]).T
             lo, hi = np.maximum(lo, self.mu - h), np.minimum(hi, self.mu + h)
         return (
             xs.searchsorted(lo[:, 0], side="left"),
@@ -197,27 +209,26 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
     cxx, cxy, cyy = projected.cxx[order], projected.cxy[order], projected.cyy[order]
     lam1, lam2, e1x, e1y = lam1[order], lam2[order], e1x[order], e1y[order]
 
-    sig1, sig2 = np.sqrt(lam1), np.sqrt(lam2)
-    e1 = np.stack([e1x, e1y], axis=1)
-    e2 = np.stack([-e1y, e1x], axis=1)
+    sig = np.array((np.sqrt(lam1), np.sqrt(lam2)))  # major, minor
+    frame = np.array(((e1x, e1y), (-e1y, e1x)))  # the eigenvectors e1, e2, axis-first
     # Canonical perpendicular sign: largest-magnitude component positive.
-    lead = np.where(np.abs(e2[:, 0]) >= np.abs(e2[:, 1]), e2[:, 0], e2[:, 1])
-    e2 = np.where((lead < 0.0)[:, None], -e2, e2)
+    e2 = frame[1]
+    lead = np.where(np.abs(e2[0]) >= np.abs(e2[1]), e2[0], e2[1])
+    np.negative(e2, out=e2, where=lead < 0.0)
 
     # 45-degree pairing per splat (window-independent).
-    swap = np.abs(e1[:, 0]) < np.abs(e1[:, 1])
-    a1 = np.where(swap[:, None], e2, e1)
-    a2 = np.where(swap[:, None], e1, e2)
-    s1 = np.where(swap, sig2, sig1)
-    s2 = np.where(swap, sig1, sig2)
+    swap = np.abs(frame[0, 0]) < np.abs(frame[0, 1])
+    axes = np.where(swap, frame[::-1], frame)
+    sigma = np.where(swap, sig[::-1], sig)
 
     # every component of ext is > 0, so an infinite support_sigma gives infinite boxes
-    ext = support_sigma * (sig1[:, None] * np.abs(e1) + sig2[:, None] * np.abs(e2))
+    ext = sig[:, None] * np.abs(frame)
+    ext = (support_sigma * (ext[0] + ext[1])).T
     aabb = np.concatenate([mu2d - ext, mu2d + ext], axis=1)  # x1, y1, x2, y2
-    # the rounding allowance of support_rects' skip boxes; sig1 is the major
+    # the rounding allowance of support_rects' skip boxes; sig[0] is the major
     # sigma, and an infinite lam1 / lam2 gives an infinite reach
     with np.errstate(over="ignore"):
-        tol = _BOX_ULPS * _EPS * (lam1 / lam2 + sig1)
+        tol = _BOX_ULPS * _EPS * (lam1 / lam2 + sig[0])
     widen = np.divide(1.0, 1.0 - tol, out=np.full_like(tol, np.inf), where=tol < 1.0)
     reach = np.sqrt(np.column_stack((cxx, cyy)) * widen[:, None])
 
@@ -226,10 +237,8 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
         mu=mu2d,
         color=color,
         opacity=opacity,
-        a1=a1,
-        a2=a2,
-        s1=s1,
-        s2=s2,
+        sigma=sigma,
+        axes=axes,
         aabb=aabb,
         reach=reach,
         inv_xx=cyy / det,
@@ -252,43 +261,61 @@ def _alpha_center(prep: PreparedSplats, j, dx, dy) -> np.ndarray:
 
 def _frame(prep: PreparedSplats, j, dx, dy):
     """Offsets (dx, dy) = point - mu in splat j's principal frame: (u, v) =
-    (d . a1, d . a2); j is one splat index or one per point."""
-    a1, a2 = prep.a1[j], prep.a2[j]
+    (d . axes[0], d . axes[1]); j is one splat index or one per point."""
+    a = prep.axes[..., j]
     # elementwise (not @) so results do not depend on the batch size
-    return dx * a1[..., 0] + dy * a1[..., 1], dx * a2[..., 0] + dy * a2[..., 1]
+    return dx * a[0, 0] + dy * a[0, 1], dx * a[1, 0] + dy * a[1, 1]
 
 
 def _alpha_integrated(prep: PreparedSplats, j, dx, dy) -> np.ndarray:
     """Unclamped alpha of splat j integrated over the unit square around each
     point; j is one splat index or one per point."""
     u, v = _frame(prep, j, dx, dy)
-    return prep.opacity[j] * gaussian_i0(prep.s1[j], u - 0.5, u + 0.5) * gaussian_i0(
-        prep.s2[j], v - 0.5, v + 0.5)
+    sigma = prep.sigma[..., j]
+    # one I0 call per axis: one call over both made I0 on a 120 x 120 box
+    # 1.25x as slow (2-vCPU x86-64 VM; its temporaries outgrow the 2 MiB L2)
+    return prep.opacity[j] * gaussian_i0(sigma[0], u - 0.5, u + 0.5) * gaussian_i0(
+        sigma[1], v - 0.5, v + 0.5)
+
+
+def _trailing(a: np.ndarray, key):
+    """The index of key on the trailing (point) axis of a 1-D or 2-D array:
+    key itself on a 1-D one, where NumPy takes its fast path (a[..., key]
+    took 6x as long on one point, NumPy 2.4 on a 2-vCPU x86-64 VM)."""
+    return key if a.ndim == 1 else (slice(None), key)
 
 
 class _Gather:
-    """A step's points as a flat index array act into the (p, ...) blend
-    state, all of them live, and j the splat each meets: one index for every
-    point, or one per point. Reads gather copies, writes scatter.
+    """A step's points as a flat index array act into the blend state, all
+    of them live, and j the splat each meets: one index for every point, or
+    one per point. Every state array holds its points on its trailing axis
+    (rgb (3, p), the gb window planes (2, p), values (p,)), and get reads a
+    state array at the points on that axis. Reads gather copies, writes
+    scatter.
 
     A step body reaches its points only through the members this class
-    shares with _Rect: j, offsets (point - mu as x and y), get (a state array
-    at the points), alive (a mask cut to the live points), within (the live
-    points under a mask as a step of their own), points (their flat indices)
-    and write (the step's updates)."""
+    shares with _Rect: j, of (a per-splat array at j, axis-first, shaped to
+    broadcast against get), offsets (point - mu as x and y), get (a state
+    array at the points), alive (a mask cut to the live points), within (the
+    live points under a mask as a step of their own), points (their flat
+    indices) and write (the step's updates)."""
 
     def __init__(self, act: np.ndarray, j):
         self.act, self.j = act, j
+        self.at = (..., j) if isinstance(j, np.ndarray) else (..., j, None)
 
     def _masked(self, mask):
         return self.j[mask] if isinstance(self.j, np.ndarray) else self.j
 
+    def of(self, a: np.ndarray) -> np.ndarray:
+        return a[self.at]
+
     def offsets(self, points: np.ndarray, mu: np.ndarray):
-        d = points[self.act] - mu
-        return d[:, 0], d[:, 1]
+        d = self.get(points) - self.of(mu)
+        return d[0], d[1]
 
     def get(self, a: np.ndarray) -> np.ndarray:
-        return a[self.act]
+        return a[_trailing(a, self.act)]
 
     def alive(self, mask: np.ndarray) -> np.ndarray:
         return mask
@@ -300,37 +327,43 @@ class _Gather:
         return self.act[where] if np.count_nonzero(where) else _NO_POINTS
 
     def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, *pairs) -> None:
-        """rgb += w * color[j] (rgb channel-major, (3, p)), and a = v for each
-        (a, v) of pairs, at the points the mask where keeps (every point when
-        None)."""
-        keep = slice(None) if where is None else where
-        ids = self.act[keep]
-        rgb[:, ids] += (w[keep][:, None] * color[self._masked(keep)]).T
+        """rgb += w * color[j], and a = v for each (a, v) of pairs, at the
+        points the mask where keeps; with where None every point updates and
+        nothing is compacted."""
+        ids, j = self.act, self.j
+        if where is not None:
+            ids, j, w = ids[where], self._masked(where), w[where]
+            pairs = [(a, v[_trailing(v, where)]) for a, v in pairs]
+        rgb[:, ids] += (w[:, None] * color[j]).T
         for a, v in pairs:
-            a[ids] = v[keep]
+            a[_trailing(a, ids)] = v
 
 
 class _Rect:
     """A step's points as the rectangle key = (rows, cols) of the grid whose
     flat indices are index, all meeting splat j: basic-slice views of the
-    (p, ...) blend state reshaped to index.shape + (...), with the mask live
-    of the points that are not done. Reads are views, so a body writes a
-    state array only after its last read of it; writes copy where a mask of
-    live points holds (live itself when none is given), and rgb adds
-    (w * mask) * color[j] over the whole rectangle, where a masked point adds
-    an exact zero."""
+    blend state, each state array's trailing point axis reshaped to
+    index.shape (get), with the mask live of the points that are not done.
+    Reads are views, so a body writes a state array only after its last read
+    of it; writes copy where a mask of live points holds (live itself when
+    none is given), and rgb adds (w * mask) * color[j] over the whole
+    rectangle, where a masked point adds an exact zero."""
 
     def __init__(self, key: tuple, live: np.ndarray, index: np.ndarray, j: int):
         self.key, self.live, self.index, self.j = key, live, index, j
+        self.at = (..., j, None, None)
+
+    def of(self, a: np.ndarray) -> np.ndarray:
+        return a[self.at]
 
     def offsets(self, points: np.ndarray, mu: np.ndarray):
         # points is a separable grid: x along its first row and y down its
         # first column broadcast to the whole rectangle
         grid = self.get(points)
-        return grid[0, :, 0] - mu[0], grid[:, :1, 1] - mu[1]
+        return grid[0, 0] - mu[0, self.j], grid[1, :, :1] - mu[1, self.j]
 
     def get(self, a: np.ndarray) -> np.ndarray:
-        return a.reshape(self.index.shape + a.shape[1:])[self.key]
+        return a.reshape(a.shape[:-1] + self.index.shape)[(..., *self.key)]
 
     def alive(self, mask: np.ndarray) -> np.ndarray:
         return mask & self.live
@@ -345,8 +378,8 @@ class _Rect:
         where = self.live if where is None else where
         # one in-place add over the channel-major rgb: a masked copy per
         # channel took 1.5-3.4x as long on boxes of 17 x 17 to 128 x 128
-        rgb.reshape((3,) + self.index.shape)[(slice(None), *self.key)] += (
-            color[self.j][:, None, None] * (w * where))
+        out = self.get(rgb)
+        out += color[self.j][:, None, None] * (w * where)
         for a, v in pairs:
             np.copyto(self.get(a), v, where=where)
 
@@ -374,17 +407,18 @@ class _ScalarBlend:
         self.points = points
         self.alpha_of = alpha_of
         self.footprint = footprint
-        self.rgb = np.zeros((3, points.shape[0]))  # channel-major
-        self.t = np.ones(points.shape[0])
+        self.rgb = np.zeros((3, points.shape[1]))  # channel-major
+        self.t = np.ones(points.shape[1])
 
     def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Composite the splats sel.j at the live points of the step sel;
         returns the points it terminates."""
         j = sel.j
-        alpha = np.minimum(self.alpha_of(prep, j, *sel.offsets(self.points, prep.mu[j])),
+        alpha = np.minimum(self.alpha_of(prep, j, *sel.offsets(self.points, prep.mu.T)),
                            ALPHA_MAX)
         use = sel.alive(alpha >= self.skip)
-        if not np.count_nonzero(use):
+        n_use = np.count_nonzero(use)
+        if not n_use:
             return _NO_POINTS
         t = sel.get(self.t)
         tn = t * (1.0 - alpha)
@@ -392,7 +426,11 @@ class _ScalarBlend:
         # composited; the point terminates at its previous T.
         kill = use & (tn < epsilon)
         ended = sel.points(kill)
-        sel.write(use & ~kill if ended.size else use, self.rgb, alpha * t, prep.color, (self.t, tn))
+        if ended.size:
+            use = use & ~kill
+        elif n_use == use.size:
+            use = None  # every point composites
+        sel.write(use, self.rgb, alpha * t, prep.color, (self.t, tn))
         return ended
 
     def residual(self) -> np.ndarray:
@@ -409,18 +447,18 @@ class _WindowBlend:
     skip = footprint = 0.0
 
     def __init__(self, points: np.ndarray):
-        self.rgb = np.zeros((3, points.shape[0]))  # channel-major
-        self.wc = points.copy()  # window centers
-        self.ws = np.ones((points.shape[0], 2))  # window sides
-        self.wv = np.ones(points.shape[0])  # window values
+        self.rgb = np.zeros((3, points.shape[1]))  # channel-major
+        self.wc = points.copy()  # window centers (x, y), axis-first like points
+        self.ws = np.ones_like(self.wc)  # window sides
+        self.wv = np.ones(points.shape[1])  # window values
 
     def step(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Blend the splats sel.j into the windows of the live points of the
         step sel; returns the points whose remaining mass drops below
         epsilon. A branch with no points is not called; when both have
         points, each takes its own."""
-        ws = sel.get(self.ws)
-        ok = (ws[..., 0] / prep.s1[sel.j] >= GUARD_LO) | (ws[..., 1] / prep.s2[sel.j] >= GUARD_LO)
+        ok = sel.get(self.ws) / sel.of(prep.sigma) >= GUARD_LO
+        ok = ok[0] | ok[1]
         trip = sel.alive(~ok)
         if not np.count_nonzero(trip):
             return self._moments(prep, sel, epsilon)
@@ -432,71 +470,63 @@ class _WindowBlend:
 
     def _moments(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """In-guard points: moment-match a new box to t * (1 - alpha) over the
-        window, by the closed-form Gaussian moments in the splat frame."""
-        j = sel.j
-        d = sel.get(self.wc) - prep.mu[j]
-        u, v = _frame(prep, j, d[..., 0], d[..., 1])
+        window, by the closed-form Gaussian moments in the splat frame. Each
+        quantity of an axis is computed once for both, as a (u, v) plane."""
+        mu, axes = sel.of(prep.mu.T), sel.of(prep.axes)
+        d = sel.get(self.wc) - mu
+        uv = d[0] * axes[:, 0] + d[1] * axes[:, 1]  # (u, v) = (d . axes[0], d . axes[1])
         ws = sel.get(self.ws)
-        l1, l2 = ws[..., 0], ws[..., 1]
         t = sel.get(self.wv)
-        mass = t * (l1 * l2)
-        hu, hv = 0.5 * l1, 0.5 * l2
-        i0u, i1u, i2u = gaussian_moments_012(prep.s1[j], u - hu, u + hu)
-        i0v, i1v, i2v = gaussian_moments_012(prep.s2[j], v - hv, v + hv)
-        to = t * prep.opacity[j]
-        w_int = to * i0u * i0v
+        mass = t * (ws[0] * ws[1])
+        h = 0.5 * ws
+        i0, i1, i2 = gaussian_moments_012(sel.of(prep.sigma), uv - h, uv + h)
+        to = t * prep.opacity[sel.j]
+        # Rows of the moment numerators: mean u, mean v, mean square u, mean
+        # square v. Their Gaussian terms are (t o I_k(u)) I_0(v) for u and
+        # (t o I_0(u)) I_k(v) for v, in that operand order.
+        left = to * np.concatenate((i1[:1], i0[:1], i2[:1], i0[:1]))
+        w_int = left[1] * i0[1]
         m0 = np.maximum(mass - w_int, 0.0)
 
         # Splats with zero integrated weight leave the window untouched. Every
         # other splat is composited; the one that drops the mass below epsilon
         # still contributes, and the point terminates after it.
         upd = sel.alive(w_int != 0.0)
-        if not np.count_nonzero(upd):
+        n_upd = np.count_nonzero(upd)
+        if not n_upd:
             return _NO_POINTS
+        num = mass * np.concatenate((uv, uv * uv + ws * ws / 12.0)) - left * np.concatenate(
+            (i0[1:], i1[1:], i0[1:], i2[1:]))
         # Where m0 is +0.0 the window is empty: every quotient by m0 reads 0,
-        # so both variances are 0 and vn = m0 / (l1n * l2n) = +0.0.
-        pos = m0 > 0.0
-
-        def per_mass(x):
-            return np.divide(x, m0, out=np.zeros_like(m0), where=pos)
-
-        mean_u = per_mass(mass * u - to * i1u * i0v)
-        mean_v = per_mass(mass * v - to * i0u * i1v)
-        var_u = np.maximum(per_mass(mass * (u * u + l1 * l1 / 12.0) - to * i2u * i0v)
-                           - mean_u * mean_u, 0.0)
-        var_v = np.maximum(per_mass(mass * (v * v + l2 * l2 / 12.0) - to * i0u * i2v)
-                           - mean_v * mean_v, 0.0)
-        l1n = np.maximum(np.sqrt(12.0 * var_u), MIN_SIDE)
-        l2n = np.maximum(np.sqrt(12.0 * var_v), MIN_SIDE)
-        vn = m0 / (l1n * l2n)
+        # so both variances are 0 and vn = m0 / (l_u * l_v) = +0.0.
+        q = np.divide(num, m0, out=np.zeros_like(num), where=m0 > 0.0)
+        mean = q[:2]
+        sides = np.maximum(np.sqrt(12.0 * np.maximum(q[2:] - mean * mean, 0.0)), MIN_SIDE)
+        vn = m0 / (sides[0] * sides[1])
         over = vn > 1.0
         if np.count_nonzero(over):
-            grow = np.sqrt(np.where(over, vn, 1.0))
-            l1n = np.where(over, l1n * grow, l1n)
-            l2n = np.where(over, l2n * grow, l2n)
+            sides = np.where(over, sides * np.sqrt(np.where(over, vn, 1.0)), sides)
             vn = np.where(over, 1.0, vn)
-        mu, a1, a2 = prep.mu[j], prep.a1[j], prep.a2[j]
-        sel.write(upd, self.rgb, w_int, prep.color,
-                  *((self.wc[:, c], mu[..., c] + mean_u * a1[..., c] + mean_v * a2[..., c])
-                    for c in (0, 1)), (self.ws[:, 0], l1n), (self.ws[:, 1], l2n), (self.wv, vn))
+        sel.write(None if n_upd == upd.size else upd, self.rgb, w_int, prep.color,
+                  (self.wc, mu + mean[0] * axes[0] + mean[1] * axes[1]), (self.ws, sides),
+                  (self.wv, vn))
         return sel.points(upd & (m0 < epsilon))
 
     def _fallback(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Guard-tripped points: scale the value by the center-mode alpha,
         unclamped, at the window center; the window keeps its geometry."""
-        j = sel.j
-        d = sel.get(self.wc) - prep.mu[j]
-        alpha = _alpha_center(prep, j, d[..., 0], d[..., 1])
+        d = sel.get(self.wc) - sel.of(prep.mu.T)
+        alpha = _alpha_center(prep, sel.j, d[0], d[1])
         t = sel.get(self.wv)
         ws = sel.get(self.ws)
-        area = ws[..., 0] * ws[..., 1]
+        area = ws[0] * ws[1]
         tn = t * (1.0 - alpha)
         sel.write(None, self.rgb, (t * alpha) * area, prep.color, (self.wv, tn))
         return sel.points(sel.alive(tn * area < epsilon))
 
     def residual(self) -> np.ndarray:
         """Remaining transmittance mass of each window."""
-        return self.wv * self.ws[:, 0] * self.ws[:, 1]
+        return self.wv * self.ws[0] * self.ws[1]
 
 
 def subsample_axis(coords, k: int) -> np.ndarray:
@@ -680,11 +710,11 @@ def blend_grid(
         return (pixel_blocks(rgb, k).mean(axis=(1, 2)).reshape(ys.size, xs.size, 3),
                 pixel_blocks(t, k).mean(axis=(1, 2)).reshape(ys.size, xs.size))
 
-    points = np.empty((ys.size, xs.size, 2))
-    points[..., 0] = xs
-    points[..., 1] = ys[:, None]
-    points = points.reshape(-1, 2)
-    p = points.shape[0]
+    points = np.empty((2, ys.size, xs.size))  # axis-first, like every state array
+    points[0] = xs
+    points[1] = ys[:, None]
+    points = points.reshape(2, -1)
+    p = points.shape[1]
     if mode == "gb":
         blend = _WindowBlend(points)
     elif mode == "center":

@@ -284,12 +284,20 @@ def run_sweep(config: SweepConfig, csv_path=None):
 
 
 def psnr(a, b) -> float:
-    """10 log10(1 / MSE) over linear rgb; capped at 99 dB (identical images)."""
+    """10 log10(1 / MSE) over linear rgb; capped at 99 dB (identical images),
+    -inf where the MSE overflows. ValueError naming a or b when it holds a NaN
+    or an infinity, whose MSE would say nothing."""
     arr_a = np.asarray(a.rgb if hasattr(a, "rgb") else a, dtype=float)
     arr_b = np.asarray(b.rgb if hasattr(b, "rgb") else b, dtype=float)
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"dimension mismatch: {arr_a.shape} vs {arr_b.shape}")
-    mse = float(np.mean((arr_a - arr_b) ** 2))
+    for name, arr in (("a", arr_a), ("b", arr_b)):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} is not finite (nan or inf)")
+    with np.errstate(over="ignore"):  # finite inputs far apart: the MSE is inf
+        mse = float(np.mean((arr_a - arr_b) ** 2))
     if mse <= 0.0:
         return PSNR_CAP
+    if mse == math.inf:
+        return -math.inf
     return min(10.0 * math.log10(1.0 / mse), PSNR_CAP)

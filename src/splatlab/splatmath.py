@@ -54,8 +54,9 @@ def gaussian_i0(sigma, a, b):
     # left tail mirrored onto the right (negation is exact); the mixed-sign
     # case adds two positive terms and is safe as plain erf. Strict signs
     # keep sa = -0.0 and sb = +0.0 one-sided.
-    sa = np.asarray(a, dtype=float) / (SQRT2 * sigma)
-    sb = np.asarray(b, dtype=float) / (SQRT2 * sigma)
+    scale = SQRT2 * sigma
+    sa = np.asarray(a, dtype=float) / scale
+    sb = np.asarray(b, dtype=float) / scale
     mixed = (sa < 0.0) & (sb > 0.0)
     if mixed.all():
         return SQRT_HALF_PI * sigma * (scipy.special.erf(sb) - scipy.special.erf(sa))
@@ -75,8 +76,9 @@ def gaussian_moments_012(sigma, a, b):
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     s2 = sigma * sigma
-    ea = np.exp(-(a * a) / (2.0 * s2))
-    eb = np.exp(-(b * b) / (2.0 * s2))
+    two_s2 = 2.0 * s2
+    ea = np.exp(-(a * a) / two_s2)
+    eb = np.exp(-(b * b) / two_s2)
     i0 = gaussian_i0(sigma, a, b)
     i1 = s2 * (ea - eb)
     i2 = s2 * (i0 + a * ea - b * eb)

@@ -290,12 +290,12 @@ def window_step(splat, center=PX, sides=(1.0, 1.0), value=1.0):
     and value are set directly; returns (weight, center, sides, value) after."""
     prep = prepare_splats(stack_splats([splat]))
     prep.color = np.array([[1.0, 0.0, 0.0]])  # the red channel accumulates the weight
-    blend = _WindowBlend(np.zeros((1, 2)))
-    blend.wc[0] = center
-    blend.ws[0] = sides
+    blend = _WindowBlend(np.zeros((2, 1)))  # the state is axis-first: (2, p) planes
+    blend.wc[:, 0] = center
+    blend.ws[:, 0] = sides
     blend.wv[0] = value
     blend.step(prep, _Gather(np.array([0]), 0), 0.0)
-    return blend.rgb[0, 0], blend.wc[0], blend.ws[0], blend.wv[0]
+    return blend.rgb[0, 0], blend.wc[:, 0], blend.ws[:, 0], blend.wv[0]
 
 
 def test_update_noop_splat():
@@ -335,14 +335,15 @@ def test_update_left_overlap_narrows_toward_right():
     # Exact values against the quadrature oracle, in the prepared splat frame.
     prep = prepare_splats(stack_splats([sp]))
     d = np.array(PX) - prep.mu[0]
-    u = np.array([d @ prep.a1[0]])
-    vv = np.array([d @ prep.a2[0]])
+    a1, a2 = prep.axes[..., 0]
+    u = np.array([d @ a1])
+    vv = np.array([d @ a2])
     m0o, m1uo, m1vo, m2uo, m2vo = window_moments_numeric(
-        np.array([1.0]), np.array([0.9]), prep.s1, prep.s2, u, vv,
+        np.array([1.0]), np.array([0.9]), prep.sigma[0], prep.sigma[1], u, vv,
         np.array([1.0]), np.array([1.0]))
     mean = np.array([m1uo[0], m1vo[0]]) / m0o[0]
     var = np.array([m2uo[0], m2vo[0]]) / m0o[0] - mean**2
-    want_center = prep.mu[0] + prep.a1[0] * mean[0] + prep.a2[0] * mean[1]
+    want_center = prep.mu[0] + a1 * mean[0] + a2 * mean[1]
     assert np.allclose(c, want_center, atol=1e-8)
     assert np.allclose(s, np.sqrt(12 * var), rtol=1e-8)
     assert v == pytest.approx(m0o[0] / (s[0] * s[1]), rel=1e-8)
@@ -442,12 +443,12 @@ def test_fallback_scales_by_center_alpha(form):
         rot_splat((2.0, 1.0), 15.0, 12.0, 2.5, 1.0),
     ]))
     side = 17
-    pts = rng.uniform(-12.0, 12.0, (side * side, 2))
+    pts = rng.uniform(-12.0, 12.0, (side * side, 2)).T  # axis-first, (2, p)
     blend = _WindowBlend(pts)
-    blend.ws[:] = rng.uniform(0.01, 0.4, (pts.shape[0], 2))  # side / sigma < GUARD_LO
-    blend.wv[:] = rng.uniform(0.05, 1.0, pts.shape[0])
+    blend.ws[:] = rng.uniform(0.01, 0.4, (pts.shape[1], 2)).T  # side / sigma < GUARD_LO
+    blend.wv[:] = rng.uniform(0.05, 1.0, pts.shape[1])
     wc, ws, wv = blend.wc.copy(), blend.ws.copy(), blend.wv.copy()
-    act = np.arange(pts.shape[0])
+    act = np.arange(pts.shape[1])
     for j in (0, 1, 2):
         js = rng.integers(0, 3, act.size) if form == "per-point" else j
         if form == "dense":
@@ -456,8 +457,8 @@ def test_fallback_scales_by_center_alpha(form):
         else:
             sel = _Gather(act, js)
         blend.step(prep, sel, 0.0)
-        d = wc - prep.mu[js]
-        wv = wv * (1.0 - _alpha_center(prep, js, d[:, 0], d[:, 1]))
+        d = (wc.T - prep.mu[js]).T
+        wv = wv * (1.0 - _alpha_center(prep, js, d[0], d[1]))
         assert blend.wv.tobytes() == wv.tobytes()
         assert blend.wc.tobytes() == wc.tobytes() and blend.ws.tobytes() == ws.tobytes()
 
@@ -531,14 +532,14 @@ def mixed_windows(prep, j):
     js = np.broadcast_to(j, MIXED_ACT.shape)
     centers = np.array([(0.2, 0.1), (-0.3, 0.4), (0.1, -0.1), (0.0, 0.0), (0.5, 0.5),
                         (1e4, -1e4), tuple(prep.mu[js[5]]), tuple(prep.mu[js[6]])])
-    blend = _WindowBlend(centers)
-    blend.ws[:] = MIXED_SIDES
+    blend = _WindowBlend(centers.T)
+    blend.ws[:] = np.transpose(MIXED_SIDES)
     blend.wv[:] = MIXED_VALUES
     return blend
 
 
 def window_state(blend, i):
-    return blend.rgb[:, i], blend.wc[i], blend.ws[i], blend.wv[i]  # rgb is channel-major
+    return blend.rgb[:, i], blend.wc[:, i], blend.ws[:, i], blend.wv[i]  # axis-first state
 
 
 @pytest.mark.parametrize("j", [0, np.array([0, 1, 2, 0, 1, 2, 0])], ids=["one-splat", "per-point"])
@@ -547,7 +548,7 @@ def test_window_step_mixed_branches_equal_solo_steps(j):
     # terminations must leave each point as stepping it alone does.
     prep = mixed_prep()
     js = np.broadcast_to(j, MIXED_ACT.shape)
-    r = np.array(MIXED_SIDES)[MIXED_ACT] / np.stack([prep.s1[js], prep.s2[js]], axis=1)
+    r = np.array(MIXED_SIDES)[MIXED_ACT] / prep.sigma[:, js].T
     assert np.count_nonzero((r >= GUARD_LO).any(axis=1)) == MIXED_IN_GUARD
     assert ((r < GUARD_LO).any(axis=1) & (r >= GUARD_LO).any(axis=1)).any()
 
@@ -569,7 +570,8 @@ def test_window_step_mixed_branches_equal_solo_steps(j):
 
 def test_window_step_runs_moments_on_in_guard_points_only(monkeypatch):
     # Guard-tripped points never reach the moment update: a step computes
-    # the moments of the u and v axes of its in-guard points, and no more.
+    # the moments of the u and v axes of its in-guard points, and no more,
+    # in one call over both axes.
     sizes = []
     real = blending.gaussian_moments_012
 
@@ -579,7 +581,7 @@ def test_window_step_runs_moments_on_in_guard_points_only(monkeypatch):
 
     monkeypatch.setattr(blending, "gaussian_moments_012", counted)
     prep = mixed_prep()
-    blend = _WindowBlend(np.zeros((5, 2)))
+    blend = _WindowBlend(np.zeros((2, 5)))
     blend.ws[:] = 0.01  # side / sigma <= 0.02 for every splat
     blend.step(prep, _Gather(np.arange(5), 0), MIXED_EPSILON)
     blend.step(prep, _Gather(np.arange(5), np.array([0, 1, 2, 1, 0])), MIXED_EPSILON)
@@ -588,6 +590,7 @@ def test_window_step_runs_moments_on_in_guard_points_only(monkeypatch):
         sizes.clear()
         mixed_windows(prep, j).step(prep, _Gather(MIXED_ACT, j), MIXED_EPSILON)
         assert sum(sizes) == 2 * MIXED_IN_GUARD
+        assert len(sizes) == 1
 
 
 # --- scalar alphas ----------------------------------------------------------
@@ -966,12 +969,7 @@ def test_vectorized_matches_scalar_ops_gb():
         win = init_window(px)
         rgb = np.zeros(3)
         for j in range(len(prep)):
-            sp = Splat2D(
-                mu2d=prep.mu[j],
-                cov2d=(prep.s1[j] ** 2) * np.outer(prep.a1[j], prep.a1[j])
-                + (prep.s2[j] ** 2) * np.outer(prep.a2[j], prep.a2[j]),
-                depth=float(depths[j]), opacity=float(prep.opacity[j]),
-                color=prep.color[j])
+            sp = prep_to_splat(prep, j, depths[j])
             w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
             if w == 0.0 and nxt is win:
                 continue
@@ -1010,8 +1008,7 @@ def test_vectorized_center_matches_scalar_alpha_chain():
 
 
 def prep_to_splat(prep: PreparedSplats, j: int, depth: float) -> Splat2D:
-    cov = (prep.s1[j] ** 2) * np.outer(prep.a1[j], prep.a1[j]) + (
-        prep.s2[j] ** 2
-    ) * np.outer(prep.a2[j], prep.a2[j])
+    (s1, s2), (a1, a2) = prep.sigma[:, j], prep.axes[..., j]
+    cov = (s1**2) * np.outer(a1, a1) + (s2**2) * np.outer(a2, a2)
     return Splat2D(mu2d=prep.mu[j], cov2d=cov, depth=float(depth),
                    opacity=float(prep.opacity[j]), color=prep.color[j])

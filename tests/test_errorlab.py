@@ -458,3 +458,22 @@ def test_psnr_accepts_framebuffers():
 def test_psnr_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         psnr(np.zeros((4, 4, 3)), np.zeros((4, 5, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", ["a", "b"])
+def test_psnr_rejects_non_finite(name, bad):
+    # A NaN used to read nan dB, an infinity to fail in math.log10(0) with
+    # "math domain error"; either is named as the argument that holds it.
+    img = np.zeros((2, 2, 3))
+    args = {"a": img, "b": img.copy()}
+    args[name][1, 0, 2] = bad
+    with pytest.raises(ValueError, match=rf"^{name} is not finite \(nan or inf\)$"):
+        psnr(**args)
+
+
+def test_psnr_overflowing_mse_is_minus_inf():
+    # Finite inputs whose squared difference overflows: -inf dB, silently
+    # (the suite turns a NumPy overflow warning into an error).
+    assert psnr([1e200], [0.0]) == -math.inf
+    assert psnr([1.7e308], [-1.7e308]) == -math.inf

@@ -209,6 +209,49 @@ def test_dense_rect_steps_equal_blend_pixel(mode, monkeypatch):
     assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k=2, epsilon=0.5)
 
 
+def rotated_rect_scene():
+    """Four large anisotropic splats, sigma 6:1 along 30 and 60 degrees, on
+    a 48 x 24 frame, front to back. Rendered at epsilon 0.5, every rectangle
+    holds over _LARGE_POINTS points and is stepped dense in every mode:
+
+      0  6 x 1 px at 30 degrees, all live: axes[0] is the major axis
+      1  6 x 1 px at 60 degrees, all live: axes[0] is the minor axis
+      2  4.8 x 0.8 px at 30 degrees, opacity 0.99, between 0 and 1: ends
+         points
+      3  60 x 10 px at 60 degrees over the whole frame: gb windows whose x
+         side 0-2 narrowed below 1 px (0.1 of the sigma paired with x) trip
+         the guard and are stepped dense; the other 373 stay in it, under
+         half of the box, and are gathered
+    """
+    return stack_splats([
+        rotated((14, 12), 6.0, 1.0, math.pi / 6, 0.7, 1.0, (0.9, 0.2, 0.1)),
+        rotated((34, 12), 6.0, 1.0, math.pi / 3, 0.6, 2.0, (0.1, 0.8, 0.2)),
+        rotated((24, 12), 4.8, 0.8, math.pi / 6, 0.99, 3.0, (0.2, 0.3, 0.9)),
+        rotated((24, 12), 60.0, 10.0, math.pi / 3, 0.3, 4.0, (0.5, 0.5, 0.5)),
+    ])
+
+
+ROTATED_FORMS = {
+    "center": {("step", "dense"): 4},
+    "integrated": {("step", "dense"): 4},
+    "gb": {("_moments", "dense"): 3, ("_moments", "gathered"): 1, ("_fallback", "dense"): 1},
+    "ss": {("step", "dense"): 4},
+}
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_dense_rotated_steps_equal_blend_pixel(mode, monkeypatch):
+    # Dense steps read each splat's frame, sigmas and mean per axis: over
+    # rotated anisotropic splats a slip in those reads (an axis for a
+    # component, one splat's values for another's) changes pixels that
+    # blend_pixel, whose steps are all gathered, computes right.
+    prep = prepare_splats(rotated_rect_scene(), SUPPORT_SIGMA)
+    log = StepLog(monkeypatch)
+    fb = Framebuffer(*blend_grid(prep, np.arange(48) + 0.5, np.arange(24) + 0.5, mode, 0.5, 2))
+    assert dict(log.forms) == ROTATED_FORMS[mode]
+    assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k=2, epsilon=0.5)
+
+
 @settings(max_examples=20)
 @given(seed=st.integers(0, 2**32 - 1), n_small=st.integers(0, 12), n_large=st.integers(0, 4),
        width=st.integers(1, 24), height=st.integers(1, 18))

@@ -139,12 +139,26 @@ def _bounds(rng, size):
 def _i0_inputs(draw):
     """(sigma, a, b) with a <= b in one of the forms gaussian_i0 is called with:
     flat arrays with a scalar or a per-element sigma, the (rows, cols) bounds
-    _alpha_integrated passes on a _Rect, 0-d arrays and Python floats. The
-    bounds come from a drawn seed (a few draws per example keep hypothesis's
-    own cost low); every fourth pair of an array is cut to a == b."""
-    form = draw(st.sampled_from(["flat", "per_element", "rect", "zero_d", "python"]))
+    _alpha_integrated passes on a _Rect, the (u, v) planes of a gb moment
+    update, 0-d arrays and Python floats. The bounds come from a drawn seed (a
+    few draws per example keep hypothesis's own cost low); every fourth pair
+    of an array is cut to a == b."""
+    form = draw(st.sampled_from(["flat", "per_element", "rect", "planes", "zero_d", "python"]))
     sigma = 10.0 ** draw(st.floats(-1.5, 1.5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if form == "planes":
+        # both axes in one call: bounds (2, n) against a sigma per plane, (2,
+        # 1), or per point, (2, n), on a _Gather; (2, rows, cols) against (2,
+        # 1, 1) on a _Rect
+        rect = draw(st.booleans())
+        points = (draw(st.integers(1, 6)), draw(st.integers(1, 6))) if rect else (
+            draw(st.integers(1, 24)),)
+        per_point = not rect and draw(st.booleans())
+        sigma = 10.0 ** rng.uniform(-1.5, 1.5, (2,) + (points if per_point else (1,) * len(points)))
+        x, y = _bounds(rng, (2,) + points), _bounds(rng, (2,) + points)
+        a, b = np.minimum(x, y), np.maximum(x, y)
+        b[..., 3::4] = a[..., 3::4]
+        return sigma, sigma * a, sigma * b
     if form == "rect":
         # u = dx * a1x + dy * a1y over a separable grid, bounds u -+ 0.5
         rows, cols = draw(st.integers(1, 6)), draw(st.integers(1, 6))
@@ -231,7 +245,7 @@ def test_eigen_sign_determinism():
         sp = ProjectedCloud(mu2d=np.zeros((1, 2)), cxx=[cxx], cxy=[cxy], cyy=[cyy],
                             depth=[1.0], opacity=[0.5], color=np.zeros((1, 3)))
         prep = prepare_splats(sp)
-        for v in (prep.a1[0], prep.a2[0]):
+        for v in prep.axes[..., 0]:
             assert v[np.argmax(np.abs(v))] > 0.0
 
 
