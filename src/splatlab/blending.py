@@ -24,12 +24,11 @@ center-mode alpha, unclamped, at the box center. Each step sends each point
 down one branch.
 
 The window state is axis-first, as rgb is channel-major (3, p): the centers
-and the sides are (2, p) planes of x and y, the values (p,). The splat frame
-is too (PreparedSplats.sigma and .axes, and mu.T), so a moment update takes
-each per-axis quantity once for both axes, as a (u, v) plane: one frame
-product, one gaussian_moments_012 call, one divide for the four moment
-quotients, and one write per state array. The guard is one comparison over
-both planes.
+and the sides are (2, p) planes of x and y, the values (p,). The splat data
+is splat-last (PreparedSplats), so a moment update takes each per-axis
+quantity once for both axes, as a (u, v) plane: one frame product, one
+gaussian_moments_012 call, one divide for the four moment quotients, and one
+write per state array. The guard is one comparison over both planes.
 
 blend_grid is the one implementation of every mode: one front-to-back walk
 over the splats in which a splat is stepped only over the grid points of its
@@ -107,29 +106,30 @@ _EPS = float(np.finfo(float).eps)
 _NO_POINTS = np.empty(0, dtype=np.intp)  # a step's ended points when none ended
 
 
-def canonical_mode(mode: str) -> str:
-    """mode itself when it names one of MODES; ValueError otherwise."""
+def check_mode(mode) -> None:
+    """ValueError unless mode names one of MODES."""
     if mode not in MODES:
         raise ValueError(f"unknown blend mode {mode!r}; use one of {list(MODES)}")
-    return mode
 
 
 @dataclass
 class PreparedSplats:
     """Depth-sorted splats with precomputed eigen frames and support boxes.
 
-    The frame is axis-first, like the gb window state it meets: axes[k] (2,
-    m) is the unit vector paired with the window's k-th side, x for k = 0 (the
-    eigenvector within 45 degrees of screen x, the major axis on ties) and y
-    for k = 1, with axes[k, c] its screen component c; sigma[k] is the sigma
-    along axes[k]. mu.T is the axis-first view of the means. aabb rows are the
-    closed support boxes (x1, y1, x2, y2) at prepare_splats' support_sigma,
-    infinite when untruncated; a splat changes no point outside its box.
-    reach rows are the half-widths (sqrt(cxx), sqrt(cyy)) of the bounding box
-    of the ellipse q = d' C^-1 d <= 1, widened for rounding (see
-    support_rects). inv_* entries are the inverse-covariance coefficients of
-    the center Gaussian (_alpha_center), which serves center, the ss
-    sub-blends and the gb fallback.
+    Every per-splat array but aabb ends in the splat axis, as every blend
+    state array ends in its point axis: mu[c] and color[c] are coordinate and
+    channel c. axes[k] (2, m) is the unit vector paired with the window's k-th
+    side, x for k = 0 (the eigenvector within 45 degrees of screen x, the
+    major axis on ties) and y for k = 1, with axes[k, c] its screen component
+    c; sigma[k] is the sigma along axes[k]. reach[k] is the half-width along
+    screen axis k, sqrt(cxx) or sqrt(cyy), of the bounding box of the ellipse
+    q = d' C^-1 d <= 1, widened for rounding (see support_rects). The inv
+    rows xx, xy, yy are the inverse covariance of the center Gaussian
+    (_alpha_center), which serves center, the ss sub-blends and the gb
+    fallback. aabb rows are the closed support boxes (x1, y1, x2, y2) at
+    prepare_splats' support_sigma, infinite when untruncated; a splat changes
+    no point outside its box. They stay point-major, as their readers take
+    them (perfbench's _work_counts unpacks aabb.T).
 
     Each step body steps a splat over the points of its own box, by
     support_rects: gb over the support box; center (which the ss sub-blends
@@ -137,20 +137,18 @@ class PreparedSplats:
     the support box where that alpha can reach ALPHA_SKIP.
     """
 
-    mu: np.ndarray  # (m, 2)
-    color: np.ndarray  # (m, 3)
+    mu: np.ndarray  # (2, m)
+    color: np.ndarray  # (3, m)
     opacity: np.ndarray  # (m,)
     sigma: np.ndarray  # (2, m)
     axes: np.ndarray  # (2, 2, m)
     aabb: np.ndarray  # (m, 4)
-    reach: np.ndarray  # (m, 2)
-    inv_xx: np.ndarray  # (m,)
-    inv_xy: np.ndarray
-    inv_yy: np.ndarray
+    reach: np.ndarray  # (2, m)
+    inv: np.ndarray  # (3, m)
     n_culled_degenerate: int = 0
 
     def __len__(self) -> int:
-        return self.mu.shape[0]
+        return self.opacity.size
 
     def support_rects(self, xs: np.ndarray, ys: np.ndarray, skip: float = 0.0,
                       footprint: float = 0.0):
@@ -162,30 +160,30 @@ class PreparedSplats:
         where alpha is o exp(-q / 2) averaged over a square of half-side
         footprint in the splat frame (0: sampled at the point), it is cut to
         where that alpha can reach skip: the bounding box of the ellipse q <=
-        r^2 = 2 ln(o / skip), r * reach, grown by the square's bounding box,
-        footprint * (|axes[0]| + |axes[1]|). The float error of q grows like eps * lam1
-        / lam2 in the center form and like eps * sigma1 / 1 px in the erfc
-        differences of integrated alpha; prepare_splats widens reach by
-        _BOX_ULPS eps times their sum, infinite where that allowance is not
-        below 1, and r^2 gets _BOX_ULPS eps for the rounding of log, exp and
-        the product with o, so that no point outside the box passes the skip.
-        skip = 0 leaves aabb.
+        r^2 = 2 ln(o / skip), r * reach[k] along screen axis k, grown by the
+        square's bounding box, footprint * (|axes[0]| + |axes[1]|). The float
+        error of q grows like eps * lam1 / lam2 in the center form and like
+        eps * sigma1 / 1 px in the erfc differences of integrated alpha;
+        prepare_splats widens reach by _BOX_ULPS eps times their sum, infinite
+        where that allowance is not below 1, and r^2 gets _BOX_ULPS eps for the
+        rounding of log, exp and the product with o, so that no point outside
+        the box passes the skip. skip = 0 leaves aabb.
         """
-        lo, hi = self.aabb[:, :2], self.aabb[:, 2:]
+        lo, hi = self.aabb.T[:2], self.aabb.T[2:]
         if skip > 0.0:
             # o <= skip passes nowhere; its r is sqrt(_BOX_ULPS eps), not 0, so
             # that an infinite reach gives an infinite box, not NaN
             r2 = 2.0 * np.log(np.maximum(self.opacity / skip, 1.0)) + _BOX_ULPS * _EPS
-            h = np.sqrt(r2)[:, None] * self.reach
+            h = np.sqrt(r2) * self.reach
             if footprint:
                 ext = np.abs(self.axes)
-                h += footprint * (ext[0] + ext[1]).T
+                h += footprint * (ext[0] + ext[1])
             lo, hi = np.maximum(lo, self.mu - h), np.minimum(hi, self.mu + h)
         return (
-            xs.searchsorted(lo[:, 0], side="left"),
-            xs.searchsorted(hi[:, 0], side="right"),
-            ys.searchsorted(lo[:, 1], side="left"),
-            ys.searchsorted(hi[:, 1], side="right"),
+            xs.searchsorted(lo[0], side="left"),
+            xs.searchsorted(hi[0], side="right"),
+            ys.searchsorted(lo[1], side="left"),
+            ys.searchsorted(hi[1], side="right"),
         )
 
 
@@ -205,7 +203,8 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
         keep = np.flatnonzero((lam2 > 0.0) & (2.0 * lam1 * lam1 < np.inf))
     # Stable sort keeps input order on depth ties.
     order = keep[np.argsort(projected.depth[keep], kind="stable")]
-    mu2d, opacity, color = projected.mu2d[order], projected.opacity[order], projected.color[order]
+    mu, color = projected.mu2d.T.take(order, axis=1), projected.color.T.take(order, axis=1)
+    opacity = projected.opacity[order]
     cxx, cxy, cyy = projected.cxx[order], projected.cxy[order], projected.cyy[order]
     lam1, lam2, e1x, e1y = lam1[order], lam2[order], e1x[order], e1y[order]
 
@@ -223,27 +222,25 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
 
     # every component of ext is > 0, so an infinite support_sigma gives infinite boxes
     ext = sig[:, None] * np.abs(frame)
-    ext = (support_sigma * (ext[0] + ext[1])).T
-    aabb = np.concatenate([mu2d - ext, mu2d + ext], axis=1)  # x1, y1, x2, y2
+    ext = support_sigma * (ext[0] + ext[1])
+    aabb = np.concatenate((mu - ext, mu + ext)).T  # rows x1, y1, x2, y2
     # the rounding allowance of support_rects' skip boxes; sig[0] is the major
     # sigma, and an infinite lam1 / lam2 gives an infinite reach
     with np.errstate(over="ignore"):
         tol = _BOX_ULPS * _EPS * (lam1 / lam2 + sig[0])
     widen = np.divide(1.0, 1.0 - tol, out=np.full_like(tol, np.inf), where=tol < 1.0)
-    reach = np.sqrt(np.column_stack((cxx, cyy)) * widen[:, None])
+    reach = np.sqrt(np.array((cxx, cyy)) * widen)
 
     det = cxx * cyy - cxy * cxy
     return PreparedSplats(
-        mu=mu2d,
+        mu=mu,
         color=color,
         opacity=opacity,
         sigma=sigma,
         axes=axes,
         aabb=aabb,
         reach=reach,
-        inv_xx=cyy / det,
-        inv_xy=cxy / det,
-        inv_yy=cxx / det,
+        inv=np.array((cyy, cxy, cxx)) / det,  # xx, xy, yy
         n_culled_degenerate=len(projected) - keep.size,
     )
 
@@ -251,26 +248,18 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
 def _alpha_center(prep: PreparedSplats, j, dx, dy) -> np.ndarray:
     """Unclamped alpha of splat j sampled at offsets (dx, dy) = point - mu;
     j is one splat index or one per point."""
-    q = (
-        prep.inv_xx[j] * dx * dx
-        - 2.0 * prep.inv_xy[j] * dx * dy
-        + prep.inv_yy[j] * dy * dy
-    )
+    inv = prep.inv
+    q = inv[0, j] * dx * dx - 2.0 * inv[1, j] * dx * dy + inv[2, j] * dy * dy
     return prep.opacity[j] * np.exp(-0.5 * q)
-
-
-def _frame(prep: PreparedSplats, j, dx, dy):
-    """Offsets (dx, dy) = point - mu in splat j's principal frame: (u, v) =
-    (d . axes[0], d . axes[1]); j is one splat index or one per point."""
-    a = prep.axes[..., j]
-    # elementwise (not @) so results do not depend on the batch size
-    return dx * a[0, 0] + dy * a[0, 1], dx * a[1, 0] + dy * a[1, 1]
 
 
 def _alpha_integrated(prep: PreparedSplats, j, dx, dy) -> np.ndarray:
     """Unclamped alpha of splat j integrated over the unit square around each
-    point; j is one splat index or one per point."""
-    u, v = _frame(prep, j, dx, dy)
+    point, at offsets (dx, dy) = point - mu; j is one splat index or one per point."""
+    # the offsets in the splat frame, (u, v) = (d . axes[0], d . axes[1]),
+    # elementwise (not @) so results do not depend on the batch size
+    a = prep.axes[..., j]
+    u, v = dx * a[0, 0] + dy * a[0, 1], dx * a[1, 0] + dy * a[1, 1]
     sigma = prep.sigma[..., j]
     # one I0 call per axis: one call over both made I0 on a 120 x 120 box
     # 1.25x as slow (2-vCPU x86-64 VM; its temporaries outgrow the 2 MiB L2)
@@ -327,16 +316,16 @@ class _Gather:
         return self.act[where] if np.count_nonzero(where) else _NO_POINTS
 
     def write(self, where, rgb: np.ndarray, w: np.ndarray, color: np.ndarray, *pairs) -> None:
-        """rgb += w * color[j], and a = v for each (a, v) of pairs, at the
-        points the mask where keeps; with where None every point updates and
-        nothing is compacted."""
-        ids, j = self.act, self.j
+        """rgb += w * color[:, j], and a = v for each (a, v) of pairs, at the
+        points the mask where keeps, which read color as of does; with where
+        None every point updates and nothing is compacted."""
+        sel = self
         if where is not None:
-            ids, j, w = ids[where], self._masked(where), w[where]
+            sel, w = self.within(where), w[where]
             pairs = [(a, v[_trailing(v, where)]) for a, v in pairs]
-        rgb[:, ids] += (w[:, None] * color[j]).T
+        rgb[:, sel.act] += w * sel.of(color)
         for a, v in pairs:
-            a[_trailing(a, ids)] = v
+            a[_trailing(a, sel.act)] = v
 
 
 class _Rect:
@@ -346,7 +335,7 @@ class _Rect:
     index.shape (get), with the mask live of the points that are not done.
     Reads are views, so a body writes a state array only after its last read
     of it; writes copy where a mask of live points holds (live itself when
-    none is given), and rgb adds (w * mask) * color[j] over the whole
+    none is given), and rgb adds color[:, j] * (w * mask) over the whole
     rectangle, where a masked point adds an exact zero."""
 
     def __init__(self, key: tuple, live: np.ndarray, index: np.ndarray, j: int):
@@ -379,7 +368,7 @@ class _Rect:
         # one in-place add over the channel-major rgb: a masked copy per
         # channel took 1.5-3.4x as long on boxes of 17 x 17 to 128 x 128
         out = self.get(rgb)
-        out += color[self.j][:, None, None] * (w * where)
+        out += self.of(color) * (w * where)
         for a, v in pairs:
             np.copyto(self.get(a), v, where=where)
 
@@ -414,7 +403,7 @@ class _ScalarBlend:
         """Composite the splats sel.j at the live points of the step sel;
         returns the points it terminates."""
         j = sel.j
-        alpha = np.minimum(self.alpha_of(prep, j, *sel.offsets(self.points, prep.mu.T)),
+        alpha = np.minimum(self.alpha_of(prep, j, *sel.offsets(self.points, prep.mu)),
                            ALPHA_MAX)
         use = sel.alive(alpha >= self.skip)
         n_use = np.count_nonzero(use)
@@ -472,7 +461,7 @@ class _WindowBlend:
         """In-guard points: moment-match a new box to t * (1 - alpha) over the
         window, by the closed-form Gaussian moments in the splat frame. Each
         quantity of an axis is computed once for both, as a (u, v) plane."""
-        mu, axes = sel.of(prep.mu.T), sel.of(prep.axes)
+        mu, axes = sel.of(prep.mu), sel.of(prep.axes)
         d = sel.get(self.wc) - mu
         uv = d[0] * axes[:, 0] + d[1] * axes[:, 1]  # (u, v) = (d . axes[0], d . axes[1])
         ws = sel.get(self.ws)
@@ -515,7 +504,7 @@ class _WindowBlend:
     def _fallback(self, prep: PreparedSplats, sel, epsilon: float) -> np.ndarray:
         """Guard-tripped points: scale the value by the center-mode alpha,
         unclamped, at the window center; the window keeps its geometry."""
-        d = sel.get(self.wc) - sel.of(prep.mu.T)
+        d = sel.get(self.wc) - sel.of(prep.mu)
         alpha = _alpha_center(prep, sel.j, d[0], d[1])
         t = sel.get(self.wv)
         ws = sel.get(self.ws)
@@ -688,7 +677,7 @@ def blend_grid(
     of _steps. ss blends the k x k sub-points of every pixel in center mode
     and averages each pixel's block; ss_k must be an integer >= 1.
     """
-    mode = canonical_mode(mode)
+    check_mode(mode)
     check_epsilon(epsilon)
     k = check_ss_k(ss_k) if mode == "ss" else 1
     xs = np.asarray(xs, dtype=float).reshape(-1)

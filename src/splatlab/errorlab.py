@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blending import EPSILON_DEFAULT, blend_pixel, check_epsilon, check_ss_k, prepare_splats
+from .blending import (EPSILON_DEFAULT, blend_pixel, check_epsilon, check_mode, check_ss_k,
+                       prepare_splats)
 from .scene import ProjectedCloud
 from .splatmath import ISO_TOL, gaussian_i0
 
@@ -169,8 +170,10 @@ def transmittance_error(mode: str, splats, *, epsilon: float = EPSILON_DEFAULT,
     origin minus true_value, the exact one.
 
     splats is whatever blend_pixel takes: a ProjectedCloud or a PreparedSplats.
-    true_residual_transmittance of the ProjectedCloud gives true_value.
+    true_value, finite, is true_residual_transmittance of the ProjectedCloud.
     """
+    if not math.isfinite(true_value):
+        raise ValueError(f"true_value must be finite, not {true_value!r}")
     _, t_mode = blend_pixel(splats, (0.0, 0.0), mode, epsilon=epsilon, ss_k=ss_k)
     return t_mode - true_value
 
@@ -220,8 +223,13 @@ class SweepConfig:
             raise ValueError(f"sigma {sigmas[i]!r}: its sigma^4 is not a finite value > 0")
         if not 0.0 <= self.opacity <= 1.0:  # NaN too
             raise ValueError(f"opacity must be in [0, 1], not {self.opacity!r}")
-        if not self.modes:
-            raise ValueError("at least one mode required")
+        if isinstance(self.modes, str) or not self.modes:
+            raise ValueError(f"modes must be a non-empty tuple of mode names, not {self.modes!r}")
+        try:
+            for mode in self.modes:
+                check_mode(mode)
+        except ValueError as err:
+            raise ValueError(f"modes {self.modes!r}: {err}") from None
         check_epsilon(self.epsilon)
         check_ss_k(self.ss_k)
 
@@ -285,12 +293,14 @@ def run_sweep(config: SweepConfig, csv_path=None):
 
 def psnr(a, b) -> float:
     """10 log10(1 / MSE) over linear rgb; capped at 99 dB (identical images),
-    -inf where the MSE overflows. ValueError naming a or b when it holds a NaN
-    or an infinity, whose MSE would say nothing."""
+    -inf where the MSE overflows. ValueError when a and b are empty, or naming
+    the one that holds a NaN or an infinity: neither has a telling MSE."""
     arr_a = np.asarray(a.rgb if hasattr(a, "rgb") else a, dtype=float)
     arr_b = np.asarray(b.rgb if hasattr(b, "rgb") else b, dtype=float)
     if arr_a.shape != arr_b.shape:
         raise ValueError(f"dimension mismatch: {arr_a.shape} vs {arr_b.shape}")
+    if not arr_a.size:
+        raise ValueError(f"a and b are empty (shape {arr_a.shape}); they have no MSE")
     for name, arr in (("a", arr_a), ("b", arr_b)):
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} is not finite (nan or inf)")

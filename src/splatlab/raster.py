@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blending import SUPPORT_SIGMA, PreparedSplats, blend_grid, canonical_mode, prepare_splats
+from .blending import SUPPORT_SIGMA, PreparedSplats, blend_grid, check_mode, prepare_splats
 from .scene import Camera, SplatCloud, check_image_size, project_cloud
 
 # diagonal covariance floor (px^2) for center mode; the window modes and the
@@ -102,7 +102,7 @@ def render(
     of project_cloud(..., lowpass=...) through prepare_splats and
     render_projected.
     """
-    mode = canonical_mode(mode)
+    check_mode(mode)
     t0 = time.perf_counter()
     proj = project_cloud(scene, camera, lowpass=LOWPASS_CENTER if mode == "center" else 0.0)
     prep = prepare_splats(proj, SUPPORT_SIGMA)

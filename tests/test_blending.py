@@ -9,6 +9,7 @@ run on the shipped kernel, blending._WindowBlend.step.
 
 import re
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -47,7 +48,7 @@ from splatlab.blending import (
     _alpha_center,
     blend_grid,
     blend_pixel,
-    canonical_mode,
+    check_mode,
     pixel_blocks,
     prepare_splats,
     subsample_axis,
@@ -289,7 +290,7 @@ def window_step(splat, center=PX, sides=(1.0, 1.0), value=1.0):
     """One _WindowBlend.step of splat on a single window whose center, sides
     and value are set directly; returns (weight, center, sides, value) after."""
     prep = prepare_splats(stack_splats([splat]))
-    prep.color = np.array([[1.0, 0.0, 0.0]])  # the red channel accumulates the weight
+    prep.color = np.array([[1.0], [0.0], [0.0]])  # the red channel accumulates the weight
     blend = _WindowBlend(np.zeros((2, 1)))  # the state is axis-first: (2, p) planes
     blend.wc[:, 0] = center
     blend.ws[:, 0] = sides
@@ -334,7 +335,7 @@ def test_update_left_overlap_narrows_toward_right():
     assert w > 0.0
     # Exact values against the quadrature oracle, in the prepared splat frame.
     prep = prepare_splats(stack_splats([sp]))
-    d = np.array(PX) - prep.mu[0]
+    d = np.array(PX) - prep.mu[:, 0]
     a1, a2 = prep.axes[..., 0]
     u = np.array([d @ a1])
     vv = np.array([d @ a2])
@@ -343,7 +344,7 @@ def test_update_left_overlap_narrows_toward_right():
         np.array([1.0]), np.array([1.0]))
     mean = np.array([m1uo[0], m1vo[0]]) / m0o[0]
     var = np.array([m2uo[0], m2vo[0]]) / m0o[0] - mean**2
-    want_center = prep.mu[0] + a1 * mean[0] + a2 * mean[1]
+    want_center = prep.mu[:, 0] + a1 * mean[0] + a2 * mean[1]
     assert np.allclose(c, want_center, atol=1e-8)
     assert np.allclose(s, np.sqrt(12 * var), rtol=1e-8)
     assert v == pytest.approx(m0o[0] / (s[0] * s[1]), rel=1e-8)
@@ -457,7 +458,7 @@ def test_fallback_scales_by_center_alpha(form):
         else:
             sel = _Gather(act, js)
         blend.step(prep, sel, 0.0)
-        d = (wc.T - prep.mu[js]).T
+        d = wc - prep.mu[:, js].reshape(2, -1)
         wv = wv * (1.0 - _alpha_center(prep, js, d[0], d[1]))
         assert blend.wv.tobytes() == wv.tobytes()
         assert blend.wc.tobytes() == wc.tobytes() and blend.ws.tobytes() == ws.tobytes()
@@ -531,7 +532,7 @@ def mixed_windows(prep, j):
     their mass sit on the mean of their splat."""
     js = np.broadcast_to(j, MIXED_ACT.shape)
     centers = np.array([(0.2, 0.1), (-0.3, 0.4), (0.1, -0.1), (0.0, 0.0), (0.5, 0.5),
-                        (1e4, -1e4), tuple(prep.mu[js[5]]), tuple(prep.mu[js[6]])])
+                        (1e4, -1e4), tuple(prep.mu[:, js[5]]), tuple(prep.mu[:, js[6]])])
     blend = _WindowBlend(centers.T)
     blend.ws[:] = np.transpose(MIXED_SIDES)
     blend.wv[:] = MIXED_VALUES
@@ -754,9 +755,11 @@ def test_prepare_splats_rejects_support_sigma_not_positive(support_sigma):
         prepare_splats(projected, support_sigma)
 
 
-def test_blend_mode_aliases():
+def test_check_mode_rejects_an_unknown_mode():
+    for mode in MODES:
+        assert check_mode(mode) is None
     with pytest.raises(ValueError, match="unknown blend mode"):
-        canonical_mode("bilinear")
+        check_mode("bilinear")
 
 
 def test_blend_single_splat_equivalence():
@@ -931,7 +934,25 @@ def test_prepare_splats_sorts_stably():
     prep = prepare_splats(stack_splats(splats))
     # Ties keep input order: the two depth-1 splats stay as input 1 then 4,
     # and the two depth-3 ones as 0 then 2.
-    assert np.array_equal(prep.mu, [splats[i].mu2d for i in (1, 4, 3, 0, 2)])
+    assert np.array_equal(prep.mu.T, [splats[i].mu2d for i in (1, 4, 3, 0, 2)])
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_prepared_splats_are_splat_last(m):
+    # Every per-splat array ends in the splat axis, as the blend state ends in
+    # its point axis, so no step body transposes splat data.
+    rng = np.random.default_rng(m)
+    prep = prepare_splats(stack_splats([
+        rot_splat(rng.uniform(-2, 2, 2), 1.5, 0.5, rng.uniform(0, np.pi), 0.8, depth=float(d))
+        for d in range(m)]), support_sigma=3.0)
+    arrays = {f.name: getattr(prep, f.name) for f in fields(prep)
+              if isinstance(getattr(prep, f.name), np.ndarray)}
+    assert {name: a.shape for name, a in arrays.items()} == {
+        "mu": (2, m), "color": (3, m), "opacity": (m,), "sigma": (2, m), "axes": (2, 2, m),
+        # aabb alone keeps one (x1, y1, x2, y2) row per splat: perfbench's
+        # _work_counts unpacks aabb.T into those four rows
+        "aabb": (m, 4), "reach": (2, m), "inv": (3, m)}
+    assert prep.mu.flags.c_contiguous and len(prep) == m
 
 
 @pytest.mark.parametrize("cov", [(1e153, 0.0, 1e153), (1e155, 0.0, 1e155), (1e200, 0.0, 1e200),
@@ -973,7 +994,7 @@ def test_vectorized_matches_scalar_ops_gb():
             w, nxt = update_window(win, sp, eigen2x2(sp.cov2d))
             if w == 0.0 and nxt is win:
                 continue
-            rgb += prep.color[j] * w
+            rgb += prep.color[:, j] * w
             win = nxt
             if win.mass < 1e-4:
                 break
@@ -1001,7 +1022,7 @@ def test_vectorized_center_matches_scalar_alpha_chain():
             tn = t * (1 - alpha)
             if tn < 1e-4:
                 break
-            rgb += prep.color[j] * alpha * t
+            rgb += prep.color[:, j] * alpha * t
             t = tn
         assert np.allclose(rgb, rgb_vec[0, 0], rtol=1e-10, atol=1e-14)
         assert res_vec[0, 0] == pytest.approx(t, rel=1e-12)
@@ -1010,5 +1031,5 @@ def test_vectorized_center_matches_scalar_alpha_chain():
 def prep_to_splat(prep: PreparedSplats, j: int, depth: float) -> Splat2D:
     (s1, s2), (a1, a2) = prep.sigma[:, j], prep.axes[..., j]
     cov = (s1**2) * np.outer(a1, a1) + (s2**2) * np.outer(a2, a2)
-    return Splat2D(mu2d=prep.mu[j], cov2d=cov, depth=float(depth),
-                   opacity=float(prep.opacity[j]), color=prep.color[j])
+    return Splat2D(mu2d=prep.mu[:, j], cov2d=cov, depth=float(depth),
+                   opacity=float(prep.opacity[j]), color=prep.color[:, j])

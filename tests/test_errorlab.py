@@ -253,6 +253,13 @@ def test_error_ss_converges_in_k():
     assert errs[-1] < 1.5e-3
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_error_rejects_a_non_finite_true_value(bad):
+    # Unchecked, NaN gave a NaN delta T and +inf gave -inf, both silently.
+    with pytest.raises(ValueError, match=rf"^true_value must be finite, not {bad!r}$"):
+        transmittance_error("gb", two_splat_config(0.5, 1.0), true_value=bad)
+
+
 # --- SweepConfig ---------------------------------------------------------------
 
 
@@ -278,6 +285,19 @@ def test_sweep_config_validation():
     # unchecked, this constructed and .values() then failed in log10
     with pytest.raises(ValueError, match="start > 0"):
         paper_sigma_sweep(start=0.0)
+
+
+@pytest.mark.parametrize("modes, match", [
+    (("bogus",), r"^modes \('bogus',\): unknown blend mode 'bogus'; use one of "),
+    (("gb", "bilinear"), r"^modes \('gb', 'bilinear'\): unknown blend mode 'bilinear'"),
+    ("gb", r"^modes must be a non-empty tuple of mode names, not 'gb'$"),
+    ((), r"^modes must be a non-empty tuple of mode names, not \(\)$"),
+], ids=["unknown", "one-unknown", "string", "empty"])
+def test_sweep_config_rejects_bad_modes(modes, match):
+    # Unchecked, the config was built, and run_sweep took its first truth and
+    # prepared its splats before it failed with "unknown blend mode 'g'".
+    with pytest.raises(ValueError, match=match):
+        paper_mu_sweep(modes=modes)
 
 
 @pytest.mark.parametrize("overrides, match", [
@@ -458,6 +478,13 @@ def test_psnr_accepts_framebuffers():
 def test_psnr_dimension_mismatch():
     with pytest.raises(ValueError, match="mismatch"):
         psnr(np.zeros((4, 4, 3)), np.zeros((4, 5, 3)))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 4, 3)])
+def test_psnr_rejects_empty_inputs(shape):
+    # Unchecked, the mean of no values read nan with two RuntimeWarnings.
+    with pytest.raises(ValueError, match=rf"^a and b are empty \(shape {re.escape(str(shape))}\)"):
+        psnr(np.zeros(shape), np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
