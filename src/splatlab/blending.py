@@ -543,21 +543,25 @@ def _run_pairs(run, x0, x1, y0, nx: int, cover):
     return (y0[run] * nx + x0[run])[of] + row * nx + col, run[of]
 
 
-def _layers(pt, js, p: int):
+def _layers(pt, js):
     """Depth layers of a run's pairs, given in depth order, as gathered
     steps: layer k pairs every point with its k-th splat of the run. The sort
-    by point is stable, so each point still meets its splats in depth order."""
+    by point is stable, so each point still meets its splats in depth order.
+
+    Both sort keys are uint16, which sorts by radix, and exact: a point index
+    is below the tile's at most _TILE_POINTS points (blend_grid), and a rank
+    below the batch's at most _TILE_POINTS pairs, or one small splat's at
+    most _LARGE_POINTS (_steps); both bounds are at most 1 << 16."""
     if pt.size == 0:
         return
-    # a uint16 key sorts by radix
-    order = np.argsort(pt.astype(np.uint16) if p <= 1 << 16 else pt, kind="stable")
+    order = np.argsort(pt.astype(np.uint16), kind="stable")
     pt, js = pt[order], js[order]
     head = np.empty(pt.size, dtype=bool)
     head[0] = True
     np.not_equal(pt[1:], pt[:-1], out=head[1:])
     starts = np.flatnonzero(head)
     rank = np.arange(pt.size) - np.repeat(starts, np.diff(np.append(starts, pt.size)))
-    order = np.argsort(rank.astype(np.uint16) if pt.size <= 1 << 16 else rank, kind="stable")
+    order = np.argsort(rank.astype(np.uint16), kind="stable")
     pt, js = pt[order], js[order]
     lo = 0
     for hi in np.cumsum(np.bincount(rank)).tolist():
@@ -608,7 +612,7 @@ def _steps(ranges, live: np.ndarray):
             run = drawn[start:end]
             pt, js = _run_pairs(run, x0, x1, y0, live.shape[1], cover[start:end])
             keep = flat[pt]
-            for layer in _layers(pt[keep], js[keep], p):
+            for layer in _layers(pt[keep], js[keep]):
                 keep = flat[layer.act]
                 n_keep = np.count_nonzero(keep)
                 if n_keep == keep.size:  # nothing in the layer has ended: no copy

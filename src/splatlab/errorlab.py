@@ -4,9 +4,12 @@ The two-splat sweep places isotropic splats at (mu_x, -offset_y) and
 (mu_x, +offset_y) over the unit pixel centered at the origin and compares each
 blend mode's residual transmittance against the exact integral of the product
 transmittance over the pixel. Splats are ProjectedCloud rows, front to back
-by depth. The truth is closed-form for up to two axis-aligned splats; its
-quadrature path, for the rest, imports scipy.integrate on first use, so a
-process that only renders, or only takes the closed form, never loads it.
+by depth. The truth is closed-form for up to two axis-aligned splats. For the
+rest it takes nested quadrature, reading each splat in one form: its y
+marginal times its conditional Gaussian in x about the ridge, the
+conditional mean x given y. That path imports scipy.integrate on first use,
+so a process that only renders, or only takes the closed form, never loads
+it.
 """
 
 from __future__ import annotations
@@ -103,9 +106,12 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
     Closed form for up to two axis-aligned splats, |cxy| <= ISO_TOL *
     sqrt(cxx * cyy) (expansion of (1-a1)(1-a2) with the product-of-Gaussians
     identity); otherwise, or always when method is "quad", nested adaptive
-    quadrature to 1e-10, over y outside and x inside, broken at each splat's
-    center y and at its conditional mean x given y, so that a thin splat is
-    not stepped over. The quadrature imports scipy.integrate on first use.
+    quadrature to 1e-10, over y outside and x inside. Each splat is its y
+    marginal times its conditional Gaussian in x, so at height y the inner
+    integrand is a product of 1D Gaussians. The quadrature breaks at each
+    splat's center y and at its ridge, the conditional mean x given y, so
+    that a thin splat is not stepped over. It imports scipy.integrate on
+    first use.
     ValueError naming the first splat whose covariance is not positive
     definite.
     """
@@ -123,28 +129,18 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
             total += _pair_integral(*params[0], *params[1])
         return total
 
-    # per splat: mu, the inverse covariance (a, b, c) and opacity; at height
-    # y its ridge, the conditional mean x = mx + (y - my) * g with the
-    # conditional sigma sx about it; and its center y with the sigma of y
-    gaussians, ridges, heights = [], [], []
-    for (mx, my), xx, xy, yy, o in zip(splats.mu2d.tolist(), splats.cxx.tolist(),
-                                       splats.cxy.tolist(), splats.cyy.tolist(),
-                                       splats.opacity.tolist()):
-        det = xx * yy - xy * xy
-        gaussians.append((mx, my, yy / det, -xy / det, xx / det, o))
-        ridges.append((mx, my, xy / yy, math.sqrt(det / yy)))
-        heights.append((my, math.sqrt(yy)))
-
-    def product_t(x, y):
-        t = 1.0
-        for mx, my, a, b, c, o in gaussians:
-            dx, dy = x - mx, y - my
-            t *= 1.0 - o * math.exp(-0.5 * (a * dx * dx + 2.0 * b * dx * dy + c * dy * dy))
-        return t
+    # per splat, one row (mx, my, g, sx, sy, o): its y marginal, sigma sy about
+    # my, times its conditional Gaussian in x, sigma sx about the ridge
+    # x = mx + (y - my) * g. No inverse covariance, whose exponent cancels on a
+    # needle; every square is d * d, since a float ** 2 raises OverflowError
+    rows = [(mx, my, xy / yy, math.sqrt((xx * yy - xy * xy) / yy), math.sqrt(yy), o)
+            for (mx, my), xx, xy, yy, o in zip(splats.mu2d.tolist(), splats.cxx.tolist(),
+                                               splats.cxy.tolist(), splats.cyy.tolist(),
+                                               splats.opacity.tolist())]
 
     from scipy import integrate  # here, not at the top: no render and no closed form needs it
 
-    def quad(f, centers, *args):
+    def quad(f, centers):
         # the adaptive rule samples a panel no nearer its ends than 0.2% of its
         # length, so it can step over a thin splat: break at each center m, and
         # at m +- sigma * 4^k below _QUAD_LADDER_PX
@@ -155,13 +151,26 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
                 points.update((m - sigma, m + sigma))
                 sigma *= 4.0
         points = [p for p in points if -0.5 < p < 0.5]
-        return integrate.quad(f, -0.5, 0.5, args=args, points=points or None, epsabs=1e-12,
+        return integrate.quad(f, -0.5, 0.5, points=points or None, epsabs=1e-12,
                               epsrel=1e-10, limit=50 + len(points))[0]
 
     def row_integral(y):
-        return quad(product_t, [(mx + (y - my) * g, sx) for mx, my, g, sx in ridges], y)
+        # at height y each splat is a 1D Gaussian in x: amplitude a, ridge r
+        line = []
+        for mx, my, g, sx, sy, o in rows:
+            d = (y - my) / sy
+            line.append((mx + (y - my) * g, sx, o * math.exp(-0.5 * d * d)))
 
-    return quad(row_integral, heights)
+        def product_t(x):
+            t = 1.0
+            for r, sx, a in line:
+                d = (x - r) / sx
+                t *= 1.0 - a * math.exp(-0.5 * d * d)
+            return t
+
+        return quad(product_t, [(r, sx) for r, sx, _ in line])
+
+    return quad(row_integral, [(my, sy) for _, my, _, _, sy, _ in rows])
 
 
 def transmittance_error(mode: str, splats, *, epsilon: float = EPSILON_DEFAULT,
@@ -180,13 +189,13 @@ def transmittance_error(mode: str, splats, *, epsilon: float = EPSILON_DEFAULT,
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Two-splat sweep over mu_x or sigma with everything else held fixed."""
+    """Two-splat sweep over mu_x or sigma with everything else held fixed:
+    mu_x spaced linearly, sigma logarithmically."""
 
     sweep_var: str  # "mu_x" or "sigma"
     start: float
     stop: float
-    step: float  # linear step; log10 step when spacing="log"
-    spacing: str = "linear"
+    step: float  # linear step over mu_x; log10 step over sigma
     modes: tuple = ("center", "integrated", "gb")
     mu_x: float = 0.5  # fixed when sweeping sigma
     sigma: float = 1.0  # fixed when sweeping mu_x
@@ -198,8 +207,6 @@ class SweepConfig:
     def __post_init__(self):
         if self.sweep_var not in ("mu_x", "sigma"):
             raise ValueError(f"unknown sweep variable {self.sweep_var!r}")
-        if self.spacing not in ("linear", "log"):
-            raise ValueError(f"unknown spacing {self.spacing!r}")
         # mu_x is read by a sigma sweep only
         fixed = ("mu_x", "offset_y") if self.sweep_var == "sigma" else ("offset_y",)
         for name in ("start", "stop", "step") + fixed:
@@ -209,9 +216,7 @@ class SweepConfig:
             raise ValueError("step must be > 0")
         if self.stop < self.start:
             raise ValueError("empty sweep range")
-        if self.spacing == "log" and not self.start > 0:
-            raise ValueError("log spacing needs start > 0")
-        # the truth and iso_cloud take sigma > 0 only
+        # the truth and iso_cloud take sigma > 0 only, and log spacing start > 0
         if self.sweep_var == "sigma" and not self.start > 0:
             raise ValueError(f"a sigma sweep needs start > 0, not {self.start!r}")
         if self.sweep_var == "mu_x" and not self.sigma > 0:
@@ -234,7 +239,7 @@ class SweepConfig:
         check_ss_k(self.ss_k)
 
     def values(self) -> np.ndarray:
-        if self.spacing == "linear":
+        if self.sweep_var == "mu_x":
             return np.arange(self.start, self.stop + 0.5 * self.step, self.step)
         lo, hi = math.log10(self.start), math.log10(self.stop)
         return 10.0 ** np.arange(lo, hi + 0.5 * self.step, self.step)
@@ -249,8 +254,7 @@ def paper_mu_sweep(**overrides) -> SweepConfig:
 
 def paper_sigma_sweep(**overrides) -> SweepConfig:
     """sigma log-spaced in [0.05, 5] at mu_x = 0.5."""
-    kw = dict(sweep_var="sigma", start=0.05, stop=5.0, step=0.05, spacing="log",
-              mu_x=0.5)
+    kw = dict(sweep_var="sigma", start=0.05, stop=5.0, step=0.05, mu_x=0.5)
     kw.update(overrides)
     return SweepConfig(**kw)
 

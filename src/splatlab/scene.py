@@ -74,6 +74,12 @@ class Camera:
         w2c = np.asarray(self.world_to_cam, dtype=float)
         if w2c.shape != (3, 4):
             raise ValueError(f"world_to_cam must be 3x4, got {w2c.shape}")
+        bad = np.argwhere(~np.isfinite(w2c))
+        if bad.size:
+            raise ValueError(f"world_to_cam[{bad[0][0]}, {bad[0][1]}] is not finite (nan or inf)")
+        for name in ("fx", "fy", "near"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
         r = w2c[:, :3]
         if not np.allclose(r @ r.T, np.eye(3), atol=1e-6):
             raise ValueError("rotation block of world_to_cam is not orthonormal")
@@ -296,31 +302,34 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
         raise ValueError(f"lowpass must be finite and >= 0, not {lowpass!r}")
     n = len(cloud)
     r, t = cam.rotation, cam.translation
-    p = cloud.mu @ r.T + t  # (n, 3) camera space
-    idx = np.flatnonzero(p[:, 2] > cam.near)
-    n_culled_near = n - idx.size
-    rot, scale = cloud.rot, cloud.scale
-    if n_culled_near:
-        p, rot, scale = p[idx], rot[idx], scale[idx]
-    x, y, z = p[:, 0], p[:, 1], p[:, 2]
-    mu2d = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
+    # finite input whose products overflow gives inf or nan here, and is
+    # culled below and counted, not warned about (errstate changes no bit)
+    with np.errstate(over="ignore", invalid="ignore"):
+        p = cloud.mu @ r.T + t  # (n, 3) camera space
+        idx = np.flatnonzero(p[:, 2] > cam.near)
+        n_culled_near = n - idx.size
+        rot, scale = cloud.rot, cloud.scale
+        if n_culled_near:
+            p, rot, scale = p[idx], rot[idx], scale[idx]
+        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        mu2d = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
 
-    m = rotmats_from_quats(rot)
-    m *= scale.T  # R diag(s)
-    zz = z * z
-    # J's nonzero entries, row by row, as (column j, J_ij)
-    jac = (((0, cam.fx / z), (2, -cam.fx * x / zz)), ((1, cam.fy / z), (2, -cam.fy * y / zz)))
-    rows = []
-    for terms in jac:
-        a = np.zeros((3, idx.size))
-        for j, j_ij in terms:
-            for k in range(3):
-                a += (j_ij * r[j, k]) * m[k]
-        rows.append(a)
-    (a0, a1, a2), (b0, b1, b2) = rows
-    cxx = (a0 * a0 + a2 * a2) + a1 * a1 + lowpass
-    cyy = (b0 * b0 + b2 * b2) + b1 * b1 + lowpass
-    cxy = (a0 * b0 + a2 * b2) + a1 * b1 + 0.0  # a sum of -0 products reads +0
+        m = rotmats_from_quats(rot)
+        m *= scale.T  # R diag(s)
+        zz = z * z
+        # J's nonzero entries, row by row, as (column j, J_ij)
+        jac = (((0, cam.fx / z), (2, -cam.fx * x / zz)), ((1, cam.fy / z), (2, -cam.fy * y / zz)))
+        rows = []
+        for terms in jac:
+            a = np.zeros((3, idx.size))
+            for j, j_ij in terms:
+                for k in range(3):
+                    a += (j_ij * r[j, k]) * m[k]
+            rows.append(a)
+        (a0, a1, a2), (b0, b1, b2) = rows
+        cxx = (a0 * a0 + a2 * a2) + a1 * a1 + lowpass
+        cyy = (b0 * b0 + b2 * b2) + b1 * b1 + lowpass
+        cxy = (a0 * b0 + a2 * b2) + a1 * b1 + 0.0  # a sum of -0 products reads +0
 
     finite = (
         np.isfinite(z)

@@ -137,12 +137,24 @@ def test_truth_quadrature_finds_thin_splats():
         assert abs(true_residual_transmittance(thin, "quad")
                    - true_residual_transmittance(thin)) <= 1e-14, y
     # Rotated, where only the quadrature applies: 30 degrees, and 1 rad with
-    # sigma 1e-4 px, which breaks at the centers alone missed by 1.8e-4.
-    for sy, theta in ((1e-3, math.pi / 6), (1e-4, 1.0)):
+    # sigma 1e-4 px, which breaks at the centers alone missed by 1.8e-4. The
+    # needles of sigma 1e-7 and 1e-8 px raised 6 to 1494 IntegrationWarnings
+    # when the integrand went through the inverse covariance, whose exponent
+    # cancels there; the conditional form reads them clean. On them the
+    # oracle reads the same value with 8 GL panels as with its default 32.
+    for sy, theta, panels in ((1e-3, math.pi / 6, 32), (1e-4, 1.0, 32), (1e-7, math.pi / 6, 8),
+                              (1e-7, 1.0, 8), (1e-8, math.pi / 6, 8), (1e-8, 1.0, 8)):
         tilted = splat((0.1, 0.3), 1.0, sy, theta)
         want = residual_one_splat_gl(tilted.mu2d[0], tilted.cxx[0], tilted.cxy[0], tilted.cyy[0],
-                                     0.9)
+                                     0.9, panels)
         assert abs(true_residual_transmittance(tilted) - want) <= 1e-12, (sy, theta)
+    # sigma_x 1e-155 px: its (x - ridge) / sigma_x squared is inf, which a
+    # float ** 2 raises OverflowError on; with the inverse covariance the
+    # quadrature read nan after a roundoff IntegrationWarning
+    specks = ProjectedCloud(mu2d=[[0.1, 0.0], [0.3, 0.0], [-0.2, 0.0]],
+                            cxx=[1e-155 * 1e-155, 0.25, 1.0], cxy=[0.0] * 3, cyy=[1.0, 0.5, 0.3],
+                            depth=[1.0, 2.0, 3.0], opacity=[0.9, 0.8, 0.7], color=[RED] * 3)
+    assert 0.0 < true_residual_transmittance(specks) <= 1.0
 
 
 def test_true_residual_closed_form_rejections():
@@ -278,8 +290,6 @@ def test_sweep_config_validation():
         SweepConfig(sweep_var="mu_x", start=0, stop=1, step=0.0)
     with pytest.raises(ValueError, match="range"):
         SweepConfig(sweep_var="mu_x", start=1, stop=0, step=0.1)
-    with pytest.raises(ValueError, match="spacing"):
-        SweepConfig(sweep_var="sigma", start=0.1, stop=1, step=0.1, spacing="geometric")
     with pytest.raises(ValueError, match="mode"):
         SweepConfig(sweep_var="mu_x", start=0, stop=1, step=0.1, modes=())
     # unchecked, this constructed and .values() then failed in log10
@@ -346,10 +356,11 @@ def test_sigma_needs_a_finite_positive_determinant(bad):
     match = rf"^sigma {shown}: its sigma\^4 is not a finite value > 0$"
     with pytest.raises(ValueError, match=match):
         paper_mu_sweep(sigma=bad, step=1.0)
-    # a sigma sweep checks every value it will run, not only start
+    # a sigma sweep checks every value it will run, not only start: its log10
+    # step runs lo, then hi
     lo, hi = sorted([bad, 1.0])
     with pytest.raises(ValueError, match=match):
-        SweepConfig(sweep_var="sigma", start=lo, stop=hi, step=hi - lo)
+        SweepConfig(sweep_var="sigma", start=lo, stop=hi, step=math.log10(hi / lo))
     with pytest.raises(ValueError, match=r"^sigma 1e\+78: its sigma\^4 is not a finite value > 0$"):
         paper_sigma_sweep(start=1e70, stop=1e80, step=1.0)
     # this grid's last value, 10^308.4, overflows to inf; no warning escapes

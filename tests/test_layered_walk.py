@@ -85,13 +85,33 @@ def test_zoom_frame_equals_blend_pixel(mode, monkeypatch):
     assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k=2)
 
 
-def test_layers_keep_depth_order_past_uint16_ranks():
-    # One point with 70 000 pairs: its ranks pass 65 535, so a uint16 sort
-    # key would wrap and put splat 65 536 second.
-    layers = list(blending._layers(np.zeros(70_000, int), np.arange(70_000), 1))
-    assert len(layers) == 70_000
-    assert all(layer.act.tolist() == [0] for layer in layers)
-    assert np.array_equal(np.concatenate([layer.j for layer in layers]), np.arange(70_000))
+def test_layer_sort_keys_fit_uint16(monkeypatch):
+    # _layers sorts point indices and ranks as uint16 keys. That is exact
+    # because blend_grid holds a tile to _TILE_POINTS points, and _steps a
+    # batch to _TILE_POINTS pairs, or to one small splat's at most
+    # _LARGE_POINTS. The largest grids: zoom@x1 in ss at the benchmark's k,
+    # and a blend_pixel at ss_k=256 under 200 splats of sigma 0.01 px.
+    bound = max(blending._TILE_POINTS, blending._LARGE_POINTS)
+    assert bound <= 1 << 16
+    seen = []
+    layers = blending._layers
+
+    def logged(pt, js):
+        seen.append((pt.size, int(pt.max()) + 1 if pt.size else 0))
+        return layers(pt, js)
+
+    monkeypatch.setattr(blending, "_layers", logged)
+    cloud, cam = synth.two_plane_zoom_scene(0)
+    prep = prepare_splats(project_cloud(cloud, cam), SUPPORT_SIGMA)
+    render_projected(prep, cam.width, cam.height, "ss", ss_k=8)
+    rng = np.random.default_rng(4)
+    specks = stack_splats([iso(rng.uniform(0.05, 0.95, 2), 0.01, 0.5, float(depth), (1, 0, 0))
+                           for depth in range(200)])
+    frame = len(seen)
+    blend_pixel(prepare_splats(specks, SUPPORT_SIGMA), (0.5, 0.5), "ss", ss_k=256)
+    assert 0 < frame < len(seen)  # both reach the layers
+    pairs, points = map(max, zip(*seen))
+    assert pairs <= bound and points <= blending._TILE_POINTS, (pairs, points)
 
 
 def test_blend_pixel_steps_splat_by_splat(monkeypatch):

@@ -355,6 +355,22 @@ def test_near_cull_counted():
     assert fb.stats.n_drawn == 1
 
 
+@pytest.mark.parametrize("mu, scale", [([0.0, 0.0, 5.0], 1e200), ([1e308, 0.0, 5.0], 0.1),
+                                       ([-1e308, 0.0, 5.0], 0.1)],
+                         ids=["scale-1e200", "mu-1e308", "mu-minus-1e308"])
+@pytest.mark.parametrize("mode", ["center", "gb"])
+def test_overflow_culled_as_nonfinite(mu, scale, mode):
+    # Finite input whose projection overflows (the covariance, or the screen
+    # position): a counted cull. A numpy RuntimeWarning used to escape first,
+    # an error under the suite.
+    cam = make_camera()
+    cloud = SplatCloud(mu=[mu, [0.0, 0.0, 5.0]], scale=[[scale] * 3, [0.1] * 3],
+                       rot=[[1.0, 0, 0, 0]] * 2, opacity=[0.5, 0.5], sh=np.full((2, 1, 3), 0.3))
+    fb = render(cloud, cam, mode)
+    assert fb.stats.n_culled_nonfinite == 1 and fb.stats.n_culled_near == 0
+    assert fb.stats.n_drawn == 1
+
+
 # --- framebuffer validation ---------------------------------------------------
 
 

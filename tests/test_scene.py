@@ -136,7 +136,8 @@ def test_overflowing_depth_culled_as_nonfinite():
     cloud = SplatCloud(mu=[[-1.5e308, 0.0, 1.5e308], [0.0, 0.0, 2.0]], scale=np.full((2, 3), 0.1),
                        rot=np.tile(IDENTITY_Q, (2, 1)), opacity=[0.5, 0.5], sh=np.zeros((2, 1, 3)))
     cam = make_camera(world_to_cam=w2c)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow is culled and counted, not warned about
         pc = project_cloud(cloud, cam)
     assert pc.n_culled_nonfinite == 1 and len(pc) == 1
     # the survivor is the second splat, at depth 2 cos 45 degrees
@@ -241,8 +242,10 @@ def test_project_cloud_bits_equal_einsum_form_property(seed, n, identity, log10_
                        rot=rng.normal(size=(n, 4)),
                        opacity=rng.uniform(0.0, 1.0, n),
                        sh=rng.uniform(-1.0, 1.0, (n, bands, 3)))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # overflow is culled and counted, not warned about
         got = project_cloud(cloud, cam, lowpass=lowpass)
+    with np.errstate(over="ignore", invalid="ignore"):
         want = project_cloud_einsum(cloud, cam, lowpass=lowpass)
     assert (got.n_culled_near, got.n_culled_nonfinite) == (want.n_culled_near,
                                                            want.n_culled_nonfinite)
@@ -387,6 +390,26 @@ def test_camera_validation():
         make_camera(near=0.0)
     with pytest.raises(ValueError):
         make_camera(world_to_cam=np.eye(4))  # 3x4 only
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("t", np.nan), ("t", np.inf), ("r", np.nan), ("r", -np.inf),
+    ("fx", np.inf), ("fy", np.nan), ("near", np.inf), ("near", np.nan),
+])
+def test_camera_rejects_non_finite_input(field, bad):
+    # Unchecked, a NaN or inf translation and near = inf culled every splat as
+    # n_culled_near without a word, fx = inf failed in project_cloud with a
+    # numpy RuntimeWarning, and a NaN rotation read "not orthonormal".
+    if field in ("t", "r"):  # an entry of the translation or of the rotation block
+        col = 3 if field == "t" else 2
+        w2c = np.hstack([np.eye(3), np.zeros((3, 1))])
+        w2c[1, col] = bad
+        match = rf"^world_to_cam\[1, {col}\] is not finite \(nan or inf\)$"
+        with pytest.raises(ValueError, match=match):
+            make_camera(world_to_cam=w2c)
+    else:
+        with pytest.raises(ValueError, match=rf"^{field} must be finite, not {bad!r}$"):
+            make_camera(**{field: bad})
 
 
 @pytest.mark.parametrize("field, value", [
