@@ -82,7 +82,7 @@ from math import isfinite, isqrt
 import numpy as np
 
 from splatlab.scene import ProjectedCloud, is_count
-from splatlab.splatmath import eigen2x2_batch, gaussian_i0, gaussian_moments_012
+from splatlab.splatmath import gaussian_i0, gaussian_moments_012, screen_frame
 
 EPSILON_DEFAULT = 1e-4  # classic termination threshold on remaining transmittance
 ALPHA_MAX = 0.99  # scalar-mode clamp
@@ -114,17 +114,18 @@ def check_mode(mode) -> None:
 
 @dataclass
 class PreparedSplats:
-    """Depth-sorted splats with precomputed eigen frames and support boxes.
+    """Depth-sorted splats with precomputed screen-paired frames and support boxes.
 
     Every per-splat array but aabb ends in the splat axis, as every blend
     state array ends in its point axis: mu[c] and color[c] are coordinate and
     channel c. axes[k] (2, m) is the unit vector paired with the window's k-th
-    side, x for k = 0 (the eigenvector within 45 degrees of screen x, the
-    major axis on ties) and y for k = 1, with axes[k, c] its screen component
-    c; sigma[k] is the sigma along axes[k]. reach[k] is the half-width along
-    screen axis k, sqrt(cxx) or sqrt(cyy), of the bounding box of the ellipse
-    q = d' C^-1 d <= 1, widened for rounding (see support_rects). The inv
-    rows xx, xy, yy are the inverse covariance of the center Gaussian
+    side, x for k = 0 (the eigenvector within 45 degrees of screen x: the
+    major axis exactly when cxx >= cyy, so on ties) and y for k = 1, with
+    axes[k, c] its screen component c and axes[k, k] > 0; sigma[k] is the
+    sigma along axes[k] (splatmath.screen_frame). reach[k] is the half-width
+    along screen axis k, sqrt(cxx) or sqrt(cyy), of the bounding box of the
+    ellipse q = d' C^-1 d <= 1, widened for rounding (see support_rects).
+    The inv rows xx, xy, yy are the inverse covariance of the center Gaussian
     (_alpha_center), which serves center, the ss sub-blends and the gb
     fallback. aabb rows are the closed support boxes (x1, y1, x2, y2) at
     prepare_splats' support_sigma, infinite when untruncated; a splat changes
@@ -188,7 +189,8 @@ class PreparedSplats:
 
 
 def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> PreparedSplats:
-    """Eigen-decompose, cull degenerates, and depth-sort (stable) for blending.
+    """Solve each splat's screen-paired frame once, cull degenerates, and
+    depth-sort (stable) for blending.
 
     support_sigma (> 0) sets the per-splat support boxes the kernels test
     evaluation points against; the default, inf, leaves the Gaussians
@@ -198,40 +200,28 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
     if not support_sigma > 0:  # NaN too
         raise ValueError(f"support_sigma must be > 0, not {support_sigma!r}")
     with np.errstate(over="ignore", invalid="ignore"):
-        lam1, lam2, e1x, e1y = eigen2x2_batch(projected.cxx, projected.cxy, projected.cyy)
-        # the solve squares norms up to 2 lam1^2; a splat where that overflows is culled
+        lam1, lam2, det, sigma, axes = screen_frame(projected.cxx, projected.cxy, projected.cyy)
+        # det's products reach lam1^2; a splat where 2 lam1^2 overflows is culled
         keep = np.flatnonzero((lam2 > 0.0) & (2.0 * lam1 * lam1 < np.inf))
     # Stable sort keeps input order on depth ties.
     order = keep[np.argsort(projected.depth[keep], kind="stable")]
     mu, color = projected.mu2d.T.take(order, axis=1), projected.color.T.take(order, axis=1)
     opacity = projected.opacity[order]
     cxx, cxy, cyy = projected.cxx[order], projected.cxy[order], projected.cyy[order]
-    lam1, lam2, e1x, e1y = lam1[order], lam2[order], e1x[order], e1y[order]
-
-    sig = np.array((np.sqrt(lam1), np.sqrt(lam2)))  # major, minor
-    frame = np.array(((e1x, e1y), (-e1y, e1x)))  # the eigenvectors e1, e2, axis-first
-    # Canonical perpendicular sign: largest-magnitude component positive.
-    e2 = frame[1]
-    lead = np.where(np.abs(e2[0]) >= np.abs(e2[1]), e2[0], e2[1])
-    np.negative(e2, out=e2, where=lead < 0.0)
-
-    # 45-degree pairing per splat (window-independent).
-    swap = np.abs(frame[0, 0]) < np.abs(frame[0, 1])
-    axes = np.where(swap, frame[::-1], frame)
-    sigma = np.where(swap, sig[::-1], sig)
+    lam1, lam2, det = lam1[order], lam2[order], det[order]
+    sigma, axes = sigma[..., order], axes[..., order]
 
     # every component of ext is > 0, so an infinite support_sigma gives infinite boxes
-    ext = sig[:, None] * np.abs(frame)
+    ext = sigma[:, None] * np.abs(axes)
     ext = support_sigma * (ext[0] + ext[1])
     aabb = np.concatenate((mu - ext, mu + ext)).T  # rows x1, y1, x2, y2
-    # the rounding allowance of support_rects' skip boxes; sig[0] is the major
-    # sigma, and an infinite lam1 / lam2 gives an infinite reach
+    # the rounding allowance of support_rects' skip boxes, with the major sigma
+    # sqrt(lam1); an infinite lam1 / lam2 gives an infinite reach
     with np.errstate(over="ignore"):
-        tol = _BOX_ULPS * _EPS * (lam1 / lam2 + sig[0])
+        tol = _BOX_ULPS * _EPS * (lam1 / lam2 + np.sqrt(lam1))
     widen = np.divide(1.0, 1.0 - tol, out=np.full_like(tol, np.inf), where=tol < 1.0)
     reach = np.sqrt(np.array((cxx, cyy)) * widen)
 
-    det = cxx * cyy - cxy * cxy
     return PreparedSplats(
         mu=mu,
         color=color,

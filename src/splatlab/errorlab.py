@@ -68,10 +68,10 @@ def two_splat_config(mu_x: float, sigma: float, opacity: float = 1.0,
 
 
 def _axis_params(splats: ProjectedCloud) -> list | None:
-    """(mu row, (sigma_x, sigma_y), opacity) per splat, sigmas and opacity as
-    Python floats; None when any splat is not axis-aligned."""
+    """(mu row, (sigma_x, sigma_y), opacity) per splat, all as Python floats;
+    None when any splat is not axis-aligned."""
     out = []
-    for mu, xx, xy, yy, o in zip(splats.mu2d, splats.cxx.tolist(), splats.cxy.tolist(),
+    for mu, xx, xy, yy, o in zip(splats.mu2d.tolist(), splats.cxx.tolist(), splats.cxy.tolist(),
                                  splats.cyy.tolist(), splats.opacity.tolist()):
         if abs(xy) > ISO_TOL * math.sqrt(xx * yy):
             return None
@@ -95,7 +95,8 @@ def _pair_integral(mu1, s1, o1, mu2, s2, o2) -> float:
         a, b, p, q = mu1[ax], mu2[ax], s1[ax], s2[ax]
         sc = p * q / math.hypot(p, q)
         muc = (a * q * q + b * p * p) / (p * p + q * q)
-        pref = math.exp(-((a - b) ** 2) / (2.0 * (p * p + q * q)))
+        d = a - b  # squared by *, which gives inf where float ** raises
+        pref = math.exp(-(d * d) / (2.0 * (p * p + q * q)))
         total *= pref * float(gaussian_i0(sc, -0.5 - muc, 0.5 - muc))
     return total
 

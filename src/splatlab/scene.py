@@ -110,14 +110,17 @@ class Camera:
             raise ValueError(f"scale factor must be finite, not {k!r}")
         if k <= 0:
             raise ValueError("scale factor must be > 0")
+        width, height = float(self.width) * float(k), float(self.height) * float(k)
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise ValueError(f"scale factor {k!r} makes the image size infinite")
         return Camera(
             world_to_cam=self.world_to_cam,
             fx=self.fx * k,
             fy=self.fy * k,
             cx=self.cx * k,
             cy=self.cy * k,
-            width=max(1, int(round(self.width * k))),
-            height=max(1, int(round(self.height * k))),
+            width=max(1, int(round(width))),
+            height=max(1, int(round(height))),
             near=self.near,
         )
 
@@ -346,8 +349,17 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
 
     dirs = None
     if cloud.sh.shape[1] > 1:
-        view = cloud.mu[idx] - cam.center
-        norm = np.linalg.norm(view, axis=1, keepdims=True)
+        mu, center = cloud.mu[idx], cam.center
+        with np.errstate(over="ignore"):
+            view = mu - center
+            norm = np.linalg.norm(view, axis=1, keepdims=True)
+        # a far splat, whose squares overflow, takes its view with both ends
+        # scaled by its largest coordinate: the same direction, finite squares
+        far = np.flatnonzero(norm[:, 0] == np.inf)
+        if far.size:
+            s = np.maximum(np.abs(mu[far]).max(axis=1, keepdims=True), np.abs(center).max())
+            view[far] = mu[far] / s - center / s
+            norm[far] = np.linalg.norm(view[far], axis=1, keepdims=True)
         dirs = np.divide(view, norm, out=np.tile(np.array([0.0, 0.0, 1.0]), (idx.size, 1)),
                          where=norm > 0)
     color = eval_sh_batch(cloud.sh[idx], dirs)

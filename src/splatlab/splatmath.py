@@ -1,4 +1,4 @@
-"""Closed-form Gaussian moments and the batched 2x2 eigen-solve used by every blending kernel.
+"""Closed-form Gaussian moments and the screen-paired splat frame used by every blending kernel.
 
 The three 1D Gaussian moments
 
@@ -28,12 +28,15 @@ through the erfc pair, whose value it then overwrites. Either function costs
 about 7-30 ns per element, by argument range (scipy 1.17, 2-vCPU x86-64 VM).
 
 gaussian_i0 serves the integrated kernel and errorlab's closed-form truth;
-gaussian_moments_012 serves the gb kernel. ISO_TOL, the one tolerance on a
-covariance's shape, serves eigen2x2_batch and errorlab's truth.
+gaussian_moments_012 serves the gb kernel; screen_frame solves each splat's
+frame once for blending.prepare_splats. ISO_TOL, the one tolerance on a
+covariance's shape, serves screen_frame (isotropy) and errorlab's truth
+(axis alignment).
 
 tests/_reference.py keeps a case-by-case I0 (gaussian_i0_cases) as the
 tests' bit-identical oracle for gaussian_i0, and a one-matrix-at-a-time
-eigen-solve (eigen2x2) as the oracle for eigen2x2_batch.
+eigen-solve (eigen2x2) as the oracle for screen_frame's eigenvalues and
+eigenvectors.
 """
 
 from __future__ import annotations
@@ -85,37 +88,37 @@ def gaussian_moments_012(sigma, a, b):
     return i0, i1, i2
 
 
-def eigen2x2_batch(cxx, cxy, cyy):
-    """Vectorized analytic eigen-solve for many symmetric 2x2 matrices.
+def screen_frame(cxx, cxy, cyy):
+    """The principal frames of symmetric 2x2 matrices, given as arrays of
+    their three unique entries, paired with the screen axes in one closed
+    form (the Jacobi rotation; Golub & Van Loan, Matrix Computations, 8.5).
 
-    Takes the three unique entries as arrays, returns
-    (lam1, lam2, e1x, e1y) with lam1 >= lam2 and e2 = perp(e1) implied.
-    Degenerate entries come back with lam2 <= 0; callers cull on that. When
-    (lam1 - lam2) / 2 <= ISO_TOL * |lam1|, e1 is the screen axis of the larger
-    diagonal entry, x on ties.
+    Returns (lam1, lam2, det, sigma, axes): the eigenvalues lam1 >= lam2,
+    the determinant, and per screen axis k the unit eigenvector axes[k]
+    (axes[k, c] its screen component c, axes[k, k] > 0) and the square root
+    sigma[k] of its eigenvalue. The lam1 eigenvector lies within 45 degrees
+    of screen x exactly when cxx >= cyy, and is axes[0] then; axes[1] =
+    perp(axes[0]). Within ISO_TOL of isotropic ((lam1 - lam2) / 2 <= ISO_TOL
+    * |lam1|) the axes are the screen axes. Degenerate entries come back with
+    lam2 <= 0; callers cull on that.
     """
     cxx = np.asarray(cxx, dtype=float)
     cxy = np.asarray(cxy, dtype=float)
     cyy = np.asarray(cyy, dtype=float)
-    half_tr = 0.5 * (cxx + cyy)
-    disc = np.hypot(0.5 * (cxx - cyy), cxy)
-    lam1 = half_tr + disc
+    half_diff = 0.5 * (cxx - cyy)
+    disc = np.hypot(half_diff, cxy)
+    lam1 = 0.5 * (cxx + cyy) + disc
     det = cxx * cyy - cxy * cxy
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lam2 = np.where(lam1 > 0.0, det / np.where(lam1 > 0.0, lam1, 1.0), -1.0)
-
-    c1x, c1y = cxy, lam1 - cxx  # two candidate eigenvectors of lam1
-    c2x, c2y = lam1 - cyy, cxy
-    first = c1x * c1x + c1y * c1y >= c2x * c2x + c2y * c2y
-    # An isotropic matrix (both candidates null when exact) has no principal
-    # axis; its frame must not swing with roundoff in cxy.
-    iso = disc <= ISO_TOL * np.abs(lam1)
     on_x = cxx >= cyy
-    ex = np.where(iso, on_x, np.where(first, c1x, c2x))
-    ey = np.where(iso, ~on_x, np.where(first, c1y, c2y))
-    norm = np.sqrt(ex * ex + ey * ey)
-    norm = np.where(norm > 0.0, norm, 1.0)
-    ex, ey = ex / norm, ey / norm
-    # Deterministic sign: largest-magnitude component positive.
-    sign = np.where(np.where(np.abs(ex) >= np.abs(ey), ex, ey) < 0.0, -1.0, 1.0)
-    return lam1, lam2, ex * sign, ey * sign
+    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate sigma reads NaN
+        lam2 = np.where(lam1 > 0.0, det / np.where(lam1 > 0.0, lam1, 1.0), -1.0)
+        sigma = np.sqrt(np.where(on_x, (lam1, lam2), (lam2, lam1)))
+    # the x-paired eigenvector; both terms of its x component are >= 0, so
+    # nothing cancels. An isotropic matrix has no principal axis, and its
+    # frame must not swing with roundoff in cxy.
+    iso = disc <= ISO_TOL * np.abs(lam1)
+    ux = np.where(iso, 1.0, np.abs(half_diff) + disc)
+    uy = np.where(iso, 0.0, np.where(on_x, cxy, -cxy))
+    norm = np.hypot(ux, uy)
+    ux, uy = ux / norm, uy / norm
+    return lam1, lam2, det, sigma, np.array(((ux, uy), (-uy, ux)))

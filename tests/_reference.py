@@ -8,7 +8,7 @@ tests as a step-by-step oracle for that path:
   update_window, scalar_alpha_*   blending.blend_grid / _WindowBlend.step
   _fallback_blend                 _WindowBlend._fallback, in the splat frame
   gaussian_i0_cases               splatmath.gaussian_i0
-  eigen2x2                        splatmath.eigen2x2_batch
+  eigen2x2                        splatmath.screen_frame
   eval_sh                         scene.eval_sh_batch
   project_splat                   scene.project_cloud
   project_cloud_einsum            scene.project_cloud, bit for bit
@@ -20,6 +20,11 @@ scene.eval_sh_batch: it pins the bits of the projection, not of the SH color.
 _fallback_blend keeps the center Gaussian in its frame form, exp(-((u /
 sigma1)^2 + (v / sigma2)^2) / 2), where the package evaluates it once, from
 the inverse covariance (_alpha_center): an oracle independent of that form.
+eigen2x2 likewise keeps its own form, the better of two eigenvector
+candidates with a sign rule and a 45 degree pairing (paired_axes), where
+screen_frame solves the paired frame in one closed form; near isotropy the
+candidates cancel, so its frame is exact only to about eps / anisotropy, and
+the tests compare the two frames with a tolerance.
 
 The scalar code takes one screen-space splat at a time as a Splat2D record;
 stack_splats turns a list of them into the ProjectedCloud the package takes.

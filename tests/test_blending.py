@@ -55,7 +55,7 @@ from splatlab.blending import (
 )
 from splatlab.errorlab import true_residual_transmittance
 from splatlab.scene import ProjectedCloud, project_cloud
-from splatlab.splatmath import eigen2x2_batch
+from splatlab.splatmath import screen_frame
 
 PX = (0.5, 0.5)
 
@@ -488,7 +488,7 @@ def test_near_isotropic_splat_takes_the_screen_axes():
     # degrees and move gb's residual by 2e-7, moves it by roundoff at most.
     res = []
     for cxy in (0.0, 1e-15, -1e-15):
-        assert eigen2x2_batch(1.0, cxy, 1.0)[2:] == (1.0, 0.0)
+        assert np.array_equal(screen_frame(1.0, cxy, 1.0)[4], np.eye(2))
         splats = ProjectedCloud(mu2d=[[0.3, -0.1]], cxx=[1.0], cxy=[cxy], cyy=[1.0], depth=[1.0],
                                 opacity=[0.9], color=[[1.0, 0.0, 0.0]])
         res.append(blend_pixel(splats, (0.0, 0.0), "gb")[1])

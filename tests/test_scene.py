@@ -145,6 +145,24 @@ def test_overflowing_depth_culled_as_nonfinite():
     assert pc.depth[0] == pytest.approx(2.0 * c, rel=1e-12)
 
 
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.5, 0.25, -1.0)])
+def test_far_splat_takes_its_true_view_direction(center):
+    # Seen from the camera, a splat at (1e200, 0, 1e200) lies along (1, 0, 1),
+    # as does one at center + (1, 0, 1); the squares of the far view
+    # overflow, and its SH color must still read that direction, unwarned.
+    t = -np.asarray(center)
+    cam = make_camera(world_to_cam=np.hstack([np.eye(3), t[:, None]]))
+    sh = np.random.default_rng(1).uniform(-0.5, 0.5, (4, 3))
+    cloud = SplatCloud(mu=[[1e200, 0.0, 1e200], np.add(center, (1.0, 0.0, 1.0))],
+                       scale=np.full((2, 3), 0.1), rot=np.tile(IDENTITY_Q, (2, 1)),
+                       opacity=[0.5, 0.5], sh=[sh, sh])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pc = project_cloud(cloud, cam)
+    assert len(pc) == 2
+    assert np.abs(pc.color[0] - pc.color[1]).max() <= 1e-15
+
+
 def _project_point(mu, cam):
     p = cam.rotation @ mu + cam.translation
     return np.array(
@@ -433,6 +451,13 @@ def test_camera_scaled_rejects_non_finite_factor(k):
     # Unchecked, nan failed in int() ("cannot convert float NaN to integer")
     # and inf raised OverflowError.
     with pytest.raises(ValueError, match=rf"^scale factor must be finite, not {k!r}$"):
+        make_camera().scaled(k)
+
+
+@pytest.mark.parametrize("k", [1e307, np.float64(1e307)], ids=["float", "float64"])
+def test_camera_scaled_names_a_factor_too_large(k):
+    # 64 * 1e307 overflows: unchecked, int() raised a bare OverflowError
+    with pytest.raises(ValueError, match=rf"^scale factor {re.escape(repr(k))} makes the image"):
         make_camera().scaled(k)
 
 

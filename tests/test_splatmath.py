@@ -1,10 +1,11 @@
-"""Closed-form moment and eigen-solver tests.
+"""Closed-form moment and screen-frame tests.
 
 Expected moment values were frozen from an independent arbitrary-precision
-quadrature (mpmath, 40 digits) of x^k exp(-x^2 / 2 sigma^2) over [a, b]. The
-eigen tests run on eigen2x2_batch, the solver prepare_splats uses; the
-one-matrix eigen2x2 in _reference.py is its step-by-step oracle, as
-gaussian_i0_cases there is gaussian_i0's.
+quadrature (mpmath, 40 digits) of x^k exp(-x^2 / 2 sigma^2) over [a, b], and
+expected frames from mpmath's eigenvectors (50 digits) of the stored
+covariances. The frame tests run on screen_frame, the solve prepare_splats
+makes; the one-matrix eigen2x2 in _reference.py is the oracle for its
+eigenvalues and eigenvectors, as gaussian_i0_cases there is gaussian_i0's.
 """
 
 import numpy as np
@@ -15,7 +16,7 @@ from _oracles import moment_quad
 from _reference import DegenerateSplatError, eigen2x2, gaussian_i0_cases
 from splatlab.blending import prepare_splats
 from splatlab.scene import ProjectedCloud
-from splatlab.splatmath import eigen2x2_batch, gaussian_i0, gaussian_moments_012
+from splatlab.splatmath import gaussian_i0, gaussian_moments_012, screen_frame
 
 # (k, sigma, a, b, expected) from the quadrature oracle.
 MOMENT_CASES = [
@@ -189,19 +190,22 @@ def test_gaussian_i0_equals_cases_property(args):
 
 
 def test_eigen_known_matrices():
-    l1, l2, ex, ey = eigen2x2_batch(4.0, 0.0, 1.0)
+    l1, l2, _, sigma, axes = screen_frame(4.0, 0.0, 1.0)
     assert l1 == 4.0 and l2 == 1.0
-    assert np.allclose([ex, ey], [1.0, 0.0])
+    assert np.allclose(axes[0], [1.0, 0.0]) and np.array_equal(sigma, [2.0, 1.0])
 
-    l1, l2, ex, ey = eigen2x2_batch(1.0, 0.0, 9.0)
+    # the major axis lies along y, so x pairs with the minor one
+    l1, l2, _, sigma, axes = screen_frame(1.0, 0.0, 9.0)
     assert l1 == 9.0
-    assert np.allclose([ex, ey], [0.0, 1.0])
+    assert np.allclose(axes[1], [0.0, 1.0]) and np.array_equal(sigma, [1.0, 3.0])
 
-    # Rotated anisotropic: eigenvalues 5 and 1 at 45 degrees.
-    l1, l2, ex, ey = eigen2x2_batch(3.0, 2.0, 3.0)
+    # Rotated anisotropic: eigenvalues 5 and 1 at 45 degrees; the major axis
+    # pairs with x on the tie cxx == cyy.
+    l1, l2, det, sigma, axes = screen_frame(3.0, 2.0, 3.0)
     assert l1 == pytest.approx(5.0, rel=1e-14)
     assert l2 == pytest.approx(1.0, rel=1e-14)
-    assert np.allclose(np.abs([ex, ey]), [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-14)
+    assert det == 5.0 and sigma[0] == np.sqrt(l1)
+    assert np.allclose(np.abs(axes[0]), [np.sqrt(0.5), np.sqrt(0.5)], rtol=1e-14)
 
 
 def test_eigen_matches_numpy_randomized():
@@ -217,40 +221,37 @@ def test_eigen_matches_numpy_randomized():
     cov = rot @ (np.stack([lam_big, lam_small], -1)[:, :, None] * rot.swapaxes(1, 2))
     cov = 0.5 * (cov + cov.swapaxes(1, 2))
 
-    l1, l2, ex, ey = eigen2x2_batch(cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
+    l1, l2, _, sigma, axes = screen_frame(cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1])
     ref = np.linalg.eigvalsh(cov)
     assert np.all(np.abs(l1 - ref[:, 1]) <= 1e-9 * np.abs(ref[:, 1]))
     want2 = np.maximum(ref[:, 0], 0.0)
     assert np.all(np.abs(l2 - want2) <= np.maximum(1e-6 * want2, 1e-12 * lam_big))
     assert np.all(l1 >= l2) and np.all(l2 > 0.0)
-    assert np.allclose(np.hypot(ex, ey), 1.0, rtol=1e-12, atol=0.0)
-    e1 = np.stack([ex, ey], -1)
-    e2 = np.stack([-ey, ex], -1)
-    recon = (l1[:, None, None] * e1[:, :, None] * e1[:, None, :]
-             + l2[:, None, None] * e2[:, :, None] * e2[:, None, :])
+    assert np.allclose(np.hypot(*axes), 1.0, rtol=1e-12, atol=0.0)
+    a = axes.transpose(2, 0, 1)  # (n, k, c)
+    recon = sum((sigma[k] ** 2)[:, None, None] * a[:, k, :, None] * a[:, k, None, :]
+                for k in range(2))
     assert np.all(np.abs(recon - cov) <= 1e-9 * lam_big[:, None, None])
 
 
 def test_eigen_sign_determinism():
-    runs = [eigen2x2_batch(3.0, 2.0, 3.0) for _ in range(3)]
+    runs = [screen_frame(3.0, 2.0, 3.0) for _ in range(3)]
     for r in runs[1:]:
-        assert np.array_equal(r, runs[0])
-    # Largest-magnitude component of each eigenvector is positive, for the
-    # solver's e1 and for both axes prepare_splats pairs with the window.
-    # The second matrix's major axis lies nearer y, so its raw perpendicular
-    # (-e1y, e1x) has a negative leading component and must be flipped.
+        for got, want in zip(r, runs[0]):
+            assert np.array_equal(got, want)
+    # axes[k] has a positive k-th component, which is its largest in
+    # magnitude: for the solve and for the frame prepare_splats keeps. The
+    # second matrix's major axis lies nearer y, so x pairs with the minor one.
     for cxx, cxy, cyy in ((2.0, -0.9, 1.0), (1.0, -0.9, 2.0)):
-        _, _, ex, ey = eigen2x2_batch(cxx, cxy, cyy)
-        assert max((ex, ey), key=abs) > 0.0
         sp = ProjectedCloud(mu2d=np.zeros((1, 2)), cxx=[cxx], cxy=[cxy], cyy=[cyy],
                             depth=[1.0], opacity=[0.5], color=np.zeros((1, 3)))
-        prep = prepare_splats(sp)
-        for v in prep.axes[..., 0]:
-            assert v[np.argmax(np.abs(v))] > 0.0
+        for axes in (screen_frame(cxx, cxy, cyy)[4], prepare_splats(sp).axes[..., 0]):
+            for k, v in enumerate(axes):
+                assert v[k] > 0.0 and np.argmax(np.abs(v)) == k
 
 
 def test_eigen_rejects_degenerate():
-    # The reference solver refuses what eigen2x2_batch flags (see below).
+    # The reference solver refuses what screen_frame flags (see below).
     with pytest.raises(DegenerateSplatError):
         eigen2x2(np.array([[1.0, 2.0], [2.0, 1.0]]))  # det < 0
     with pytest.raises(DegenerateSplatError):
@@ -268,17 +269,19 @@ def test_eigen_batch_matches_scalar():
     cyy = s * s * lam_big + c * c * lam_small
     cxy = c * s * (lam_big - lam_small)
 
-    l1, l2, e1x, e1y = eigen2x2_batch(cxx, cxy, cyy)
+    l1, l2, _, _, axes = screen_frame(cxx, cxy, cyy)
     for i in rng.choice(n, size=200, replace=False):
         cov = np.array([[cxx[i], cxy[i]], [cxy[i], cyy[i]]])
         ref = eigen2x2(cov)
         assert l1[i] == pytest.approx(ref.lambda1, rel=1e-12)
         assert l2[i] == pytest.approx(ref.lambda2, rel=1e-12)
-        assert np.allclose([e1x[i], e1y[i]], ref.e1, atol=1e-10)
+        # the lam1 eigenvector is the axis paired with x iff cxx >= cyy
+        e1 = axes[0 if cxx[i] >= cyy[i] else 1, :, i]
+        assert np.allclose(e1, ref.e1, atol=1e-10)
 
 
 def test_eigen_batch_flags_degenerate():
-    l1, l2, _, _ = eigen2x2_batch(
+    l1, l2, _, _, _ = screen_frame(
         np.array([1.0, 1.0, 0.0]),
         np.array([0.0, 2.0, 0.0]),
         np.array([1.0, 1.0, 0.0]),
@@ -286,3 +289,70 @@ def test_eigen_batch_flags_degenerate():
     assert l2[0] > 0.0
     assert l2[1] <= 0.0  # indefinite
     assert l2[2] <= 0.0  # zero matrix
+
+
+# (cxx, cxy, cyy, e0x, e0y): stored covariances of eigenvalues 1 and 1 - a
+# turned by 0.3, 0.9, 1.2 and 2.6 rad, for a = 1e-11, 1e-10, 1e-8, 1e-6 and
+# 1e-3, with the unit eigenvector of each stored matrix that lies within 45
+# degrees of screen x (mpmath, 50 digits), its x component positive
+FRAME_CASES = [
+    (0.9999999999991266, 2.823212600568815e-12, 0.9999999999908733, 0.955335906023262, 0.2955220916661105),
+    (0.999999999993864, 4.869238557273547e-12, 0.999999999996136, 0.7833250712443541, -0.6216122849172364),
+    (0.999999999991313, 3.3773161821961254e-12, 0.9999999999986869, 0.9320397289670386, -0.3623561005793186),
+    (0.9999999999973426, -4.4172736440875964e-12, 0.9999999999926574, 0.8568881627595476, -0.515502353556768),
+    (0.9999999999912668, 2.8232126005688148e-11, 0.9999999999087332, 0.9553364617947288, 0.29552029501462107),
+    (0.9999999999386397, 4.869238557273547e-11, 0.99999999996136, 0.7833270874819254, -0.621609744145862),
+    (0.9999999999131302, 3.377316182196126e-11, 0.9999999999868696, 0.9320391854960792, -0.362357498473269),
+    (0.9999999999734259, -4.417273644087596e-11, 0.9999999999265743, 0.8568886683808462, -0.5155015130923479),
+    (0.999999999126678, 2.8232123811611387e-09, 0.9999999908733219, 0.9553364884505396, 0.29552020884364566),
+    (0.9999999938639894, 4.869238178857725e-09, 0.9999999961360104, 0.7833269113655388, -0.6216099660804396),
+    (0.9999999913130313, 3.3773159197259543e-09, 0.9999999986869685, 0.9320390865317948, -0.36235775302451806),
+    (0.9999999973425834, -4.4172733007965015e-09, 0.9999999926574166, 0.8568887550431795, -0.5155013690384825),
+    (0.9999999126678074, 2.82321236705636e-07, 0.9999990873321924, 0.9553364891280197, 0.2955202066535368),
+    (0.9999993863989525, 4.869238154530994e-07, 0.9999996136010473, 0.7833269096592722, -0.6216099682306055),
+    (0.9999991313031422, 3.377315902852872e-07, 0.9999998686968578, 0.9320390859636287, -0.3623577544859273),
+    (0.9999997342583358, -4.417273278727788e-07, 0.9999992657416643, 0.856888753402019, -0.515501371766491),
+    (0.9999126678074548, 0.0002823212366975179, 0.9990873321925451, 0.9553364891256092, 0.29552020666132933),
+    (0.9993863989526535, 0.000486923815439098, 0.9996136010473464, 0.7833269096274441, -0.6216099682707139),
+    (0.9991313031422293, 0.0003377315902755758, 0.9998686968577706, 0.9320390859672291, -0.36235775447666674),
+    (0.9997342583356502, -0.000441727327860077, 0.9992657416643498, 0.8568887533689601, -0.5155013718214427),
+]
+
+
+def _one_depth_cloud(cxx, cxy, cyy) -> ProjectedCloud:
+    n = len(cxx)
+    return ProjectedCloud(mu2d=np.zeros((n, 2)), cxx=cxx, cxy=cxy, cyy=cyy, depth=np.ones(n),
+                          opacity=np.full(n, 0.5), color=np.zeros((n, 3)))
+
+
+def test_frame_matches_50_digit_eigenvectors():
+    # Near-isotropic splats, where an eigenvector through lam1 - cyy would
+    # lose about eps / a to cancellation: both axes prepare_splats keeps are
+    # within 4e-16 of the exact frame.
+    cxx, cxy, cyy, ex, ey = np.array(FRAME_CASES).T
+    axes = prepare_splats(_one_depth_cloud(cxx, cxy, cyy)).axes
+    assert np.abs(axes[0] - (ex, ey)).max() <= 4e-16
+    assert np.abs(axes[1] - (-ey, ex)).max() <= 4e-16
+
+
+def test_frame_pairs_the_major_axis_with_x_iff_cxx_ge_cyy():
+    # Stored covariances within 2 ulps of 45 degrees: the lam1 eigenvector
+    # lies within 45 degrees of screen x exactly when cxx >= cyy, and the
+    # frame pairs it with x then, whichever way its rounding leans.
+    rows = []
+    for base in (1.0, 0.7, 3.0):
+        near = [base]
+        for toward in (np.inf, -np.inf):
+            near += [np.nextafter(base, toward), np.nextafter(np.nextafter(base, toward), toward)]
+        for f in (0.5, -0.5, 0.3, 0.99, -2.0 / 3.0):
+            rows += [(cxx, f * base, cyy) for cxx in near for cyy in near]
+    cxx, cxy, cyy = np.array(rows).T
+    prep = prepare_splats(_one_depth_cloud(cxx, cxy, cyy))
+    assert len(prep) == len(rows)
+    major_on_x = prep.sigma[0] > prep.sigma[1]
+    assert np.array_equal(major_on_x, cxx >= cyy)
+    # axes[0] is the eigenvector of sigma[0]^2 (eigenvalues up to 6 here):
+    # C a = sigma^2 a to rounding
+    a = prep.axes[0]
+    ca = np.array((cxx * a[0] + cxy * a[1], cxy * a[0] + cyy * a[1]))
+    assert np.abs(ca - prep.sigma[0] ** 2 * a).max() <= 1e-14
