@@ -69,7 +69,9 @@ Each point still meets the same splats in the same order through the same
 elementwise arithmetic, and a point outside a body's box is one that body
 would leave as it is, so neither the boxes, nor the tiles, nor the schedule,
 nor a step's form changes a pixel. The rasterizer calls blend_grid on the
-whole frame, blend_pixel on a single pixel, where every drawn splat is small.
+whole frame, or on each band of its rows (raster), and blend_pixel on a
+single pixel, where every drawn splat is small. blend_grid runs in the
+calling process.
 tests/_reference.py replays the same arithmetic one splat and one window at a
 time (update_window, scalar_alpha_*) as the tests' oracle.
 """
@@ -708,13 +710,18 @@ def blend_grid(
     live = np.ones((ys.size, xs.size), dtype=bool)  # the points not done
     flat_live = live.reshape(-1)
     n_live = p
-    for step in _steps(prep.support_rects(xs, ys, blend.skip, blend.footprint), live):
-        ended = blend.step(prep, step, epsilon)
-        if ended.size:
-            flat_live[ended] = False
-            n_live -= ended.size
-            if n_live == 0:
-                break
+    # gb squares a window's offsets in the splat frame (uv * uv, and a * a in
+    # gaussian_moments_012), which overflow to inf for a window about 1e154 px
+    # from an untruncated splat; that splat's weight there is 0, which skips
+    # the update. One errstate per walk: an entry costs about 1.5-2.3 us.
+    with np.errstate(over="ignore"):
+        for step in _steps(prep.support_rects(xs, ys, blend.skip, blend.footprint), live):
+            ended = blend.step(prep, step, epsilon)
+            if ended.size:
+                flat_live[ended] = False
+                n_live -= ended.size
+                if n_live == 0:
+                    break
 
     return blend.rgb.T.reshape(ys.size, xs.size, 3), blend.residual().reshape(ys.size, xs.size)
 

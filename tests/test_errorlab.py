@@ -174,12 +174,14 @@ def test_true_residual_closed_form_rejections():
 def test_closed_form_truth_of_a_pair_far_apart():
     # A pair 2e200 px apart, each 1e200 px off the pixel: the square of their
     # distance overflows to inf in the product-of-Gaussians prefactor, with
-    # no warning, and the truth is 1. The sweep's center and integrated rows
-    # read it with no error.
+    # no warning, and the truth is 1. Every mode's rows read it with no
+    # error: gb steps the untruncated pair over the pixel's window, whose
+    # offsets square to inf in the moment update, where the splat's weight
+    # is 0 and the window is left as it is.
     assert true_residual_transmittance(two_splat_config(0.0, 1.0, offset_y=1e200)) == 1.0
-    config = SweepConfig("mu_x", -1.0, 1.0, 1.0, offset_y=1e200, modes=("center", "integrated"))
+    config = SweepConfig("mu_x", -1.0, 1.0, 1.0, offset_y=1e200)
     rows, summary = run_sweep(config)
-    assert len(rows) == 6 and summary == {"center": 0.0, "integrated": 0.0}
+    assert len(rows) == 9 and summary == {"center": 0.0, "integrated": 0.0, "gb": 0.0}
 
 
 @pytest.mark.parametrize("method", ["auto", "quad"])

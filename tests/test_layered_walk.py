@@ -90,7 +90,9 @@ def test_layer_sort_keys_fit_uint16(monkeypatch):
     # because blend_grid holds a tile to _TILE_POINTS points, and _steps a
     # batch to _TILE_POINTS pairs, or to one small splat's at most
     # _LARGE_POINTS. The largest grids: zoom@x1 in ss at the benchmark's k,
-    # and a blend_pixel at ss_k=256 under 200 splats of sigma 0.01 px.
+    # and a blend_pixel at ss_k=256 under 200 splats of sigma 0.01 px. The
+    # log lives in this process, so the frame is held to one band (one CPU).
+    monkeypatch.setattr(raster, "_cpus", lambda: 1)
     bound = max(blending._TILE_POINTS, blending._LARGE_POINTS)
     assert bound <= 1 << 16
     seen = []

@@ -1,5 +1,10 @@
 """Full-frame rendering tests."""
 
+import os
+import signal
+import time
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from _reference import Splat2D, stack_splats
 from splatlab import blending, raster
 from splatlab.blending import SUPPORT_SIGMA, blend_pixel, prepare_splats
+from splatlab.errorlab import SweepConfig, run_sweep
 from splatlab.raster import (
     Framebuffer,
     render,
@@ -181,7 +187,10 @@ def test_tiles_bound_points_and_cover_frame_once(mode, monkeypatch):
     # into tiles: 19 x 13 both ways, 45 x 2 only across; ss at k=3 holds 9
     # sub-points per pixel. Every leaf (a call that walks the splats) holds
     # at most the budget, the leaves cover each blend point of the frame
-    # exactly once, and the cut changes no byte of the one-tile render.
+    # exactly once, and the cut changes no byte of the one-tile render. The
+    # log lives in this process, so the frame is held to one band (one CPU):
+    # a forked band's calls would not reach it.
+    monkeypatch.setattr(raster, "_cpus", lambda: 1)
     k = 3
     calls = []
     real = blending.blend_grid
@@ -296,6 +305,151 @@ def test_white_splats_partition_unity_property(seed, n, width, height, epsilon):
     for mode in ("center", "integrated", "gb", "ss"):
         rgb, res = blending.blend_grid(prep, xs, ys, mode, epsilon, ss_k=2)
         assert np.abs(rgb + res[..., None] - 1.0).max(initial=0.0) <= 1e-12, mode
+
+
+# --- rendering: row bands in forked processes ---------------------------------
+
+
+@contextmanager
+def deadline(seconds=60):
+    """A TimeoutError in this process after seconds, so that a hung band
+    fails the test; the render kills and reaps its children on the way out."""
+    def expire(signum, frame):
+        raise TimeoutError(f"no result after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def split_every_frame(monkeypatch, cpus):
+    """Force the CPU count and a band budget of one blend point, so that a
+    frame splits into min(cpus, rows) bands; returns the log of forks."""
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(raster, "_cpus", lambda: cpus)
+    monkeypatch.setattr(raster, "_BAND_POINTS", 1)
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+BAND_W, BAND_H = 13, 7  # 7 rows: bands of 3 + 4, 2 + 2 + 3, or 1 each
+
+
+@pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
+@pytest.mark.parametrize("cpus", [1, 2, 3, BAND_H + 1])
+def test_band_split_is_byte_identical(mode, cpus, monkeypatch):
+    rng = np.random.default_rng(31)
+    prep = prepare_splats(random_scene(rng, 30, BAND_W, BAND_H), SUPPORT_SIGMA)
+    xs, ys = np.arange(BAND_W) + 0.5, np.arange(BAND_H) + 0.5
+    rgb, res = blending.blend_grid(prep, xs, ys, mode, ss_k=3)
+    forks = split_every_frame(monkeypatch, cpus)
+    with deadline():
+        fb = render_projected(prep, BAND_W, BAND_H, mode, ss_k=3)
+    assert len(forks) == min(cpus, BAND_H) - 1
+    assert fb.rgb.tobytes() == np.ascontiguousarray(rgb).tobytes()
+    assert fb.residual.tobytes() == np.ascontiguousarray(res).tobytes()
+    assert_no_child_left()
+
+
+def failing_band(monkeypatch, first_row, fail):
+    """blend_grid as render_projected calls it, but fail() in the band that
+    starts at first_row."""
+    real = raster.blend_grid
+
+    def blend(prep, xs, ys, mode, **kw):
+        if ys[0] == first_row + 0.5:
+            fail()
+        return real(prep, xs, ys, mode, **kw)
+
+    monkeypatch.setattr(raster, "blend_grid", blend)
+
+
+def boom():
+    raise ValueError("boom")
+
+
+@pytest.mark.parametrize("fail, why", [
+    (boom, "ValueError: boom"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
+], ids=["raises", "killed"])
+def test_failed_band_raises_naming_it(fail, why, monkeypatch):
+    # 3 bands of the 7 rows: rows 0:2 in this process, 2:4 and 4:7 forked
+    prep = prepare_splats(random_scene(np.random.default_rng(32), 10, BAND_W, BAND_H),
+                          SUPPORT_SIGMA)
+    split_every_frame(monkeypatch, 3)
+    failing_band(monkeypatch, 4, fail)
+    with deadline(), pytest.raises(RuntimeError) as err:
+        render_projected(prep, BAND_W, BAND_H, "gb")
+    assert str(err.value) == f"1 of 3 bands failed; band 2 (rows 4:7) failed: {why}"
+    assert_no_child_left()
+
+
+def test_parent_band_failure_kills_the_children(monkeypatch):
+    # The parent's own band raises while a child's would sleep a minute: the
+    # parent's error comes at once, and no child is left.
+    prep = prepare_splats(random_scene(np.random.default_rng(33), 10, BAND_W, BAND_H),
+                          SUPPORT_SIGMA)
+    split_every_frame(monkeypatch, 2)
+    failing_band(monkeypatch, 3, lambda: time.sleep(60))
+    failing_band(monkeypatch, 0, boom)
+    t0 = time.perf_counter()
+    with deadline(), pytest.raises(ValueError, match="^boom$"):
+        render_projected(prep, BAND_W, BAND_H, "center")
+    assert time.perf_counter() - t0 < 30
+    assert_no_child_left()
+
+
+def test_no_fork_outside_the_split_rule(monkeypatch):
+    # blend_pixel, run_sweep and blend_grid stay in this process, and so does
+    # a frame of fewer than 2 * _BAND_POINTS blend points, however many CPUs.
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(raster, "_cpus", lambda: 64)
+    prep = prepare_splats(random_scene(np.random.default_rng(34), 4, 100, 100), SUPPORT_SIGMA)
+    blend_pixel(prep, (50.5, 50.5), "ss", ss_k=256)
+    run_sweep(SweepConfig("mu_x", -1.0, 1.0, 1.0, modes=("center", "integrated", "gb", "ss")))
+    blending.blend_grid(prep, np.arange(100) + 0.5, np.arange(100) + 0.5, "gb")
+    most = 2 * raster._BAND_POINTS - 1
+    for mode, k, width in (("gb", 1, 100), ("ss", 4, 25)):
+        height = most // (width * k * k)
+        render_projected(prep, width, height, mode, ss_k=k)
+
+
+@pytest.mark.parametrize("no_split", ["one CPU", "no os.fork"])
+def test_one_band_is_one_blend_grid_call(no_split, monkeypatch):
+    calls = []
+    real = raster.blend_grid
+
+    def logged(prep, xs, ys, mode, **kw):
+        calls.append((xs.tolist(), ys.tolist(), mode, kw))
+        return real(prep, xs, ys, mode, **kw)
+
+    split_every_frame(monkeypatch, 1 if no_split == "one CPU" else 4)
+    if no_split == "no os.fork":
+        monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(raster, "blend_grid", logged)
+    prep = prepare_splats(random_scene(np.random.default_rng(35), 10, BAND_W, BAND_H),
+                          SUPPORT_SIGMA)
+    render_projected(prep, BAND_W, BAND_H, "ss", ss_k=3)
+    assert calls == [((np.arange(BAND_W) + 0.5).tolist(), (np.arange(BAND_H) + 0.5).tolist(),
+                      "ss", {"ss_k": 3})]
 
 
 # --- rendering: full 3D pipeline ---------------------------------------------
