@@ -17,7 +17,11 @@ forked children blend one band each, all writing into one anonymous shared
 mmap; with n = 1 that loop is one blend_grid call on the whole frame, and no
 fork. A band is a blend_grid call on a sub-grid of rows, whose points meet
 the same splats in the same order through the same arithmetic, so the split
-changes no pixel. The children's memory is not in the parent's
+changes no pixel, and any process can blend a band again to the same bits.
+So the parent blends again every band whose child did not exit 0 or whose
+fork failed: a split frame has the pixels and the exceptions of one
+blend_grid call, and a killed child or a failed fork costs only time
+(RenderStats.n_bands_redone). The children's memory is not in the parent's
 resource.getrusage(RUSAGE_SELF) ru_maxrss; RUSAGE_CHILDREN reports the
 largest child's. blend_grid and blend_pixel stay single-process.
 
@@ -53,13 +57,19 @@ _BAND_POINTS = 10_000
 
 @dataclass
 class RenderStats:
+    """What a render did: n_input splats in the scene; n_culled_near and
+    n_culled_nonfinite culled by project_cloud (near plane, non-finite
+    projection) and n_culled_degenerate by prepare_splats; n_drawn whose
+    support box holds a pixel center (a mode that skips low alpha steps some
+    of them over no pixel); n_bands_redone row bands the parent blended again
+    as no child finished them; wall_time, render's seconds with projection."""
+
     n_input: int = 0
     n_culled_near: int = 0
     n_culled_nonfinite: int = 0
     n_culled_degenerate: int = 0
-    # splats whose support box holds at least one pixel center; a mode that
-    # skips low alpha steps some of them over no pixel
     n_drawn: int = 0
+    n_bands_redone: int = 0
     wall_time: float = 0.0
 
 
@@ -91,45 +101,11 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _fork_band(blend, band: int) -> tuple[int, int]:
-    """Fork a child that runs blend(band) and leaves by os._exit, 0 on success;
-    on an exception it writes the exception's type and message to a pipe and
-    leaves with 1. Returns the child's pid and the read end of its pipe."""
-    r, w = os.pipe()
-    try:
-        with warnings.catch_warnings():
-            # Python >= 3.12 warns that fork in a process with threads (OpenBLAS
-            # starts its own at import) may deadlock the child. The child runs
-            # only element-wise NumPy/SciPy code, makes no BLAS call, and
-            # leaves by os._exit.
-            warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
-                                    DeprecationWarning)
-            pid = os.fork()
-    except BaseException:
-        os.close(r)
-        os.close(w)
-        raise
-    if pid == 0:
-        code = 1
-        try:
-            os.close(r)
-            blend(band)
-            code = 0
-        except BaseException as exc:
-            os.write(w, f"{type(exc).__name__}: {exc}".encode(errors="replace"))
-        finally:
-            os._exit(code)
-    os.close(w)
-    return pid, r
-
-
 def _blend_bands(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, mode: str, ss_k):
     """blend_grid over the grid ys x xs, its rows cut into bands as the module
-    docstring says, into one shared buffer; returns rgb (ny, nx, 3) and
-    residual (ny, nx). A failed child band raises a RuntimeError that names
-    it, after every child has been reaped; an exception in the parent kills
-    and reaps the children before it propagates. mode and ss_k are checked
-    before any fork."""
+    docstring says, into one shared buffer. Returns rgb (ny, nx, 3), residual
+    (ny, nx) and the number of bands the parent blended again because no child
+    finished them. mode and ss_k are checked before any fork."""
     check_mode(mode)
     k = check_ss_k(ss_k) if mode == "ss" else 1
     ny, nx = ys.size, xs.size
@@ -142,30 +118,43 @@ def _blend_bands(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, mode: str
         rows = slice(edges[band], edges[band + 1])
         rgb[rows], res[rows] = blend_grid(prep, xs, ys[rows], mode, ss_k=ss_k)
 
-    children = {}  # band -> (pid, read end of its error pipe)
-    failed = []
+    children = {}  # pid -> band
+    redo = []  # bands no child finished
     try:
         for band in range(1, n):
-            children[band] = _fork_band(blend, band)
+            try:
+                with warnings.catch_warnings():
+                    # Python >= 3.12 warns that fork in a process with threads
+                    # (OpenBLAS starts its own at import) may deadlock the
+                    # child. The child runs only element-wise NumPy/SciPy
+                    # code, makes no BLAS call, and leaves by os._exit.
+                    warnings.filterwarnings("ignore", r".*use of fork\(\) may lead to deadlocks",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                redo.append(band)
+                continue
+            if pid == 0:
+                try:
+                    blend(band)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            children[pid] = band
         blend(0)
-        for band, (pid, fd) in list(children.items()):
-            why = b"".join(iter(lambda: os.read(fd, 1 << 16), b"")).decode(errors="replace")
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del children[band]
-            os.close(fd)
-            if code:
-                why = why or (f"killed by signal {-code}" if code < 0 else f"exit status {code}")
-                failed.append(f"band {band} (rows {edges[band]}:{edges[band + 1]}) failed: {why}")
+        for pid in list(children):
+            if os.waitpid(pid, 0)[1]:
+                redo.append(children[pid])
+            del children[pid]
     finally:
-        for pid, fd in children.values():
+        for pid in children:
             with suppress(ProcessLookupError):
                 os.kill(pid, signal.SIGKILL)
             with suppress(ChildProcessError):
                 os.waitpid(pid, 0)
-            os.close(fd)
-    if failed:
-        raise RuntimeError(f"{len(failed)} of {n} bands failed; " + "; ".join(failed))
-    return rgb, res
+    for band in sorted(redo):
+        blend(band)
+    return rgb, res, len(redo)
 
 
 def render_projected(
@@ -178,23 +167,26 @@ def render_projected(
 ) -> Framebuffer:
     """Render splats prepared by prepare_splats, whose support_sigma sets their
     truncation (render uses SUPPORT_SIGMA); any other input is a TypeError.
-    width and height are integers >= 1. Points terminate at EPSILON_DEFAULT;
-    blend_grid takes any other epsilon.
+    width and height are integers >= 1 whose frame buffer, 32 bytes a pixel,
+    fits in sys.maxsize bytes. Points terminate at EPSILON_DEFAULT; blend_grid
+    takes any other epsilon.
 
     A frame of at least 2 * _BAND_POINTS blend points (pixels, times ss_k**2
-    in ss) on a POSIX process that may run on several CPUs is blended in
-    bands of rows, the parent's and those of forked children, which change
-    no pixel (see the module docstring); the children are reaped before this
-    returns or raises, and their memory is not in the parent's ru_maxrss.
-    Any other frame is one blend_grid call."""
+    in ss) on a POSIX process that may run on several CPUs is blended in row
+    bands by forked children and the parent, which blends again any band no
+    child finished (stats.n_bands_redone; see the module docstring). Either
+    way this returns the pixels and raises the exceptions of one blend_grid
+    call on the whole frame, and reaps every child first; the children's
+    memory is not in the parent's ru_maxrss."""
     if not isinstance(prep, PreparedSplats):
         raise TypeError(f"render_projected takes a PreparedSplats, not {type(prep).__name__}; "
                         "prepare it with prepare_splats(projected, SUPPORT_SIGMA)")
     check_image_size(width, height)
     xs = np.arange(width) + 0.5
     ys = np.arange(height) + 0.5
-    rgb, res = _blend_bands(prep, xs, ys, mode, ss_k)
+    rgb, res, n_redone = _blend_bands(prep, xs, ys, mode, ss_k)
     fb = Framebuffer(rgb=rgb, residual=res)
+    fb.stats.n_bands_redone = n_redone
     x0, x1, y0, y1 = prep.support_rects(xs, ys)
     fb.stats.n_drawn = int(np.count_nonzero((x0 < x1) & (y0 < y1)))
     fb.stats.n_culled_degenerate = prep.n_culled_degenerate

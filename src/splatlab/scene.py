@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,10 +47,15 @@ def is_count(value) -> bool:
 
 
 def check_image_size(width, height) -> None:
-    """ValueError naming width or height unless both are integers >= 1."""
+    """ValueError naming width or height unless both are integers >= 1, and
+    naming both if the frame buffer, 4 float64 (rgb and the residual) per
+    pixel, would exceed sys.maxsize bytes."""
     for name, value in (("width", width), ("height", height)):
         if not is_count(value):
             raise ValueError(f"image dimensions must be integers >= 1: {name} is {value!r}")
+    if 32 * int(width) * int(height) > sys.maxsize:
+        raise ValueError(f"image of width {width} and height {height}: its frame buffer "
+                         "would exceed sys.maxsize bytes")
 
 
 class PlyParseError(ValueError):

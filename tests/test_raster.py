@@ -1,5 +1,6 @@
 """Full-frame rendering tests."""
 
+import errno
 import os
 import signal
 import time
@@ -104,6 +105,11 @@ def test_render_rejects_bad_dimensions():
         render_projected(prep, 0, 64)
     with pytest.raises(ValueError, match="dimensions"):
         render_projected(prep, 64, -1)
+    # 4 float64 a pixel: 2**64 pixels overflow sys.maxsize bytes, and NumPy
+    # integers may not wrap around to a small product
+    for side in (2**32, np.int64(2**32)):
+        with pytest.raises(ValueError, match=f"^image of width {2**32} and height {2**32}: "):
+            render_projected(prep, side, side)
 
 
 @pytest.mark.parametrize("width, height, name", [
@@ -363,6 +369,7 @@ def test_band_split_is_byte_identical(mode, cpus, monkeypatch):
     assert len(forks) == min(cpus, BAND_H) - 1
     assert fb.rgb.tobytes() == np.ascontiguousarray(rgb).tobytes()
     assert fb.residual.tobytes() == np.ascontiguousarray(res).tobytes()
+    assert fb.stats.n_bands_redone == 0
     assert_no_child_left()
 
 
@@ -383,19 +390,80 @@ def boom():
     raise ValueError("boom")
 
 
-@pytest.mark.parametrize("fail, why", [
-    (boom, "ValueError: boom"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"killed by signal {int(signal.SIGKILL)}"),
-], ids=["raises", "killed"])
-def test_failed_band_raises_naming_it(fail, why, monkeypatch):
-    # 3 bands of the 7 rows: rows 0:2 in this process, 2:4 and 4:7 forked
-    prep = prepare_splats(random_scene(np.random.default_rng(32), 10, BAND_W, BAND_H),
+def log_bands(monkeypatch):
+    """Wrap raster.blend_grid (as patched so far) and os.waitpid to log, in
+    this process only, the rows of each band blended and the exit code of
+    each child reaped."""
+    log, pid = [], os.getpid()
+    real_blend, real_waitpid = raster.blend_grid, os.waitpid
+
+    def blend(prep, xs, ys, mode, **kw):
+        if os.getpid() == pid:
+            log.append(("blend", int(ys[0]), int(ys[-1]) + 1))
+        return real_blend(prep, xs, ys, mode, **kw)
+
+    def waitpid(child, options):
+        child, status = real_waitpid(child, options)
+        log.append(("reaped", os.waitstatus_to_exitcode(status)))
+        return child, status
+
+    monkeypatch.setattr(raster, "blend_grid", blend)
+    monkeypatch.setattr(os, "waitpid", waitpid)
+    return log
+
+
+def band_scene(seed):
+    return prepare_splats(random_scene(np.random.default_rng(seed), 10, BAND_W, BAND_H),
                           SUPPORT_SIGMA)
+
+
+def test_child_band_error_is_the_serial_error(monkeypatch):
+    # 3 bands of the 7 rows: rows 0:2 in this process, 2:4 and 4:7 forked.
+    # The child of rows 4:7 raises and exits 1; this process blends those
+    # rows again and raises what blend_grid raised there, not a wrapper.
+    prep = band_scene(32)
     split_every_frame(monkeypatch, 3)
-    failing_band(monkeypatch, 4, fail)
-    with deadline(), pytest.raises(RuntimeError) as err:
+    failing_band(monkeypatch, 4, boom)
+    log = log_bands(monkeypatch)
+    with deadline(), pytest.raises(ValueError, match="^boom$"):
         render_projected(prep, BAND_W, BAND_H, "gb")
-    assert str(err.value) == f"1 of 3 bands failed; band 2 (rows 4:7) failed: {why}"
+    assert log == [("blend", 0, 2), ("reaped", 0), ("reaped", 1), ("blend", 4, 7)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("fails", ["child killed", "fork failed"])
+def test_band_no_child_finished_is_redone_by_the_parent(fails, monkeypatch):
+    # Rows 4:7 of 7 in 3 bands: their child SIGKILLs itself, or their
+    # os.fork (the second) raises EAGAIN. This process blends them instead,
+    # to the bytes of one blend_grid call.
+    prep = band_scene(36)
+    xs, ys = np.arange(BAND_W) + 0.5, np.arange(BAND_H) + 0.5
+    rgb, res = blending.blend_grid(prep, xs, ys, "ss", ss_k=3)
+    forks = split_every_frame(monkeypatch, 3)
+    if fails == "child killed":
+        pid = os.getpid()
+
+        def die_in_child():
+            if os.getpid() != pid:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        failing_band(monkeypatch, 4, die_in_child)
+    else:
+        counted_fork = os.fork
+
+        def fork():
+            if len(forks) == 1:
+                forks.append(1)
+                raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+            return counted_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+    with deadline():
+        fb = render_projected(prep, BAND_W, BAND_H, "ss", ss_k=3)
+    assert len(forks) == 2
+    assert fb.rgb.tobytes() == np.ascontiguousarray(rgb).tobytes()
+    assert fb.residual.tobytes() == np.ascontiguousarray(res).tobytes()
+    assert fb.stats.n_bands_redone == 1
     assert_no_child_left()
 
 

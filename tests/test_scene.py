@@ -461,6 +461,15 @@ def test_camera_scaled_names_a_factor_too_large(k):
         make_camera().scaled(k)
 
 
+def test_camera_scaled_names_a_frame_too_large():
+    # 64 * 1e306 pixels is a finite width, but its frame buffer exceeds
+    # sys.maxsize bytes: unchecked, render failed in NumPy with "Maximum
+    # allowed size exceeded", which names no input.
+    with pytest.raises(ValueError, match=r"^image of width \d+ and height \d+: its frame buffer "
+                                         r"would exceed sys.maxsize bytes$"):
+        make_camera().scaled(1e306)
+
+
 def make_cloud(rng, n=50, bands=16):
     q = rng.normal(size=(n, 4))
     return SplatCloud(
