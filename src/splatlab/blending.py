@@ -737,12 +737,14 @@ def blend_pixel(
     blend_grid does, rgb composited over black.
 
     splats is a ProjectedCloud, prepared here untruncated, or a PreparedSplats.
-    pixel gives the pixel's center coordinates (x, y); integrated and gb modes
-    treat the unit square around it as the pixel footprint.
+    pixel gives the pixel's center coordinates (x, y), both finite; integrated
+    and gb modes treat the unit square around it as the pixel footprint.
     """
     xy = np.asarray(pixel, dtype=float).ravel()
     if xy.size != 2:
         raise ValueError(f"pixel must hold 2 coordinates (x, y), not {pixel!r}")
+    if not (isfinite(xy[0]) and isfinite(xy[1])):
+        raise ValueError(f"pixel must be finite, not {pixel!r}")
     prep = splats if isinstance(splats, PreparedSplats) else prepare_splats(splats)
     rgb, res = blend_grid(prep, xy[:1], xy[1:], mode, epsilon, ss_k)
     return rgb[0, 0], float(res[0, 0])

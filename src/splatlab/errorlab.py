@@ -15,7 +15,9 @@ it.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,37 +69,22 @@ def two_splat_config(mu_x: float, sigma: float, opacity: float = 1.0,
                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0])
 
 
-def _axis_params(splats: ProjectedCloud) -> list | None:
-    """(mu row, (sigma_x, sigma_y), opacity) per splat, all as Python floats;
-    None when any splat is not axis-aligned."""
-    out = []
-    for mu, xx, xy, yy, o in zip(splats.mu2d.tolist(), splats.cxx.tolist(), splats.cxy.tolist(),
-                                 splats.cyy.tolist(), splats.opacity.tolist()):
-        if abs(xy) > ISO_TOL * math.sqrt(xx * yy):
-            return None
-        out.append((mu, (math.sqrt(xx), math.sqrt(yy)), o))
-    return out
-
-
-def _alpha_integral(mu, sigma, o) -> float:
-    # integral over [-0.5, 0.5]^2 of o * exp(-sum over the axes of (x-mu)^2 / 2 sigma^2)
-    ix = gaussian_i0(sigma[0], -0.5 - mu[0], 0.5 - mu[0])
-    iy = gaussian_i0(sigma[1], -0.5 - mu[1], 0.5 - mu[1])
-    return o * float(ix) * float(iy)
-
-
-def _pair_integral(mu1, s1, o1, mu2, s2, o2) -> float:
-    # integral of alpha1*alpha2: the product of two unnormalized axis-aligned
-    # Gaussians is itself one, separable per axis with 1/sc^2 = 1/p^2 + 1/q^2
-    # for the axis's sigmas p and q, and a distance-dependent prefactor.
-    total = o1 * o2
+def _product_integral(params) -> float:
+    """Integral over the unit pixel at 0 of the product of the alphas of one
+    or two axis-aligned splats, each a (mu row, (sigma_x, sigma_y), opacity)
+    row of Python floats. Per axis, the product of two unnormalized Gaussians
+    of sigmas p and q is one of sigma pq / hypot(p, q) about the
+    sigma-weighted mean, times a prefactor that falls with their distance."""
+    total = math.prod([o for _, _, o in params])
+    (mu0, sigma0, _), rest = params[0], params[1:]
     for ax in range(2):
-        a, b, p, q = mu1[ax], mu2[ax], s1[ax], s2[ax]
-        sc = p * q / math.hypot(p, q)
-        muc = (a * q * q + b * p * p) / (p * p + q * q)
-        d = a - b  # squared by *, which gives inf where float ** raises
-        pref = math.exp(-(d * d) / (2.0 * (p * p + q * q)))
-        total *= pref * float(gaussian_i0(sc, -0.5 - muc, 0.5 - muc))
+        a, p, pref = mu0[ax], sigma0[ax], 1.0
+        for mu, sigma, _ in rest:
+            b, q = mu[ax], sigma[ax]
+            d = a - b  # squared by *, which gives inf where float ** raises
+            pref *= math.exp(-(d * d) / (2.0 * (p * p + q * q)))
+            a, p = (a * q * q + b * p * p) / (p * p + q * q), p * q / math.hypot(p, q)
+        total *= pref * float(gaussian_i0(p, -0.5 - a, 0.5 - a))
     return total
 
 
@@ -105,29 +92,35 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
     """Exact integral of the product transmittance over the unit pixel at 0.
 
     Closed form for up to two axis-aligned splats, |cxy| <= ISO_TOL *
-    sqrt(cxx * cyy) (expansion of (1-a1)(1-a2) with the product-of-Gaussians
-    identity); otherwise, or always when method is "quad", nested adaptive
-    quadrature to 1e-10, over y outside and x inside. Each splat is its y
-    marginal times its conditional Gaussian in x, so at height y the inner
-    integrand is a product of 1D Gaussians. The quadrature breaks at each
-    splat's center y and at its ridge, the conditional mean x given y, so
-    that a thin splat is not stepped over. It imports scipy.integrate on
-    first use.
-    ValueError naming the first splat whose covariance is not positive
-    definite.
+    sqrt(cxx * cyy): the expansion of prod(1 - alpha_i) over the subsets of
+    the splats, each subset's product of Gaussians integrated per axis.
+    Otherwise, or always when method is "quad", nested adaptive quadrature
+    to 1e-10, over y outside and x inside. Each splat is its y marginal
+    times its conditional Gaussian in x, so at height y the inner integrand
+    is a product of 1D Gaussians. The quadrature breaks at each splat's
+    center y and at its ridge, the conditional mean x given y, so that a
+    thin splat is not stepped over. It imports scipy.integrate on first use.
+    TypeError for anything but a ProjectedCloud; ValueError naming the first
+    splat whose covariance is not positive definite.
     """
+    if not isinstance(splats, ProjectedCloud):
+        raise TypeError(f"true_residual_transmittance takes a ProjectedCloud, not "
+                        f"{type(splats).__name__}; pass the cloud that prepare_splats was given")
     if method not in ("auto", "quad"):
         raise ValueError(f"unknown method {method!r}")
-    pd = (splats.cxx > 0.0) & (splats.cxx * splats.cyy - splats.cxy * splats.cxy > 0.0)
-    if not pd.all():
-        raise ValueError(f"covariance of splat {np.argmin(pd)} is not positive definite")
-    params = None if method == "quad" else _axis_params(splats)
-    if params is not None and len(params) <= 2:
+    cloud = list(zip(splats.mu2d.tolist(), splats.cxx.tolist(), splats.cxy.tolist(),
+                     splats.cyy.tolist(), splats.opacity.tolist()))
+    closed = method == "auto" and len(cloud) <= 2  # and every splat axis-aligned
+    for i, (_, xx, xy, yy, _) in enumerate(cloud):
+        if not (xx > 0.0 and xx * yy - xy * xy > 0.0):  # NaN too
+            raise ValueError(f"covariance of splat {i} is not positive definite")
+        closed = closed and abs(xy) <= ISO_TOL * math.sqrt(xx * yy)
+    if closed:
+        params = [(mu, (math.sqrt(xx), math.sqrt(yy)), o) for mu, xx, _, yy, o in cloud]
         total = 1.0
-        for mu, s, o in params:
-            total -= _alpha_integral(mu, s, o)
-        if len(params) == 2:
-            total += _pair_integral(*params[0], *params[1])
+        for r in range(1, len(params) + 1):
+            for subset in itertools.combinations(params, r):
+                total += (-1.0) ** r * _product_integral(subset)
         return total
 
     # per splat, one row (mx, my, g, sx, sy, o): its y marginal, sigma sy about
@@ -135,9 +128,7 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
     # x = mx + (y - my) * g. No inverse covariance, whose exponent cancels on a
     # needle; every square is d * d, since a float ** 2 raises OverflowError
     rows = [(mx, my, xy / yy, math.sqrt((xx * yy - xy * xy) / yy), math.sqrt(yy), o)
-            for (mx, my), xx, xy, yy, o in zip(splats.mu2d.tolist(), splats.cxx.tolist(),
-                                               splats.cxy.tolist(), splats.cyy.tolist(),
-                                               splats.opacity.tolist())]
+            for (mx, my), xx, xy, yy, o in cloud]
 
     from scipy import integrate  # here, not at the top: no render and no closed form needs it
 
@@ -222,6 +213,12 @@ class SweepConfig:
             raise ValueError(f"a sigma sweep needs start > 0, not {self.start!r}")
         if self.sweep_var == "mu_x" and not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, not {self.sigma!r}")
+        # the length of values()' arange, counted before anything is allocated
+        lo, hi = self._bounds()
+        n = (hi + 0.5 * self.step - lo) / self.step
+        if not math.isfinite(n) or math.ceil(n) * 8 > sys.maxsize:
+            raise ValueError(f"start {self.start!r}, stop {self.stop!r} and step {self.step!r} "
+                             f"make {n:.3g} points, too many for one float64 array")
         with np.errstate(over="ignore"):  # an inf value is rejected next
             sigmas = self.values().tolist() if self.sweep_var == "sigma" else [self.sigma]
         i = _first_bad_det(sigmas)
@@ -239,11 +236,16 @@ class SweepConfig:
         check_epsilon(self.epsilon)
         check_ss_k(self.ss_k)
 
-    def values(self) -> np.ndarray:
+    def _bounds(self) -> tuple:
+        # values() steps over [lo, hi]: mu_x itself, or log10 of sigma
         if self.sweep_var == "mu_x":
-            return np.arange(self.start, self.stop + 0.5 * self.step, self.step)
-        lo, hi = math.log10(self.start), math.log10(self.stop)
-        return 10.0 ** np.arange(lo, hi + 0.5 * self.step, self.step)
+            return self.start, self.stop
+        return math.log10(self.start), math.log10(self.stop)
+
+    def values(self) -> np.ndarray:
+        lo, hi = self._bounds()
+        grid = np.arange(lo, hi + 0.5 * self.step, self.step)
+        return grid if self.sweep_var == "mu_x" else 10.0 ** grid
 
 
 def paper_mu_sweep(**overrides) -> SweepConfig:

@@ -729,14 +729,17 @@ def test_blend_grid_ss_names_the_pixel_axis():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
 def test_blend_grid_rejects_nonfinite_axes(bad):
     # Unchecked, blend_pixel((nan, 3.0), "gb") returned the background:
-    # residual 1.0 at a point that is no point.
+    # residual 1.0 at a point that is no point. blend_pixel then named xs or
+    # ys, which its caller never passed; it names the pixel.
     prep = cloud_at_3_sigma()
-    with pytest.raises(ValueError, match=r"^xs must be finite and non-decreasing"):
-        blend_pixel(prep, (bad, 3.0), "gb")
-    with pytest.raises(ValueError, match=r"^ys must be finite and non-decreasing"):
-        blend_pixel(prep, (3.0, bad), "center")
+    for pixel, mode in (((bad, 3.0), "gb"), ((3.0, bad), "center"), ([bad, bad], "integrated")):
+        match = rf"^pixel must be finite, not {re.escape(repr(pixel))}$"
+        with pytest.raises(ValueError, match=match):
+            blend_pixel(prep, pixel, mode)
     with pytest.raises(ValueError, match=r"^xs must be finite and non-decreasing"):
         blend_grid(prep, [10.5, bad, 40.5], [20.5], "integrated")
+    with pytest.raises(ValueError, match=r"^ys must be finite and non-decreasing"):
+        blend_grid(prep, [10.5], [bad], "center")
 
 
 @pytest.mark.parametrize("pixel", [(0.0, 0.0, 1.0), (1.0,), ()])

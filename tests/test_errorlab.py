@@ -14,7 +14,7 @@ import pytest
 import scipy.integrate
 
 from _oracles import residual_one_splat_gl, residual_transmittance_gl
-from splatlab.blending import blend_pixel
+from splatlab.blending import blend_pixel, prepare_splats
 from splatlab.errorlab import (
     PSNR_CAP,
     SweepConfig,
@@ -184,14 +184,36 @@ def test_closed_form_truth_of_a_pair_far_apart():
     assert len(rows) == 9 and summary == {"center": 0.0, "integrated": 0.0, "gb": 0.0}
 
 
+def test_truth_takes_only_a_projected_cloud():
+    # transmittance_error takes a PreparedSplats too; given one, the truth
+    # failed with "'PreparedSplats' object has no attribute 'cxx'".
+    pair = two_splat_config(0.5, 1.0)
+    match = r"^true_residual_transmittance takes a ProjectedCloud, not PreparedSplats; "
+    with pytest.raises(TypeError, match=match):
+        true_residual_transmittance(prepare_splats(pair))
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: gaussian_i0 takes erfc(lo) - erfc(hi) "
+                   "on an interval that does not straddle 0, which cancels for sigma far above it")
+@pytest.mark.parametrize("sigma", [1e8, 1e12, 1e16])
+def test_closed_form_truth_of_a_wide_pair(sigma):
+    # The closed form reads 0.25000000315625653, 0.24997039631879414 and
+    # -0.14548082791577946; the quadrature reads 0.25.
+    pair = two_splat_config(0.5, sigma, opacity=0.5)
+    assert abs(true_residual_transmittance(pair)
+               - true_residual_transmittance(pair, "quad")) <= 1e-9
+
+
 @pytest.mark.parametrize("method", ["auto", "quad"])
 @pytest.mark.parametrize("cov", [(1.0, 2.0, 1.0), (-1.0, 0.0, -1.0), (0.0, 0.0, 0.0),
-                                 (1.0, 1.0, 1.0)],
-                         ids=["indefinite", "negative", "zero", "singular"])
+                                 (1.0, 1.0, 1.0), (1e200, 1e200, 1e200)],
+                         ids=["indefinite", "negative", "zero", "singular", "singular-huge"])
 def test_truth_rejects_covariance_not_positive_definite(cov, method):
     # Unchecked, the indefinite and negative covariances read 0.484 and 0.453
     # with no error; the zero and singular ones failed inside the closed form
-    # or np.linalg.inv, naming no splat. The renderer culls all four.
+    # or np.linalg.inv, naming no splat. The renderer culls all four. The
+    # huge singular one's determinant is inf - inf: NaN, so not positive
+    # definite; the check took it in NumPy and warned of the overflow.
     cxx, cxy, cyy = cov
     splats = ProjectedCloud(mu2d=[[0.1, 0.0]] * 2, cxx=[1.0, cxx], cxy=[0.0, cxy], cyy=[1.0, cyy],
                             depth=[1.0, 2.0], opacity=[0.5, 0.5], color=np.zeros((2, 3)))
@@ -308,6 +330,27 @@ def test_sweep_config_validation():
     # unchecked, this constructed and .values() then failed in log10
     with pytest.raises(ValueError, match="start > 0"):
         paper_sigma_sweep(start=0.0)
+
+
+@pytest.mark.parametrize("make, overrides", [
+    (paper_sigma_sweep, dict(step=1e-300)),
+    (paper_mu_sweep, dict(step=1e-300)),
+    (paper_mu_sweep, dict(start=-1e308, stop=1e308, step=1.0)),
+    (paper_mu_sweep, dict(step=1e-18)),
+], ids=["sigma-step", "mu_x-step", "mu_x-range", "mu_x-just-over"])
+def test_sweep_config_names_a_grid_too_large_for_one_array(make, overrides):
+    # Unchecked, the sigma sweep failed at construction inside NumPy with
+    # "Maximum allowed size exceeded"; the mu_x sweeps constructed, and
+    # values() failed with that or "array is too big". Step 1e-18 makes 6e18
+    # points, 4.8e19 bytes, over sys.maxsize. (Step 1e-17, 4.8e18 bytes, is
+    # under it: that config constructs and values() raises MemoryError.)
+    config = make(step=1.0)
+    kw = {"start": config.start, "stop": config.stop, **overrides}
+    start, stop, step = (re.escape(repr(kw[k])) for k in ("start", "stop", "step"))
+    match = (rf"^start {start}, stop {stop} and step {step} make \S+ points, "
+             r"too many for one float64 array$")
+    with pytest.raises(ValueError, match=match):
+        make(**overrides)
 
 
 @pytest.mark.parametrize("modes, match", [
