@@ -148,7 +148,7 @@ class PreparedSplats:
     aabb: np.ndarray  # (m, 4)
     reach: np.ndarray  # (2, m)
     inv: np.ndarray  # (3, m)
-    n_culled_degenerate: int = 0
+    n_culled_degenerate: int = 0  # splats culled by prepare_splats: screen_frame's lam2 <= 0
 
     def __len__(self) -> int:
         return self.opacity.size
@@ -191,8 +191,8 @@ class PreparedSplats:
 
 
 def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> PreparedSplats:
-    """Solve each splat's screen-paired frame once, cull degenerates, and
-    depth-sort (stable) for blending.
+    """Solve each splat's screen-paired frame once, cull those with no drawable
+    frame (screen_frame's lam2 <= 0), and depth-sort (stable) for blending.
 
     support_sigma (> 0) sets the per-splat support boxes the kernels test
     evaluation points against; the default, inf, leaves the Gaussians
@@ -201,10 +201,8 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
     """
     if not support_sigma > 0:  # NaN too
         raise ValueError(f"support_sigma must be > 0, not {support_sigma!r}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        lam1, lam2, det, sigma, axes = screen_frame(projected.cxx, projected.cxy, projected.cyy)
-        # det's products reach lam1^2; a splat where 2 lam1^2 overflows is culled
-        keep = np.flatnonzero((lam2 > 0.0) & (2.0 * lam1 * lam1 < np.inf))
+    lam1, lam2, det, sigma, axes = screen_frame(projected.cxx, projected.cxy, projected.cyy)
+    keep = np.flatnonzero(lam2 > 0.0)
     # Stable sort keeps input order on depth ties.
     order = keep[np.argsort(projected.depth[keep], kind="stable")]
     mu, color = projected.mu2d.T.take(order, axis=1), projected.color.T.take(order, axis=1)

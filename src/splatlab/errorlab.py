@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +24,7 @@ import numpy as np
 from .blending import (EPSILON_DEFAULT, blend_pixel, check_epsilon, check_mode, check_ss_k,
                        prepare_splats)
 from .scene import ProjectedCloud
-from .splatmath import ISO_TOL, gaussian_i0
+from .splatmath import ISO_TOL, gaussian_i0, has_frame
 
 PSNR_CAP = 99.0
 # the truth's quadrature breaks the pixel at center +- sigma * 4^k below this
@@ -34,29 +33,17 @@ PSNR_CAP = 99.0
 _QUAD_LADDER_PX = 0.01
 
 
-def _first_bad_det(sigmas: list) -> int | None:
-    """Index of the first sigma (a Python float) whose covariance sigma^2 I
-    has no finite determinant sigma^4 > 0, or None. The truth and
-    prepare_splats both take that determinant; in double precision it
-    underflows to 0 below sigma of about 1.3e-81 and overflows above about
-    1.2e77."""
-    for i, s in enumerate(sigmas):
-        var = s * s  # float arithmetic: inf or 0.0, never a numpy warning
-        if not 0.0 < var * var < math.inf:  # NaN too
-            return i
-    return None
-
-
 def iso_cloud(mu, sigma, opacity, color, depth) -> ProjectedCloud:
     """Isotropic screen-space splats, covariance sigma^2 I: mu (m, 2), color
-    (m, 3), sigma (> 0, with a finite sigma^4 > 0), opacity and depth (m,)."""
+    (m, 3), sigma (> 0 and drawable by splatmath.has_frame: about 1.3e-81 to
+    9.7e76), opacity and depth (m,)."""
     sigma = np.asarray(sigma, dtype=float)
     bad = np.flatnonzero(~(sigma > 0.0))  # NaN too
     if bad.size:
         raise ValueError(f"sigma[{bad[0]}] is {sigma.flat[bad[0]]}, must be > 0")
-    i = _first_bad_det(sigma.ravel().tolist())
-    if i is not None:
-        raise ValueError(f"sigma[{i}] is {sigma.flat[i]}, its sigma^4 is not a finite value > 0")
+    for i, s in enumerate(sigma.ravel().tolist()):
+        if not has_frame(s * s, 0.0, s * s):
+            raise ValueError(f"sigma[{i}] is {s!r}, its covariance sigma^2 I has no drawable frame")
     var = np.square(sigma)
     return ProjectedCloud(mu2d=mu, cxx=var, cxy=np.zeros_like(var), cyy=var.copy(),
                           depth=depth, opacity=opacity, color=color)
@@ -101,7 +88,8 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
     center y and at its ridge, the conditional mean x given y, so that a
     thin splat is not stepped over. It imports scipy.integrate on first use.
     TypeError for anything but a ProjectedCloud; ValueError naming the first
-    splat whose covariance is not positive definite.
+    splat that prepare_splats culls (splatmath.has_frame), so that the truth
+    integrates exactly the splats that every blend mode draws.
     """
     if not isinstance(splats, ProjectedCloud):
         raise TypeError(f"true_residual_transmittance takes a ProjectedCloud, not "
@@ -112,8 +100,9 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
                      splats.cyy.tolist(), splats.opacity.tolist()))
     closed = method == "auto" and len(cloud) <= 2  # and every splat axis-aligned
     for i, (_, xx, xy, yy, _) in enumerate(cloud):
-        if not (xx > 0.0 and xx * yy - xy * xy > 0.0):  # NaN too
-            raise ValueError(f"covariance of splat {i} is not positive definite")
+        if not has_frame(xx, xy, yy):
+            raise ValueError(f"covariance of splat {i}, ({xx!r}, {xy!r}, {yy!r}), has no "
+                             "drawable frame, so every blend mode culls it")
         closed = closed and abs(xy) <= ISO_TOL * math.sqrt(xx * yy)
     if closed:
         params = [(mu, (math.sqrt(xx), math.sqrt(yy)), o) for mu, xx, _, yy, o in cloud]
@@ -213,20 +202,24 @@ class SweepConfig:
             raise ValueError(f"a sigma sweep needs start > 0, not {self.start!r}")
         if self.sweep_var == "mu_x" and not self.sigma > 0:
             raise ValueError(f"sigma must be > 0, not {self.sigma!r}")
-        # the length of values()' arange, counted before anything is allocated
-        lo, hi = self._bounds()
-        n = (hi + 0.5 * self.step - lo) / self.step
-        if not math.isfinite(n) or math.ceil(n) * 8 > sys.maxsize:
+        # the grid, built once: mu_x itself, or log10 of sigma
+        lo, hi = ((self.start, self.stop) if self.sweep_var == "mu_x"
+                  else (math.log10(self.start), math.log10(self.stop)))
+        try:
+            grid = np.arange(lo, hi + 0.5 * self.step, self.step)
+        except (ValueError, MemoryError) as err:  # NumPy sizes it before allocating
             raise ValueError(f"start {self.start!r}, stop {self.stop!r} and step {self.step!r} "
-                             f"make {n:.3g} points, too many for one float64 array")
-        with np.errstate(over="ignore"):  # an inf value is rejected next
-            sigmas = self.values().tolist() if self.sweep_var == "sigma" else [self.sigma]
-        i = _first_bad_det(sigmas)
-        if i is not None:
-            raise ValueError(f"sigma {sigmas[i]!r}: its sigma^4 is not a finite value > 0")
+                             f"make a grid too large for one array: {err}") from None
+        if self.sweep_var == "sigma":
+            with np.errstate(over="ignore"):  # an inf value is rejected next
+                grid = 10.0 ** grid
+        object.__setattr__(self, "_grid", grid)
+        for s in grid.tolist() if self.sweep_var == "sigma" else [self.sigma]:
+            if not has_frame(s * s, 0.0, s * s):
+                raise ValueError(f"sigma {s!r}: its covariance sigma^2 I has no drawable frame")
         if not 0.0 <= self.opacity <= 1.0:  # NaN too
             raise ValueError(f"opacity must be in [0, 1], not {self.opacity!r}")
-        if isinstance(self.modes, str) or not self.modes:
+        if not isinstance(self.modes, tuple) or not self.modes:
             raise ValueError(f"modes must be a non-empty tuple of mode names, not {self.modes!r}")
         try:
             for mode in self.modes:
@@ -236,16 +229,9 @@ class SweepConfig:
         check_epsilon(self.epsilon)
         check_ss_k(self.ss_k)
 
-    def _bounds(self) -> tuple:
-        # values() steps over [lo, hi]: mu_x itself, or log10 of sigma
-        if self.sweep_var == "mu_x":
-            return self.start, self.stop
-        return math.log10(self.start), math.log10(self.stop)
-
     def values(self) -> np.ndarray:
-        lo, hi = self._bounds()
-        grid = np.arange(lo, hi + 0.5 * self.step, self.step)
-        return grid if self.sweep_var == "mu_x" else 10.0 ** grid
+        """A copy of the grid, built once: the mu_x or the sigma values."""
+        return self._grid.copy()
 
 
 def paper_mu_sweep(**overrides) -> SweepConfig:

@@ -59,10 +59,10 @@ _BAND_POINTS = 10_000
 class RenderStats:
     """What a render did: n_input splats in the scene; n_culled_near and
     n_culled_nonfinite culled by project_cloud (near plane, non-finite
-    projection) and n_culled_degenerate by prepare_splats; n_drawn whose
-    support box holds a pixel center (a mode that skips low alpha steps some
-    of them over no pixel); n_bands_redone row bands the parent blended again
-    as no child finished them; wall_time, render's seconds with projection."""
+    projection), n_culled_degenerate by prepare_splats; n_drawn whose support
+    box holds a pixel center (a mode that skips low alpha steps some over no
+    pixel); n_bands_redone row bands no child finished; wall_time, render's
+    seconds. render_projected leaves n_input, both projection culls and wall_time 0."""
 
     n_input: int = 0
     n_culled_near: int = 0

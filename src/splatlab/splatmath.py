@@ -29,9 +29,9 @@ about 7-30 ns per element, by argument range (scipy 1.17, 2-vCPU x86-64 VM).
 
 gaussian_i0 serves the integrated kernel and errorlab's closed-form truth;
 gaussian_moments_012 serves the gb kernel; screen_frame solves each splat's
-frame once for blending.prepare_splats. ISO_TOL, the one tolerance on a
-covariance's shape, serves screen_frame (isotropy) and errorlab's truth
-(axis alignment).
+frame once for blending.prepare_splats; has_frame, its drawable test on one
+covariance, serves errorlab. ISO_TOL, the one tolerance on a covariance's
+shape, serves screen_frame (isotropy) and errorlab's truth (axis alignment).
 
 tests/_reference.py keeps a case-by-case I0 (gaussian_i0_cases) as the
 tests' bit-identical oracle for gaussian_i0, and a one-matrix-at-a-time
@@ -40,6 +40,8 @@ eigenvectors.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import scipy.special
@@ -88,6 +90,7 @@ def gaussian_moments_012(sigma, a, b):
     return i0, i1, i2
 
 
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def screen_frame(cxx, cxy, cyy):
     """The principal frames of symmetric 2x2 matrices, given as arrays of
     their three unique entries, paired with the screen axes in one closed
@@ -99,8 +102,10 @@ def screen_frame(cxx, cxy, cyy):
     sigma[k] of its eigenvalue. The lam1 eigenvector lies within 45 degrees
     of screen x exactly when cxx >= cyy, and is axes[0] then; axes[1] =
     perp(axes[0]). Within ISO_TOL of isotropic ((lam1 - lam2) / 2 <= ISO_TOL
-    * |lam1|) the axes are the screen axes. Degenerate entries come back with
-    lam2 <= 0; callers cull on that.
+    * |lam1|) the axes are the screen axes. A matrix with no drawable frame
+    (not positive definite in this arithmetic, or 2 lam1^2, the kernels'
+    largest product, or lam1 / det, the inverse's, not finite) comes back with
+    lam2 <= 0 and no warning; prepare_splats culls it; has_frame tests one matrix.
     """
     cxx = np.asarray(cxx, dtype=float)
     cxy = np.asarray(cxy, dtype=float)
@@ -109,10 +114,10 @@ def screen_frame(cxx, cxy, cyy):
     disc = np.hypot(half_diff, cxy)
     lam1 = 0.5 * (cxx + cyy) + disc
     det = cxx * cyy - cxy * cxy
+    drawable = (lam1 > 0.0) & (det > 0.0) & (2.0 * lam1 * lam1 < np.inf) & (lam1 / det < np.inf)
+    lam2 = np.where(drawable, det / lam1, -1.0)  # > 0, since lam1 / det is finite
     on_x = cxx >= cyy
-    with np.errstate(divide="ignore", invalid="ignore"):  # a degenerate sigma reads NaN
-        lam2 = np.where(lam1 > 0.0, det / np.where(lam1 > 0.0, lam1, 1.0), -1.0)
-        sigma = np.sqrt(np.where(on_x, (lam1, lam2), (lam2, lam1)))
+    sigma = np.sqrt(np.where(on_x, (lam1, lam2), (lam2, lam1)))
     # the x-paired eigenvector; both terms of its x component are >= 0, so
     # nothing cancels. An isotropic matrix has no principal axis, and its
     # frame must not swing with roundoff in cxy.
@@ -122,3 +127,12 @@ def screen_frame(cxx, cxy, cyy):
     norm = np.hypot(ux, uy)
     ux, uy = ux / norm, uy / norm
     return lam1, lam2, det, sigma, np.array(((ux, uy), (-uy, ux)))
+
+
+def has_frame(cxx: float, cxy: float, cyy: float) -> bool:
+    """screen_frame's lam2 > 0 for one covariance of Python floats, in its
+    expressions: equal when cxy = 0, else up to an ulp of lam1, where
+    math.hypot and np.hypot may round apart. A product overflows to inf."""
+    lam1 = 0.5 * (cxx + cyy) + math.hypot(0.5 * (cxx - cyy), cxy)
+    det = cxx * cyy - cxy * cxy
+    return lam1 > 0.0 and det > 0.0 and 2.0 * lam1 * lam1 < math.inf and lam1 / det < math.inf

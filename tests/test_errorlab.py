@@ -148,13 +148,23 @@ def test_truth_quadrature_finds_thin_splats():
         want = residual_one_splat_gl(tilted.mu2d[0], tilted.cxx[0], tilted.cxy[0], tilted.cyy[0],
                                      0.9, panels)
         assert abs(true_residual_transmittance(tilted) - want) <= 1e-12, (sy, theta)
-    # sigma_x 1e-155 px: its (x - ridge) / sigma_x squared is inf, which a
-    # float ** 2 raises OverflowError on; with the inverse covariance the
-    # quadrature read nan after a roundoff IntegrationWarning
+    # sigma_x 1e-154 px, about the thinnest whose inverse covariance is
+    # finite. Off the pixel, at x = 5, its (x - ridge) / sigma_x squared is
+    # inf, which a float ** 2 raises OverflowError on; with the inverse
+    # covariance the quadrature read nan after a roundoff IntegrationWarning.
+    # At sigma_x 1e-155 px the inverse overflows, so prepare_splats culls the
+    # speck, and the truth names it.
     specks = ProjectedCloud(mu2d=[[0.1, 0.0], [0.3, 0.0], [-0.2, 0.0]],
-                            cxx=[1e-155 * 1e-155, 0.25, 1.0], cxy=[0.0] * 3, cyy=[1.0, 0.5, 0.3],
+                            cxx=[1e-154 * 1e-154, 0.25, 1.0], cxy=[0.0] * 3, cyy=[1.0, 0.5, 0.3],
                             depth=[1.0, 2.0, 3.0], opacity=[0.9, 0.8, 0.7], color=[RED] * 3)
+    assert prepare_splats(specks).n_culled_degenerate == 0
     assert 0.0 < true_residual_transmittance(specks) <= 1.0
+    far = splat((5.0, 0.0), 1e-154, 1.0)
+    assert true_residual_transmittance(far, "quad") == 1.0
+    specks.cxx[0] = 1e-155 * 1e-155
+    assert prepare_splats(specks).n_culled_degenerate == 1
+    with pytest.raises(ValueError, match=r"^covariance of splat 0, \(1e-310, 0.0, 1.0\), has no "):
+        true_residual_transmittance(specks)
 
 
 def test_true_residual_closed_form_rejections():
@@ -213,12 +223,33 @@ def test_truth_rejects_covariance_not_positive_definite(cov, method):
     # with no error; the zero and singular ones failed inside the closed form
     # or np.linalg.inv, naming no splat. The renderer culls all four. The
     # huge singular one's determinant is inf - inf: NaN, so not positive
-    # definite; the check took it in NumPy and warned of the overflow.
+    # definite; a check in NumPy warned of the overflow.
     cxx, cxy, cyy = cov
     splats = ProjectedCloud(mu2d=[[0.1, 0.0]] * 2, cxx=[1.0, cxx], cxy=[0.0, cxy], cyy=[1.0, cyy],
                             depth=[1.0, 2.0], opacity=[0.5, 0.5], color=np.zeros((2, 3)))
-    with pytest.raises(ValueError, match=r"^covariance of splat 1 is not positive definite$"):
+    match = rf"^covariance of splat 1, {re.escape(repr(cov))}, has no drawable frame, so every "
+    with pytest.raises(ValueError, match=match + "blend mode culls it$"):
         true_residual_transmittance(splats, method)
+
+
+@pytest.mark.parametrize("method", ["auto", "quad"])
+@pytest.mark.parametrize("cov", [(1e160, 0.0, 1e160), (1e300, 0.0, 1e-10), (1e155, 0.0, 1e155)],
+                         ids=["huge", "huge-needle", "just-over"])
+def test_truth_rejects_what_every_mode_culls(cov, method):
+    # Positive definite, but 2 lam1^2 overflows, so prepare_splats culls the
+    # splat and every mode reads 1.0. Unchecked, the truth read 0.5, 0.99999
+    # and 0.5 here: a delta T of about 0.5 that no mode caused.
+    cxx, cxy, cyy = cov
+    splats = ProjectedCloud(mu2d=[[0.1, 0.0]], cxx=[cxx], cxy=[cxy], cyy=[cyy], depth=[1.0],
+                            opacity=[0.5], color=np.zeros((1, 3)))
+    assert prepare_splats(splats).n_culled_degenerate == 1
+    with pytest.raises(ValueError, match=r"^covariance of splat 0, .* has no drawable frame"):
+        true_residual_transmittance(splats, method)
+    # the largest of these scales that every mode draws still has a truth
+    kept = ProjectedCloud(mu2d=[[0.1, 0.0]], cxx=[1e153], cxy=[0.0], cyy=[1e153], depth=[1.0],
+                          opacity=[0.5], color=np.zeros((1, 3)))
+    assert prepare_splats(kept).n_culled_degenerate == 0
+    assert true_residual_transmittance(kept, method) == pytest.approx(0.5, abs=1e-12)
 
 
 _IMPORT_GUARD = textwrap.dedent("""
@@ -337,18 +368,19 @@ def test_sweep_config_validation():
     (paper_mu_sweep, dict(step=1e-300)),
     (paper_mu_sweep, dict(start=-1e308, stop=1e308, step=1.0)),
     (paper_mu_sweep, dict(step=1e-18)),
-], ids=["sigma-step", "mu_x-step", "mu_x-range", "mu_x-just-over"])
+    (paper_mu_sweep, dict(step=1e-17)),
+], ids=["sigma-step", "mu_x-step", "mu_x-range", "mu_x-just-over", "mu_x-memory"])
 def test_sweep_config_names_a_grid_too_large_for_one_array(make, overrides):
     # Unchecked, the sigma sweep failed at construction inside NumPy with
     # "Maximum allowed size exceeded"; the mu_x sweeps constructed, and
     # values() failed with that or "array is too big". Step 1e-18 makes 6e18
-    # points, 4.8e19 bytes, over sys.maxsize. (Step 1e-17, 4.8e18 bytes, is
-    # under it: that config constructs and values() raises MemoryError.)
+    # points, 4.8e19 bytes, over sys.maxsize; step 1e-17 makes 6e17, 4.8e18
+    # bytes, under it, and values() raised MemoryError for 4.16 EiB. NumPy
+    # refuses both sizes before it writes anything.
     config = make(step=1.0)
     kw = {"start": config.start, "stop": config.stop, **overrides}
     start, stop, step = (re.escape(repr(kw[k])) for k in ("start", "stop", "step"))
-    match = (rf"^start {start}, stop {stop} and step {step} make \S+ points, "
-             r"too many for one float64 array$")
+    match = rf"^start {start}, stop {stop} and step {step} make a grid too large for one array: "
     with pytest.raises(ValueError, match=match):
         make(**overrides)
 
@@ -358,10 +390,13 @@ def test_sweep_config_names_a_grid_too_large_for_one_array(make, overrides):
     (("gb", "bilinear"), r"^modes \('gb', 'bilinear'\): unknown blend mode 'bilinear'"),
     ("gb", r"^modes must be a non-empty tuple of mode names, not 'gb'$"),
     ((), r"^modes must be a non-empty tuple of mode names, not \(\)$"),
-], ids=["unknown", "one-unknown", "string", "empty"])
+    (["center", "gb"], r"^modes must be a non-empty tuple of mode names, not \['center', 'gb'\]$"),
+], ids=["unknown", "one-unknown", "string", "empty", "list"])
 def test_sweep_config_rejects_bad_modes(modes, match):
     # Unchecked, the config was built, and run_sweep took its first truth and
-    # prepared its splats before it failed with "unknown blend mode 'g'".
+    # prepared its splats before it failed with "unknown blend mode 'g'". A
+    # list ran, but made the frozen config unhashable and unequal to the same
+    # config with a tuple.
     with pytest.raises(ValueError, match=match):
         paper_mu_sweep(modes=modes)
 
@@ -406,10 +441,10 @@ def test_sigma_needs_a_finite_positive_determinant(bad):
     # sigma^4, the determinant that the truth and prepare_splats take, under-
     # or overflows and failed the same two ways.
     shown = re.escape(repr(bad))
-    with pytest.raises(ValueError,
-                       match=rf"^sigma\[1\] is {shown}, its sigma\^4 is not a finite value > 0$"):
+    with pytest.raises(ValueError, match=rf"^sigma\[1\] is {shown}, its covariance sigma\^2 I "
+                                         r"has no drawable frame$"):
         iso_cloud(np.zeros((2, 2)), [1.0, bad], [0.5] * 2, [RED] * 2, [0.0, 1.0])
-    match = rf"^sigma {shown}: its sigma\^4 is not a finite value > 0$"
+    match = rf"^sigma {shown}: its covariance sigma\^2 I has no drawable frame$"
     with pytest.raises(ValueError, match=match):
         paper_mu_sweep(sigma=bad, step=1.0)
     # a sigma sweep checks every value it will run, not only start: its log10
@@ -417,22 +452,42 @@ def test_sigma_needs_a_finite_positive_determinant(bad):
     lo, hi = sorted([bad, 1.0])
     with pytest.raises(ValueError, match=match):
         SweepConfig(sweep_var="sigma", start=lo, stop=hi, step=math.log10(hi / lo))
-    with pytest.raises(ValueError, match=r"^sigma 1e\+78: its sigma\^4 is not a finite value > 0$"):
+    with pytest.raises(ValueError, match=r"^sigma 1e\+77: its covariance sigma\^2 I has no "):
         paper_sigma_sweep(start=1e70, stop=1e80, step=1.0)
     # this grid's last value, 10^308.4, overflows to inf; no warning escapes
     with pytest.raises(ValueError, match=r"^sigma 1e\+300: "):
         paper_sigma_sweep(start=1e300, stop=1.7e308, step=0.4)
 
 
+@pytest.mark.parametrize("bad", [9.8e76, 1.1e77])
+def test_sigma_that_every_mode_culls_is_rejected(bad):
+    # From 9.8e76 up, 2 sigma^4 overflows and prepare_splats culls the splat.
+    # Unchecked, iso_cloud and SweepConfig took sigma up to 1.16e77, and
+    # run_sweep at 1.1e77 read delta T 1.0 at mu_x = 0 in every mode: no mode
+    # drew the pair that the truth integrated.
+    shown = re.escape(repr(bad))
+    with pytest.raises(ValueError, match=rf"^sigma\[1\] is {shown}, its covariance "):
+        iso_cloud(np.zeros((2, 2)), [1.0, bad], [0.5] * 2, [RED] * 2, [0.0, 1.0])
+    with pytest.raises(ValueError, match=rf"^sigma {shown}: its covariance sigma\^2 I has no "):
+        paper_mu_sweep(sigma=bad, step=1.0)
+    var = bad * bad
+    pair = ProjectedCloud(mu2d=np.zeros((2, 2)), cxx=[var] * 2, cxy=[0.0] * 2, cyy=[var] * 2,
+                          depth=[1.0, 2.0], opacity=[0.5] * 2, color=np.zeros((2, 3)))
+    assert prepare_splats(pair).n_culled_degenerate == 2
+
+
 def test_sigma_near_the_determinant_limits_runs_clean():
     # The extremes that pass run through every mode and the truth with no
-    # numpy warning (the suite turns warnings into errors). Only that: at
-    # 1.1e77 the closed form's value is off, since gaussian_i0's erfc
-    # difference cancels when sigma far exceeds the interval.
-    run_sweep(paper_mu_sweep(sigma=1.3e-81, step=3.0, modes=("center", "integrated", "gb", "ss"),
-                             ss_k=4))
-    run_sweep(paper_mu_sweep(sigma=1.1e77, step=3.0, modes=("center", "integrated", "gb", "ss"),
-                             ss_k=4))
+    # numpy warning (the suite turns warnings into errors), and no mode culls
+    # a splat. Only that: at 9.7e76 the closed form's value at mu_x = +-3 is
+    # off, since gaussian_i0's erfc difference cancels when sigma far exceeds
+    # the interval (ROADMAP item 8). (At 1.1e77, which the sweep took before,
+    # prepare_splats culled both splats and mu_x = 0 read delta T 1.0.)
+    for sigma in (1.3e-81, 9.7e76):
+        iso_cloud(np.zeros((1, 2)), [sigma], [0.5], [RED], [0.0])
+        assert prepare_splats(two_splat_config(0.0, sigma)).n_culled_degenerate == 0
+        run_sweep(paper_mu_sweep(sigma=sigma, step=3.0, modes=("center", "integrated", "gb", "ss"),
+                                 ss_k=4))
 
 
 @pytest.mark.parametrize("ss_k", [0, 2.5, True])

@@ -8,6 +8,8 @@ makes; the one-matrix eigen2x2 in _reference.py is the oracle for its
 eigenvalues and eigenvectors, as gaussian_i0_cases there is gaussian_i0's.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,8 +17,9 @@ from hypothesis import given, settings, strategies as st
 from _oracles import moment_quad
 from _reference import DegenerateSplatError, eigen2x2, gaussian_i0_cases
 from splatlab.blending import prepare_splats
+from splatlab.errorlab import true_residual_transmittance
 from splatlab.scene import ProjectedCloud
-from splatlab.splatmath import gaussian_i0, gaussian_moments_012, screen_frame
+from splatlab.splatmath import gaussian_i0, gaussian_moments_012, has_frame, screen_frame
 
 # (k, sigma, a, b, expected) from the quadrature oracle.
 MOMENT_CASES = [
@@ -289,6 +292,48 @@ def test_eigen_batch_flags_degenerate():
     assert l2[0] > 0.0
     assert l2[1] <= 0.0  # indefinite
     assert l2[2] <= 0.0  # zero matrix
+
+
+@st.composite
+def _covariances(draw):
+    """One covariance (cxx, cxy, cyy) as Python floats: half of them sigma1,
+    sigma2 log-uniform in [1e-170, 1e160] turned by theta (0 for an exactly
+    axis-aligned one), which spans both ends of the drawable range; the rest
+    raw triples with zero and negative entries."""
+    if draw(st.booleans()):
+        s1, s2 = (10.0 ** draw(st.floats(-170.0, 160.0)) for _ in range(2))
+        theta = 0.0 if draw(st.booleans()) else draw(st.floats(0.0, math.pi))
+        c, s = math.cos(theta), math.sin(theta)
+        v1, v2 = s1 * s1, s2 * s2
+        return c * c * v1 + s * s * v2, c * s * (v1 - v2), s * s * v1 + c * c * v2
+    entry = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    return draw(entry), draw(st.sampled_from([0.0]) | entry), draw(entry)
+
+
+@settings(max_examples=200)
+@given(_covariances())
+def test_has_frame_is_screen_frames_rule_property(cov):
+    # has_frame is screen_frame's lam2 > 0 on one covariance in Python floats:
+    # the same bits when cxy = 0, and elsewhere apart only where math.hypot
+    # and np.hypot round lam1 apart. The truth takes exactly the splats that
+    # prepare_splats keeps.
+    cxx, cxy, cyy = cov
+    lam1, lam2 = screen_frame(cxx, cxy, cyy)[:2]
+    drawn = has_frame(cxx, cxy, cyy)
+    if drawn != (lam2 > 0.0):
+        assert cxy != 0.0
+        assert 0.5 * (cxx + cyy) + math.hypot(0.5 * (cxx - cyy), cxy) != lam1
+    if not all(math.isfinite(c) for c in cov):
+        return  # a ProjectedCloud takes finite covariances only
+    cloud = ProjectedCloud(mu2d=[[3.0, -2.0]], cxx=[cxx], cxy=[cxy], cyy=[cyy], depth=[1.0],
+                           opacity=[0.5], color=np.zeros((1, 3)))
+    try:
+        true_residual_transmittance(cloud)
+    except ValueError as err:
+        assert not drawn and str(err).startswith("covariance of splat 0, ")
+    else:
+        assert drawn and prepare_splats(cloud).n_culled_degenerate == 0
 
 
 # (cxx, cxy, cyy, e0x, e0y): stored covariances of eigenvalues 1 and 1 - a
