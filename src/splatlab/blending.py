@@ -36,16 +36,16 @@ box, where the step body can change a point. The gb body has no skip and
 takes the support box. The center body (which the ss sub-blends run) and the
 integrated body skip alpha below ALPHA_SKIP, as the 3DGS rasterizer does, and
 take the part of the support box where that alpha can reach ALPHA_SKIP, a box
-made conservative for their rounding (PreparedSplats.support_rects). It cuts
-its grid into near-square tiles of at most _TILE_POINTS blend points (ss
-counts every sub-point), and _steps alone decides the steps of a tile. A
-splat is stepped once per tile its box crosses, and a box crosses fewer
-square tiles than full-width row bands of the same area. There is no
-binning: each tile walks the whole depth-sorted list. Each step is a _Rect or
-a _Gather of live points that carries its splat index j, and each step body
-is written once over both forms. Both read a state array at their points on
-its trailing (point) axis (get), and a per-splat stack at j with the point
-axes its values broadcast over (of).
+made conservative for their rounding (PreparedSplats.support_rects). tiles is
+the one cut of a grid, for blend_grid and the rasterizer alike, into tiles of
+at most _TILE_POINTS blend points (ss counts every sub-point); _steps alone
+decides a tile's steps. A splat is stepped once per tile its box crosses, and
+a box crosses fewer square tiles than full-width row bands of the same area.
+There is no binning: each tile walks the whole depth-sorted list. Each step is
+a _Rect or a _Gather of live points that carries its splat index j, and each
+step body is written once over both forms. Both read a state array at their
+points on its trailing (point) axis (get), and a per-splat stack at j with the
+point axes its values broadcast over (of).
 
 A large splat (a box over 256 points) is one vectorized step over the live
 points of its box, which it fills well on its own. That step is dense when
@@ -68,8 +68,8 @@ with a k-th splat in the batch, with one splat index per point.
 Each point still meets the same splats in the same order through the same
 elementwise arithmetic, and a point outside a body's box is one that body
 would leave as it is, so neither the boxes, nor the tiles, nor the schedule,
-nor a step's form changes a pixel. The rasterizer calls blend_grid on the
-whole frame, or on each band of its rows (raster), and blend_pixel on a
+nor a step's form changes a pixel. The rasterizer calls blend_grid on each
+tile of a frame, in processes of its own (raster), and blend_pixel on a
 single pixel, where every drawn splat is small. blend_grid runs in the
 calling process.
 tests/_reference.py replays the same arithmetic one splat and one window at a
@@ -642,9 +642,23 @@ def _check_axis(name: str, a: np.ndarray, k: int) -> None:
 
 
 def _balanced(n: int, most: int) -> int:
-    """The piece size that cuts n into the fewest near-equal pieces of at
-    most most: ceil(n / ceil(n / most)); n itself (at least 1) when it fits."""
-    return -(-n // -(-n // most)) if n > most else max(n, 1)
+    """The size that cuts n >= 1 into the fewest near-equal pieces of at most most >= 1."""
+    return -(-n // -(-n // most))
+
+
+def tiles(nx: int, ny: int, k: int) -> list:
+    """The tiles of an ny x nx grid of k * k blend points a pixel, as
+    row-major (rows, cols) slice pairs: the whole grid when it holds at most
+    _TILE_POINTS blend points, whatever its width; otherwise balanced tiles
+    of whole pixels that hold at most that many, or of single pixels where
+    one holds more. A tile is at most isqrt(_TILE_POINTS // k**2) pixels
+    wide, so a larger grid no wider is cut into bands of rows."""
+    if nx * ny * k * k <= _TILE_POINTS:
+        return [(slice(0, ny), slice(0, nx))]
+    cols = _balanced(nx, max(isqrt(_TILE_POINTS // (k * k)), 1))
+    rows = _balanced(ny, max(_TILE_POINTS // (cols * k * k), 1))
+    return [(slice(top, top + rows), slice(left, left + cols))
+            for top in range(0, ny, rows) for left in range(0, nx, cols)]
 
 
 def blend_grid(
@@ -661,15 +675,13 @@ def blend_grid(
     or epsilon unless it is finite and >= 0.
 
     Returns rgb (ny, nx, 3), composited over black, and residual (ny, nx),
-    row-major in y; an empty axis gives empty arrays of those shapes. The
-    grid is cut into tiles of whole pixels that hold at most _TILE_POINTS
-    blend points (sub-points in ss), or of single pixels where one pixel
-    holds more; an ss pixel that holds more is blended in tiles of its
-    sub-point grid. A tile is at most isqrt(_TILE_POINTS // k**2) pixels
-    wide, so a grid no wider is cut into bands of rows; widths and heights
-    are balanced. Each tile walks the splats once, front to back, in the steps
-    of _steps. ss blends the k x k sub-points of every pixel in center mode
-    and averages each pixel's block; ss_k must be an integer >= 1.
+    row-major in y; an empty axis gives empty arrays of those shapes. Each
+    tile of tiles(nx, ny, k), one when the grid holds at most _TILE_POINTS
+    blend points (sub-points in ss) whatever its width, walks the splats once,
+    front to back, in the steps of _steps; an ss pixel that holds more is
+    blended in tiles of its sub-point grid. ss blends the k x k sub-points of
+    every pixel in center mode and averages each pixel's block; ss_k must be
+    an integer >= 1.
     """
     check_mode(mode)
     check_epsilon(epsilon)
@@ -678,15 +690,11 @@ def blend_grid(
     ys = np.asarray(ys, dtype=float).reshape(-1)
     _check_axis("xs", xs, k)
     _check_axis("ys", ys, k)
-    cols = _balanced(xs.size, max(isqrt(_TILE_POINTS // (k * k)), 1))
-    rows = _balanced(ys.size, max(_TILE_POINTS // (cols * k * k), 1))
-    if ys.size > rows or xs.size > cols:
+    cut = tiles(xs.size, ys.size, k)
+    if len(cut) > 1:
         rgb, res = np.empty((ys.size, xs.size, 3)), np.empty((ys.size, xs.size))
-        for top in range(0, ys.size, rows):
-            for left in range(0, xs.size, cols):
-                tile = slice(top, top + rows), slice(left, left + cols)
-                rgb[tile], res[tile] = blend_grid(prep, xs[tile[1]], ys[tile[0]], mode, epsilon,
-                                                  ss_k)
+        for tile in cut:
+            rgb[tile], res[tile] = blend_grid(prep, xs[tile[1]], ys[tile[0]], mode, epsilon, ss_k)
         return rgb, res
     if mode == "ss":
         rgb, t = blend_grid(prep, subsample_axis(xs, k), subsample_axis(ys, k), "center", epsilon)

@@ -205,18 +205,21 @@ class SweepConfig:
         # the grid, built once: mu_x itself, or log10 of sigma
         lo, hi = ((self.start, self.stop) if self.sweep_var == "mu_x"
                   else (math.log10(self.start), math.log10(self.stop)))
+        # where arange's span overflows, a quarter scale is exact but for a subnormal lo
+        q = 1.0 if math.isfinite(hi + 0.5 * self.step - lo) else 0.25
         try:
-            grid = np.arange(lo, hi + 0.5 * self.step, self.step)
+            grid = np.arange(lo * q, hi * q + 0.5 * self.step * q, self.step * q)
         except (ValueError, MemoryError) as err:  # NumPy sizes it before allocating
             raise ValueError(f"start {self.start!r}, stop {self.stop!r} and step {self.step!r} "
                              f"make a grid too large for one array: {err}") from None
-        if self.sweep_var == "sigma":
-            with np.errstate(over="ignore"):  # an inf value is rejected next
-                grid = 10.0 ** grid
+        with np.errstate(over="ignore"):  # an inf value is rejected below
+            grid = 10.0 ** grid if self.sweep_var == "sigma" else np.append(lo, grid[1:] / q)
         object.__setattr__(self, "_grid", grid)
         for s in grid.tolist() if self.sweep_var == "sigma" else [self.sigma]:
             if not has_frame(s * s, 0.0, s * s):
                 raise ValueError(f"sigma {s!r}: its covariance sigma^2 I has no drawable frame")
+        if not math.isfinite(grid[-1]):  # a mu_x past the float range
+            raise ValueError(f"mu_x grid of start {self.start!r} and step {self.step!r} overflows")
         if not 0.0 <= self.opacity <= 1.0:  # NaN too
             raise ValueError(f"opacity must be in [0, 1], not {self.opacity!r}")
         if not isinstance(self.modes, tuple) or not self.modes:

@@ -1,25 +1,20 @@
 """Front-to-back full-frame rendering.
 
-A frame is blended by blending.blend_grid over its pixel centers. blend_grid
-cuts it into near-square tiles of whole pixels, walks the depth-sorted splats
-once per tile and steps each splat only over the pixel centers inside its
-box, the part of its support box where the mode's step body can change a
-point. A pixel's result depends on its own center alone, so the tile
-size bounds memory (ss expands every pixel into ss_k**2 sub-points) without
-changing any pixel.
+A frame is blended by blending.blend_grid over its pixel centers, tile by
+tile in the one cut of a grid, blending.tiles: the whole frame when it holds
+at most _TILE_POINTS blend points (pixels, times ss_k**2 in ss), near-square
+tiles otherwise. A pixel's result depends on its own center alone, so the
+tiles change no pixel, and they are independent work.
 
-For the same reason the rows of a frame are independent work. Where os.fork
-exists (POSIX), render_projected cuts a frame's rows into n contiguous bands,
-n the least of: the CPUs the process may run on (os.sched_getaffinity), the
-rows, and the frame's blend points (pixels, times ss_k**2 in ss) over
-_BAND_POINTS. The parent blends the first band with blend_grid and n - 1
-forked children blend one band each, all writing into one anonymous shared
-mmap; with n = 1 that loop is one blend_grid call on the whole frame, and no
-fork. A band is a blend_grid call on a sub-grid of rows, whose points meet
-the same splats in the same order through the same arithmetic, so the split
-changes no pixel, and any process can blend a band again to the same bits.
-So the parent blends again every band whose child did not exit 0 or whose
-fork failed: a split frame has the pixels and the exceptions of one
+Where os.fork exists (POSIX), render_projected deals a frame's T tiles to n
+processes, n the least of T and the CPUs the process may run on
+(os.sched_getaffinity): band i, tiles iT // n to (i + 1)T // n - 1, goes to
+the parent for i = 0 and to a forked child each for the rest, all writing
+into one anonymous shared mmap. So a frame forks exactly when it has more
+than one tile and more than one CPU is available, and its tiles do not
+depend on the CPU count. Any process can blend a band again to the same
+bits, so the parent blends again every band whose child did not exit 0 or
+whose fork failed: a split frame has the pixels and the exceptions of one
 blend_grid call, and a killed child or a failed fork costs only time
 (RenderStats.n_bands_redone). The children's memory is not in the parent's
 resource.getrusage(RUSAGE_SELF) ru_maxrss; RUSAGE_CHILDREN reports the
@@ -42,17 +37,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blending import (SUPPORT_SIGMA, PreparedSplats, blend_grid, check_mode, check_ss_k,
-                       prepare_splats)
+                       prepare_splats, tiles)
 from .scene import Camera, SplatCloud, check_image_size, project_cloud
 
 # diagonal covariance floor (px^2) for center mode; the window modes and the
 # supersample reference run unfiltered
 LOWPASS_CENTER = 0.3
-
-# Blend points (pixels, times ss_k**2 in ss) that each band of a split frame
-# holds at least: a band of fewer would not repay its fork (about 5 ms on a
-# 2-vCPU x86-64 VM, 10 ms at most). A frame of fewer than twice this stays serial.
-_BAND_POINTS = 10_000
 
 
 @dataclass
@@ -61,8 +51,9 @@ class RenderStats:
     n_culled_nonfinite culled by project_cloud (near plane, non-finite
     projection), n_culled_degenerate by prepare_splats; n_drawn whose support
     box holds a pixel center (a mode that skips low alpha steps some over no
-    pixel); n_bands_redone row bands no child finished; wall_time, render's
-    seconds. render_projected leaves n_input, both projection culls and wall_time 0."""
+    pixel); n_bands_redone bands (a band: one process's run of tiles) no child
+    finished; wall_time, render's seconds. render_projected leaves n_input, the
+    projection culls and wall_time 0."""
 
     n_input: int = 0
     n_culled_near: int = 0
@@ -102,21 +93,21 @@ def _cpus() -> int:
 
 
 def _blend_bands(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, mode: str, ss_k):
-    """blend_grid over the grid ys x xs, its rows cut into bands as the module
+    """blend_grid over the tiles of the grid ys x xs, in bands as the module
     docstring says, into one shared buffer. Returns rgb (ny, nx, 3), residual
     (ny, nx) and the number of bands the parent blended again because no child
     finished them. mode and ss_k are checked before any fork."""
     check_mode(mode)
-    k = check_ss_k(ss_k) if mode == "ss" else 1
     ny, nx = ys.size, xs.size
-    n = max(1, min(_cpus(), ny, nx * ny * k * k // _BAND_POINTS)) if hasattr(os, "fork") else 1
-    edges = [ny * i // n for i in range(n + 1)]
+    cut = tiles(nx, ny, check_ss_k(ss_k) if mode == "ss" else 1)
+    n = min(_cpus(), len(cut)) if hasattr(os, "fork") else 1
+    edges = [len(cut) * i // n for i in range(n + 1)]
     out = np.frombuffer(mmap.mmap(-1, 4 * nx * ny * 8), dtype=float)
     rgb, res = out[:3 * nx * ny].reshape(ny, nx, 3), out[3 * nx * ny:].reshape(ny, nx)
 
     def blend(band: int) -> None:
-        rows = slice(edges[band], edges[band + 1])
-        rgb[rows], res[rows] = blend_grid(prep, xs, ys[rows], mode, ss_k=ss_k)
+        for rows, cols in cut[edges[band]:edges[band + 1]]:
+            rgb[rows, cols], res[rows, cols] = blend_grid(prep, xs[cols], ys[rows], mode, ss_k=ss_k)
 
     children = {}  # pid -> band
     redo = []  # bands no child finished
@@ -171,22 +162,18 @@ def render_projected(
     fits in sys.maxsize bytes. Points terminate at EPSILON_DEFAULT; blend_grid
     takes any other epsilon.
 
-    A frame of at least 2 * _BAND_POINTS blend points (pixels, times ss_k**2
-    in ss) on a POSIX process that may run on several CPUs is blended in row
-    bands by forked children and the parent, which blends again any band no
-    child finished (stats.n_bands_redone; see the module docstring). Either
-    way this returns the pixels and raises the exceptions of one blend_grid
-    call on the whole frame, and reaps every child first; the children's
-    memory is not in the parent's ru_maxrss."""
+    A frame of more than one tile (blending.tiles) on a POSIX process that
+    may run on several CPUs is blended in bands of tiles by the parent and
+    forked children (module docstring; stats.n_bands_redone). Either way
+    this returns the pixels and raises the exceptions of one blend_grid call
+    on the whole frame, and reaps every child first."""
     if not isinstance(prep, PreparedSplats):
         raise TypeError(f"render_projected takes a PreparedSplats, not {type(prep).__name__}; "
                         "prepare it with prepare_splats(projected, SUPPORT_SIGMA)")
     check_image_size(width, height)
-    xs = np.arange(width) + 0.5
-    ys = np.arange(height) + 0.5
+    xs, ys = np.arange(width) + 0.5, np.arange(height) + 0.5
     rgb, res, n_redone = _blend_bands(prep, xs, ys, mode, ss_k)
-    fb = Framebuffer(rgb=rgb, residual=res)
-    fb.stats.n_bands_redone = n_redone
+    fb = Framebuffer(rgb=rgb, residual=res, stats=RenderStats(n_bands_redone=n_redone))
     x0, x1, y0, y1 = prep.support_rects(xs, ys)
     fb.stats.n_drawn = int(np.count_nonzero((x0 < x1) & (y0 < y1)))
     fb.stats.n_culled_degenerate = prep.n_culled_degenerate

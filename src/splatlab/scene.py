@@ -432,6 +432,8 @@ def load_ply(path) -> SplatCloud:
         elif n_vertex is not None:
             if tok[1] not in ("float", "float32"):
                 raise PlyParseError(f"{path}: property {tok[2]!r} has type {tok[1]!r}, need float")
+            if tok[2] in props:  # the stride counts both columns, and col would keep the last
+                raise PlyParseError(f"{path}: property {tok[2]!r} is declared twice")
             props.append(tok[2])
     if not fmt_seen:
         raise PlyParseError(f"{path}: missing format line")

@@ -385,6 +385,35 @@ def test_sweep_config_names_a_grid_too_large_for_one_array(make, overrides):
         make(**overrides)
 
 
+@pytest.mark.parametrize("start, stop, step, grid", [
+    (1.7e308, 1.7e308, 1.7e308, [1.7e308]),
+    (1e308, 1.5e308, 1e308, [1e308]),
+    (5e-324, 1.7e308, 1.7e308, [5e-324, 1.7e308]),
+], ids=["one-point-at-the-limit", "one-point", "subnormal-start"])
+def test_sweep_config_builds_a_grid_whose_arange_stop_overflows(start, stop, step, grid):
+    # The arange stop, stop + step / 2, overflows to inf, and NumPy refused
+    # these grids as too large for one array; the grid is built at a quarter
+    # scale, which rounds a subnormal start, so start itself leads it.
+    assert paper_mu_sweep(start=start, stop=stop, step=step).values().tolist() == grid
+
+
+def test_sweep_config_keeps_every_bit_of_a_grid_that_fits():
+    # Only a grid whose arange span overflows is built at a quarter scale;
+    # any other is NumPy's arange to the last bit, a subnormal start included.
+    for start, stop, step in ((-3.0, 3.0, 0.05), (5e-324, 1.0, 0.1), (-1e308, 1e307, 1e307)):
+        got = paper_mu_sweep(start=start, stop=stop, step=step).values()
+        assert got.tobytes() == np.arange(start, stop + 0.5 * step, step).tobytes()
+    lo, hi = math.log10(0.05), math.log10(5.0)
+    got = paper_sigma_sweep().values()
+    assert got.tobytes() == (10.0 ** np.arange(lo, hi + 0.025, 0.05)).tobytes()
+
+
+def test_sweep_config_refuses_a_mu_x_past_the_float_range():
+    # 0, 1e308 and 2e308 lie below stop + step / 2: the last overflows
+    with pytest.raises(ValueError, match=r"^mu_x grid of start 0.0 and step 1e\+308 overflows$"):
+        paper_mu_sweep(start=0.0, stop=1.79e308, step=1e308)
+
+
 @pytest.mark.parametrize("modes, match", [
     (("bogus",), r"^modes \('bogus',\): unknown blend mode 'bogus'; use one of "),
     (("gb", "bilinear"), r"^modes \('gb', 'bilinear'\): unknown blend mode 'bilinear'"),

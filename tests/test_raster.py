@@ -195,21 +195,23 @@ def test_tiles_bound_points_and_cover_frame_once(mode, monkeypatch):
     # at most the budget, the leaves cover each blend point of the frame
     # exactly once, and the cut changes no byte of the one-tile render. The
     # log lives in this process, so the frame is held to one band (one CPU):
-    # a forked band's calls would not reach it.
+    # a forked band's calls would not reach it. It logs render_projected's
+    # own calls, one per tile, and the calls blend_grid makes inside them.
     monkeypatch.setattr(raster, "_cpus", lambda: 1)
     k = 3
     calls = []
     real = blending.blend_grid
 
-    def logged(prep, xs, ys, mode, *args):
+    def logged(prep, xs, ys, mode, *args, **kw):
         call = [xs, ys, mode, 0]
         calls.append(call)
         n = len(calls)
-        out = real(prep, xs, ys, mode, *args)
+        out = real(prep, xs, ys, mode, *args, **kw)
         call[3] = len(calls) - n  # the calls made inside this one
         return out
 
     monkeypatch.setattr(blending, "blend_grid", logged)
+    monkeypatch.setattr(raster, "blend_grid", logged)
     for width, height in ((19, 13), (45, 2)):
         prep = prepare_splats(random_scene(np.random.default_rng(12), 30, width, height),
                               SUPPORT_SIGMA)
@@ -313,7 +315,7 @@ def test_white_splats_partition_unity_property(seed, n, width, height, epsilon):
         assert np.abs(rgb + res[..., None] - 1.0).max(initial=0.0) <= 1e-12, mode
 
 
-# --- rendering: row bands in forked processes ---------------------------------
+# --- rendering: bands of tiles in forked processes ----------------------------
 
 
 @contextmanager
@@ -337,9 +339,18 @@ def assert_no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def split_every_frame(monkeypatch, cpus):
-    """Force the CPU count and a band budget of one blend point, so that a
-    frame splits into min(cpus, rows) bands; returns the log of forks."""
+BAND_W, BAND_H = 13, 7
+# Under a budget of 25 pixels (times k * k blend points each) a BAND_W x
+# BAND_H frame is 6 tiles, 3 columns (5, 5, 3) by 2 rows (4, 3), row-major;
+# each tile by its first (row, column).
+TILE_PX = 25
+TILE_STARTS = [(0, 0), (0, 5), (0, 10), (4, 0), (4, 5), (4, 10)]
+
+
+def split_every_frame(monkeypatch, cpus, k=1):
+    """Force the CPU count and a tile budget of TILE_PX pixels of k * k blend
+    points, so that a BAND_W x BAND_H frame in a mode of k * k points a pixel
+    is dealt to min(cpus, 6) processes; returns the log of forks."""
     forks = []
     real_fork = os.fork
 
@@ -348,38 +359,43 @@ def split_every_frame(monkeypatch, cpus):
         return real_fork()
 
     monkeypatch.setattr(raster, "_cpus", lambda: cpus)
-    monkeypatch.setattr(raster, "_BAND_POINTS", 1)
+    monkeypatch.setattr(blending, "_TILE_POINTS", TILE_PX * k * k)
     monkeypatch.setattr(os, "fork", counted_fork)
     return forks
 
 
-BAND_W, BAND_H = 13, 7  # 7 rows: bands of 3 + 4, 2 + 2 + 3, or 1 each
+def tile_of(xs, ys) -> int:
+    """The index of the tile of a BAND_W x BAND_H frame whose pixels are ys x xs."""
+    return TILE_STARTS.index((int(ys[0]), int(xs[0])))
 
 
 @pytest.mark.parametrize("mode", ["center", "integrated", "gb", "ss"])
-@pytest.mark.parametrize("cpus", [1, 2, 3, BAND_H + 1])
+@pytest.mark.parametrize("cpus", [1, 2, 3, 8])  # 8: more CPUs than tiles
 def test_band_split_is_byte_identical(mode, cpus, monkeypatch):
     rng = np.random.default_rng(31)
     prep = prepare_splats(random_scene(rng, 30, BAND_W, BAND_H), SUPPORT_SIGMA)
     xs, ys = np.arange(BAND_W) + 0.5, np.arange(BAND_H) + 0.5
     rgb, res = blending.blend_grid(prep, xs, ys, mode, ss_k=3)
-    forks = split_every_frame(monkeypatch, cpus)
+    k = 3 if mode == "ss" else 1
+    forks = split_every_frame(monkeypatch, cpus, k)
+    cut = blending.tiles(BAND_W, BAND_H, k)
+    assert [(rows.start, cols.start) for rows, cols in cut] == TILE_STARTS
     with deadline():
         fb = render_projected(prep, BAND_W, BAND_H, mode, ss_k=3)
-    assert len(forks) == min(cpus, BAND_H) - 1
+    assert len(forks) == min(cpus, len(cut)) - 1
     assert fb.rgb.tobytes() == np.ascontiguousarray(rgb).tobytes()
     assert fb.residual.tobytes() == np.ascontiguousarray(res).tobytes()
     assert fb.stats.n_bands_redone == 0
     assert_no_child_left()
 
 
-def failing_band(monkeypatch, first_row, fail):
-    """blend_grid as render_projected calls it, but fail() in the band that
-    starts at first_row."""
+def failing_band(monkeypatch, tiles, fail):
+    """blend_grid as render_projected calls it, but fail() in each of the
+    tiles (indices into TILE_STARTS) of a band."""
     real = raster.blend_grid
 
     def blend(prep, xs, ys, mode, **kw):
-        if ys[0] == first_row + 0.5:
+        if tile_of(xs, ys) in tiles:
             fail()
         return real(prep, xs, ys, mode, **kw)
 
@@ -392,14 +408,14 @@ def boom():
 
 def log_bands(monkeypatch):
     """Wrap raster.blend_grid (as patched so far) and os.waitpid to log, in
-    this process only, the rows of each band blended and the exit code of
-    each child reaped."""
+    this process only, each tile blended and the exit code of each child
+    reaped."""
     log, pid = [], os.getpid()
     real_blend, real_waitpid = raster.blend_grid, os.waitpid
 
     def blend(prep, xs, ys, mode, **kw):
         if os.getpid() == pid:
-            log.append(("blend", int(ys[0]), int(ys[-1]) + 1))
+            log.append(("blend", tile_of(xs, ys)))
         return real_blend(prep, xs, ys, mode, **kw)
 
     def waitpid(child, options):
@@ -418,28 +434,29 @@ def band_scene(seed):
 
 
 def test_child_band_error_is_the_serial_error(monkeypatch):
-    # 3 bands of the 7 rows: rows 0:2 in this process, 2:4 and 4:7 forked.
-    # The child of rows 4:7 raises and exits 1; this process blends those
-    # rows again and raises what blend_grid raised there, not a wrapper.
+    # 3 bands of the 6 tiles: tiles 0-1 in this process, 2-3 and 4-5 forked.
+    # The child of tiles 4-5 raises at tile 4 and exits 1; this process
+    # blends that band again and raises what blend_grid raised there, not a
+    # wrapper.
     prep = band_scene(32)
     split_every_frame(monkeypatch, 3)
-    failing_band(monkeypatch, 4, boom)
+    failing_band(monkeypatch, (4, 5), boom)
     log = log_bands(monkeypatch)
     with deadline(), pytest.raises(ValueError, match="^boom$"):
         render_projected(prep, BAND_W, BAND_H, "gb")
-    assert log == [("blend", 0, 2), ("reaped", 0), ("reaped", 1), ("blend", 4, 7)]
+    assert log == [("blend", 0), ("blend", 1), ("reaped", 0), ("reaped", 1), ("blend", 4)]
     assert_no_child_left()
 
 
 @pytest.mark.parametrize("fails", ["child killed", "fork failed"])
 def test_band_no_child_finished_is_redone_by_the_parent(fails, monkeypatch):
-    # Rows 4:7 of 7 in 3 bands: their child SIGKILLs itself, or their
+    # Tiles 4-5 of 6 in 3 bands: their child SIGKILLs itself, or their
     # os.fork (the second) raises EAGAIN. This process blends them instead,
     # to the bytes of one blend_grid call.
     prep = band_scene(36)
     xs, ys = np.arange(BAND_W) + 0.5, np.arange(BAND_H) + 0.5
     rgb, res = blending.blend_grid(prep, xs, ys, "ss", ss_k=3)
-    forks = split_every_frame(monkeypatch, 3)
+    forks = split_every_frame(monkeypatch, 3, k=3)
     if fails == "child killed":
         pid = os.getpid()
 
@@ -447,7 +464,7 @@ def test_band_no_child_finished_is_redone_by_the_parent(fails, monkeypatch):
             if os.getpid() != pid:
                 os.kill(os.getpid(), signal.SIGKILL)
 
-        failing_band(monkeypatch, 4, die_in_child)
+        failing_band(monkeypatch, (4, 5), die_in_child)
     else:
         counted_fork = os.fork
 
@@ -468,13 +485,13 @@ def test_band_no_child_finished_is_redone_by_the_parent(fails, monkeypatch):
 
 
 def test_parent_band_failure_kills_the_children(monkeypatch):
-    # The parent's own band raises while a child's would sleep a minute: the
-    # parent's error comes at once, and no child is left.
-    prep = prepare_splats(random_scene(np.random.default_rng(33), 10, BAND_W, BAND_H),
-                          SUPPORT_SIGMA)
+    # The parent's own band (tiles 0-2) raises while the child's (tiles 3-5)
+    # would sleep a minute: the parent's error comes at once, and no child
+    # is left.
+    prep = band_scene(33)
     split_every_frame(monkeypatch, 2)
-    failing_band(monkeypatch, 3, lambda: time.sleep(60))
-    failing_band(monkeypatch, 0, boom)
+    failing_band(monkeypatch, (3, 4, 5), lambda: time.sleep(60))
+    failing_band(monkeypatch, (0, 1, 2), boom)
     t0 = time.perf_counter()
     with deadline(), pytest.raises(ValueError, match="^boom$"):
         render_projected(prep, BAND_W, BAND_H, "center")
@@ -482,9 +499,102 @@ def test_parent_band_failure_kills_the_children(monkeypatch):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_frames_tiles_do_not_depend_on_the_cpu_count(cpus, monkeypatch, tmp_path):
+    # Every process appends each tile it blends to one file. On 1 CPU this
+    # process blends the 6 tiles in order; on 2 and 3 it blends the first
+    # 6 // cpus of them, in order, and each child one run of the rest.
+    def blended(cpus):
+        path = tmp_path / f"{cpus}.log"
+        split_every_frame(monkeypatch, cpus)
+        real = raster.blend_grid
+
+        def blend(prep, xs, ys, mode, **kw):
+            with open(path, "a") as f:
+                f.write(f"{os.getpid()} {tile_of(xs, ys)}\n")
+            return real(prep, xs, ys, mode, **kw)
+
+        with monkeypatch.context() as mp:
+            mp.setattr(raster, "blend_grid", blend)
+            with deadline():
+                render_projected(band_scene(37), BAND_W, BAND_H, "integrated")
+        runs = {}
+        for line in path.read_text().splitlines():
+            pid, tile = map(int, line.split())
+            runs.setdefault(pid, []).append(tile)
+        return runs
+
+    serial = blended(1)
+    assert serial == {os.getpid(): list(range(6))}
+    runs = blended(cpus)
+    assert len(runs) == cpus
+    assert runs.pop(os.getpid()) == list(range(6 // cpus))
+    assert sorted(runs.values()) == [list(range(6))[6 * i // cpus:6 * (i + 1) // cpus]
+                                     for i in range(1, cpus)]
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("width, height", [(200, 1), (192, 72)])
+def test_a_grid_within_the_tile_budget_is_one_walk(width, height, monkeypatch):
+    # Both grids hold at most _TILE_POINTS blend points (192 x 72 holds
+    # 13 824) but are wider than a tile cut from a larger grid, 128 pixels:
+    # they are one tile, which blend_grid walks once, and render_projected
+    # blends in this process, however many CPUs.
+    walks = []
+    steps = blending._steps
+
+    def counted_steps(ranges, live):
+        walks.append(live.shape)
+        return steps(ranges, live)
+
+    monkeypatch.setattr(blending, "_steps", counted_steps)
+    monkeypatch.setattr(raster, "_cpus", lambda: 64)
+    prep = prepare_splats(random_scene(np.random.default_rng(38), 10, width, height),
+                          SUPPORT_SIGMA)
+    rgb, res = blending.blend_grid(prep, np.arange(width) + 0.5, np.arange(height) + 0.5,
+                                   "center")
+    fb = render_projected(prep, width, height, "center")
+    assert walks == [(height, width)] * 2
+    assert fb.rgb.tobytes() == rgb.tobytes() and fb.residual.tobytes() == res.tobytes()
+    assert blending.tiles(width, height, 1) == [(slice(0, height), slice(0, width))]
+
+
+@pytest.mark.parametrize("mode, k, width, height, over", [
+    ("gb", 1, 128, 128, 0),
+    ("gb", 1, 145, 113, 1),
+    ("ss", 4, 32, 32, 0),
+    ("ss", 4, 33, 32, 512),
+])
+def test_a_frame_forks_exactly_above_the_tile_budget(mode, k, width, height, over, monkeypatch):
+    # On 2 CPUs a frame of _TILE_POINTS blend points (sub-points in ss) is
+    # one tile and stays in this process; one of over more is two tiles, and
+    # forks once.
+    assert width * height * k * k == blending._TILE_POINTS + over
+    forks = []
+    real_fork = os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(raster, "_cpus", lambda: 2)
+    prep = prepare_splats(random_scene(np.random.default_rng(39), 10, width, height),
+                          SUPPORT_SIGMA)
+    rgb, res = blending.blend_grid(prep, np.arange(width) + 0.5, np.arange(height) + 0.5,
+                                   mode, ss_k=k)
+    with deadline():
+        fb = render_projected(prep, width, height, mode, ss_k=k)
+    assert len(forks) == (1 if over else 0)
+    assert len(blending.tiles(width, height, k)) == len(forks) + 1
+    assert fb.rgb.tobytes() == rgb.tobytes() and fb.residual.tobytes() == res.tobytes()
+    assert_no_child_left()
+
+
 def test_no_fork_outside_the_split_rule(monkeypatch):
     # blend_pixel, run_sweep and blend_grid stay in this process, and so does
-    # a frame of fewer than 2 * _BAND_POINTS blend points, however many CPUs.
+    # a frame of at most _TILE_POINTS blend points, one tile whatever its
+    # width, however many CPUs.
     def no_fork():
         raise AssertionError("forked")
 
@@ -493,15 +603,15 @@ def test_no_fork_outside_the_split_rule(monkeypatch):
     prep = prepare_splats(random_scene(np.random.default_rng(34), 4, 100, 100), SUPPORT_SIGMA)
     blend_pixel(prep, (50.5, 50.5), "ss", ss_k=256)
     run_sweep(SweepConfig("mu_x", -1.0, 1.0, 1.0, modes=("center", "integrated", "gb", "ss")))
-    blending.blend_grid(prep, np.arange(100) + 0.5, np.arange(100) + 0.5, "gb")
-    most = 2 * raster._BAND_POINTS - 1
-    for mode, k, width in (("gb", 1, 100), ("ss", 4, 25)):
+    blending.blend_grid(prep, np.arange(200) + 0.5, np.arange(200) + 0.5, "gb")
+    most = blending._TILE_POINTS
+    for mode, k, width in (("gb", 1, 128), ("center", 1, 200), ("ss", 4, 32)):
         height = most // (width * k * k)
         render_projected(prep, width, height, mode, ss_k=k)
 
 
 @pytest.mark.parametrize("no_split", ["one CPU", "no os.fork"])
-def test_one_band_is_one_blend_grid_call(no_split, monkeypatch):
+def test_one_process_blends_every_tile_in_order(no_split, monkeypatch):
     calls = []
     real = raster.blend_grid
 
@@ -509,15 +619,15 @@ def test_one_band_is_one_blend_grid_call(no_split, monkeypatch):
         calls.append((xs.tolist(), ys.tolist(), mode, kw))
         return real(prep, xs, ys, mode, **kw)
 
-    split_every_frame(monkeypatch, 1 if no_split == "one CPU" else 4)
+    split_every_frame(monkeypatch, 1 if no_split == "one CPU" else 4, k=3)
     if no_split == "no os.fork":
         monkeypatch.delattr(os, "fork")
     monkeypatch.setattr(raster, "blend_grid", logged)
-    prep = prepare_splats(random_scene(np.random.default_rng(35), 10, BAND_W, BAND_H),
-                          SUPPORT_SIGMA)
-    render_projected(prep, BAND_W, BAND_H, "ss", ss_k=3)
-    assert calls == [((np.arange(BAND_W) + 0.5).tolist(), (np.arange(BAND_H) + 0.5).tolist(),
-                      "ss", {"ss_k": 3})]
+    render_projected(band_scene(35), BAND_W, BAND_H, "ss", ss_k=3)
+    xs, ys = np.arange(BAND_W) + 0.5, np.arange(BAND_H) + 0.5
+    assert calls == [(xs[cols].tolist(), ys[rows].tolist(), "ss", {"ss_k": 3})
+                     for rows, cols in blending.tiles(BAND_W, BAND_H, 3)]
+    assert len(calls) == len(TILE_STARTS)
 
 
 # --- rendering: full 3D pipeline ---------------------------------------------

@@ -636,8 +636,11 @@ def test_ply_payload_corruption_raises_only_parse_errors(payload_ply, edit):
     ("element vertex 1\n", "elemenu vertex 1\n", "malformed header line"),
     ("property float f_rest_0\n", "property float f_rest_9\n",
      r"missing vertex properties \['f_rest_0'\]"),
+    # unchecked, the stride counted both columns and x read the second
+    ("property float x\n", "property float x\nproperty float x\n",
+     r": property 'x' is declared twice$"),
 ], ids=["count-x", "count-negative", "count-missing", "format-missing", "property-name-missing",
-        "unknown-keyword", "f_rest-gap"])
+        "unknown-keyword", "f_rest-gap", "property-twice"])
 def test_ply_rejects_malformed_header_lines(tmp_path, old, new, match):
     path = tmp_path / "bad.ply"
     save_ply(path, make_cloud(np.random.default_rng(4), n=1, bands=4))
