@@ -4,12 +4,13 @@ The two-splat sweep places isotropic splats at (mu_x, -offset_y) and
 (mu_x, +offset_y) over the unit pixel centered at the origin and compares each
 blend mode's residual transmittance against the exact integral of the product
 transmittance over the pixel. Splats are ProjectedCloud rows, front to back
-by depth. The truth is closed-form for up to two axis-aligned splats. For the
-rest it takes nested quadrature, reading each splat in one form: its y
-marginal times its conditional Gaussian in x about the ridge, the
-conditional mean x given y. That path imports scipy.integrate on first use,
-so a process that only renders, or only takes the closed form, never loads
-it.
+by depth. The truth is closed-form for up to two axis-aligned splats, each
+subset's product of alphas integrated per axis, with the integrals of every
+subset and axis from one gaussian_i0 call. For the rest it takes nested
+quadrature, reading each splat in one form: its y marginal times its
+conditional Gaussian in x about the ridge, the conditional mean x given y.
+That path imports scipy.integrate on first use, so a process that only
+renders, or only takes the closed form, never loads it.
 """
 
 from __future__ import annotations
@@ -56,14 +57,16 @@ def two_splat_config(mu_x: float, sigma: float, opacity: float = 1.0,
                      [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [1.0, 2.0])
 
 
-def _product_integral(params) -> float:
-    """Integral over the unit pixel at 0 of the product of the alphas of one
-    or two axis-aligned splats, each a (mu row, (sigma_x, sigma_y), opacity)
-    row of Python floats. Per axis, the product of two unnormalized Gaussians
-    of sigmas p and q is one of sigma pq / hypot(p, q) about the
-    sigma-weighted mean, times a prefactor that falls with their distance."""
-    total = math.prod([o for _, _, o in params])
-    (mu0, sigma0, _), rest = params[0], params[1:]
+def _product_gaussian(subset):
+    """One subset of axis-aligned splats, each a (mu row, (sigma_x, sigma_y),
+    opacity) row of Python floats, as one Gaussian: the product of their
+    opacities and, per axis, the (prefactor, sigma, mean) of the product of
+    their alphas, all Python floats. Per axis, the product of two
+    unnormalized Gaussians of sigmas p and q is one of sigma pq / hypot(p, q)
+    about the sigma-weighted mean, times a prefactor that falls with their
+    distance."""
+    (mu0, sigma0, _), rest = subset[0], subset[1:]
+    axes = []
     for ax in range(2):
         a, p, pref = mu0[ax], sigma0[ax], 1.0
         for mu, sigma, _ in rest:
@@ -71,8 +74,8 @@ def _product_integral(params) -> float:
             d = a - b  # squared by *, which gives inf where float ** raises
             pref *= math.exp(-(d * d) / (2.0 * (p * p + q * q)))
             a, p = (a * q * q + b * p * p) / (p * p + q * q), p * q / math.hypot(p, q)
-        total *= pref * float(gaussian_i0(p, -0.5 - a, 0.5 - a))
-    return total
+        axes.append((pref, p, a))
+    return math.prod([o for _, _, o in subset]), axes
 
 
 def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") -> float:
@@ -80,7 +83,8 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
 
     Closed form for up to two axis-aligned splats, |cxy| <= ISO_TOL *
     sqrt(cxx * cyy): the expansion of prod(1 - alpha_i) over the subsets of
-    the splats, each subset's product of Gaussians integrated per axis.
+    the splats, each subset's product of Gaussians integrated per axis, all
+    subsets' x and y integrals in one gaussian_i0 call.
     Otherwise, or always when method is "quad", nested adaptive quadrature
     to 1e-10, over y outside and x inside. Each splat is its y marginal
     times its conditional Gaussian in x, so at height y the inner integrand
@@ -106,10 +110,17 @@ def true_residual_transmittance(splats: ProjectedCloud, method: str = "auto") ->
         closed = closed and abs(xy) <= ISO_TOL * math.sqrt(xx * yy)
     if closed:
         params = [(mu, (math.sqrt(xx), math.sqrt(yy)), o) for mu, xx, _, yy, o in cloud]
+        subsets = [s for r in range(1, len(params) + 1) for s in itertools.combinations(params, r)]
+        folds = [_product_gaussian(s) for s in subsets]
+        # one I0 call for every subset and axis; I0 works element by element, so no bit moves
+        factors = [f for _, axes in folds for f in axes]  # (pref, sigma, mean), x then y
+        sigma, mean = np.array([p for _, p, _ in factors]), np.array([a for _, _, a in factors])
+        i0 = iter(gaussian_i0(sigma, -0.5 - mean, 0.5 - mean).tolist())
         total = 1.0
-        for r in range(1, len(params) + 1):
-            for subset in itertools.combinations(params, r):
-                total += (-1.0) ** r * _product_integral(subset)
+        for subset, (term, axes) in zip(subsets, folds):
+            for pref, _, _ in axes:
+                term *= pref * next(i0)
+            total += (-1.0) ** len(subset) * term
         return total
 
     # per splat, one row (mx, my, g, sx, sy, o): its y marginal, sigma sy about

@@ -8,15 +8,20 @@ tests as a step-by-step oracle for that path:
   update_window, scalar_alpha_*   blending.blend_grid / _WindowBlend.step
   _fallback_blend                 _WindowBlend._fallback, in the splat frame
   gaussian_i0_cases               splatmath.gaussian_i0
+  residual_closed_form            errorlab.true_residual_transmittance's
+                                  closed form, bit for bit
   eigen2x2                        splatmath.screen_frame
   eval_sh                         scene.eval_sh_batch
   project_splat                   scene.project_cloud
   project_cloud_einsum            scene.project_cloud, bit for bit
 
-They share only the 1D closed-form moments (splatmath.gaussian_moments_012)
-and the module constants with the package; those are checked against
-quadrature in _oracles.py. project_cloud_einsum also calls
-scene.eval_sh_batch: it pins the bits of the projection, not of the SH color.
+They share only the 1D closed-form moments (splatmath.gaussian_moments_012
+and gaussian_i0) and the module constants with the package; those are
+checked against quadrature in _oracles.py. residual_closed_form calls
+gaussian_i0 once per subset and axis, where the truth makes one call for
+all of them: gaussian_i0 works element by element, so the two agree bit
+for bit. project_cloud_einsum also calls scene.eval_sh_batch: it pins the
+bits of the projection, not of the SH color.
 _fallback_blend keeps the center Gaussian in its frame form, exp(-((u /
 sigma1)^2 + (v / sigma2)^2) / 2), where the package evaluates it once, from
 the inverse covariance (_alpha_center): an oracle independent of that form.
@@ -32,6 +37,8 @@ stack_splats turns a list of them into the ProjectedCloud the package takes.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -40,7 +47,7 @@ import scipy.special
 
 from splatlab.blending import ALPHA_MAX, GUARD_LO, MIN_SIDE
 from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud, eval_sh_batch
-from splatlab.splatmath import ISO_TOL, SQRT2, SQRT_HALF_PI, gaussian_moments_012
+from splatlab.splatmath import ISO_TOL, SQRT2, SQRT_HALF_PI, gaussian_i0, gaussian_moments_012
 
 # --- one screen-space splat ---------------------------------------------------
 
@@ -90,6 +97,43 @@ def gaussian_i0_cases(sigma, a, b):
     if np.any(neg):
         out = np.where(neg, scipy.special.erfc(-sb) - scipy.special.erfc(-sa), out)
     return SQRT_HALF_PI * sigma * out
+
+
+# --- closed-form truth --------------------------------------------------------
+
+
+def _product_integral(params) -> float:
+    """Integral over the unit pixel at 0 of the product of the alphas of one
+    or two axis-aligned splats, each a (mu row, (sigma_x, sigma_y), opacity)
+    row of Python floats. Per axis, the product of two unnormalized Gaussians
+    of sigmas p and q is one of sigma pq / hypot(p, q) about the
+    sigma-weighted mean, times a prefactor that falls with their distance."""
+    total = math.prod([o for _, _, o in params])
+    (mu0, sigma0, _), rest = params[0], params[1:]
+    for ax in range(2):
+        a, p, pref = mu0[ax], sigma0[ax], 1.0
+        for mu, sigma, _ in rest:
+            b, q = mu[ax], sigma[ax]
+            d = a - b  # squared by *, which gives inf where float ** raises
+            pref *= math.exp(-(d * d) / (2.0 * (p * p + q * q)))
+            a, p = (a * q * q + b * p * p) / (p * p + q * q), p * q / math.hypot(p, q)
+        total *= pref * float(gaussian_i0(p, -0.5 - a, 0.5 - a))
+    return total
+
+
+def residual_closed_form(splats: ProjectedCloud) -> float:
+    """The integral over the unit pixel at 0 of prod(1 - alpha_i) for up to
+    two axis-aligned splats, one subset and one axis at a time: 1 plus
+    (-1)^r times the integral of each r-subset's product of alphas.
+    errorlab.true_residual_transmittance must equal it bit for bit."""
+    params = [(mu, (math.sqrt(xx), math.sqrt(yy)), o)
+              for mu, xx, yy, o in zip(splats.mu2d.tolist(), splats.cxx.tolist(),
+                                       splats.cyy.tolist(), splats.opacity.tolist())]
+    total = 1.0
+    for r in range(1, len(params) + 1):
+        for subset in itertools.combinations(params, r):
+            total += (-1.0) ** r * _product_integral(subset)
+    return total
 
 
 # --- 2x2 eigen-solve ----------------------------------------------------------

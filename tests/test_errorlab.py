@@ -12,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.integrate
+from hypothesis import given, settings, strategies as st
 
 from _oracles import residual_one_splat_gl, residual_transmittance_gl
+from _reference import residual_closed_form
 from splatlab.blending import blend_pixel, prepare_splats
 from splatlab.errorlab import (
     PSNR_CAP,
@@ -66,6 +68,33 @@ def test_true_residual_trivials():
     assert type(true_residual_transmittance(two_splat_config(0.5, 1.0))) is float
     far = iso_cloud([[30.0, 0.0]], [1.0], [1.0], [RED], [1.0])
     assert true_residual_transmittance(far) == pytest.approx(1.0, abs=1e-12)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0), st.floats(-3.0, 3.0),
+                          st.floats(-3.0, 3.0), st.floats(0.0, 1.0, exclude_min=True)),
+                max_size=2))
+def test_closed_form_truth_is_the_per_subset_form_property(rows):
+    # The truth integrates every subset's x and y factor in one gaussian_i0
+    # call; the reference calls it once per subset and axis. Axis-aligned
+    # clouds of 0 to 2 splats, sigma 1e-3..1e3 px per axis, the mean within
+    # 5 px of the pixel.
+    mu = np.array([(x, y) for x, y, _, _, _ in rows]).reshape(-1, 2)
+    sx, sy = 10.0 ** np.array([(lx, ly) for _, _, lx, ly, _ in rows]).reshape(-1, 2).T
+    splats = ProjectedCloud(mu2d=mu, cxx=sx * sx, cxy=np.zeros(len(rows)), cyy=sy * sy,
+                            depth=np.arange(len(rows), dtype=float),
+                            opacity=[o for *_, o in rows], color=np.zeros((len(rows), 3)))
+    assert true_residual_transmittance(splats) == residual_closed_form(splats)
+
+
+def test_closed_form_truth_is_the_per_subset_form_at_the_paper_sweeps():
+    configs = (paper_mu_sweep(), paper_sigma_sweep(), paper_sigma_sweep(start=5.0, stop=20.0))
+    for config in configs:
+        for val in config.values().tolist():
+            mu_x = val if config.sweep_var == "mu_x" else config.mu_x
+            sigma = val if config.sweep_var == "sigma" else config.sigma
+            pair = two_splat_config(mu_x, sigma, config.opacity, config.offset_y)
+            assert true_residual_transmittance(pair) == residual_closed_form(pair), val
 
 
 def test_true_residual_closed_matches_quadrature(quad_calls):
