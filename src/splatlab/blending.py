@@ -197,8 +197,10 @@ def prepare_splats(projected: ProjectedCloud, support_sigma: float = np.inf) -> 
     support_sigma (> 0) sets the per-splat support boxes the kernels test
     evaluation points against; the default, inf, leaves the Gaussians
     untruncated for direct pixel blending, while the rasterizer prepares at
-    SUPPORT_SIGMA.
+    SUPPORT_SIGMA. Anything but a ProjectedCloud is a TypeError.
     """
+    if not isinstance(projected, ProjectedCloud):
+        raise TypeError(f"prepare_splats takes a ProjectedCloud, not {type(projected).__name__}")
     if not support_sigma > 0:  # NaN too
         raise ValueError(f"support_sigma must be > 0, not {support_sigma!r}")
     lam1, lam2, det, sigma, axes = screen_frame(projected.cxx, projected.cxy, projected.cyy)
@@ -742,10 +744,14 @@ def blend_pixel(
     """Blend splats at one pixel, front to back; returns (rgb, residual) as
     blend_grid does, rgb composited over black.
 
-    splats is a ProjectedCloud, prepared here untruncated, or a PreparedSplats.
-    pixel gives the pixel's center coordinates (x, y), both finite; integrated
-    and gb modes treat the unit square around it as the pixel footprint.
+    splats is a ProjectedCloud, prepared here untruncated, or a PreparedSplats
+    (TypeError otherwise). pixel gives the pixel's center coordinates (x, y),
+    both finite; integrated and gb modes treat the unit square around it as
+    the pixel footprint.
     """
+    if not isinstance(splats, (ProjectedCloud, PreparedSplats)):
+        raise TypeError(f"blend_pixel takes a ProjectedCloud or a PreparedSplats, not "
+                        f"{type(splats).__name__}")
     xy = np.asarray(pixel, dtype=float).ravel()
     if xy.size != 2:
         raise ValueError(f"pixel must hold 2 coordinates (x, y), not {pixel!r}")

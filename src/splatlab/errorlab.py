@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blending import (EPSILON_DEFAULT, blend_pixel, check_epsilon, check_mode, check_ss_k,
-                       prepare_splats)
+from .blending import (EPSILON_DEFAULT, PreparedSplats, blend_pixel, check_epsilon, check_mode,
+                       check_ss_k, prepare_splats)
 from .scene import ProjectedCloud
 from .splatmath import ISO_TOL, gaussian_i0, has_frame
 
@@ -170,9 +170,12 @@ def transmittance_error(mode: str, splats, *, epsilon: float = EPSILON_DEFAULT,
     """Delta T = residual transmittance of the mode at the unit pixel at the
     origin minus true_value, the exact one.
 
-    splats is whatever blend_pixel takes: a ProjectedCloud or a PreparedSplats.
+    splats is a ProjectedCloud or a PreparedSplats (TypeError otherwise);
     true_value, finite, is true_residual_transmittance of the ProjectedCloud.
     """
+    if not isinstance(splats, (ProjectedCloud, PreparedSplats)):
+        raise TypeError(f"transmittance_error takes a ProjectedCloud or a PreparedSplats, not "
+                        f"{type(splats).__name__}")
     if not math.isfinite(true_value):
         raise ValueError(f"true_value must be finite, not {true_value!r}")
     _, t_mode = blend_pixel(splats, (0.0, 0.0), mode, epsilon=epsilon, ss_k=ss_k)

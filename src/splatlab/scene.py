@@ -245,9 +245,9 @@ def eval_sh_batch(sh, dirs) -> np.ndarray:
 class ProjectedCloud:
     """Screen-space splats, one array per attribute, row i for splat i.
 
-    Ingest checks every field's shape, rejects NaN and +-inf, and opacity
-    outside [0, 1]. project_cloud keeps the input order of the splats that
-    survive its near-plane and finiteness culls and counts what it dropped.
+    Ingest checks every field's shape and rejects NaN, +-inf, opacity outside
+    [0, 1] and color below 0. project_cloud keeps the input order of the
+    splats that survive its near-plane and finiteness culls, counting the rest.
     """
 
     mu2d: np.ndarray  # (m, 2)
@@ -270,6 +270,8 @@ class ProjectedCloud:
             _check_finite(name, arr)
             setattr(self, name, arr)
         _check_unit("opacity", self.opacity)
+        if (neg := np.flatnonzero((self.color < 0.0).any(axis=1))).size:
+            raise ValueError(f"color[{neg[0]}] is {self.color[neg[0]].tolist()}, below 0")
 
     def __len__(self) -> int:
         return self.mu2d.shape[0]

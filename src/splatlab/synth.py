@@ -97,6 +97,38 @@ def _cloud(*parts) -> SplatCloud:
     return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh_dc(rgb))
 
 
+def _two_planes(cam, seed, *, edge, period, backdrop, back, front, clusters):
+    """The occlusion fixture's six layers on cam, drawn from PCG64(seed) in order.
+
+    Per plane, a one-color backdrop (spacing = sigma = backdrop) saturates
+    opacity so far splat tails never carry visible mass, and a texture layer
+    (the _plane keywords back, front) carries stripes that alias when zoomed
+    out: along y on the back wall, along x on the front plane right of screen
+    x edge, periods (back, front). Then cluster groups on the front plane and
+    on the back wall left of edge, spaced (front, back)."""
+    rng = np.random.default_rng(seed)
+    full, right, rows = (-8, cam.width + 8), (edge, cam.width + 8), (-8, cam.height + 8)
+
+    def back_color(px, py):
+        return _stripes(py, period[0], (0.10, 0.52, 0.48), (0.22, 0.76, 0.26))
+
+    def front_color(px, py):
+        return _stripes(px, period[1], (0.82, 0.16, 0.12), (0.96, 0.66, 0.14))
+
+    return _cloud(
+        _plane(cam, rng, z=4.0, x_range=full, y_range=rows, spacing=backdrop, sigma=backdrop,
+               opacity=1.0, color=(0.14, 0.58, 0.40), jitter=0.0),
+        _plane(cam, rng, z=3.95, x_range=full, y_range=rows, color=back_color, **back),
+        _plane(cam, rng, z=2.05, x_range=right, y_range=rows, spacing=backdrop, sigma=backdrop,
+               opacity=1.0, color=(0.85, 0.38, 0.12), jitter=0.0),
+        _plane(cam, rng, z=2.0, x_range=right, y_range=rows, color=front_color, **front),
+        _clusters(cam, rng, z=1.9, x_range=right, y_range=rows, spacing=clusters[0], sigma=0.07,
+                  opacity=0.92, color=(0.95, 0.90, 0.75)),
+        _clusters(cam, rng, z=3.9, x_range=(-8, edge), y_range=rows, spacing=clusters[1],
+                  sigma=0.07, opacity=0.92, color=(0.90, 0.86, 0.70)),
+    ), cam
+
+
 def two_plane_scene(seed: int = 0):
     """Occlusion fixture: opaque striped front plane over a contrasting back wall.
 
@@ -105,33 +137,9 @@ def two_plane_scene(seed: int = 0):
     overlap structure that shows up when zoomed in. Those two regimes are what
     the multi-scale comparisons exercise.
     """
-    cam = default_camera()
-    rng = np.random.default_rng(seed)
-    w, h = cam.width, cam.height
-
-    def back_color(px, py):
-        return _stripes(py, 8.0, (0.10, 0.52, 0.48), (0.22, 0.76, 0.26))
-
-    def front_color(px, py):
-        return _stripes(px, 6.0, (0.82, 0.16, 0.12), (0.96, 0.66, 0.14))
-
-    # Each plane is a solid one-color backdrop plus a texture layer. The
-    # texture splats carry the color detail and alias when zoomed out; the
-    # backdrops saturate opacity so far splat tails never carry visible mass.
-    return _cloud(
-        _plane(cam, rng, z=4.0, x_range=(-8, w + 8), y_range=(-8, h + 8),
-               spacing=12.0, sigma=12.0, opacity=1.0, color=(0.14, 0.58, 0.40), jitter=0.0),
-        _plane(cam, rng, z=3.95, x_range=(-8, w + 8), y_range=(-8, h + 8),
-               spacing=5.6, sigma=4.0, opacity=0.95, color=back_color),
-        _plane(cam, rng, z=2.05, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
-               spacing=12.0, sigma=12.0, opacity=1.0, color=(0.85, 0.38, 0.12), jitter=0.0),
-        _plane(cam, rng, z=2.0, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
-               spacing=4.9, sigma=3.5, opacity=0.95, color=front_color),
-        _clusters(cam, rng, z=1.9, x_range=(FRONT_EDGE_PX, w + 8), y_range=(-8, h + 8),
-                  spacing=7.0, sigma=0.07, opacity=0.92, color=(0.95, 0.90, 0.75)),
-        _clusters(cam, rng, z=3.9, x_range=(-8, FRONT_EDGE_PX), y_range=(-8, h + 8),
-                  spacing=8.0, sigma=0.07, opacity=0.92, color=(0.90, 0.86, 0.70)),
-    ), cam
+    return _two_planes(default_camera(), seed, edge=FRONT_EDGE_PX, period=(8.0, 6.0),
+                       backdrop=12.0, back=dict(spacing=5.6, sigma=4.0, opacity=0.95),
+                       front=dict(spacing=4.9, sigma=3.5, opacity=0.95), clusters=(7.0, 8.0))
 
 
 def two_plane_zoom_scene(seed: int = 0):
@@ -141,30 +149,10 @@ def two_plane_zoom_scene(seed: int = 0):
     are sub-pixel relative to their training resolution. Rendering this scene
     above x1 is where intra-pixel overlap structure dominates the error.
     """
-    cam = default_camera(width=24, height=18, fx=18.0)
-    rng = np.random.default_rng(seed)
-    w, h, edge = cam.width, cam.height, 10.0
-
-    def back_color(px, py):
-        return _stripes(py, 2.0, (0.10, 0.52, 0.48), (0.22, 0.76, 0.26))
-
-    def front_color(px, py):
-        return _stripes(px, 2.0, (0.82, 0.16, 0.12), (0.96, 0.66, 0.14))
-
-    return _cloud(
-        _plane(cam, rng, z=4.0, x_range=(-8, w + 8), y_range=(-8, h + 8),
-               spacing=10.0, sigma=10.0, opacity=1.0, color=(0.14, 0.58, 0.40), jitter=0.0),
-        _plane(cam, rng, z=3.95, x_range=(-8, w + 8), y_range=(-8, h + 8),
-               spacing=0.55, sigma=0.25, opacity=0.9, color=back_color),
-        _plane(cam, rng, z=2.05, x_range=(edge, w + 8), y_range=(-8, h + 8),
-               spacing=10.0, sigma=10.0, opacity=1.0, color=(0.85, 0.38, 0.12), jitter=0.0),
-        _plane(cam, rng, z=2.0, x_range=(edge, w + 8), y_range=(-8, h + 8),
-               spacing=0.55, sigma=0.25, opacity=0.9, color=front_color),
-        _clusters(cam, rng, z=1.9, x_range=(edge, w + 8), y_range=(-8, h + 8),
-                  spacing=3.0, sigma=0.07, opacity=0.92, color=(0.95, 0.90, 0.75)),
-        _clusters(cam, rng, z=3.9, x_range=(-8, edge), y_range=(-8, h + 8),
-                  spacing=3.5, sigma=0.07, opacity=0.92, color=(0.90, 0.86, 0.70)),
-    ), cam
+    return _two_planes(default_camera(width=24, height=18, fx=18.0), seed, edge=10.0,
+                       period=(2.0, 2.0), backdrop=10.0,
+                       back=dict(spacing=0.55, sigma=0.25, opacity=0.9),
+                       front=dict(spacing=0.55, sigma=0.25, opacity=0.9), clusters=(3.0, 3.5))
 
 
 def random_cloud(seed: int = 0, n: int = 400):

@@ -31,8 +31,16 @@ screen_frame solves the paired frame in one closed form; near isotropy the
 candidates cancel, so its frame is exact only to about eps / anisotropy, and
 the tests compare the two frames with a tolerance.
 
-The scalar code takes one screen-space splat at a time as a Splat2D record;
-stack_splats turns a list of them into the ProjectedCloud the package takes.
+The scalar code takes one screen-space splat at a time as a Splat2D record.
+The fixtures below are not oracles; the test modules share them so that each
+has one definition:
+
+  stack_splats                     Splat2D records as the ProjectedCloud the
+                                   package takes, in list order
+  iso_splat, rot_splat             one Splat2D, isotropic, or with standard
+                                   deviations sig1, sig2 turned by theta
+  assert_pixels_equal_blend_pixel  every pixel of a frame, bit for bit,
+                                   against blending.blend_pixel at its center
 """
 
 from __future__ import annotations
@@ -45,7 +53,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.special
 
-from splatlab.blending import ALPHA_MAX, GUARD_LO, MIN_SIDE
+from splatlab.blending import ALPHA_MAX, GUARD_LO, MIN_SIDE, blend_pixel
 from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud, eval_sh_batch
 from splatlab.splatmath import ISO_TOL, SQRT2, SQRT_HALF_PI, gaussian_i0, gaussian_moments_012
 
@@ -75,6 +83,43 @@ def stack_splats(splats) -> ProjectedCloud:
         opacity=[s.opacity for s in splats],
         color=np.array([s.color for s in splats], dtype=float).reshape(-1, 3),
     )
+
+
+def iso_splat(mu, sig, o, color=(1.0, 0.0, 0.0), depth=1.0) -> Splat2D:
+    """An isotropic splat of standard deviation sig px."""
+    return Splat2D(
+        mu2d=np.asarray(mu, float),
+        cov2d=sig * sig * np.eye(2),
+        depth=depth,
+        opacity=o,
+        color=np.asarray(color, float),
+    )
+
+
+def rot_splat(mu, sig1, sig2, theta, o, color=(1.0, 0.0, 0.0), depth=1.0) -> Splat2D:
+    """A splat of standard deviations sig1 and sig2 px along its axes, the
+    first turned by theta radians from the screen x axis."""
+    c, s = np.cos(theta), np.sin(theta)
+    r = np.array([[c, -s], [s, c]])
+    cov = r @ np.diag([sig1 * sig1, sig2 * sig2]) @ r.T
+    return Splat2D(
+        mu2d=np.asarray(mu, float),
+        cov2d=0.5 * (cov + cov.T),
+        depth=depth,
+        opacity=o,
+        color=np.asarray(color, float),
+    )
+
+
+def assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k, **kw):
+    """Every pixel of the frame fb equals, bit for bit, blend_pixel of prep at
+    its center; kw goes to blend_pixel (epsilon)."""
+    height, width = fb.residual.shape
+    for y in range(height):
+        for x in range(width):
+            rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, ss_k=ss_k, **kw)
+            assert fb.rgb[y, x].tobytes() == rgb.tobytes(), (mode, x, y)
+            assert fb.residual[y, x] == res, (mode, x, y)
 
 
 # --- 1D Gaussian mass ---------------------------------------------------------

@@ -29,7 +29,9 @@ from _reference import (
     eigen2x2,
     init_window,
     integrated_weight,
+    iso_splat,
     paired_axes,
+    rot_splat,
     scalar_alpha_center,
     scalar_alpha_integrated,
     stack_splats,
@@ -53,34 +55,11 @@ from splatlab.blending import (
     prepare_splats,
     subsample_axis,
 )
-from splatlab.errorlab import true_residual_transmittance
+from splatlab.errorlab import transmittance_error, true_residual_transmittance
 from splatlab.scene import ProjectedCloud, project_cloud
 from splatlab.splatmath import screen_frame
 
 PX = (0.5, 0.5)
-
-
-def iso_splat(mu, sig, o, color=(1.0, 0.0, 0.0), depth=1.0):
-    return Splat2D(
-        mu2d=np.asarray(mu, float),
-        cov2d=sig * sig * np.eye(2),
-        depth=depth,
-        opacity=o,
-        color=np.asarray(color, float),
-    )
-
-
-def rot_splat(mu, sig1, sig2, theta, o, color=(1.0, 0.0, 0.0), depth=1.0):
-    c, s = np.cos(theta), np.sin(theta)
-    r = np.array([[c, -s], [s, c]])
-    cov = r @ np.diag([sig1 * sig1, sig2 * sig2]) @ r.T
-    return Splat2D(
-        mu2d=np.asarray(mu, float),
-        cov2d=0.5 * (cov + cov.T),
-        depth=depth,
-        opacity=o,
-        color=np.asarray(color, float),
-    )
 
 
 def random_splat(rng, lo=-1.0, hi=2.0, sig_lo=-1.5, sig_hi=2.0):
@@ -756,6 +735,28 @@ def test_prepare_splats_rejects_support_sigma_not_positive(support_sigma):
     projected = stack_splats([iso_splat(PX, 1.0, 0.5)])
     with pytest.raises(ValueError, match=rf"^support_sigma must be > 0, not {support_sigma!r}$"):
         prepare_splats(projected, support_sigma)
+
+
+ENTRY_POINTS = {
+    "prepare_splats": (prepare_splats, "a ProjectedCloud"),
+    "blend_pixel": (lambda s: blend_pixel(s, PX, "gb"), "a ProjectedCloud or a PreparedSplats"),
+    "transmittance_error": (lambda s: transmittance_error("gb", s, true_value=0.5),
+                            "a ProjectedCloud or a PreparedSplats"),
+}
+
+
+@pytest.mark.parametrize("entry, given", [
+    (entry, given) for entry in ENTRY_POINTS for given in ("list", "dict", "ndarray")
+] + [("prepare_splats", "PreparedSplats")])
+def test_entry_points_name_the_type_they_were_given(entry, given):
+    # A list of splats was the input before ProjectedCloud; given one (or a
+    # dict, or an array), each raised "'list' object has no attribute 'cxx'".
+    one = [iso_splat(PX, 1.0, 0.5)]
+    splats = {"list": one, "dict": {"mu2d": [PX]}, "ndarray": np.zeros((1, 2)),
+              "PreparedSplats": prepare_splats(stack_splats(one))}[given]
+    call, takes = ENTRY_POINTS[entry]
+    with pytest.raises(TypeError, match=rf"^{entry} takes {takes}, not {given}$"):
+        call(splats)
 
 
 def test_check_mode_rejects_an_unknown_mode():

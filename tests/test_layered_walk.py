@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import Splat2D, stack_splats
+from _reference import assert_pixels_equal_blend_pixel, iso_splat, rot_splat, stack_splats
 from splatlab import blending, raster, synth
 from splatlab.blending import ALPHA_SKIP, SUPPORT_SIGMA, blend_grid, blend_pixel, prepare_splats
 from splatlab.raster import Framebuffer, render_projected
@@ -63,15 +63,6 @@ class StepLog:
         return logged_body
 
 
-def assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k, **kw):
-    height, width = fb.residual.shape
-    for y in range(height):
-        for x in range(width):
-            rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, ss_k=ss_k, **kw)
-            assert fb.rgb[y, x].tobytes() == rgb.tobytes(), (mode, x, y)
-            assert fb.residual[y, x] == res, (mode, x, y)
-
-
 @pytest.mark.parametrize("mode", MODES)
 def test_zoom_frame_equals_blend_pixel(mode, monkeypatch):
     # two_plane_zoom at x1: 24x18 pixels under thousands of small splats, the
@@ -107,8 +98,8 @@ def test_layer_sort_keys_fit_uint16(monkeypatch):
     prep = prepare_splats(project_cloud(cloud, cam), SUPPORT_SIGMA)
     render_projected(prep, cam.width, cam.height, "ss", ss_k=8)
     rng = np.random.default_rng(4)
-    specks = stack_splats([iso(rng.uniform(0.05, 0.95, 2), 0.01, 0.5, float(depth), (1, 0, 0))
-                           for depth in range(200)])
+    specks = stack_splats([iso_splat(rng.uniform(0.05, 0.95, 2), 0.01, 0.5, depth=float(depth),
+                                     color=(1, 0, 0)) for depth in range(200)])
     frame = len(seen)
     blend_pixel(prepare_splats(specks, SUPPORT_SIGMA), (0.5, 0.5), "ss", ss_k=256)
     assert 0 < frame < len(seen)  # both reach the layers
@@ -119,16 +110,12 @@ def test_layer_sort_keys_fit_uint16(monkeypatch):
 def test_blend_pixel_steps_splat_by_splat(monkeypatch):
     # On blend_pixel's 1 x 1 grid every depth layer would hold one pair, so a
     # run would save no step: each of the 12 small splats is a step of its own.
-    prep = prepare_splats(stack_splats([iso((0.5, 0.5), 1.0, 0.1, float(depth), (1, 0, 0))
-                                        for depth in range(12)]), SUPPORT_SIGMA)
+    cloud = stack_splats([iso_splat((0.5, 0.5), 1.0, 0.1, depth=float(depth), color=(1, 0, 0))
+                          for depth in range(12)])
+    prep = prepare_splats(cloud, SUPPORT_SIGMA)
     log = StepLog(monkeypatch)
     blend_pixel(prep, (0.5, 0.5), "center")
     assert (log.single, log.layer) == (12, 0)
-
-
-def iso(mu, sigma, opacity, depth, color):
-    return Splat2D(mu2d=np.asarray(mu, float), cov2d=sigma * sigma * np.eye(2), depth=depth,
-                   opacity=opacity, color=np.asarray(color, float))
 
 
 def interleaved_scene(rng, opacity=(0.2, 0.9)):
@@ -138,12 +125,14 @@ def interleaved_scene(rng, opacity=(0.2, 0.9)):
     splats, depth = [], 1.0
     for _ in range(6):
         for _ in range(int(rng.integers(9, 15))):
-            splats.append(iso(rng.uniform([6, 5], [18, 13]), rng.uniform(0.3, 0.8),
-                              rng.uniform(*opacity), depth, rng.uniform(0, 1, 3)))
+            splats.append(iso_splat(rng.uniform([6, 5], [18, 13]), rng.uniform(0.3, 0.8),
+                                    rng.uniform(*opacity), depth=depth,
+                                    color=rng.uniform(0, 1, 3)))
             depth += 1.0
         for _ in range(int(rng.integers(1, 3))):
-            splats.append(iso(rng.uniform([3, 3], [21, 15]), rng.uniform(3.0, 5.0),
-                              rng.uniform(0.1, 0.5), depth, rng.uniform(0, 1, 3)))
+            splats.append(iso_splat(rng.uniform([3, 3], [21, 15]), rng.uniform(3.0, 5.0),
+                                    rng.uniform(0.1, 0.5), depth=depth,
+                                    color=rng.uniform(0, 1, 3)))
             depth += 1.0
     return stack_splats(splats)
 
@@ -201,12 +190,12 @@ def dense_rect_scene():
          half of the box's 1152 points, so both are gathered
     """
     return stack_splats([
-        iso((24, 12), 4.0, 0.5, 1.0, (0.9, 0.2, 0.1)),
-        iso((12, 12), 8.0, 0.99, 2.0, (0.1, 0.8, 0.2)),
-        iso((12, 12), 3.0, 0.6, 3.0, (0.2, 0.3, 0.9)),
-        iso((30, 12), 5.0, 0.5, 4.0, (0.7, 0.7, 0.1)),
-        iso((36, 12), 12.0, 0.4, 5.0, (0.3, 0.1, 0.6)),
-        iso((30, 12), 10.0, 0.4, 6.0, (0.5, 0.5, 0.5)),
+        iso_splat((24, 12), 4.0, 0.5, depth=1.0, color=(0.9, 0.2, 0.1)),
+        iso_splat((12, 12), 8.0, 0.99, depth=2.0, color=(0.1, 0.8, 0.2)),
+        iso_splat((12, 12), 3.0, 0.6, depth=3.0, color=(0.2, 0.3, 0.9)),
+        iso_splat((30, 12), 5.0, 0.5, depth=4.0, color=(0.7, 0.7, 0.1)),
+        iso_splat((36, 12), 12.0, 0.4, depth=5.0, color=(0.3, 0.1, 0.6)),
+        iso_splat((30, 12), 10.0, 0.4, depth=6.0, color=(0.5, 0.5, 0.5)),
     ])
 
 
@@ -246,10 +235,10 @@ def rotated_rect_scene():
          half of the box, and are gathered
     """
     return stack_splats([
-        rotated((14, 12), 6.0, 1.0, math.pi / 6, 0.7, 1.0, (0.9, 0.2, 0.1)),
-        rotated((34, 12), 6.0, 1.0, math.pi / 3, 0.6, 2.0, (0.1, 0.8, 0.2)),
-        rotated((24, 12), 4.8, 0.8, math.pi / 6, 0.99, 3.0, (0.2, 0.3, 0.9)),
-        rotated((24, 12), 60.0, 10.0, math.pi / 3, 0.3, 4.0, (0.5, 0.5, 0.5)),
+        rot_splat((14, 12), 6.0, 1.0, math.pi / 6, 0.7, depth=1.0, color=(0.9, 0.2, 0.1)),
+        rot_splat((34, 12), 6.0, 1.0, math.pi / 3, 0.6, depth=2.0, color=(0.1, 0.8, 0.2)),
+        rot_splat((24, 12), 4.8, 0.8, math.pi / 6, 0.99, depth=3.0, color=(0.2, 0.3, 0.9)),
+        rot_splat((24, 12), 60.0, 10.0, math.pi / 3, 0.3, depth=4.0, color=(0.5, 0.5, 0.5)),
     ])
 
 
@@ -284,8 +273,8 @@ def test_render_bounds_and_band_split_property(seed, n_small, n_large, width, he
     rng = np.random.default_rng(seed)
     sigmas = np.concatenate([rng.uniform(0.3, 1.0, n_small), rng.uniform(3.0, 8.0, n_large)])
     scene = stack_splats([
-        iso(rng.uniform([-2, -2], [width + 2, height + 2]), sigma, rng.uniform(0.05, 1.0),
-            float(depth), rng.uniform(0, 1, 3))
+        iso_splat(rng.uniform([-2, -2], [width + 2, height + 2]), sigma, rng.uniform(0.05, 1.0),
+                  depth=float(depth), color=rng.uniform(0, 1, 3))
         for depth, sigma in zip(rng.permutation(sigmas.size), rng.permutation(sigmas))])
     prep = prepare_splats(scene, SUPPORT_SIGMA)
     for mode in MODES:
@@ -305,14 +294,6 @@ def step_support_boxes(mp):
     support_rects = blending.PreparedSplats.support_rects
     mp.setattr(blending.PreparedSplats, "support_rects",
                lambda self, xs, ys, skip=0.0, footprint=0.0: support_rects(self, xs, ys))
-
-
-def rotated(mu, sig1, sig2, theta, opacity, depth, color):
-    c, s = math.cos(theta), math.sin(theta)
-    r = np.array([[c, -s], [s, c]])
-    cov = r @ np.diag([sig1 * sig1, sig2 * sig2]) @ r.T
-    return Splat2D(mu2d=np.asarray(mu, float), cov2d=0.5 * (cov + cov.T), depth=depth,
-                   opacity=opacity, color=np.asarray(color, float))
 
 
 def ellipse_coords(sp):
@@ -359,8 +340,8 @@ def test_skip_boxes_change_no_pixel_property(seed, n, ss_k, epsilon):
         major = minor * 10.0 ** rng.uniform(0.0, min(9.0, 3.0 - math.log10(minor)))
         opacity = [ALPHA_SKIP * (1.0 - 1e-9), ALPHA_SKIP * (1.0 + 1e-9),
                    rng.uniform(ALPHA_SKIP, 1.0), 1.0][rng.integers(4)]
-        sp = rotated(rng.uniform(-2.0, 2.0, 2), major, minor, rng.uniform(0.0, math.pi), opacity,
-                     float(depth), rng.uniform(0.0, 1.0, 3))
+        sp = rot_splat(rng.uniform(-2.0, 2.0, 2), major, minor, rng.uniform(0.0, math.pi),
+                       opacity, depth=float(depth), color=rng.uniform(0.0, 1.0, 3))
         splats.append(sp)
         sx, sy = ellipse_coords(sp)
         xs += sx

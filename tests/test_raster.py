@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _reference import Splat2D, stack_splats
+from _reference import Splat2D, assert_pixels_equal_blend_pixel, iso_splat, stack_splats
 from splatlab import blending, raster
 from splatlab.blending import SUPPORT_SIGMA, blend_pixel, prepare_splats
 from splatlab.errorlab import SweepConfig, run_sweep
@@ -20,16 +20,6 @@ from splatlab.raster import (
     render_projected,
 )
 from splatlab.scene import Camera, SplatCloud, project_cloud
-
-
-def iso_splat(mu, sig, o, color=(1.0, 0.0, 0.0), depth=1.0):
-    return Splat2D(
-        mu2d=np.asarray(mu, float),
-        cov2d=sig * sig * np.eye(2),
-        depth=depth,
-        opacity=o,
-        color=np.asarray(color, float),
-    )
 
 
 def random_scene(rng, n, width, height, sig_lo=-0.3, sig_hi=1.0):
@@ -154,11 +144,7 @@ def test_matches_brute_force_no_binning():
     prep = prepare_splats(scene, 3.0)
     for mode in ("center", "integrated", "gb", "ss"):
         fb = render_projected(prep, 19, 13, mode, ss_k=3)
-        for y in range(13):
-            for x in range(19):
-                rgb, res = blend_pixel(prep, (x + 0.5, y + 0.5), mode, ss_k=3)
-                assert fb.rgb[y, x].tobytes() == rgb.tobytes(), (mode, x, y)
-                assert fb.residual[y, x] == res, (mode, x, y)
+        assert_pixels_equal_blend_pixel(prep, fb, mode, ss_k=3)
 
 
 def test_truncation_bound_3_to_5_sigma():

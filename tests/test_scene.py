@@ -339,6 +339,18 @@ def test_projected_cloud_rejects_opacity_outside_unit_interval(bad):
     ProjectedCloud(**fields)
 
 
+def test_projected_cloud_rejects_negative_color():
+    # Unchecked, color (-0.2, 0.3, 0.1) blended to rgb (-0.092, 0.138, 0.046)
+    # in blend_pixel, and a frame failed late in Framebuffer, naming no splat.
+    fields = projected_fields()
+    fields["color"][2] = (-0.2, 0.3, 0.1)
+    fields["color"][3, 1] = -1.0  # a later bad row: the error names the first
+    with pytest.raises(ValueError, match=r"^color\[2\] is \[-0\.2, 0\.3, 0\.1\], below 0$"):
+        ProjectedCloud(**fields)
+    fields["color"][2:] = [[0.0, 0.0, 0.0], [1.5, 2.0, 0.0]]  # linear light may exceed 1
+    ProjectedCloud(**fields)
+
+
 def sh_one(sh, direction):
     """eval_sh_batch on one splat."""
     return eval_sh_batch(np.asarray(sh, float)[None], np.asarray(direction, float)[None])[0]
