@@ -96,14 +96,23 @@ def _blend_bands(prep: PreparedSplats, xs: np.ndarray, ys: np.ndarray, mode: str
     """blend_grid over the tiles of the grid ys x xs, in bands as the module
     docstring says, into one shared buffer. Returns rgb (ny, nx, 3), residual
     (ny, nx) and the number of bands the parent blended again because no child
-    finished them. mode and ss_k are checked before any fork."""
+    finished them. mode and ss_k are checked before any fork, and the buffer
+    is mapped before the grid is cut: a buffer the OS refuses is a
+    MemoryError naming the frame, raised from the OS error."""
     check_mode(mode)
+    k = check_ss_k(ss_k) if mode == "ss" else 1
     ny, nx = ys.size, xs.size
-    cut = tiles(nx, ny, check_ss_k(ss_k) if mode == "ss" else 1)
+    nbytes = 4 * nx * ny * 8
+    try:
+        buf = mmap.mmap(-1, nbytes)
+    except OSError as e:
+        raise MemoryError(f"frame of width {nx} and height {ny}: the OS refused its "
+                          f"{nbytes}-byte buffer") from e
+    out = np.frombuffer(buf, dtype=float)
+    rgb, res = out[:3 * nx * ny].reshape(ny, nx, 3), out[3 * nx * ny:].reshape(ny, nx)
+    cut = tiles(nx, ny, k)
     n = min(_cpus(), len(cut)) if hasattr(os, "fork") else 1
     edges = [len(cut) * i // n for i in range(n + 1)]
-    out = np.frombuffer(mmap.mmap(-1, 4 * nx * ny * 8), dtype=float)
-    rgb, res = out[:3 * nx * ny].reshape(ny, nx, 3), out[3 * nx * ny:].reshape(ny, nx)
 
     def blend(band: int) -> None:
         for rows, cols in cut[edges[band]:edges[band + 1]]:

@@ -1,10 +1,15 @@
-"""Scene representation: 3D splats, cameras, projection to screen, SH color, PLY I/O.
+"""Scene representation: 3D splats, cameras, projection to screen, PLY I/O.
 
 Conventions used throughout:
   - pixel (i, j) covers [i, i+1] x [j, j+1]; its center is (i + 0.5, j + 0.5)
   - quaternions are stored (w, x, y, z) and normalized on ingest
   - in-memory splats are always post-activation (opacity in [0,1], scale > 0)
   - camera-space z points into the scene; splats with z <= near are culled
+  - a splat's color is the view-independent DC term of its spherical
+    harmonics: what this lab measures is how alpha and transmittance combine
+    in a pixel, and a zoom (Camera.scaled) keeps the pose, so every sampling
+    rate of a view sees the same colors. SH beyond DC is neither stored nor
+    read, and load_ply rejects a file that holds it.
 """
 
 from __future__ import annotations
@@ -17,28 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special
 
-VALID_SH_BANDS = (1, 4, 9, 16)
-
-# Real spherical harmonic constants, degree 0..3, in the ordering trained
-# splat files use (band-major, with the usual sign conventions).
+# The degree-0 real spherical harmonic, Y_00 = 1 / (2 sqrt(pi)): a splat's
+# color is SH_C0 * sh + 0.5 (the trained-file DC convention), clamped at 0.
 SH_C0 = 0.28209479177387814
-SH_C1 = 0.4886025119029199
-SH_C2 = (
-    1.0925484305920792,
-    -1.0925484305920792,
-    0.31539156525252005,
-    -1.0925484305920792,
-    0.5462742152960396,
-)
-SH_C3 = (
-    -0.5900435899266435,
-    2.890611442640554,
-    -0.4570457994644658,
-    0.3731763325901154,
-    -0.4570457994644658,
-    1.445305721320277,
-    -0.5900435899266435,
-)
 
 
 def is_count(value) -> bool:
@@ -105,11 +91,6 @@ class Camera:
     def translation(self) -> np.ndarray:
         return self.world_to_cam[:, 3]
 
-    @property
-    def center(self) -> np.ndarray:
-        """Camera origin in world coordinates."""
-        return -self.rotation.T @ self.translation
-
     def scaled(self, k: float) -> "Camera":
         """Zoom protocol: multiply intrinsics and resolution by k, pose unchanged."""
         if not math.isfinite(k):
@@ -160,15 +141,16 @@ class SplatCloud:
     """A scene's splats, one contiguous array per attribute, row i for splat i.
 
     Ingest validates every field's shape and every row: values finite,
-    scale > 0, opacity in [0, 1], SH bands in VALID_SH_BANDS; quaternions are
-    nonzero, and normalized.
+    scale > 0, opacity in [0, 1]; quaternions are nonzero, and normalized.
+    sh holds each splat's DC coefficient per channel, the one SH band the
+    module docstring says color reads.
     """
 
     mu: np.ndarray  # (n, 3)
     scale: np.ndarray  # (n, 3)
     rot: np.ndarray  # (n, 4) unit
     opacity: np.ndarray  # (n,)
-    sh: np.ndarray  # (n, bands, 3)
+    sh: np.ndarray  # (n, 1, 3) DC term
 
     def __post_init__(self):
         self.mu = np.ascontiguousarray(self.mu, dtype=float)
@@ -177,10 +159,9 @@ class SplatCloud:
         self.opacity = np.ascontiguousarray(self.opacity, dtype=float)
         self.sh = np.ascontiguousarray(self.sh, dtype=float)
         n = self.mu.shape[0] if self.mu.ndim else 0
-        for name, shape in (("mu", (n, 3)), ("scale", (n, 3)), ("rot", (n, 4)), ("opacity", (n,))):
+        for name, shape in (("mu", (n, 3)), ("scale", (n, 3)), ("rot", (n, 4)), ("opacity", (n,)),
+                            ("sh", (n, 1, 3))):
             _check_shape(name, getattr(self, name), shape)
-        if self.sh.ndim != 3 or self.sh.shape[0] != n or self.sh.shape[2] != 3:
-            raise ValueError("sh must be (n, bands, 3)")
         # NaN passes every comparison below, so reject non-finite values first.
         for name in ("mu", "scale", "rot", "opacity", "sh"):
             _check_finite(name, getattr(self, name))
@@ -188,57 +169,12 @@ class SplatCloud:
         if not norm.all():
             raise ValueError(f"rot[{np.flatnonzero(norm == 0.0)[0]}] is a zero quaternion")
         self.rot = self.rot / norm
-        if self.sh.shape[1] not in VALID_SH_BANDS:
-            raise ValueError(f"unsupported SH band count {self.sh.shape[1]}")
         if np.any(self.scale <= 0.0):
             raise ValueError("scale components must be > 0")
         _check_unit("opacity", self.opacity)
 
     def __len__(self) -> int:
         return self.mu.shape[0]
-
-
-def eval_sh_batch(sh, dirs) -> np.ndarray:
-    """Real SH color (degree <= 3) per splat toward a unit direction.
-
-    sh (n, bands, 3), dirs (n, 3) unit -> linear rgb (n, 3), with the
-    trained-file DC convention (+0.5) applied and clamped at 0. dirs is read
-    only when bands > 1, and must then be (n, 3) (ValueError naming it
-    otherwise); for DC-only SH it may be None.
-    """
-    sh = np.asarray(sh, dtype=float)
-    bands = sh.shape[1]
-    if bands not in VALID_SH_BANDS:
-        raise ValueError(f"unsupported SH band count {bands}")
-
-    rgb = SH_C0 * sh[:, 0]
-    if bands > 1:
-        dirs = np.asarray(dirs, dtype=float)
-        _check_shape("dirs", dirs, (sh.shape[0], 3))
-        x, y, z = dirs[:, 0:1], dirs[:, 1:2], dirs[:, 2:3]
-        rgb = rgb - SH_C1 * y * sh[:, 1] + SH_C1 * z * sh[:, 2] - SH_C1 * x * sh[:, 3]
-    if bands > 4:
-        xx, yy, zz = x * x, y * y, z * z
-        rgb = (
-            rgb
-            + SH_C2[0] * (x * y) * sh[:, 4]
-            + SH_C2[1] * (y * z) * sh[:, 5]
-            + SH_C2[2] * (2.0 * zz - xx - yy) * sh[:, 6]
-            + SH_C2[3] * (x * z) * sh[:, 7]
-            + SH_C2[4] * (xx - yy) * sh[:, 8]
-        )
-    if bands > 9:
-        rgb = (
-            rgb
-            + SH_C3[0] * y * (3.0 * xx - yy) * sh[:, 9]
-            + SH_C3[1] * (x * y * z) * sh[:, 10]
-            + SH_C3[2] * y * (4.0 * zz - xx - yy) * sh[:, 11]
-            + SH_C3[3] * z * (2.0 * zz - 3.0 * xx - 3.0 * yy) * sh[:, 12]
-            + SH_C3[4] * x * (4.0 * zz - xx - yy) * sh[:, 13]
-            + SH_C3[5] * z * (xx - yy) * sh[:, 14]
-            + SH_C3[6] * x * (xx - yy) * sh[:, 15]
-        )
-    return np.maximum(rgb + 0.5, 0.0)
 
 
 @dataclass
@@ -307,7 +243,7 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
     einsum form (project_cloud_einsum in tests/_reference.py).
     J's two structural zeros are skipped: a +-0 term changes no bit of a sum
     that starts at +0, since a round-to-nearest sum is -0 only when both
-    addends are. View directions are computed only for SH beyond DC.
+    addends are. Color is the DC term (module docstring).
     """
     if not (math.isfinite(lowpass) and lowpass >= 0.0):
         raise ValueError(f"lowpass must be finite and >= 0, not {lowpass!r}")
@@ -355,22 +291,7 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
         idx, mu2d, z = idx[keep], mu2d[keep], z[keep]
         cxx, cxy, cyy = cxx[keep], cxy[keep], cyy[keep]
 
-    dirs = None
-    if cloud.sh.shape[1] > 1:
-        mu, center = cloud.mu[idx], cam.center
-        with np.errstate(over="ignore"):
-            view = mu - center
-            norm = np.linalg.norm(view, axis=1, keepdims=True)
-        # a far splat, whose squares overflow, takes its view with both ends
-        # scaled by its largest coordinate: the same direction, finite squares
-        far = np.flatnonzero(norm[:, 0] == np.inf)
-        if far.size:
-            s = np.maximum(np.abs(mu[far]).max(axis=1, keepdims=True), np.abs(center).max())
-            view[far] = mu[far] / s - center / s
-            norm[far] = np.linalg.norm(view[far], axis=1, keepdims=True)
-        dirs = np.divide(view, norm, out=np.tile(np.array([0.0, 0.0, 1.0]), (idx.size, 1)),
-                         where=norm > 0)
-    color = eval_sh_batch(cloud.sh[idx], dirs)
+    color = np.maximum(SH_C0 * cloud.sh[idx, 0] + 0.5, 0.0)
 
     return ProjectedCloud(
         mu2d=mu2d,
@@ -389,13 +310,15 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
 # PLY ingestion (binary little-endian, de-facto trained-splat layout)
 
 def load_ply(path) -> SplatCloud:
-    """Read a trained-splat PLY.
+    """Read a splat PLY in the trained-splat layout, color DC term only.
 
     Expects binary little-endian with float32 vertex properties x, y, z,
     f_dc_0..2, opacity (logit), scale_0..2 (log), rot_0..3 (unnormalized), and
-    optionally nx, ny, nz (ignored) and f_rest_0..N (N in {9, 24, 45},
-    channel-major). Activations are applied here so in-memory splats are
-    always post-activation.
+    optionally nx, ny, nz (ignored). Color is the DC term (module docstring),
+    so a file that declares any f_rest_* property (SH beyond DC) is a
+    PlyParseError naming the first one: read as DC alone, its splats would
+    take colors the file does not hold. Activations are applied here so
+    in-memory splats are always post-activation.
     """
     with open(path, "rb") as f:
         raw = f.read()
@@ -436,23 +359,19 @@ def load_ply(path) -> SplatCloud:
                 raise PlyParseError(f"{path}: property {tok[2]!r} has type {tok[1]!r}, need float")
             if tok[2] in props:  # the stride counts both columns, and col would keep the last
                 raise PlyParseError(f"{path}: property {tok[2]!r} is declared twice")
+            if tok[2].startswith("f_rest_"):
+                raise PlyParseError(f"{path}: property {tok[2]!r} holds SH color beyond the DC "
+                                    "term, which splatlab does not read")
             props.append(tok[2])
     if not fmt_seen:
         raise PlyParseError(f"{path}: missing format line")
     if n_vertex is None:
         raise PlyParseError(f"{path}: missing vertex element")
 
-    n_rest = sum(1 for p in props if p.startswith("f_rest_"))
-    # f_rest holds the 3 color channels of every SH coefficient but the DC one.
-    allowed = [3 * (b - 1) for b in VALID_SH_BANDS]
-    if n_rest not in allowed:
-        raise PlyParseError(f"{path}: f_rest count {n_rest} not in {allowed}")
-    bands = n_rest // 3 + 1
     required = (
         ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2", "opacity"]
         + [f"scale_{i}" for i in range(3)]
         + [f"rot_{i}" for i in range(4)]
-        + [f"f_rest_{j}" for j in range(n_rest)]
     )
     missing = [p for p in required if p not in props]
     if missing:
@@ -483,13 +402,7 @@ def load_ply(path) -> SplatCloud:
                             "whose exp is not a finite positive scale")
     rot = data[:, [col[f"rot_{i}"] for i in range(4)]]
 
-    sh = np.zeros((n_vertex, bands, 3))
-    sh[:, 0, :] = data[:, [col[f"f_dc_{c}"] for c in range(3)]]
-    if n_rest:
-        per_channel = n_rest // 3
-        rest = data[:, [col[f"f_rest_{j}"] for j in range(n_rest)]]
-        # File layout is channel-major; memory layout is band-major.
-        sh[:, 1:, :] = rest.reshape(n_vertex, 3, per_channel).transpose(0, 2, 1)
+    sh = data[:, None, [col[f"f_dc_{c}"] for c in range(3)]]
 
     try:
         return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh)
@@ -498,22 +411,17 @@ def load_ply(path) -> SplatCloud:
 
 
 def save_ply(path, cloud: SplatCloud) -> None:
-    """Write splats in the same trained-splat layout load_ply reads."""
+    """Write splats in the trained-splat layout load_ply reads: x, y, z,
+    nx, ny, nz (0), f_dc_0..2, opacity (logit), scale_0..2 (log), rot_0..3,
+    all float32, and no f_rest_* (color is the DC term)."""
     n = len(cloud)
-    bands = cloud.sh.shape[1]
-    n_rest = 3 * (bands - 1)
-
-    names = ["x", "y", "z", "nx", "ny", "nz", "f_dc_0", "f_dc_1", "f_dc_2"]
-    names += [f"f_rest_{j}" for j in range(n_rest)]
-    names += ["opacity", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3"]
+    names = ["x", "y", "z", "nx", "ny", "nz", "f_dc_0", "f_dc_1", "f_dc_2",
+             "opacity", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3"]
 
     out = np.zeros((n, len(names)), dtype="<f4")
     col = {name: i for i, name in enumerate(names)}
     out[:, [col["x"], col["y"], col["z"]]] = cloud.mu
     out[:, [col["f_dc_0"], col["f_dc_1"], col["f_dc_2"]]] = cloud.sh[:, 0, :]
-    if n_rest:
-        rest = cloud.sh[:, 1:, :].transpose(0, 2, 1).reshape(n, n_rest)
-        out[:, col["f_rest_0"] : col["f_rest_0"] + n_rest] = rest
     # Inverse activations; opacity clamped clear of 0/1 so the logit is finite.
     p = np.clip(cloud.opacity, 1e-10, 1.0 - 1e-10)
     out[:, col["opacity"]] = scipy.special.logit(p)

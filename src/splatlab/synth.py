@@ -168,6 +168,6 @@ def random_cloud(seed: int = 0, n: int = 400):
     rot = rng.normal(size=(n, 4))
     rot /= np.linalg.norm(rot, axis=1, keepdims=True)
     opacity = rng.uniform(0.25, 0.95, n)
-    sh = ((rng.uniform(0.1, 0.9, (n, 3)) - 0.5) / SH_C0)[:, None, :]
-    return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity, sh=sh), cam
+    return SplatCloud(mu=mu, scale=scale, rot=rot, opacity=opacity,
+                      sh=sh_dc(rng.uniform(0.1, 0.9, (n, 3)))), cam
 

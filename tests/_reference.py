@@ -11,7 +11,7 @@ tests as a step-by-step oracle for that path:
   residual_closed_form            errorlab.true_residual_transmittance's
                                   closed form, bit for bit
   eigen2x2                        splatmath.screen_frame
-  eval_sh                         scene.eval_sh_batch
+  eval_sh                         the color line of scene.project_cloud
   project_splat                   scene.project_cloud
   project_cloud_einsum            scene.project_cloud, bit for bit
 
@@ -20,8 +20,12 @@ and gaussian_i0) and the module constants with the package; those are
 checked against quadrature in _oracles.py. residual_closed_form calls
 gaussian_i0 once per subset and axis, where the truth makes one call for
 all of them: gaussian_i0 works element by element, so the two agree bit
-for bit. project_cloud_einsum also calls scene.eval_sh_batch: it pins the
-bits of the projection, not of the SH color.
+for bit. Color is the view-independent DC term of a splat's spherical
+harmonics, as in scene: the lab's claims are about how alpha and
+transmittance combine in a pixel, and a zoom keeps the pose, so every
+sampling rate of a view shares its colors. So eval_sh is the one line of
+project_cloud's color, and project_cloud_einsum pins its bits with those of
+the projection.
 _fallback_blend keeps the center Gaussian in its frame form, exp(-((u /
 sigma1)^2 + (v / sigma2)^2) / 2), where the package evaluates it once, from
 the inverse covariance (_alpha_center): an oracle independent of that form.
@@ -54,7 +58,7 @@ import numpy as np
 import scipy.special
 
 from splatlab.blending import ALPHA_MAX, GUARD_LO, MIN_SIDE, blend_pixel
-from splatlab.scene import SH_C0, SH_C1, SH_C2, SH_C3, ProjectedCloud, eval_sh_batch
+from splatlab.scene import SH_C0, ProjectedCloud
 from splatlab.splatmath import ISO_TOL, SQRT2, SQRT_HALF_PI, gaussian_i0, gaussian_moments_012
 
 # --- one screen-space splat ---------------------------------------------------
@@ -447,40 +451,10 @@ def build_covariance(scale, rot) -> np.ndarray:
     return m @ m.T
 
 
-def eval_sh(sh, direction) -> np.ndarray:
-    """Real SH color (degree <= 3) toward a unit direction, DC offset +0.5,
-    clamped at 0."""
-    sh = np.asarray(sh, dtype=float).reshape(-1, 3)
-    bands = sh.shape[0]
-    x, y, z = np.asarray(direction, dtype=float)
-
-    rgb = SH_C0 * sh[0]
-    if bands > 1:
-        rgb = rgb - SH_C1 * y * sh[1] + SH_C1 * z * sh[2] - SH_C1 * x * sh[3]
-    if bands > 4:
-        xx, yy, zz = x * x, y * y, z * z
-        xy, yz, xz = x * y, y * z, x * z
-        rgb = (
-            rgb
-            + SH_C2[0] * xy * sh[4]
-            + SH_C2[1] * yz * sh[5]
-            + SH_C2[2] * (2.0 * zz - xx - yy) * sh[6]
-            + SH_C2[3] * xz * sh[7]
-            + SH_C2[4] * (xx - yy) * sh[8]
-        )
-    if bands > 9:
-        xx, yy, zz = x * x, y * y, z * z
-        rgb = (
-            rgb
-            + SH_C3[0] * y * (3.0 * xx - yy) * sh[9]
-            + SH_C3[1] * x * y * z * sh[10]
-            + SH_C3[2] * y * (4.0 * zz - xx - yy) * sh[11]
-            + SH_C3[3] * z * (2.0 * zz - 3.0 * xx - 3.0 * yy) * sh[12]
-            + SH_C3[4] * x * (4.0 * zz - xx - yy) * sh[13]
-            + SH_C3[5] * z * (xx - yy) * sh[14]
-            + SH_C3[6] * x * (xx - yy) * sh[15]
-        )
-    return np.maximum(rgb + 0.5, 0.0)
+def eval_sh(dc) -> np.ndarray:
+    """Linear rgb from DC coefficients dc (any shape, channel last): the
+    trained-file convention, SH_C0 * dc + 0.5, clamped at 0."""
+    return np.maximum(SH_C0 * np.asarray(dc, dtype=float) + 0.5, 0.0)
 
 
 def project_splat(cloud, i: int, cam, lowpass: float = 0.0):
@@ -514,10 +488,7 @@ def project_splat(cloud, i: int, cam, lowpass: float = 0.0):
     if not (np.all(np.isfinite(mu2d)) and np.all(np.isfinite(cov2d))):
         return None
 
-    view_dir = mu - cam.center
-    n = np.linalg.norm(view_dir)
-    view_dir = view_dir / n if n > 0 else np.array([0.0, 0.0, 1.0])
-    color = eval_sh(cloud.sh[i], view_dir)
+    color = eval_sh(cloud.sh[i, 0])
 
     return Splat2D(
         mu2d=mu2d, cov2d=cov2d, depth=float(z), opacity=float(cloud.opacity[i]), color=color
@@ -571,10 +542,7 @@ def project_cloud_einsum(cloud, cam, lowpass: float = 0.0) -> ProjectedCloud:
         idx, mu2d, z = idx[keep], mu2d[keep], z[keep]
         cxx, cxy, cyy = cxx[keep], cxy[keep], cyy[keep]
 
-    view = cloud.mu[idx] - cam.center
-    norm = np.linalg.norm(view, axis=1, keepdims=True)
-    dirs = np.divide(view, norm, out=np.tile(np.array([0.0, 0.0, 1.0]), (idx.size, 1)), where=norm > 0)
-    color = eval_sh_batch(cloud.sh[idx], dirs)
+    color = eval_sh(cloud.sh[idx, 0])
 
     return ProjectedCloud(
         mu2d=mu2d,

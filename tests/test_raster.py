@@ -102,6 +102,27 @@ def test_render_rejects_bad_dimensions():
             render_projected(prep, side, side)
 
 
+def test_a_frame_buffer_the_os_refuses_is_a_memory_error(monkeypatch):
+    # The buffer is mapped before the grid is cut. Unchecked, a frame too large
+    # for the memory first built its whole tile list, then failed in mmap with a
+    # bare OSError that named no input. A stand-in refuses the map here: no
+    # real oversized frame is mapped, cut or rendered.
+    def refuse(*args):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    def cut(*args):
+        raise AssertionError("the grid was cut before its buffer was mapped")
+
+    monkeypatch.setattr(raster.mmap, "mmap", refuse)
+    monkeypatch.setattr(raster, "tiles", cut)
+    prep = prepare_splats(stack_splats([iso_splat((1.0, 1.0), 1.0, 0.5)]), SUPPORT_SIGMA)
+    message = r"^frame of width 40 and height 30: the OS refused its 38400-byte buffer$"
+    with pytest.raises(MemoryError, match=message) as info:
+        render_projected(prep, 40, 30, "gb")
+    assert isinstance(info.value.__cause__, OSError)
+    assert info.value.__cause__.errno == errno.ENOMEM
+
+
 @pytest.mark.parametrize("width, height, name", [
     (2.5, 3, "width"), (True, 3, "width"), (3, np.float64(2.0), "height"), (3, False, "height"),
 ])

@@ -1,7 +1,10 @@
-"""Scene model tests: covariance build, projection, SH color, PLY I/O.
+"""Scene model tests: covariance build, projection, color, PLY I/O.
 
-Projection and SH behaviours run on project_cloud and eval_sh_batch, the code
-the renderer runs; the one-splat versions in _reference.py are their oracle.
+Projection and color behaviours run on project_cloud, the code the renderer
+runs; the one-splat versions in _reference.py are its oracle. Color is the
+view-independent DC term of a splat's spherical harmonics (scene's module
+docstring says why), so a cloud's sh is (n, 1, 3), and a PLY that declares
+SH beyond DC (f_rest_*) is rejected at ingest.
 """
 
 import re
@@ -13,12 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from _reference import build_covariance, eval_sh, project_cloud_einsum, project_splat
 from splatlab.scene import (
-    VALID_SH_BANDS,
     Camera,
     PlyParseError,
     ProjectedCloud,
     SplatCloud,
-    eval_sh_batch,
     load_ply,
     project_cloud,
     save_ply,
@@ -52,7 +53,7 @@ def one_splat(mu, scale=(0.1, 0.1, 0.1), rot=IDENTITY_Q, opacity=1.0, sh=np.zero
     return splat_cloud([(mu, scale, rot, opacity, sh)])
 
 
-def random_splat(rng, bands=1):
+def random_splat(rng):
     """One (mu, scale, rot, opacity, sh) row."""
     q = rng.normal(size=4)
     return (
@@ -60,7 +61,7 @@ def random_splat(rng, bands=1):
         np.exp(rng.uniform(-2.0, 0.5, 3)),
         q / np.linalg.norm(q),
         rng.uniform(0.1, 1.0),
-        rng.uniform(-0.5, 0.5, (bands, 3)),
+        rng.uniform(-0.5, 0.5, (1, 3)),
     )
 
 
@@ -145,24 +146,6 @@ def test_overflowing_depth_culled_as_nonfinite():
     assert pc.depth[0] == pytest.approx(2.0 * c, rel=1e-12)
 
 
-@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.5, 0.25, -1.0)])
-def test_far_splat_takes_its_true_view_direction(center):
-    # Seen from the camera, a splat at (1e200, 0, 1e200) lies along (1, 0, 1),
-    # as does one at center + (1, 0, 1); the squares of the far view
-    # overflow, and its SH color must still read that direction, unwarned.
-    t = -np.asarray(center)
-    cam = make_camera(world_to_cam=np.hstack([np.eye(3), t[:, None]]))
-    sh = np.random.default_rng(1).uniform(-0.5, 0.5, (4, 3))
-    cloud = SplatCloud(mu=[[1e200, 0.0, 1e200], np.add(center, (1.0, 0.0, 1.0))],
-                       scale=np.full((2, 3), 0.1), rot=np.tile(IDENTITY_Q, (2, 1)),
-                       opacity=[0.5, 0.5], sh=[sh, sh])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        pc = project_cloud(cloud, cam)
-    assert len(pc) == 2
-    assert np.abs(pc.color[0] - pc.color[1]).max() <= 1e-15
-
-
 def _project_point(mu, cam):
     p = cam.rotation @ mu + cam.translation
     return np.array(
@@ -222,9 +205,10 @@ def test_lowpass_floor_added_to_diagonal():
 def test_project_cloud_matches_scalar_path():
     rng = np.random.default_rng(23)
     cam = make_camera(world_to_cam=random_pose(rng))
-    rows = [random_splat(rng, bands=4) for _ in range(200)]
-    # Push a few behind the camera to exercise culling.
-    rows[7] = (cam.center - 3.0 * cam.rotation[2], [0.1] * 3, IDENTITY_Q, 0.5, np.zeros((4, 3)))
+    rows = [random_splat(rng) for _ in range(200)]
+    # Push one behind the camera, 3 units back from its origin, to exercise culling.
+    origin = -cam.rotation.T @ cam.translation
+    rows[7] = (origin - 3.0 * cam.rotation[2], [0.1] * 3, IDENTITY_Q, 0.5, np.zeros((1, 3)))
     cloud = splat_cloud(rows)
     pc = project_cloud(cloud, cam, lowpass=0.3)
 
@@ -245,9 +229,8 @@ def test_project_cloud_matches_scalar_path():
 @settings(max_examples=40)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24), identity=st.booleans(),
        log10_scale=st.sampled_from([(-200.0, -150.0), (-6.0, 3.0), (150.0, 160.0)]),
-       lowpass=st.sampled_from([0.0, 0.3]), bands=st.sampled_from(VALID_SH_BANDS))
-def test_project_cloud_bits_equal_einsum_form_property(seed, n, identity, log10_scale, lowpass,
-                                                       bands):
+       lowpass=st.sampled_from([0.0, 0.3]))
+def test_project_cloud_bits_equal_einsum_form_property(seed, n, identity, log10_scale, lowpass):
     # The ordered sum reproduces the einsum form bit for bit, signs of zero
     # included. Scales span an underflowing range (products that round to
     # +-0), an ordinary one and an overflowing one (culled as non-finite);
@@ -259,7 +242,7 @@ def test_project_cloud_bits_equal_einsum_form_property(seed, n, identity, log10_
                        scale=10.0 ** rng.uniform(*log10_scale, (n, 3)),
                        rot=rng.normal(size=(n, 4)),
                        opacity=rng.uniform(0.0, 1.0, n),
-                       sh=rng.uniform(-1.0, 1.0, (n, bands, 3)))
+                       sh=rng.uniform(-1.0, 1.0, (n, 1, 3)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # overflow is culled and counted, not warned about
         got = project_cloud(cloud, cam, lowpass=lowpass)
@@ -351,62 +334,21 @@ def test_projected_cloud_rejects_negative_color():
     ProjectedCloud(**fields)
 
 
-def sh_one(sh, direction):
-    """eval_sh_batch on one splat."""
-    return eval_sh_batch(np.asarray(sh, float)[None], np.asarray(direction, float)[None])[0]
-
-
-def test_eval_sh_dc_only():
-    rgb = sh_one(np.zeros((1, 3)), [0.0, 0.0, 1.0])
-    assert np.allclose(rgb, 0.5)
-    # Degree-0 color ignores direction.
-    sh = np.array([[0.3, -0.1, 0.9]])
-    a = sh_one(sh, [0.0, 0.0, 1.0])
-    b = sh_one(sh, [1.0, 0.0, 0.0])
-    assert np.allclose(a, b)
-    # ... and reads none: DC-only SH takes None for the directions.
-    assert np.array_equal(eval_sh_batch(sh[None], None)[0], a)
-    # Clamp keeps rgb non-negative.
-    dark = sh_one(np.array([[-10.0, -10.0, -10.0]]), [0.0, 0.0, 1.0])
-    assert np.all(dark == 0.0)
-
-
-def test_eval_sh_degree1_polynomial_oracle():
-    # Degree-1 output must be 0.5 + C0*dc + C1*(-y*sh1 + z*sh2 - x*sh3).
-    rng = np.random.default_rng(3)
-    c0, c1 = 0.28209479177387814, 0.4886025119029199
-    for _ in range(100):
-        sh = rng.uniform(-0.3, 0.3, (4, 3))
-        d = rng.normal(size=3)
-        d /= np.linalg.norm(d)
-        want = 0.5 + c0 * sh[0] + c1 * (-d[1] * sh[1] + d[2] * sh[2] - d[0] * sh[3])
-        got = sh_one(sh, d)
-        assert np.allclose(got, np.maximum(want, 0.0), rtol=1e-12, atol=1e-12)
-
-
-def test_eval_sh_batch_matches_scalar():
-    rng = np.random.default_rng(31)
-    for bands in (1, 4, 9, 16):
-        sh = rng.uniform(-0.4, 0.4, (50, bands, 3))
-        dirs = rng.normal(size=(50, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        got = eval_sh_batch(sh, dirs)
-        for i in range(50):
-            assert np.allclose(got[i], eval_sh(sh[i], dirs[i]), rtol=1e-12, atol=1e-14)
-
-
-def test_eval_sh_rejects_bad_input():
-    with pytest.raises(ValueError, match="band count"):
-        eval_sh_batch(np.zeros((1, 5, 3)), np.array([[0.0, 0.0, 1.0]]))
-
-
-@pytest.mark.parametrize("dirs", [None, np.tile([0.0, 0.0, 1.0], (3, 1))], ids=["none", "3x3"])
-def test_eval_sh_rejects_bad_dirs(dirs):
-    # Unchecked, None failed with an IndexError and a (3, 3) dirs for 2
-    # splats with a numpy broadcast error. DC-only SH takes None
-    # (test_eval_sh_dc_only).
-    with pytest.raises(ValueError, match=r"^dirs must have shape \(2, 3\)"):
-        eval_sh_batch(np.zeros((2, 4, 3)), dirs)
+def test_project_cloud_color_is_the_clamped_dc_term():
+    # color = max(SH_C0 * dc + 0.5, 0) per channel: 0.5 for a zero DC term,
+    # 0 for a dark one, and the same bits from any pose, since it reads no
+    # view direction.
+    dc = np.array([[0.0, 0.0, 0.0], [0.3, -0.1, 0.9], [-10.0, -10.0, -10.0]])
+    cloud = SplatCloud(mu=[[0.0, 0.0, 2.0], [0.2, -0.1, 3.0], [-0.3, 0.2, 2.5]],
+                       scale=np.full((3, 3), 0.1), rot=np.tile(IDENTITY_Q, (3, 1)),
+                       opacity=np.full(3, 0.5), sh=dc[:, None, :])
+    pc = project_cloud(cloud, make_camera())
+    assert np.array_equal(pc.color, eval_sh(dc))
+    assert np.array_equal(pc.color[0], [0.5] * 3) and np.array_equal(pc.color[2], [0.0] * 3)
+    turned = make_camera(world_to_cam=np.hstack([random_pose(np.random.default_rng(3))[:, :3],
+                                                 [[0.0], [0.0], [4.0]]]))
+    other = project_cloud(cloud, turned)
+    assert len(other) == 3 and np.array_equal(other.color, pc.color)
 
 
 def test_camera_validation():
@@ -482,21 +424,20 @@ def test_camera_scaled_names_a_frame_too_large():
         make_camera().scaled(1e306)
 
 
-def make_cloud(rng, n=50, bands=16):
+def make_cloud(rng, n=50):
     q = rng.normal(size=(n, 4))
     return SplatCloud(
         mu=rng.uniform(-2, 2, (n, 3)),
         scale=np.exp(rng.uniform(-2, 1, (n, 3))),
         rot=q,
         opacity=rng.uniform(0.02, 0.98, n),
-        sh=rng.uniform(-0.5, 0.5, (n, bands, 3)),
+        sh=rng.uniform(-0.5, 0.5, (n, 1, 3)),
     )
 
 
-@pytest.mark.parametrize("bands", [1, 4, 9, 16])
-def test_ply_roundtrip(tmp_path, bands):
-    rng = np.random.default_rng(bands)
-    cloud = make_cloud(rng, n=64, bands=bands)
+def test_ply_roundtrip(tmp_path):
+    rng = np.random.default_rng(1)
+    cloud = make_cloud(rng, n=64)
     path = tmp_path / "cloud.ply"
     save_ply(path, cloud)
     back = load_ply(path)
@@ -520,9 +461,8 @@ def roundtrip_path(tmp_path_factory):
 
 
 @settings(max_examples=100)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12),
-       bands=st.sampled_from(VALID_SH_BANDS))
-def test_ply_roundtrip_property(roundtrip_path, seed, n, bands):
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 12))
+def test_ply_roundtrip_property(roundtrip_path, seed, n):
     # Any cloud, the empty one included, loads back as saved within the float32
     # tolerance of the activations: positions to 1e3, scales e^-10 to e^5,
     # opacity anywhere in [0, 1] (0 and 1 in about 1 row of 7 each).
@@ -531,7 +471,7 @@ def test_ply_roundtrip_property(roundtrip_path, seed, n, bands):
                        scale=np.exp(rng.uniform(-10, 5, (n, 3))),
                        rot=rng.normal(size=(n, 4)),
                        opacity=np.clip(rng.uniform(-0.2, 1.2, n), 0, 1),
-                       sh=rng.uniform(-3, 3, (n, bands, 3)))
+                       sh=rng.uniform(-3, 3, (n, 1, 3)))
     save_ply(roundtrip_path, cloud)
     back = load_ply(roundtrip_path)
     for name in ("mu", "scale", "rot", "opacity", "sh"):
@@ -585,12 +525,12 @@ def test_ply_header_bit_flips_raise_only_parse_errors(tmp_path):
     # Every single-bit corruption of a header save_ply wrote either loads or
     # raises PlyParseError; no IndexError, KeyError or bare ValueError escapes.
     one = SplatCloud(mu=[[0.1, -0.2, 3.0]], scale=[[0.1, 0.2, 0.3]], rot=[IDENTITY_Q],
-                     opacity=[0.5], sh=np.full((1, 4, 3), 0.1))
+                     opacity=[0.5], sh=np.full((1, 1, 3), 0.1))
     path = tmp_path / "one.ply"
     save_ply(path, one)
     raw = path.read_bytes()
     body_at = raw.index(b"end_header\n") + len(b"end_header\n")
-    assert body_at == 627 and len(load_ply(path)) == 1
+    assert body_at == 411 and len(load_ply(path)) == 1
     escaped = []
     for i in range(body_at):
         for bit in range(8):
@@ -613,7 +553,7 @@ PAYLOAD_BYTES = 3 * 17 * 4  # 3 degree-0 splats of 17 float32 properties
 def payload_ply(tmp_path_factory):
     """Path and bytes of a saved file whose vertex payload is PAYLOAD_BYTES long."""
     path = tmp_path_factory.mktemp("payload") / "cloud.ply"
-    save_ply(path, make_cloud(np.random.default_rng(5), n=3, bands=1))
+    save_ply(path, make_cloud(np.random.default_rng(5), n=3))
     return path, path.read_bytes()
 
 
@@ -646,16 +586,14 @@ def test_ply_payload_corruption_raises_only_parse_errors(payload_ply, edit):
     ("format binary_little_endian 1.0\n", "format\n", "malformed header line"),
     ("property float x\n", "property float\n", "malformed header line"),
     ("element vertex 1\n", "elemenu vertex 1\n", "malformed header line"),
-    ("property float f_rest_0\n", "property float f_rest_9\n",
-     r"missing vertex properties \['f_rest_0'\]"),
     # unchecked, the stride counted both columns and x read the second
     ("property float x\n", "property float x\nproperty float x\n",
      r": property 'x' is declared twice$"),
 ], ids=["count-x", "count-negative", "count-missing", "format-missing", "property-name-missing",
-        "unknown-keyword", "f_rest-gap", "property-twice"])
+        "unknown-keyword", "property-twice"])
 def test_ply_rejects_malformed_header_lines(tmp_path, old, new, match):
     path = tmp_path / "bad.ply"
-    save_ply(path, make_cloud(np.random.default_rng(4), n=1, bands=4))
+    save_ply(path, make_cloud(np.random.default_rng(4), n=1))
     raw = path.read_bytes()
     assert old.encode() in raw
     path.write_bytes(raw.replace(old.encode(), new.encode(), 1))
@@ -663,9 +601,46 @@ def test_ply_rejects_malformed_header_lines(tmp_path, old, new, match):
         load_ply(path)
 
 
+DC_LAYOUT = ["x", "y", "z", "nx", "ny", "nz", "f_dc_0", "f_dc_1", "f_dc_2", "opacity",
+             "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3"]
+
+
+def test_save_ply_writes_the_dc_header(tmp_path):
+    # The header save_ply writes, line by line and in order: the trained-splat
+    # layout with the DC color term alone, every property a float32.
+    path = tmp_path / "cloud.ply"
+    save_ply(path, make_cloud(np.random.default_rng(13), n=2))
+    raw = path.read_bytes()
+    body_at = raw.index(b"end_header\n") + len(b"end_header\n")
+    want = ["ply", "format binary_little_endian 1.0", "element vertex 2"]
+    want += [f"property float {name}" for name in DC_LAYOUT] + ["end_header", ""]
+    assert raw[:body_at].decode("ascii").split("\n") == want
+    assert len(raw) - body_at == 2 * len(DC_LAYOUT) * 4
+
+
+@pytest.mark.parametrize("rest, first", [
+    ([f"f_rest_{j}" for j in range(45)], "f_rest_0"),  # degree 3, as trained files hold it
+    (["f_rest_7", "f_rest_2"], "f_rest_7"),
+], ids=["trained-layout", "first-declared"])
+def test_ply_rejects_view_dependent_color(tmp_path, rest, first):
+    # A complete, well-formed file whose only fault is SH beyond DC. Read as
+    # DC alone, its splats would take colors the file does not hold.
+    names = DC_LAYOUT[:9] + rest + DC_LAYOUT[9:]
+    header = ["ply", "format binary_little_endian 1.0", "element vertex 2"]
+    header += [f"property float {name}" for name in names] + ["end_header"]
+    rows = np.zeros((2, len(names)), dtype="<f4")
+    rows[:, names.index("z")] = 5.0
+    rows[:, names.index("rot_0")] = 1.0
+    path = tmp_path / "trained.ply"
+    path.write_bytes(("\n".join(header) + "\n").encode() + rows.tobytes())
+    message = rf"^{re.escape(str(path))}: property '{first}' holds SH color beyond the DC term"
+    with pytest.raises(PlyParseError, match=message):
+        load_ply(path)
+
+
 def test_ply_truncation_reports_offset(tmp_path):
     rng = np.random.default_rng(2)
-    cloud = make_cloud(rng, n=8, bands=1)
+    cloud = make_cloud(rng, n=8)
     path = tmp_path / "cloud.ply"
     save_ply(path, cloud)
     raw = path.read_bytes()
@@ -679,18 +654,18 @@ def test_splat_validation():
         one_splat([0, 0, 0], scale=[0.0, 1, 1])
     with pytest.raises(ValueError, match="opacity"):
         one_splat([0, 0, 0], opacity=1.5)
-    with pytest.raises(ValueError, match="band count 2"):
+    with pytest.raises(ValueError, match=r"^sh must have shape \(1, 1, 3\), got \(1, 2, 3\)$"):
         one_splat([0, 0, 0], sh=np.zeros((2, 3)))
     # Unnormalized quaternions are normalized on ingest.
     s = one_splat([0, 0, 0], rot=[2.0, 0, 0, 0])
     assert np.array_equal(s.rot, [[1.0, 0.0, 0.0, 0.0]])
     # A zero quaternion has no rotation; the error names the first such row.
-    cloud = make_cloud(np.random.default_rng(8), n=4, bands=1)
+    cloud = make_cloud(np.random.default_rng(8), n=4)
     rot = cloud.rot.copy()
     rot[2:] = 0.0
     with pytest.raises(ValueError, match=r"^rot\[2\] is a zero quaternion$"):
         SplatCloud(mu=cloud.mu, scale=cloud.scale, rot=rot, opacity=cloud.opacity, sh=cloud.sh)
-    assert len(make_cloud(np.random.default_rng(8), n=5, bands=4)) == 5
+    assert len(make_cloud(np.random.default_rng(8), n=5)) == 5
 
 
 @pytest.mark.parametrize("field, value", [
@@ -709,16 +684,18 @@ def test_splat_cloud_rejects_bad_shapes(field, value):
         SplatCloud(**fields)
 
 
-@pytest.mark.parametrize("sh", [np.zeros((2, 3)), np.zeros((3, 1, 3)), np.zeros((2, 1, 2))],
-                         ids=["2d", "rows", "channels"])
+@pytest.mark.parametrize("sh", [np.zeros((2, 3)), np.zeros((3, 1, 3)), np.zeros((2, 1, 2)),
+                                np.zeros((2, 4, 3))], ids=["2d", "rows", "channels", "bands"])
 def test_splat_cloud_rejects_bad_sh_shape(sh):
-    with pytest.raises(ValueError, match=r"^sh must be \(n, bands, 3\)$"):
+    # sh is the DC term alone (scene's module docstring): one band of 3 channels.
+    match = rf"^sh must have shape \(2, 1, 3\), got {re.escape(str(sh.shape))}$"
+    with pytest.raises(ValueError, match=match):
         SplatCloud(mu=np.zeros((2, 3)), scale=np.ones((2, 3)), rot=np.tile(IDENTITY_Q, (2, 1)),
                    opacity=np.full(2, 0.5), sh=sh)
 
 
 def test_ply_skips_comment_and_obj_info_lines(tmp_path):
-    cloud = make_cloud(np.random.default_rng(10), n=3, bands=4)
+    cloud = make_cloud(np.random.default_rng(10), n=3)
     path = tmp_path / "cloud.ply"
     save_ply(path, cloud)
     want = load_ply(path)
@@ -735,7 +712,7 @@ def test_ply_reads_only_the_vertex_element(tmp_path):
     # An element after vertex ends the header read: its properties (here a
     # list type load_ply does not read) are not vertex properties, and its
     # payload sits after the vertex data.
-    cloud = make_cloud(np.random.default_rng(11), n=3, bands=1)
+    cloud = make_cloud(np.random.default_rng(11), n=3)
     path = tmp_path / "cloud.ply"
     save_ply(path, cloud)
     want = load_ply(path)
@@ -750,7 +727,7 @@ def test_ply_reads_only_the_vertex_element(tmp_path):
 
 def test_ply_rejects_missing_format_line(tmp_path):
     path = tmp_path / "cloud.ply"
-    save_ply(path, make_cloud(np.random.default_rng(12), n=1, bands=1))
+    save_ply(path, make_cloud(np.random.default_rng(12), n=1))
     raw = path.read_bytes()
     path.write_bytes(raw.replace(b"format binary_little_endian 1.0\n", b"", 1))
     with pytest.raises(PlyParseError, match=r"cloud\.ply: missing format line$"):
@@ -781,7 +758,7 @@ CLOUD_FIELDS = ("mu", "scale", "rot", "opacity", "sh")
 @pytest.mark.parametrize("field", CLOUD_FIELDS)
 def test_splat_cloud_rejects_nonfinite(field, bad):
     rng = np.random.default_rng(6)
-    cloud = make_cloud(rng, n=6, bands=4)
+    cloud = make_cloud(rng, n=6)
     arrays = {name: getattr(cloud, name).copy() for name in CLOUD_FIELDS}
     rows = arrays[field].reshape(6, -1)  # a view: one row per splat
     rows[3, -1] = bad
@@ -793,7 +770,7 @@ def test_splat_cloud_rejects_nonfinite(field, bad):
 def test_load_ply_rejects_nonfinite(tmp_path):
     rng = np.random.default_rng(9)
     path = tmp_path / "cloud.ply"
-    save_ply(path, make_cloud(rng, n=4, bands=1))
+    save_ply(path, make_cloud(rng, n=4))
     raw = bytearray(path.read_bytes())
     body_at = raw.index(b"end_header\n") + len(b"end_header\n")
     data = np.frombuffer(raw, dtype="<f4", offset=body_at).reshape(4, -1).copy()
@@ -805,7 +782,7 @@ def test_load_ply_rejects_nonfinite(tmp_path):
 
 def test_load_ply_rejects_zero_quaternion(tmp_path):
     path = tmp_path / "cloud.ply"
-    save_ply(path, make_cloud(np.random.default_rng(9), n=4, bands=1))
+    save_ply(path, make_cloud(np.random.default_rng(9), n=4))
     raw = path.read_bytes()
     body_at = raw.index(b"end_header\n") + len(b"end_header\n")
     props = [line.split()[2] for line in raw[:body_at].decode().splitlines()
@@ -822,7 +799,7 @@ def test_load_ply_rejects_log_scale_beyond_exp(tmp_path, log_scale):
     # exp(1000) overflows to inf and exp(-1000) underflows to 0 though the file
     # holds a finite value; the error quotes that value, and numpy warns of nothing.
     path = tmp_path / "cloud.ply"
-    save_ply(path, make_cloud(np.random.default_rng(9), n=4, bands=1))
+    save_ply(path, make_cloud(np.random.default_rng(9), n=4))
     raw = path.read_bytes()
     body_at = raw.index(b"end_header\n") + len(b"end_header\n")
     props = [line.split()[2] for line in raw[:body_at].decode().splitlines()
