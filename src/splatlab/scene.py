@@ -4,12 +4,16 @@ Conventions used throughout:
   - pixel (i, j) covers [i, i+1] x [j, j+1]; its center is (i + 0.5, j + 0.5)
   - quaternions are stored (w, x, y, z) and normalized on ingest
   - in-memory splats are always post-activation (opacity in [0,1], scale > 0)
-  - camera-space z points into the scene; splats with z <= near are culled
+  - the camera sits at the origin looking down +z, so splats are stored in
+    camera space and a splat's depth is its z; splats with z <= near are
+    culled. A posed scene is the same scene with its splats moved into
+    camera space: under pose (R, t), each mean mu becomes R mu + t and
+    each splat rotation Q becomes R Q.
   - a splat's color is the view-independent DC term of its spherical
     harmonics: what this lab measures is how alpha and transmittance combine
-    in a pixel, and a zoom (Camera.scaled) keeps the pose, so every sampling
-    rate of a view sees the same colors. SH beyond DC is neither stored nor
-    read, and load_ply rejects a file that holds it.
+    in a pixel, and a zoom (Camera.scaled) scales only the intrinsics, so
+    every sampling rate of a view sees the same colors. SH beyond DC is
+    neither stored nor read, and load_ply rejects a file that holds it.
 """
 
 from __future__ import annotations
@@ -50,9 +54,9 @@ class PlyParseError(ValueError):
 
 @dataclass(frozen=True)
 class Camera:
-    """Pinhole camera with a rigid world-to-camera transform."""
+    """Pinhole camera at the origin looking down +z (module docstring): a
+    camera-space point (x, y, z) lands at pixel (fx x / z + cx, fy y / z + cy)."""
 
-    world_to_cam: np.ndarray  # (3, 4), rows [R | t]
     fx: float
     fy: float
     cx: float
@@ -63,36 +67,20 @@ class Camera:
 
     def __post_init__(self):
         check_image_size(self.width, self.height)
-        w2c = np.asarray(self.world_to_cam, dtype=float)
-        if w2c.shape != (3, 4):
-            raise ValueError(f"world_to_cam must be 3x4, got {w2c.shape}")
-        bad = np.argwhere(~np.isfinite(w2c))
-        if bad.size:
-            raise ValueError(f"world_to_cam[{bad[0][0]}, {bad[0][1]}] is not finite (nan or inf)")
         for name in ("fx", "fy", "near"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, not {getattr(self, name)!r}")
-        r = w2c[:, :3]
-        if not np.allclose(r @ r.T, np.eye(3), atol=1e-6):
-            raise ValueError("rotation block of world_to_cam is not orthonormal")
         if not (self.fx > 0 and self.fy > 0):
             raise ValueError("focal lengths must be > 0")
         if not (0 < self.cx < self.width and 0 < self.cy < self.height):
-            raise ValueError("principal point must lie inside the image")
+            raise ValueError(f"principal point (cx {self.cx!r}, cy {self.cy!r}) must lie inside "
+                             f"the image of width {self.width} and height {self.height}")
         if not self.near > 0:
             raise ValueError("near must be > 0")
-        object.__setattr__(self, "world_to_cam", w2c)
-
-    @property
-    def rotation(self) -> np.ndarray:
-        return self.world_to_cam[:, :3]
-
-    @property
-    def translation(self) -> np.ndarray:
-        return self.world_to_cam[:, 3]
 
     def scaled(self, k: float) -> "Camera":
-        """Zoom protocol: multiply intrinsics and resolution by k, pose unchanged."""
+        """Zoom protocol: multiply intrinsics and resolution by k, the image
+        size rounded half to even; the camera stays at the origin."""
         if not math.isfinite(k):
             raise ValueError(f"scale factor must be finite, not {k!r}")
         if k <= 0:
@@ -100,16 +88,14 @@ class Camera:
         width, height = float(self.width) * float(k), float(self.height) * float(k)
         if not (math.isfinite(width) and math.isfinite(height)):
             raise ValueError(f"scale factor {k!r} makes the image size infinite")
-        return Camera(
-            world_to_cam=self.world_to_cam,
-            fx=self.fx * k,
-            fy=self.fy * k,
-            cx=self.cx * k,
-            cy=self.cy * k,
-            width=max(1, int(round(width))),
-            height=max(1, int(round(height))),
-            near=self.near,
-        )
+        width, height = max(1, int(round(width))), max(1, int(round(height)))
+        cx, cy = self.cx * k, self.cy * k
+        if not (0 < cx < width and 0 < cy < height):
+            raise ValueError(f"scale factor {k!r} puts the principal point at ({cx!r}, {cy!r}), "
+                             f"outside the image of width {width} and height {height} "
+                             "that the scaled size rounds to")
+        return Camera(fx=self.fx * k, fy=self.fy * k, cx=cx, cy=cy, width=width, height=height,
+                      near=self.near)
 
 
 # ---------------------------------------------------------------------------
@@ -233,36 +219,35 @@ def rotmats_from_quats(q) -> np.ndarray:
 def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> ProjectedCloud:
     """Project every splat in one vectorized pass; order of survivors is stable.
 
-    lowpass (px^2, finite and >= 0) is added to the diagonal of every screen
-    covariance. The covariance is A A^T with A = J R M: J the perspective
-    Jacobian at the mean, R the camera rotation, M = R_splat diag(s). Each
-    row of A is summed from +0 term by term, j outer and k inner, as
-    (J_ij R_jk) M_k, and each entry of A A^T as (p0 + p2) + p1 over its
-    products p. These are the orders that np.einsum takes over J, R and M
-    and then over each pair of rows of A, kept so that every bit equals that
-    einsum form (project_cloud_einsum in tests/_reference.py).
-    J's two structural zeros are skipped: a +-0 term changes no bit of a sum
-    that starts at +0, since a round-to-nearest sum is -0 only when both
-    addends are. Color is the DC term (module docstring).
+    TypeError unless cloud is a SplatCloud and cam a Camera. lowpass (px^2,
+    finite and >= 0) is added to the diagonal of every screen covariance.
+    The splats sit in camera space (module docstring), so the covariance is
+    A A^T with A = J M: J the perspective Jacobian at the mean, M = R_splat
+    diag(s). Each row of A is summed from +0 term by term over j, as J_ij M_j,
+    and each entry of A A^T as (p0 + p2) + p1 over its products p. These are
+    the orders that np.einsum takes over J and M and then over each pair of
+    rows of A, kept so that every bit equals that einsum form
+    (project_cloud_einsum in tests/_reference.py). J's two structural zeros
+    are skipped: a +-0 term changes no bit of a sum that starts at +0, since
+    a round-to-nearest sum is -0 only when both addends are. Color is the DC
+    term (module docstring).
     """
+    if not isinstance(cloud, SplatCloud):
+        raise TypeError(f"project_cloud takes a SplatCloud, not {type(cloud).__name__}")
+    if not isinstance(cam, Camera):
+        raise TypeError(f"project_cloud takes a Camera, not {type(cam).__name__}")
     if not (math.isfinite(lowpass) and lowpass >= 0.0):
         raise ValueError(f"lowpass must be finite and >= 0, not {lowpass!r}")
-    n = len(cloud)
-    r, t = cam.rotation, cam.translation
+    idx = np.flatnonzero(cloud.mu[:, 2] > cam.near)
+    n_culled_near = len(cloud) - idx.size
     # finite input whose products overflow gives inf or nan here, and is
     # culled below and counted, not warned about (errstate changes no bit)
     with np.errstate(over="ignore", invalid="ignore"):
-        p = cloud.mu @ r.T + t  # (n, 3) camera space
-        idx = np.flatnonzero(p[:, 2] > cam.near)
-        n_culled_near = n - idx.size
-        rot, scale = cloud.rot, cloud.scale
-        if n_culled_near:
-            p, rot, scale = p[idx], rot[idx], scale[idx]
-        x, y, z = p[:, 0], p[:, 1], p[:, 2]
+        x, y, z = cloud.mu[idx].T
         mu2d = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
 
-        m = rotmats_from_quats(rot)
-        m *= scale.T  # R diag(s)
+        m = rotmats_from_quats(cloud.rot[idx])
+        m *= cloud.scale[idx].T  # R diag(s)
         zz = z * z
         # J's nonzero entries, row by row, as (column j, J_ij)
         jac = (((0, cam.fx / z), (2, -cam.fx * x / zz)), ((1, cam.fy / z), (2, -cam.fy * y / zz)))
@@ -270,21 +255,14 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
         for terms in jac:
             a = np.zeros((3, idx.size))
             for j, j_ij in terms:
-                for k in range(3):
-                    a += (j_ij * r[j, k]) * m[k]
+                a += j_ij * m[j]
             rows.append(a)
         (a0, a1, a2), (b0, b1, b2) = rows
         cxx = (a0 * a0 + a2 * a2) + a1 * a1 + lowpass
         cyy = (b0 * b0 + b2 * b2) + b1 * b1 + lowpass
         cxy = (a0 * b0 + a2 * b2) + a1 * b1 + 0.0  # a sum of -0 products reads +0
 
-    finite = (
-        np.isfinite(z)
-        & np.isfinite(mu2d).all(axis=1)
-        & np.isfinite(cxx)
-        & np.isfinite(cxy)
-        & np.isfinite(cyy)
-    )
+    finite = np.isfinite(mu2d).all(axis=1) & np.isfinite(cxx) & np.isfinite(cxy) & np.isfinite(cyy)
     n_culled_nonfinite = int(idx.size - np.count_nonzero(finite))
     if n_culled_nonfinite:
         keep = np.flatnonzero(finite)
@@ -308,6 +286,12 @@ def project_cloud(cloud: SplatCloud, cam: Camera, lowpass: float = 0.0) -> Proje
 
 # ---------------------------------------------------------------------------
 # PLY ingestion (binary little-endian, de-facto trained-splat layout)
+
+# The vertex properties save_ply writes, in order, all float32; load_ply
+# requires each but the normals, in any order.
+PLY_PROPERTIES = ("x", "y", "z", "nx", "ny", "nz", "f_dc_0", "f_dc_1", "f_dc_2", "opacity",
+                  "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3")
+
 
 def load_ply(path) -> SplatCloud:
     """Read a splat PLY in the trained-splat layout, color DC term only.
@@ -368,12 +352,7 @@ def load_ply(path) -> SplatCloud:
     if n_vertex is None:
         raise PlyParseError(f"{path}: missing vertex element")
 
-    required = (
-        ["x", "y", "z", "f_dc_0", "f_dc_1", "f_dc_2", "opacity"]
-        + [f"scale_{i}" for i in range(3)]
-        + [f"rot_{i}" for i in range(4)]
-    )
-    missing = [p for p in required if p not in props]
+    missing = [p for p in PLY_PROPERTIES if p not in props and p not in ("nx", "ny", "nz")]
     if missing:
         raise PlyParseError(f"{path}: missing vertex properties {missing}")
 
@@ -411,15 +390,15 @@ def load_ply(path) -> SplatCloud:
 
 
 def save_ply(path, cloud: SplatCloud) -> None:
-    """Write splats in the trained-splat layout load_ply reads: x, y, z,
-    nx, ny, nz (0), f_dc_0..2, opacity (logit), scale_0..2 (log), rot_0..3,
-    all float32, and no f_rest_* (color is the DC term)."""
+    """Write splats in the trained-splat layout load_ply reads, PLY_PROPERTIES:
+    x, y, z, nx, ny, nz (0), f_dc_0..2, opacity (logit), scale_0..2 (log),
+    rot_0..3, and no f_rest_* (color is the DC term). Anything but a
+    SplatCloud is a TypeError, raised before the file is opened."""
+    if not isinstance(cloud, SplatCloud):
+        raise TypeError(f"save_ply takes a SplatCloud, not {type(cloud).__name__}")
     n = len(cloud)
-    names = ["x", "y", "z", "nx", "ny", "nz", "f_dc_0", "f_dc_1", "f_dc_2",
-             "opacity", "scale_0", "scale_1", "scale_2", "rot_0", "rot_1", "rot_2", "rot_3"]
-
-    out = np.zeros((n, len(names)), dtype="<f4")
-    col = {name: i for i, name in enumerate(names)}
+    out = np.zeros((n, len(PLY_PROPERTIES)), dtype="<f4")
+    col = {name: i for i, name in enumerate(PLY_PROPERTIES)}
     out[:, [col["x"], col["y"], col["z"]]] = cloud.mu
     out[:, [col["f_dc_0"], col["f_dc_1"], col["f_dc_2"]]] = cloud.sh[:, 0, :]
     # Inverse activations; opacity clamped clear of 0/1 so the logit is finite.
@@ -429,7 +408,7 @@ def save_ply(path, cloud: SplatCloud) -> None:
     out[:, col["rot_0"] : col["rot_0"] + 4] = cloud.rot
 
     header_lines = ["ply", "format binary_little_endian 1.0", f"element vertex {n}"]
-    header_lines += [f"property float {name}" for name in names]
+    header_lines += [f"property float {name}" for name in PLY_PROPERTIES]
     header_lines.append("end_header")
     with open(path, "wb") as f:
         f.write(("\n".join(header_lines) + "\n").encode("ascii"))

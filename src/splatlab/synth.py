@@ -16,9 +16,7 @@ def sh_dc(rgb) -> np.ndarray:
 
 
 def default_camera(width: int = 64, height: int = 48, fx: float = 48.0) -> Camera:
-    w2c = np.concatenate([np.eye(3), np.zeros((3, 1))], axis=1)
-    return Camera(world_to_cam=w2c, fx=fx, fy=fx, cx=width / 2.0, cy=height / 2.0,
-                  width=width, height=height)
+    return Camera(fx=fx, fy=fx, cx=width / 2.0, cy=height / 2.0, width=width, height=height)
 
 
 def _grid(x_range, y_range, spacing):

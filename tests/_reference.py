@@ -22,8 +22,8 @@ gaussian_i0 once per subset and axis, where the truth makes one call for
 all of them: gaussian_i0 works element by element, so the two agree bit
 for bit. Color is the view-independent DC term of a splat's spherical
 harmonics, as in scene: the lab's claims are about how alpha and
-transmittance combine in a pixel, and a zoom keeps the pose, so every
-sampling rate of a view shares its colors. So eval_sh is the one line of
+transmittance combine in a pixel, and a zoom scales only the intrinsics, so
+every sampling rate of a view shares its colors. So eval_sh is the one line of
 project_cloud's color, and project_cloud_einsum pins its bits with those of
 the projection.
 _fallback_blend keeps the center Gaussian in its frame form, exp(-((u /
@@ -463,13 +463,9 @@ def project_splat(cloud, i: int, cam, lowpass: float = 0.0):
 
     lowpass is added to the diagonal of cov2d after projection.
     """
-    mu = cloud.mu[i]
-    r, t = cam.rotation, cam.translation
-    p = r @ mu + t
-    z = p[2]
+    x, y, z = cloud.mu[i]
     if z <= cam.near:
         return None
-    x, y = p[0], p[1]
     mu2d = np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
 
     jac = np.array(
@@ -479,8 +475,7 @@ def project_splat(cloud, i: int, cam, lowpass: float = 0.0):
         ]
     )
     cov3d = build_covariance(cloud.scale[i], cloud.rot[i])
-    jw = jac @ r
-    cov2d = jw @ cov3d @ jw.T
+    cov2d = jac @ cov3d @ jac.T
     cov2d = 0.5 * (cov2d + cov2d.T)
     cov2d[0, 0] += lowpass
     cov2d[1, 1] += lowpass
@@ -499,12 +494,12 @@ def project_cloud_einsum(cloud, cam, lowpass: float = 0.0) -> ProjectedCloud:
     """scene.project_cloud as it was before its contraction became an ordered
     sum: the bit-exact oracle of that sum. The body is the old one verbatim,
     but for the rotation matrices, built here one splat at a time by
-    quat_to_rotmat (the same arithmetic per entry).
+    quat_to_rotmat (the same arithmetic per entry), and for the camera, which
+    sits at the origin, so the splats are in camera space already.
 
     Project every splat in one vectorized pass; order of survivors is stable."""
     n = len(cloud)
-    r, t = cam.rotation, cam.translation
-    p = cloud.mu @ r.T + t  # (n, 3) camera space
+    p = cloud.mu
     z = p[:, 2]
     front = z > cam.near
     n_culled_near = int(n - np.count_nonzero(front))
@@ -515,7 +510,7 @@ def project_cloud_einsum(cloud, cam, lowpass: float = 0.0) -> ProjectedCloud:
     x, y = p[:, 0], p[:, 1]
     mu2d = np.stack([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy], axis=1)
 
-    # cov2d = (J R) Sigma (J R)^T with J the perspective Jacobian at the mean.
+    # cov2d = J Sigma J^T with J the perspective Jacobian at the mean.
     rot = np.array([quat_to_rotmat(q) for q in cloud.rot[idx]]).reshape(-1, 3, 3)
     m = rot * cloud.scale[idx][:, None, :]  # (n, 3, 3) = R diag(s)
     zz = z * z
@@ -524,14 +519,13 @@ def project_cloud_einsum(cloud, cam, lowpass: float = 0.0) -> ProjectedCloud:
     jac[:, 0, 2] = -cam.fx * x / zz
     jac[:, 1, 1] = cam.fy / z
     jac[:, 1, 2] = -cam.fy * y / zz
-    a = np.einsum("nij,jk,nkl->nil", jac, r, m)  # (n, 2, 3)
+    a = np.einsum("nij,njl->nil", jac, m)  # (n, 2, 3)
     cxx = np.einsum("nk,nk->n", a[:, 0], a[:, 0]) + lowpass
     cyy = np.einsum("nk,nk->n", a[:, 1], a[:, 1]) + lowpass
     cxy = np.einsum("nk,nk->n", a[:, 0], a[:, 1])
 
     finite = (
-        np.isfinite(z)
-        & np.isfinite(mu2d).all(axis=1)
+        np.isfinite(mu2d).all(axis=1)
         & np.isfinite(cxx)
         & np.isfinite(cxy)
         & np.isfinite(cyy)

@@ -42,9 +42,7 @@ def random_scene(rng, n, width, height, sig_lo=-0.3, sig_hi=1.0):
 
 
 def make_camera(width=32, height=24, fx=30.0):
-    w2c = np.hstack([np.eye(3), np.array([[0.0], [0.0], [0.0]])])
-    return Camera(world_to_cam=w2c, fx=fx, fy=fx, cx=width / 2, cy=height / 2,
-                  width=width, height=height, near=0.1)
+    return Camera(fx=fx, fy=fx, cx=width / 2, cy=height / 2, width=width, height=height, near=0.1)
 
 
 def random_cloud(rng, n=40):
@@ -157,7 +155,7 @@ def test_pixel_equals_blend_pixel(mode):
         assert fb.residual[y, x] == res
 
 
-def test_matches_brute_force_no_binning():
+def test_frame_equals_blend_pixel_at_every_pixel():
     # The frame walk must equal a direct per-pixel blend over the full splat
     # list, at every pixel and in every mode.
     rng = np.random.default_rng(9)

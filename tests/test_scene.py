@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _reference import build_covariance, eval_sh, project_cloud_einsum, project_splat
+from splatlab.raster import render
 from splatlab.scene import (
+    PLY_PROPERTIES,
     Camera,
     PlyParseError,
     ProjectedCloud,
@@ -30,7 +32,6 @@ IDENTITY_Q = np.array([1.0, 0.0, 0.0, 0.0])
 
 def make_camera(**kw):
     base = dict(
-        world_to_cam=np.hstack([np.eye(3), np.zeros((3, 1))]),
         fx=100.0,
         fy=100.0,
         cx=32.0,
@@ -63,21 +64,6 @@ def random_splat(rng):
         rng.uniform(0.1, 1.0),
         rng.uniform(-0.5, 0.5, (1, 3)),
     )
-
-
-def random_pose(rng):
-    q = rng.normal(size=4)
-    q /= np.linalg.norm(q)
-    w, x, y, z = q
-    r = np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
-    t = rng.uniform(-1.0, 1.0, 3)
-    return np.hstack([r, t[:, None]])
 
 
 def test_build_covariance_identity():
@@ -128,39 +114,19 @@ def test_behind_camera_culled():
         assert pc.n_culled_near == 1 and pc.n_culled_nonfinite == 0
 
 
-def test_overflowing_depth_culled_as_nonfinite():
-    # A finite position whose camera depth overflows: turned 45 degrees about
-    # y, (-1.5e308, 0, 1.5e308) lands at depth inf with a finite screen x.
-    # ProjectedCloud rejects an infinite depth, so project_cloud must cull it.
-    c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
-    w2c = np.array([[c, 0.0, s, 0.0], [0.0, 1.0, 0.0, 0.0], [-s, 0.0, c, 0.0]])
-    cloud = SplatCloud(mu=[[-1.5e308, 0.0, 1.5e308], [0.0, 0.0, 2.0]], scale=np.full((2, 3), 0.1),
-                       rot=np.tile(IDENTITY_Q, (2, 1)), opacity=[0.5, 0.5], sh=np.zeros((2, 1, 3)))
-    cam = make_camera(world_to_cam=w2c)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")  # the overflow is culled and counted, not warned about
-        pc = project_cloud(cloud, cam)
-    assert pc.n_culled_nonfinite == 1 and len(pc) == 1
-    # the survivor is the second splat, at depth 2 cos 45 degrees
-    assert np.allclose(pc.mu2d, [_project_point(cloud.mu[1], cam)], rtol=1e-12, atol=1e-12)
-    assert pc.depth[0] == pytest.approx(2.0 * c, rel=1e-12)
-
-
 def _project_point(mu, cam):
-    p = cam.rotation @ mu + cam.translation
-    return np.array(
-        [cam.fx * p[0] / p[2] + cam.cx, cam.fy * p[1] / p[2] + cam.cy]
-    )
+    x, y, z = mu
+    return np.array([cam.fx * x / z + cam.cx, cam.fy * y / z + cam.cy])
 
 
 def test_projection_matches_finite_difference_jacobian():
     # cov2d should equal J_fd Sigma J_fd^T where J_fd is the numerical Jacobian
-    # of the full world->pixel map (extrinsics included).
+    # of the camera-space -> pixel map.
     rng = np.random.default_rng(5)
-    cam = make_camera(world_to_cam=random_pose(rng))
+    cam = make_camera()
     for _ in range(50):
         mu = rng.uniform(-1.5, 1.5, 3)
-        if (cam.rotation @ mu + cam.translation)[2] < 0.5:
+        if mu[2] < 0.5:
             continue
         s = one_splat(mu, scale=np.exp(rng.uniform(-3.0, -1.0, 3)), rot=rng.normal(size=4))
         p = project_one(s, cam)
@@ -181,7 +147,7 @@ def test_projection_matches_finite_difference_jacobian():
 def test_projection_scale_consistency():
     # Scaling intrinsics and resolution by k scales mu2d by k and cov2d by k^2.
     rng = np.random.default_rng(17)
-    cam = make_camera(world_to_cam=random_pose(rng))
+    cam = make_camera()
     for k in (0.5, 2.0, 8.0):
         cam_k = cam.scaled(k)
         for _ in range(20):
@@ -204,11 +170,10 @@ def test_lowpass_floor_added_to_diagonal():
 
 def test_project_cloud_matches_scalar_path():
     rng = np.random.default_rng(23)
-    cam = make_camera(world_to_cam=random_pose(rng))
+    cam = make_camera()
     rows = [random_splat(rng) for _ in range(200)]
-    # Push one behind the camera, 3 units back from its origin, to exercise culling.
-    origin = -cam.rotation.T @ cam.translation
-    rows[7] = (origin - 3.0 * cam.rotation[2], [0.1] * 3, IDENTITY_Q, 0.5, np.zeros((1, 3)))
+    # Push one behind the camera, 3 units back from it, to exercise culling.
+    rows[7] = ([0.0, 0.0, -3.0], [0.1] * 3, IDENTITY_Q, 0.5, np.zeros((1, 3)))
     cloud = splat_cloud(rows)
     pc = project_cloud(cloud, cam, lowpass=0.3)
 
@@ -227,17 +192,16 @@ def test_project_cloud_matches_scalar_path():
 
 
 @settings(max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24), identity=st.booleans(),
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(0, 24),
        log10_scale=st.sampled_from([(-200.0, -150.0), (-6.0, 3.0), (150.0, 160.0)]),
        lowpass=st.sampled_from([0.0, 0.3]))
-def test_project_cloud_bits_equal_einsum_form_property(seed, n, identity, log10_scale, lowpass):
+def test_project_cloud_bits_equal_einsum_form_property(seed, n, log10_scale, lowpass):
     # The ordered sum reproduces the einsum form bit for bit, signs of zero
     # included. Scales span an underflowing range (products that round to
     # +-0), an ordinary one and an overflowing one (culled as non-finite);
     # about half of the splats lie behind the near plane.
     rng = np.random.default_rng(seed)
-    w2c = np.hstack([np.eye(3), np.zeros((3, 1))]) if identity else random_pose(rng)
-    cam = make_camera(world_to_cam=w2c, fx=rng.uniform(10.0, 500.0), fy=rng.uniform(10.0, 500.0))
+    cam = make_camera(fx=rng.uniform(10.0, 500.0), fy=rng.uniform(10.0, 500.0))
     cloud = SplatCloud(mu=rng.uniform(-2.0, 2.0, (n, 3)),
                        scale=10.0 ** rng.uniform(*log10_scale, (n, 3)),
                        rot=rng.normal(size=(n, 4)),
@@ -261,6 +225,31 @@ def test_project_cloud_rejects_bad_lowpass(lowpass):
     # frame), and -1 shrank every covariance.
     with pytest.raises(ValueError, match=rf"^lowpass must be finite and >= 0, not {lowpass!r}$"):
         project_cloud(one_splat([0.0, 0.0, 2.0]), make_camera(), lowpass=lowpass)
+
+
+@pytest.mark.parametrize("entry, wrong", [
+    *((entry, wrong) for entry in ("project_cloud", "render", "save_ply")
+      for wrong in ("list", "dict", "ndarray", "ProjectedCloud")),
+    ("project_cloud", "str"), ("render", "NoneType"),
+])
+def test_entry_points_reject_a_wrong_type(tmp_path, entry, wrong):
+    # Unchecked, each failed with an AttributeError that named no entry
+    # point ("'list' object has no attribute 'mu'", "'str' object has no
+    # attribute 'rotation'"). save_ply must raise before it opens the file.
+    cloud, cam, path = one_splat([0.0, 0.0, 2.0]), make_camera(), tmp_path / "out.ply"
+    bad = {"list": [[0.0, 0.0, 2.0]], "dict": {"mu": [[0.0, 0.0, 2.0]]}, "ndarray": np.ones((1, 3)),
+           "ProjectedCloud": project_cloud(cloud, cam), "str": "cam", "NoneType": None}[wrong]
+    if wrong in ("str", "NoneType"):
+        cam, due = bad, "Camera"
+    else:
+        cloud, due = bad, "SplatCloud"
+    call = {"project_cloud": lambda: project_cloud(cloud, cam),
+            "render": lambda: render(cloud, cam, "gb"),
+            "save_ply": lambda: save_ply(path, cloud)}[entry]
+    name = "save_ply" if entry == "save_ply" else "project_cloud"
+    with pytest.raises(TypeError, match=rf"^{name} takes a {due}, not {wrong}$"):
+        call()
+    assert not path.exists()
 
 
 def projected_fields(m=4):
@@ -335,9 +324,8 @@ def test_projected_cloud_rejects_negative_color():
 
 
 def test_project_cloud_color_is_the_clamped_dc_term():
-    # color = max(SH_C0 * dc + 0.5, 0) per channel: 0.5 for a zero DC term,
-    # 0 for a dark one, and the same bits from any pose, since it reads no
-    # view direction.
+    # color = max(SH_C0 * dc + 0.5, 0) per channel: 0.5 for a zero DC term
+    # and 0 for a dark one.
     dc = np.array([[0.0, 0.0, 0.0], [0.3, -0.1, 0.9], [-10.0, -10.0, -10.0]])
     cloud = SplatCloud(mu=[[0.0, 0.0, 2.0], [0.2, -0.1, 3.0], [-0.3, 0.2, 2.5]],
                        scale=np.full((3, 3), 0.1), rot=np.tile(IDENTITY_Q, (3, 1)),
@@ -345,10 +333,6 @@ def test_project_cloud_color_is_the_clamped_dc_term():
     pc = project_cloud(cloud, make_camera())
     assert np.array_equal(pc.color, eval_sh(dc))
     assert np.array_equal(pc.color[0], [0.5] * 3) and np.array_equal(pc.color[2], [0.0] * 3)
-    turned = make_camera(world_to_cam=np.hstack([random_pose(np.random.default_rng(3))[:, :3],
-                                                 [[0.0], [0.0], [4.0]]]))
-    other = project_cloud(cloud, turned)
-    assert len(other) == 3 and np.array_equal(other.color, pc.color)
 
 
 def test_camera_validation():
@@ -357,31 +341,33 @@ def test_camera_validation():
     with pytest.raises(ValueError):
         make_camera(cx=100.0)  # outside image
     with pytest.raises(ValueError):
-        make_camera(world_to_cam=np.hstack([2.0 * np.eye(3), np.zeros((3, 1))]))
-    with pytest.raises(ValueError):
         make_camera(near=0.0)
-    with pytest.raises(ValueError):
-        make_camera(world_to_cam=np.eye(4))  # 3x4 only
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("t", np.nan), ("t", np.inf), ("r", np.nan), ("r", -np.inf),
     ("fx", np.inf), ("fy", np.nan), ("near", np.inf), ("near", np.nan),
 ])
 def test_camera_rejects_non_finite_input(field, bad):
-    # Unchecked, a NaN or inf translation and near = inf culled every splat as
-    # n_culled_near without a word, fx = inf failed in project_cloud with a
-    # numpy RuntimeWarning, and a NaN rotation read "not orthonormal".
-    if field in ("t", "r"):  # an entry of the translation or of the rotation block
-        col = 3 if field == "t" else 2
-        w2c = np.hstack([np.eye(3), np.zeros((3, 1))])
-        w2c[1, col] = bad
-        match = rf"^world_to_cam\[1, {col}\] is not finite \(nan or inf\)$"
-        with pytest.raises(ValueError, match=match):
-            make_camera(world_to_cam=w2c)
-    else:
-        with pytest.raises(ValueError, match=rf"^{field} must be finite, not {bad!r}$"):
-            make_camera(**{field: bad})
+    # Unchecked, near = inf culled every splat as n_culled_near without a
+    # word, and fx = inf failed in project_cloud with a numpy RuntimeWarning.
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, not {bad!r}$"):
+        make_camera(**{field: bad})
+
+
+def test_camera_names_a_principal_point_outside_the_image():
+    # Unchecked, a zoom whose rounded size leaves the scaled principal point
+    # outside the image read "principal point must lie inside the image",
+    # naming neither the factor nor a value: width 5 * 0.5 rounds half to
+    # even, to 2, and cx 4.9 * 0.5 = 2.45 lies beyond it.
+    cam = Camera(fx=10.0, fy=10.0, cx=4.9, cy=2.0, width=5, height=4)
+    with pytest.raises(ValueError, match=r"^scale factor 0\.5 puts the principal point at "
+                                         r"\(2\.45, 1\.0\), outside the image of width 2 and "
+                                         r"height 2 that the scaled size rounds to$"):
+        cam.scaled(0.5)
+    with pytest.raises(ValueError, match=r"^principal point \(cx 2\.45, cy 1\.0\) must lie "
+                                         r"inside the image of width 2 and height 2$"):
+        Camera(fx=5.0, fy=5.0, cx=2.45, cy=1.0, width=2, height=2)
+    assert cam.scaled(2.0) == Camera(fx=20.0, fy=20.0, cx=9.8, cy=4.0, width=10, height=8)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -616,6 +602,27 @@ def test_save_ply_writes_the_dc_header(tmp_path):
     want += [f"property float {name}" for name in DC_LAYOUT] + ["end_header", ""]
     assert raw[:body_at].decode("ascii").split("\n") == want
     assert len(raw) - body_at == 2 * len(DC_LAYOUT) * 4
+
+
+def test_ply_properties_are_the_one_layout(tmp_path):
+    # save_ply writes PLY_PROPERTIES in order, and load_ply requires each of
+    # them but the normals: a file with one of them renamed loads the same
+    # cloud if it is a normal, and names it missing otherwise.
+    cloud = make_cloud(np.random.default_rng(14), n=2)
+    path = tmp_path / "cloud.ply"
+    save_ply(path, cloud)
+    raw = path.read_bytes()
+    body_at = raw.index(b"end_header\n")
+    assert re.findall(r"property float (\w+)", raw[:body_at].decode()) == list(PLY_PROPERTIES)
+    want = load_ply(path)
+    for name in PLY_PROPERTIES:
+        path.write_bytes(raw.replace(f"float {name}\n".encode(), f"float q_{name}\n".encode(), 1))
+        if name in ("nx", "ny", "nz"):
+            got = load_ply(path)
+            assert all(np.array_equal(getattr(got, f), getattr(want, f)) for f in CLOUD_FIELDS)
+        else:
+            with pytest.raises(PlyParseError, match=rf"missing vertex properties \['{name}'\]$"):
+                load_ply(path)
 
 
 @pytest.mark.parametrize("rest, first", [
